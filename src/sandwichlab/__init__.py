@@ -6,6 +6,9 @@ bot, and noise agents, a heuristic sandwich-pair detector over exported
 swap logs, and codecs/CLI tying the pieces together.
 """
 
+# Defined before the submodule imports so that they can read it.
+__version__ = "0.1.0"
+
 from .amm import (
     MAX_AMOUNT,
     AmmError,
@@ -25,6 +28,7 @@ from .amm import (
     optimal_frontrun_input,
     plan_sandwich,
     quote_output,
+    replay_sandwich,
     victim_output_after_frontrun,
 )
 from .attack import (
@@ -39,8 +43,10 @@ from .attack import (
     estimate_noise_params,
     estimate_return_rates,
     expected_profit,
+    frontrun_size,
     optimal_frontrun_for_timeline,
     replay_timeline,
+    sample_profit_rates,
     success_probability,
 )
 from .bridge import (
@@ -87,5 +93,3 @@ from .ingest import (
 )
 
 from .bridge import run as run_simulation
-
-__version__ = "0.1.0"

@@ -322,6 +322,31 @@ def backrun_output(pool_after_victim: Pool, frontrun_out: int) -> int:
     return quote_output(pool_after_victim, Direction.Y_FOR_X, frontrun_out)
 
 
+def replay_sandwich(
+    pool: Pool, victim_in: int, frontrun_in: int, gas_cost: int = 0
+) -> SandwichPlan:
+    """Replay an X-for-Y front-run, the victim and the back-run on pool.
+
+    frontrun_in == 0 means no front-run: the plan then holds the victim's
+    unattacked quote and a profit of -gas_cost.
+    """
+    frontrun_out = 0
+    if frontrun_in:
+        frontrun_out = quote_output(pool, Direction.X_FOR_Y, frontrun_in)
+        pool = pool.after_swap(Direction.X_FOR_Y, frontrun_in, frontrun_out)
+    victim_out = quote_output(pool, Direction.X_FOR_Y, victim_in)
+    pool = pool.after_swap(Direction.X_FOR_Y, victim_in, victim_out)
+    recovered = backrun_output(pool, frontrun_out)
+    return SandwichPlan(
+        frontrun_in=frontrun_in,
+        frontrun_out=frontrun_out,
+        expected_victim_out=victim_out,
+        backrun_out=recovered,
+        gas_cost=gas_cost,
+        profit=recovered - frontrun_in - gas_cost,
+    )
+
+
 def plan_sandwich(
     pool: Pool,
     victim: SwapRequest,
@@ -336,37 +361,6 @@ def plan_sandwich(
     """
     _check_amount("gas_cost", gas_cost)
     if victim.direction is Direction.Y_FOR_X:
-        mirrored = plan_sandwich(
-            pool.mirrored(),
-            replace(victim, direction=Direction.X_FOR_Y),
-            victim_tolerance,
-            theta,
-            gas_cost,
-        )
-        return mirrored
-
-    quote = quote_output(pool, Direction.X_FOR_Y, victim.amount_in)
+        pool = pool.mirrored()
     frontrun_in = optimal_frontrun_input(pool, victim.amount_in, victim_tolerance, theta)
-    if frontrun_in == 0:
-        return SandwichPlan(
-            frontrun_in=0,
-            frontrun_out=0,
-            expected_victim_out=quote,
-            backrun_out=0,
-            gas_cost=gas_cost,
-            profit=-gas_cost,
-        )
-
-    frontrun_out = quote_output(pool, Direction.X_FOR_Y, frontrun_in)
-    pool_1 = pool.after_swap(Direction.X_FOR_Y, frontrun_in, frontrun_out)
-    victim_out = quote_output(pool_1, Direction.X_FOR_Y, victim.amount_in)
-    pool_2 = pool_1.after_swap(Direction.X_FOR_Y, victim.amount_in, victim_out)
-    recovered = backrun_output(pool_2, frontrun_out)
-    return SandwichPlan(
-        frontrun_in=frontrun_in,
-        frontrun_out=frontrun_out,
-        expected_victim_out=victim_out,
-        backrun_out=recovered,
-        gas_cost=gas_cost,
-        profit=recovered - frontrun_in - gas_cost,
-    )
+    return replay_sandwich(pool, victim.amount_in, frontrun_in, gas_cost)

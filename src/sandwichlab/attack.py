@@ -184,33 +184,54 @@ def replay_timeline(
     return (not victim_outcome.reverted, recovered)
 
 
+def frontrun_size(
+    pool: Pool,
+    direction: Direction,
+    victim_in: int,
+    min_out: int,
+    theta: Fraction = Fraction(1),
+) -> int:
+    """The attacker's front-run against a leaked swap at extraction
+    fraction theta.
+
+    The target floor is quote - (quote - min_out) * theta, floored:
+    theta = 1 aims exactly at the victim's frozen floor, theta < 1 leaves
+    a fraction (1 - theta) of the quoted buffer untouched. Returns 0 when
+    the quote leaves no buffer above min_out.
+    """
+    if direction is Direction.Y_FOR_X:
+        pool = pool.mirrored()
+    quote = quote_output(pool, Direction.X_FOR_Y, victim_in)
+    if quote <= min_out:
+        return 0
+    floor = quote - (quote - min_out) * theta.numerator // theta.denominator
+    return largest_frontrun_for_min_out(pool, Direction.X_FOR_Y, victim_in, floor)
+
+
 def optimal_frontrun_for_timeline(
     timeline: PoolTimeline, theta: Fraction = Fraction(1)
 ) -> int:
     """The attacker's sizing decision at commit time: it sees only the
     snapshot, never the noise."""
-    pool = timeline.pool
     victim = timeline.victim
-    if victim.direction is Direction.Y_FOR_X:
-        pool = pool.mirrored()
-    quote = quote_output(pool, Direction.X_FOR_Y, victim.amount_in)
-    if quote <= 0:
-        return 0
-    effective = _effective_min_out(quote, victim.min_out, theta)
-    return largest_frontrun_for_min_out(pool, Direction.X_FOR_Y, victim.amount_in, effective)
+    return frontrun_size(
+        timeline.pool, victim.direction, victim.amount_in, victim.min_out, theta
+    )
 
 
-def _effective_min_out(quote: int, frozen_min_out: int, theta: Fraction) -> int:
-    """Target floor at extraction fraction theta.
-
-    theta = 1 aims exactly at the victim's frozen floor; theta < 1
-    leaves a fraction (1 - theta) of the quoted buffer untouched.
-    """
-    if theta == 1:
-        return frozen_min_out
-    buffer = quote - frozen_min_out
-    scaled = buffer * theta.numerator // theta.denominator
-    return quote - scaled
+def sample_profit_rates(
+    timelines: Iterable[PoolTimeline], theta: Fraction = Fraction(1)
+) -> list[Fraction]:
+    """(back-run out - front-run in) / front-run in for every timeline
+    the attacker front-runs at theta, replayed through its noise."""
+    rates = []
+    for timeline in timelines:
+        frontrun_in = optimal_frontrun_for_timeline(timeline, theta)
+        if frontrun_in == 0:
+            continue
+        _, recovered = replay_timeline(timeline, frontrun_in)
+        rates.append(Fraction(recovered - frontrun_in, frontrun_in))
+    return rates
 
 
 def estimate_noise_params(

@@ -1,9 +1,10 @@
 """Deterministic discrete-event simulation of a liquidity-pool bridge.
 
-Two block-producing chains, a relayer set running the commit / verify /
-consensus / execute pipeline, and three agent kinds on the destination
-chain: a cross-chain attacker that reacts to source-chain commit events,
-a classical same-block sandwich bot that only sees the destination
+Two block-producing chains, a relay that commits a swap on the source
+chain, delivers it after a sampled delay and executes it on the
+destination chain, and three agent kinds on the destination chain: a
+cross-chain attacker that reacts to source-chain commit events, a
+classical same-block sandwich bot that only sees the destination
 mempool, and memoryless noise traders. All randomness flows from one
 seeded generator, so identical configs produce bit-identical traces.
 """
@@ -19,25 +20,23 @@ from fractions import Fraction
 from typing import Optional
 
 from .amm import (
+    AmmError,
     Direction,
     Pool,
+    SwapOutcome,
     SwapRequest,
     execute_swap,
-    largest_frontrun_for_min_out,
     min_out_from_tolerance,
     quote_output,
+    replay_sandwich,
 )
-from .attack import PoolTimeline, TxLabel, classify_ordering
+from .attack import PoolTimeline, TxLabel, classify_ordering, frontrun_size
 from .detector import CrossChainTx, SwapLog, VictimHop
 
 GWEI = 10**9
 
 
 class InvalidConfig(ValueError):
-    pass
-
-
-class NoQuorum(RuntimeError):
     pass
 
 
@@ -120,8 +119,6 @@ class SimConfig:
             "lognormal", {"sigma": 0.6, "p95": 100.0, "min": 5.0}
         )
     )
-    relayer_count: int = 3
-    consensus_threshold: Fraction = Fraction(2, 3)
     noise_arrival_rate: float = 0.01  # per pool, per second
     noise_size: DistSpec = field(
         default_factory=lambda: DistSpec("lognormal", {"mu": 32.0, "sigma": 1.0})
@@ -148,10 +145,6 @@ class SimConfig:
             raise InvalidConfig("horizon must be > 0")
         if self.src_block_interval <= 0 or self.dst_block_interval <= 0:
             raise InvalidConfig("block intervals must be > 0")
-        if self.relayer_count < 1:
-            raise InvalidConfig("relayer_count must be >= 1")
-        if not self.consensus_threshold > Fraction(1, 2):
-            raise InvalidConfig("consensus_threshold must exceed 1/2")
         if not self.pools:
             raise InvalidConfig("at least one pool is required")
 
@@ -173,19 +166,18 @@ class RelayMessage:
 
 @dataclass
 class PendingTx:
+    """A destination-chain transaction waiting in the mempool; ``account``
+    both sends it and receives its output."""
+
     tx_hash: str
-    kind: str  # victim | noise | attacker_front | attacker_back | bot_front | bot_back
+    label: TxLabel
     gas_price: int
-    submit_time: float
-    seq: int
     pool_address: str
     direction: Direction
     amount_in: Optional[int]  # back-runs resolve at execution time
     min_out: int
-    sender: str
-    recipient: str
+    account: str
     victim_id: Optional[int] = None
-    private: bool = False
 
 
 @dataclass(frozen=True)
@@ -224,8 +216,6 @@ class VictimRecord:
     min_return: int = 0
     quote_at_commit: int = 0
     pool_snapshot: Optional[Pool] = None
-    delivery_time: Optional[float] = None
-    leader: Optional[int] = None
     dst_tx_hash: str = ""
     exec_block: Optional[int] = None
     exec_time: Optional[float] = None
@@ -289,19 +279,18 @@ BOT_ADDR = "0x" + "bb" * 20
 NOISE_ADDR = "0x" + "cc" * 20
 
 
-def ccmp_verify(message: RelayMessage, known_pools: set[str], seen_ids: set[str]) -> bool:
-    """Honest relayer check: known destination pool, fresh message id."""
-    return message.pool_address in known_pools and message.id not in seen_ids
+_AGENT_ACCOUNT = {
+    TxLabel.TA1: ATTACKER_ADDR,
+    TxLabel.TA2: ATTACKER_ADDR,
+    TxLabel.TB1: BOT_ADDR,
+    TxLabel.TB2: BOT_ADDR,
+}
 
 
-def ccmp_consensus(
-    message: RelayMessage, approvals: list[int], relayer_count: int, threshold: Fraction
-) -> int:
-    """Deterministic leader rotation among approvers once quorum holds."""
-    if len(approvals) * threshold.denominator <= relayer_count * threshold.numerator:
-        raise NoQuorum(f"{len(approvals)}/{relayer_count} approvals")
-    index = int(message.id[-8:], 16) % len(approvals)
-    return sorted(approvals)[index]
+def _by_gas_price(txs: list) -> list:
+    """Block order: highest gas price first, ties in submission order
+    (mempools are appended in submission order and the sort is stable)."""
+    return sorted(txs, key=lambda tx: -tx.gas_price)
 
 
 class Simulation:
@@ -317,13 +306,11 @@ class Simulation:
         self.initial_pools = dict(self.pools)
         self.queue: list[tuple[float, int, str, object]] = []
         self.seq = 0
-        self.src_mempool: list[PendingTx] = []
+        self.src_mempool: list[VictimRecord] = []
         self.dst_mempool: list[PendingTx] = []
-        self.tx_seq = 0
         self.src_height = 0
         self.dst_height = 0
         self.victim_counter = 0
-        self.seen_message_ids: set[str] = set()
         self.balances: dict[str, dict[str, int]] = {
             ATTACKER_ADDR: {},
             BOT_ADDR: {},
@@ -335,10 +322,6 @@ class Simulation:
     def _push(self, time: float, action: str, payload: object = None) -> None:
         self.seq += 1
         heapq.heappush(self.queue, (time, self.seq, action, payload))
-
-    def _next_tx_seq(self) -> int:
-        self.tx_seq += 1
-        return self.tx_seq
 
     def _hash(self, *parts: object) -> str:
         digest = hashlib.sha256(
@@ -384,24 +367,10 @@ class Simulation:
         )
         return message
 
-    def _relay(self, message: RelayMessage, victim: VictimRecord, now: float) -> None:
-        approvals = [
-            i
-            for i in range(self.config.relayer_count)
-            if ccmp_verify(message, set(self.pools), self.seen_message_ids)
-        ]
-        self.seen_message_ids.add(message.id)
-        try:
-            leader = ccmp_consensus(
-                message, approvals, self.config.relayer_count, self.config.consensus_threshold
-            )
-        except NoQuorum:
-            victim.dropped = True
-            return
-        victim.leader = leader
-        delay = self.config.relay_delay.sample(self.rng)
-        delivery = now + delay
-        victim.delivery_time = delivery
+    def _relay(self, victim: VictimRecord, now: float) -> None:
+        """Deliver the committed swap to the destination mempool after a
+        sampled relay delay; a delivery past the horizon is dropped."""
+        delivery = now + self.config.relay_delay.sample(self.rng)
         if delivery > self.config.horizon:
             victim.dropped = True
             return
@@ -409,120 +378,72 @@ class Simulation:
 
     # -- agents ------------------------------------------------------------
 
-    def _attacker_react(self, message: RelayMessage, victim: VictimRecord, now: float) -> None:
-        cfg = self.config.attacker
-        pool = self.pools[message.pool_address]
-        if message.direction is Direction.Y_FOR_X:
-            pool = pool.mirrored()
-        try:
-            quote = quote_output(pool, Direction.X_FOR_Y, message.victim_in)
-        except Exception:
-            return
-        if quote <= message.min_return:
-            return
-        buffer = quote - message.min_return
-        taken = buffer * cfg.theta.numerator // cfg.theta.denominator
-        target_floor = quote - taken
-        amount = largest_frontrun_for_min_out(
-            pool, Direction.X_FOR_Y, message.victim_in, max(target_floor, message.min_return)
+    def _queue_agent_tx(
+        self, label: TxLabel, victim: VictimRecord, gas_price: int, amount_in: Optional[int]
+    ) -> str:
+        """Queue an agent's front-run of ``amount_in`` or, with amount_in
+        None, its back-run of whatever the front-run bought; returns the
+        transaction hash."""
+        backrun = amount_in is None
+        tx_hash = self._hash(label.value, victim.victim_id)
+        self.dst_mempool.append(
+            PendingTx(
+                tx_hash=tx_hash,
+                label=label,
+                gas_price=gas_price,
+                pool_address=victim.pool_address,
+                direction=victim.direction.opposite() if backrun else victim.direction,
+                amount_in=amount_in,
+                min_out=0,
+                account=_AGENT_ACCOUNT[label],
+                victim_id=victim.victim_id,
+            )
         )
+        return tx_hash
+
+    def _attacker_react(self, message: RelayMessage, victim: VictimRecord) -> None:
+        cfg = self.config.attacker
+        try:
+            amount = frontrun_size(
+                self.pools[message.pool_address],
+                message.direction,
+                message.victim_in,
+                message.min_return,
+                cfg.theta,
+            )
+        except AmmError:
+            return
         if cfg.capital_limit is not None:
             amount = min(amount, cfg.capital_limit)
         if amount <= 0:
             return
         victim.attacker_in = amount
-        victim.attacker_front_hash = self._hash("TA1", victim.victim_id)
-        tx = PendingTx(
-            tx_hash=victim.attacker_front_hash,
-            kind="attacker_front",
-            gas_price=0 if cfg.uses_private_submission else cfg.gas_price,
-            submit_time=now,
-            seq=self._next_tx_seq(),
-            pool_address=message.pool_address,
-            direction=message.direction,
-            amount_in=amount,
-            min_out=0,
-            sender=ATTACKER_ADDR,
-            recipient=ATTACKER_ADDR,
-            victim_id=victim.victim_id,
-            private=cfg.uses_private_submission,
+        victim.attacker_front_hash = self._queue_agent_tx(
+            TxLabel.TA1, victim, 0 if cfg.uses_private_submission else cfg.gas_price, amount
         )
-        self.dst_mempool.append(tx)
 
-    def _attacker_backrun(self, victim: VictimRecord, now: float) -> None:
+    def _attacker_backrun(self, victim: VictimRecord, gas_price: int) -> None:
         if victim.attacker_front_out <= 0 or victim.attacker_back_hash:
             return
-        victim.attacker_back_hash = self._hash("TA2", victim.victim_id)
-        self.dst_mempool.append(
-            PendingTx(
-                tx_hash=victim.attacker_back_hash,
-                kind="attacker_back",
-                gas_price=self.config.attacker.gas_price,
-                submit_time=now,
-                seq=self._next_tx_seq(),
-                pool_address=victim.pool_address,
-                direction=victim.direction.opposite(),
-                amount_in=None,
-                min_out=0,
-                sender=ATTACKER_ADDR,
-                recipient=ATTACKER_ADDR,
-                victim_id=victim.victim_id,
-            )
-        )
+        victim.attacker_back_hash = self._queue_agent_tx(TxLabel.TA2, victim, gas_price, None)
 
-    def _bot_react(self, victim: VictimRecord, now: float) -> None:
+    def _bot_react(self, victim: VictimRecord) -> None:
         cfg = self.config.bot
         pool = self.pools[victim.pool_address]
-        oriented = pool if victim.direction is Direction.X_FOR_Y else pool.mirrored()
-        amount = largest_frontrun_for_min_out(
-            oriented, Direction.X_FOR_Y, victim.amount_in, victim.min_return
-        )
+        if victim.direction is Direction.Y_FOR_X:
+            pool = pool.mirrored()
+        amount = frontrun_size(pool, Direction.X_FOR_Y, victim.amount_in, victim.min_return)
         if amount <= 0:
             return
         # hypothetical same-block bracket on the current state
-        front_out = quote_output(oriented, Direction.X_FOR_Y, amount)
-        pool_1 = oriented.after_swap(Direction.X_FOR_Y, amount, front_out)
-        victim_out = quote_output(pool_1, Direction.X_FOR_Y, victim.amount_in)
-        if victim_out < victim.min_return:
-            return
-        pool_2 = pool_1.after_swap(Direction.X_FOR_Y, victim.amount_in, victim_out)
-        recovered = quote_output(pool_2, Direction.Y_FOR_X, front_out)
-        if recovered - amount < cfg.min_profit:
+        if replay_sandwich(pool, victim.amount_in, amount).profit < cfg.min_profit:
             return
         victim.bot_in = amount
-        victim.bot_front_hash = self._hash("TB1", victim.victim_id)
-        victim.bot_back_hash = self._hash("TB2", victim.victim_id)
-        self.dst_mempool.append(
-            PendingTx(
-                tx_hash=victim.bot_front_hash,
-                kind="bot_front",
-                gas_price=victim.gas_price + cfg.gas_premium,
-                submit_time=now,
-                seq=self._next_tx_seq(),
-                pool_address=victim.pool_address,
-                direction=victim.direction,
-                amount_in=amount,
-                min_out=0,
-                sender=BOT_ADDR,
-                recipient=BOT_ADDR,
-                victim_id=victim.victim_id,
-            )
+        victim.bot_front_hash = self._queue_agent_tx(
+            TxLabel.TB1, victim, victim.gas_price + cfg.gas_premium, amount
         )
-        self.dst_mempool.append(
-            PendingTx(
-                tx_hash=victim.bot_back_hash,
-                kind="bot_back",
-                gas_price=max(victim.gas_price - 1, 0),
-                submit_time=now,
-                seq=self._next_tx_seq(),
-                pool_address=victim.pool_address,
-                direction=victim.direction.opposite(),
-                amount_in=None,
-                min_out=0,
-                sender=BOT_ADDR,
-                recipient=BOT_ADDR,
-                victim_id=victim.victim_id,
-            )
+        victim.bot_back_hash = self._queue_agent_tx(
+            TxLabel.TB2, victim, max(victim.gas_price - 1, 0), None
         )
 
     # -- event handlers ----------------------------------------------------
@@ -546,22 +467,7 @@ class Simulation:
         victim.src_tx_hash = self._hash("Ts", vid)
         victim.dst_tx_hash = self._hash("Tv", vid)
         self.trace.victims[vid] = victim
-        self.src_mempool.append(
-            PendingTx(
-                tx_hash=victim.src_tx_hash,
-                kind="victim",
-                gas_price=victim.gas_price,
-                submit_time=now,
-                seq=self._next_tx_seq(),
-                pool_address=pool.address,
-                direction=direction,
-                amount_in=size,
-                min_out=0,
-                sender=victim.sender,
-                recipient=victim.recipient,
-                victim_id=vid,
-            )
-        )
+        self.src_mempool.append(victim)
         interval = self.rng.expovariate(self.config.victim_arrival_rate)
         if now + interval <= self.config.horizon:
             self._push(now + interval, "victim_arrival")
@@ -572,16 +478,13 @@ class Simulation:
         self.dst_mempool.append(
             PendingTx(
                 tx_hash=self._hash("noise", pool_address, now, self.seq),
-                kind="noise",
+                label=TxLabel.NOISE,
                 gas_price=self._gwei(self.config.noise_gas),
-                submit_time=now,
-                seq=self._next_tx_seq(),
                 pool_address=pool_address,
                 direction=direction,
                 amount_in=size,
                 min_out=0,
-                sender=NOISE_ADDR,
-                recipient=NOISE_ADDR,
+                account=NOISE_ADDR,
             )
         )
         interval = self.rng.expovariate(self.config.noise_arrival_rate)
@@ -591,104 +494,71 @@ class Simulation:
     def _on_src_block(self, now: float) -> None:
         self.src_height += 1
         self.trace.blocks[self.config.src_chain_id].append((self.src_height, now))
-        txs = sorted(self.src_mempool, key=lambda t: (-t.gas_price, t.submit_time, t.seq))
+        victims = _by_gas_price(self.src_mempool)
         self.src_mempool = []
-        for index, tx in enumerate(txs):
-            victim = self.trace.victims[tx.victim_id]
+        for index, victim in enumerate(victims):
             message = self.ccmp_commit(victim, self.src_height, now)
             self.trace.events.append(
                 TraceEvent(
                     time=now,
                     kind="commit",
                     chain_id=self.config.src_chain_id,
-                    tx_hash=tx.tx_hash,
-                    label="Ts",
-                    pool_address=tx.pool_address,
-                    direction=tx.direction,
-                    amount_in=tx.amount_in or 0,
+                    tx_hash=victim.src_tx_hash,
+                    label=TxLabel.TS.value,
+                    pool_address=victim.pool_address,
+                    direction=victim.direction,
+                    amount_in=victim.amount_in,
                     amount_out=victim.min_return,
-                    gas_price=tx.gas_price,
+                    gas_price=victim.gas_price,
                     block_number=self.src_height,
                     log_index=index,
-                    sender=tx.sender,
-                    recipient=tx.recipient,
-                    victim_id=tx.victim_id,
+                    sender=victim.sender,
+                    recipient=victim.recipient,
+                    victim_id=victim.victim_id,
                 )
             )
             if self.config.attacker.enabled:
-                self._attacker_react(message, victim, now)
-            self._relay(message, victim, now)
+                self._attacker_react(message, victim)
+            self._relay(victim, now)
         next_time = now + self.config.src_block_interval
         if next_time <= self.config.horizon:
             self._push(next_time, "src_block")
 
-    def _on_deliver_victim(self, victim_id: int, now: float) -> None:
+    def _on_deliver_victim(self, victim_id: int) -> None:
         victim = self.trace.victims[victim_id]
         self.dst_mempool.append(
             PendingTx(
                 tx_hash=victim.dst_tx_hash,
-                kind="victim",
+                label=TxLabel.TV,
                 gas_price=victim.gas_price,
-                submit_time=now,
-                seq=self._next_tx_seq(),
                 pool_address=victim.pool_address,
                 direction=victim.direction,
                 amount_in=victim.amount_in,
                 min_out=victim.min_return,
-                sender=victim.sender,
-                recipient=victim.recipient,
+                account=victim.sender,
                 victim_id=victim_id,
             )
         )
         if self.config.bot.enabled:
-            self._bot_react(victim, now)
+            self._bot_react(victim)
         if self.config.attacker.enabled and self.config.attacker.backrun_on_mempool:
             # mempool-triggered back-run: undercut the victim's gas so the
             # back-run lands after it inside the same block
-            if victim.attacker_front_out > 0 and not victim.attacker_back_hash:
-                victim.attacker_back_hash = self._hash("TA2", victim_id)
-                self.dst_mempool.append(
-                    PendingTx(
-                        tx_hash=victim.attacker_back_hash,
-                        kind="attacker_back",
-                        gas_price=max(victim.gas_price - 2, 0),
-                        submit_time=now,
-                        seq=self._next_tx_seq(),
-                        pool_address=victim.pool_address,
-                        direction=victim.direction.opposite(),
-                        amount_in=None,
-                        min_out=0,
-                        sender=ATTACKER_ADDR,
-                        recipient=ATTACKER_ADDR,
-                        victim_id=victim_id,
-                    )
-                )
+            self._attacker_backrun(victim, max(victim.gas_price - 2, 0))
 
     def _resolve_amount(self, tx: PendingTx) -> Optional[int]:
         if tx.amount_in is not None:
             return tx.amount_in
         victim = self.trace.victims[tx.victim_id]
-        if tx.kind == "attacker_back":
+        if tx.label is TxLabel.TA2:
             return victim.attacker_front_out or None
-        if tx.kind == "bot_back":
-            return victim.bot_front_out or None
-        return None
-
-    def _label_for(self, tx: PendingTx) -> str:
-        return {
-            "victim": "Tv",
-            "noise": "Noise",
-            "attacker_front": "TA1",
-            "attacker_back": "TA2",
-            "bot_front": "TB1",
-            "bot_back": "TB2",
-        }[tx.kind]
+        return victim.bot_front_out or None
 
     def _on_dst_block(self, now: float) -> None:
         self.dst_height += 1
         block = self.dst_height
         self.trace.blocks[self.config.dst_chain_id].append((block, now))
-        txs = sorted(self.dst_mempool, key=lambda t: (-t.gas_price, t.submit_time, t.seq))
+        txs = _by_gas_price(self.dst_mempool)
         self.dst_mempool = []
         log_index = 0
         for tx in txs:
@@ -697,7 +567,7 @@ class Simulation:
                 continue
             pool = self.pools[tx.pool_address]
             outcome = execute_swap(
-                pool, SwapRequest(tx.direction, amount, tx.min_out, tx.sender, tx.recipient)
+                pool, SwapRequest(tx.direction, amount, tx.min_out, tx.account, tx.account)
             )
             self.pools[tx.pool_address] = outcome.pool_after
             event_index: Optional[int] = None
@@ -710,7 +580,7 @@ class Simulation:
                     kind="swap",
                     chain_id=self.config.dst_chain_id,
                     tx_hash=tx.tx_hash,
-                    label=self._label_for(tx),
+                    label=tx.label.value,
                     pool_address=tx.pool_address,
                     direction=tx.direction,
                     amount_in=amount,
@@ -718,58 +588,52 @@ class Simulation:
                     gas_price=tx.gas_price,
                     block_number=block,
                     log_index=event_index,
-                    sender=tx.sender,
-                    recipient=tx.recipient,
+                    sender=tx.account,
+                    recipient=tx.account,
                     victim_id=tx.victim_id,
                     reverted=outcome.reverted,
                 )
             )
-            self._post_execute(tx, outcome.reverted, outcome.amount_out, block, now)
+            self._post_execute(tx, outcome, block, now)
         next_time = now + self.config.dst_block_interval
         if next_time <= self.config.horizon:
             self._push(next_time, "dst_block")
 
-    def _post_execute(
-        self, tx: PendingTx, reverted: bool, amount_out: int, block: int, now: float
-    ) -> None:
+    def _post_execute(self, tx: PendingTx, outcome: SwapOutcome, block: int, now: float) -> None:
+        if tx.label is TxLabel.NOISE:
+            return
+        victim = self.trace.victims[tx.victim_id]
+        if tx.label is TxLabel.TV:
+            victim.exec_block = block
+            victim.exec_time = now
+            victim.executed = not outcome.reverted
+            victim.reverted = outcome.reverted
+            victim.amount_out = outcome.amount_out
+            if self.config.attacker.enabled and not self.config.attacker.backrun_on_mempool:
+                self._attacker_backrun(victim, self.config.attacker.gas_price)
+            return
+        if outcome.reverted:
+            return
+        if tx.label is TxLabel.TA1:
+            victim.attacker_front_block = block
+            victim.attacker_front_out = outcome.amount_out
+        elif tx.label is TxLabel.TA2:
+            victim.attacker_back_block = block
+            victim.attacker_back_out = outcome.amount_out
+        elif tx.label is TxLabel.TB1:
+            victim.bot_front_block = block
+            victim.bot_front_out = outcome.amount_out
+        else:
+            victim.bot_back_block = block
+            victim.bot_back_out = outcome.amount_out
         pool = self.initial_pools[tx.pool_address]
         token_in, token_out = (
             (pool.token_x, pool.token_y)
             if tx.direction is Direction.X_FOR_Y
             else (pool.token_y, pool.token_x)
         )
-        victim = self.trace.victims.get(tx.victim_id) if tx.victim_id else None
-        if tx.kind == "victim" and victim is not None:
-            victim.exec_block = block
-            victim.exec_time = now
-            victim.executed = not reverted
-            victim.reverted = reverted
-            victim.amount_out = amount_out
-            if self.config.attacker.enabled and not self.config.attacker.backrun_on_mempool:
-                self._attacker_backrun(victim, now)
-            return
-        if reverted:
-            return
-        if tx.kind == "attacker_front" and victim is not None:
-            victim.attacker_front_block = block
-            victim.attacker_front_out = amount_out
-            self._credit(ATTACKER_ADDR, token_in, -(tx.amount_in or 0))
-            self._credit(ATTACKER_ADDR, token_out, amount_out)
-        elif tx.kind == "attacker_back" and victim is not None:
-            victim.attacker_back_block = block
-            victim.attacker_back_out = amount_out
-            self._credit(ATTACKER_ADDR, token_in, -victim.attacker_front_out)
-            self._credit(ATTACKER_ADDR, token_out, amount_out)
-        elif tx.kind == "bot_front" and victim is not None:
-            victim.bot_front_block = block
-            victim.bot_front_out = amount_out
-            self._credit(BOT_ADDR, token_in, -(tx.amount_in or 0))
-            self._credit(BOT_ADDR, token_out, amount_out)
-        elif tx.kind == "bot_back" and victim is not None:
-            victim.bot_back_block = block
-            victim.bot_back_out = amount_out
-            self._credit(BOT_ADDR, token_in, -victim.bot_front_out)
-            self._credit(BOT_ADDR, token_out, amount_out)
+        self._credit(tx.account, token_in, -outcome.amount_in)
+        self._credit(tx.account, token_out, outcome.amount_out)
 
     # -- driver ------------------------------------------------------------
 
@@ -797,7 +661,7 @@ class Simulation:
             elif action == "noise_arrival":
                 self._on_noise_arrival(payload, time)
             elif action == "deliver_victim":
-                self._on_deliver_victim(payload, time)
+                self._on_deliver_victim(payload)
         for victim in self.trace.victims.values():
             if victim.exec_block is None:
                 victim.dropped = True

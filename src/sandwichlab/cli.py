@@ -25,9 +25,7 @@ from typing import Optional
 
 import yaml
 
-from . import amm, attack, bridge, detector, ingest
-
-__version__ = "0.1.0"
+from . import __version__, amm, attack, bridge, detector, ingest
 
 
 class ValidationFailure(ValueError):
@@ -49,50 +47,40 @@ def _dist(data) -> bridge.DistSpec:
     return bridge.DistSpec.from_dict(data)
 
 
+_DIST_KEYS = (
+    "relay_delay",
+    "noise_size",
+    "noise_gas",
+    "victim_size",
+    "victim_tolerance",
+    "victim_gas",
+)
+
+
 def sim_config_from_dict(data: dict) -> bridge.SimConfig:
-    """Build a SimConfig from a parsed YAML document."""
+    """Build a SimConfig from a parsed YAML document. A key that is not
+    a SimConfig field (or an AttackerConfig/BotConfig field inside
+    ``attacker``/``bot``) is a validation error."""
     kwargs: dict = {}
-    for key in (
-        "seed",
-        "horizon",
-        "src_block_interval",
-        "dst_block_interval",
-        "src_chain_id",
-        "dst_chain_id",
-        "relayer_count",
-        "noise_arrival_rate",
-        "victim_arrival_rate",
-    ):
-        if key in data:
-            kwargs[key] = data[key]
-    if "consensus_threshold" in data:
-        kwargs["consensus_threshold"] = _fraction(data["consensus_threshold"])
-    for key in (
-        "relay_delay",
-        "noise_size",
-        "noise_gas",
-        "victim_size",
-        "victim_tolerance",
-        "victim_gas",
-    ):
-        if key in data:
-            kwargs[key] = _dist(data[key])
-    if "attacker" in data:
-        a = dict(data["attacker"])
-        if "theta" in a:
-            a["theta"] = _fraction(a["theta"])
-        kwargs["attacker"] = bridge.AttackerConfig(**a)
-    if "bot" in data:
-        kwargs["bot"] = bridge.BotConfig(**data["bot"])
-    pools = []
-    for entry in data.get("pools", []):
-        entry = dict(entry)
-        entry.setdefault("protocol", "other")
-        pools.append(ingest.pool_from_dict(entry))
-    kwargs["pools"] = tuple(pools)
     try:
+        for key, value in data.items():
+            if key in _DIST_KEYS:
+                kwargs[key] = _dist(value)
+            elif key == "attacker":
+                attacker = dict(value)
+                if "theta" in attacker:
+                    attacker["theta"] = _fraction(attacker["theta"])
+                kwargs[key] = bridge.AttackerConfig(**attacker)
+            elif key == "bot":
+                kwargs[key] = bridge.BotConfig(**value)
+            elif key == "pools":
+                kwargs[key] = tuple(
+                    ingest.pool_from_dict({"protocol": "other", **entry}) for entry in value
+                )
+            else:
+                kwargs[key] = value
         return bridge.SimConfig(**kwargs)
-    except (TypeError, bridge.InvalidConfig, ValueError) as exc:
+    except (TypeError, KeyError, ValueError) as exc:
         raise ValidationFailure(f"bad simulation config: {exc}") from exc
 
 
@@ -138,7 +126,6 @@ def _manifest(command: str, config: dict, inputs: dict, seed=None) -> ingest.Run
         config=config,
         input_digests=digests,
         seed=seed,
-        tool_version=__version__,
     )
 
 
@@ -154,7 +141,15 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _manifest("simulate", raw, {"config": config_path}, seed=config.seed)
-
+    # Set before the JSONL files are written: their header carries the
+    # digest of this manifest, which must equal that of manifest.json.
+    manifest.output_paths = [
+        "labels.jsonl",
+        "metrics.json",
+        "records.jsonl",
+        "swap_logs.jsonl",
+        "timelines.jsonl",
+    ]
     ingest.write_jsonl(
         str(out / "swap_logs.jsonl"),
         (ingest.swap_log_to_dict(log) for log in corpus.swap_logs),
@@ -177,7 +172,6 @@ def cmd_simulate(args) -> int:
         metrics_dict["measured_q"] = float(metrics.measured_q)
     with open(out / "metrics.json", "w") as handle:
         json.dump(metrics_dict, handle, indent=2, sort_keys=True, default=str)
-    manifest.output_paths = sorted(p.name for p in out.iterdir())
     with open(out / "manifest.json", "w") as handle:
         json.dump(asdict(manifest), handle, indent=2, sort_keys=True, default=str)
 
@@ -250,13 +244,7 @@ def cmd_params(args) -> int:
             raise ValidationFailure(f"no timelines in {args.timelines}")
         theta = _fraction(args.theta)
         params = attack.estimate_noise_params(timelines, theta)
-        rate_samples = []
-        for timeline in timelines:
-            frontrun_in = attack.optimal_frontrun_for_timeline(timeline, theta)
-            if frontrun_in == 0:
-                continue
-            _, recovered = attack.replay_timeline(timeline, frontrun_in)
-            rate_samples.append(Fraction(recovered - frontrun_in, frontrun_in))
+        rate_samples = attack.sample_profit_rates(timelines, theta)
         if not rate_samples:
             raise ValidationFailure("no attackable timelines; cannot estimate rates")
         rates = attack.estimate_return_rates(rate_samples, _fraction(args.percentile))

@@ -15,6 +15,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
+from . import __version__
 from .amm import Direction, Pool, SwapRequest
 from .attack import PoolTimeline
 from .detector import CrossChainTx, SandwichPair, SwapLog, VictimHop
@@ -427,7 +428,7 @@ class RunManifest:
     input_digests: dict = field(default_factory=dict)
     seed: Optional[int] = None
     output_paths: list = field(default_factory=list)
-    tool_version: str = "0.1.0"
+    tool_version: str = __version__
 
     def digest(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True, default=str).encode()

@@ -28,8 +28,7 @@ from sandwichlab.amm import (
 from sandwichlab.attack import (
     estimate_noise_params,
     estimate_return_rates,
-    optimal_frontrun_for_timeline,
-    replay_timeline,
+    sample_profit_rates,
 )
 from sandwichlab.bridge import (
     AttackerConfig,
@@ -460,13 +459,7 @@ class TestCriterion7:
         params = estimate_noise_params(corpus.timelines, theta)
         q_error = abs(float(params.q) - predicted_q)
 
-        rates = []
-        for timeline in corpus.timelines:
-            front = optimal_frontrun_for_timeline(timeline, theta)
-            if front <= 0:
-                continue
-            _, recovered = replay_timeline(timeline, front)
-            rates.append(Fraction(recovered - front, front))
+        rates = sample_profit_rates(corpus.timelines, theta)
         returns = estimate_return_rates(rates, Fraction(100))
         win = params.q + (1 - params.q) * params.p
         model_rate = win * returns.r_plus + (1 - win) * returns.r_minus

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from sandwichlab.amm import Direction, Pool
+from sandwichlab.attack import optimal_frontrun_for_timeline
 from sandwichlab.bridge import (
     ATTACKER_ADDR,
     BOT_ADDR,
@@ -10,11 +11,7 @@ from sandwichlab.bridge import (
     BotConfig,
     DistSpec,
     InvalidConfig,
-    NoQuorum,
-    RelayMessage,
     SimConfig,
-    ccmp_consensus,
-    ccmp_verify,
     extract_corpus,
     run,
 )
@@ -66,10 +63,6 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             SimConfig(pools=())
 
-    def test_threshold_must_exceed_half(self):
-        with pytest.raises(InvalidConfig):
-            base_config(consensus_threshold=Fraction(1, 2))
-
     def test_theta_range(self):
         with pytest.raises(InvalidConfig):
             AttackerConfig(theta=Fraction(0))
@@ -82,46 +75,6 @@ class TestConfigValidation:
     def test_dist_spec_round_trip(self):
         spec = DistSpec("lognormal", {"sigma": 0.6, "p95": 100.0, "min": 5.0})
         assert DistSpec.from_dict(spec.to_dict()) == spec
-
-
-class TestConsensus:
-    def _message(self):
-        return RelayMessage(
-            id="0x" + "ab" * 32,
-            source_height=1,
-            dest_chain_id=56,
-            pool_address="0x" + "11" * 20,
-            direction=Direction.X_FOR_Y,
-            victim_in=1,
-            min_return=0,
-            recipient="0x" + "00" * 20,
-            emit_time=0.0,
-        )
-
-    def test_verify_known_pool_fresh_id(self):
-        message = self._message()
-        assert ccmp_verify(message, {message.pool_address}, set())
-        assert not ccmp_verify(message, set(), set())
-        assert not ccmp_verify(message, {message.pool_address}, {message.id})
-
-    def test_two_of_three_at_half_threshold_reaches_quorum(self):
-        leader = ccmp_consensus(self._message(), [0, 2], 3, Fraction(1, 2))
-        assert leader in (0, 2)
-
-    def test_one_of_three_no_quorum(self):
-        with pytest.raises(NoQuorum):
-            ccmp_consensus(self._message(), [1], 3, Fraction(1, 2))
-
-    def test_exact_threshold_is_not_quorum(self):
-        # 2 of 4 at threshold 1/2: a tie is not a majority.
-        with pytest.raises(NoQuorum):
-            ccmp_consensus(self._message(), [0, 1], 4, Fraction(1, 2))
-
-    def test_leader_is_deterministic(self):
-        message = self._message()
-        first = ccmp_consensus(message, [2, 0, 1], 3, Fraction(1, 2))
-        second = ccmp_consensus(message, [1, 0, 2], 3, Fraction(1, 2))
-        assert first == second
 
 
 class TestDeterminism:
@@ -221,6 +174,32 @@ class TestOrderingAdvantage:
         for events in by_block.values():
             keys = [(-e.gas_price, e.time) for e in events]
             assert keys == sorted(keys)
+
+
+class TestAttackerDecision:
+    def test_params_sizes_what_the_simulated_attacker_sized(self):
+        # Swaps of 1-400 base units: many quotes equal their frozen floor
+        # (quote * tolerance < 1 base unit), so there is no buffer to take.
+        theta = Fraction(1, 2)
+        config = base_config(
+            seed=5,
+            horizon=1800.0,
+            victim_arrival_rate=0.3,
+            victim_size=DistSpec("uniform", {"low": 1, "high": 400}),
+            victim_tolerance=DistSpec("uniform", {"low": 0.005, "high": 0.03}),
+            attacker=AttackerConfig(enabled=True, theta=theta),
+            bot=BotConfig(enabled=True),
+        )
+        trace, _ = run(config)
+        corpus = extract_corpus(trace)
+        assert len(corpus.timelines) > 100
+        disagree = [
+            label["victim_id"]
+            for timeline, label in zip(corpus.timelines, corpus.labels)
+            if optimal_frontrun_for_timeline(timeline, theta)
+            != trace.victims[label["victim_id"]].attacker_in
+        ]
+        assert disagree == [], f"{len(disagree)}/{len(corpus.timelines)} timelines"
 
 
 class TestVictimOutcomes:

@@ -1,7 +1,9 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
+import yaml
 
 from sandwichlab.cli import main
 from sandwichlab.ingest import file_digest
@@ -36,6 +38,14 @@ pools:
     fee: "30/10000"
     address: "0x1111111111111111111111111111111111111111"
 """
+
+SIMULATE_OUTPUTS = [
+    "labels.jsonl",
+    "metrics.json",
+    "records.jsonl",
+    "swap_logs.jsonl",
+    "timelines.jsonl",
+]
 
 PRICES_CSV = "token_id,usd_price,decimals,snapshot_date\nWETH,3000,18,2025-10-31\nUSDT,1,18,2025-10-31\n"
 
@@ -85,6 +95,38 @@ class TestSimulate:
             )
             == 2
         )
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "victim_arival_rate", 5),  # misspelt key, silently ignored before
+            (None, "relayer_count", 3),  # removed key
+            ("attacker", "thetaa", 1),  # misspelt nested key, a TypeError before
+        ],
+    )
+    def test_unknown_key_is_validation_error(self, tmp_path, capsys, section, key, value):
+        data = yaml.safe_load(CONFIG_YAML)
+        (data if section is None else data[section])[key] = value
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(data))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
+        assert key in capsys.readouterr().err
+
+    def test_jsonl_header_is_manifest_digest(self, sim_outputs):
+        _, out = sim_outputs
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["output_paths"] == SIMULATE_OUTPUTS
+        canonical = json.dumps(manifest, sort_keys=True, default=str).encode()
+        expected = f"# manifest-digest {hashlib.sha256(canonical).hexdigest()}"
+        for name in ("swap_logs.jsonl", "records.jsonl", "timelines.jsonl", "labels.jsonl"):
+            assert (out / name).read_text().splitlines()[0] == expected
+
+    def test_rerun_lists_only_its_own_outputs(self, sim_outputs):
+        config, out = sim_outputs
+        first = (out / "manifest.json").read_text()
+        (out / "notes.txt").touch()
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert (out / "manifest.json").read_text() == first
 
     def test_env_var_overrides_config_path(self, tmp_path, monkeypatch):
         good = tmp_path / "good.yaml"
