@@ -42,11 +42,12 @@ from .attack import (
     classify_ordering,
     estimate_noise_params,
     estimate_return_rates,
+    exact_sum,
     expected_profit,
     frontrun_size,
     optimal_frontrun_for_timeline,
+    noise_params_and_rates,
     replay_timeline,
-    sample_profit_rates,
     success_probability,
 )
 from .bridge import (

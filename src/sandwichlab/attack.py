@@ -219,45 +219,68 @@ def optimal_frontrun_for_timeline(
     )
 
 
-def sample_profit_rates(
-    timelines: Iterable[PoolTimeline], theta: Fraction = Fraction(1)
-) -> list[Fraction]:
-    """(back-run out - front-run in) / front-run in for every timeline
-    the attacker front-runs at theta, replayed through its noise."""
+def noise_params_and_rates(
+    timelines: Sequence[PoolTimeline], theta: Fraction = Fraction(1)
+) -> tuple[NoiseParams, list[Fraction]]:
+    """Empirical (q, p) and the profit-rate samples of a corpus of pool
+    timelines, sizing and replaying each timeline at most once.
+
+    q is the fraction of empty noise windows. p is measured over the
+    non-empty windows by replaying the attacker's optimal front-run:
+    non-loss means the victim executed and the back-run recovered at
+    least the front-run input (ties count as non-loss). Every timeline
+    the attacker front-runs at theta yields one rate sample,
+    (back-run out - front-run in) / front-run in, in corpus order.
+    """
+    if not timelines:
+        raise EmptyInput("no timelines")
+    noisy = non_loss = 0
     rates = []
     for timeline in timelines:
         frontrun_in = optimal_frontrun_for_timeline(timeline, theta)
-        if frontrun_in == 0:
+        if not (timeline.noisy_swaps or frontrun_in):
             continue
-        _, recovered = replay_timeline(timeline, frontrun_in)
-        rates.append(Fraction(recovered - frontrun_in, frontrun_in))
-    return rates
+        executed, recovered = replay_timeline(timeline, frontrun_in)
+        if timeline.noisy_swaps:
+            noisy += 1
+            if executed and recovered >= frontrun_in:
+                non_loss += 1
+        if frontrun_in:
+            rates.append(Fraction(recovered - frontrun_in, frontrun_in))
+    q = Fraction(len(timelines) - noisy, len(timelines))
+    p = Fraction(non_loss, noisy) if noisy else None
+    return NoiseParams(q=q, p=p), rates
 
 
 def estimate_noise_params(
     timelines: Sequence[PoolTimeline], theta: Fraction = Fraction(1)
 ) -> NoiseParams:
-    """Empirical (q, p) from a corpus of pool timelines.
-
-    q is the fraction of empty noise windows. p is measured over the
-    non-empty windows by replaying the attacker's optimal front-run:
-    non-loss means the victim executed and the back-run recovered at
-    least the front-run input (ties count as non-loss).
-    """
+    """The (q, p) of noise_params_and_rates, replaying only the
+    non-empty windows."""
     if not timelines:
         raise EmptyInput("no timelines")
-    empty = sum(1 for t in timelines if not t.noisy_swaps)
-    q = Fraction(empty, len(timelines))
     noisy = [t for t in timelines if t.noisy_swaps]
-    if not noisy:
-        return NoiseParams(q=q, p=None)
-    non_loss = 0
-    for timeline in noisy:
-        frontrun_in = optimal_frontrun_for_timeline(timeline, theta)
-        executed, recovered = replay_timeline(timeline, frontrun_in)
-        if executed and recovered >= frontrun_in:
-            non_loss += 1
-    return NoiseParams(q=q, p=Fraction(non_loss, len(noisy)))
+    q = Fraction(len(timelines) - len(noisy), len(timelines))
+    p = noise_params_and_rates(noisy, theta)[0].p if noisy else None
+    return NoiseParams(q=q, p=p)
+
+
+def exact_sum(values: Iterable[Fraction]) -> Fraction:
+    """The exact sum of values, added as a balanced pairwise tree.
+
+    Equal to sum(values, Fraction(0)), but every addition joins two
+    partial sums of similar size, so the work grows near-linearly with
+    the count instead of with the running denominator of a left fold.
+    """
+    terms = list(values)
+    if not terms:
+        return Fraction(0)
+    while len(terms) > 1:
+        paired = [a + b for a, b in zip(terms[::2], terms[1::2])]
+        if len(terms) % 2:
+            paired.append(terms[-1])
+        terms = paired
+    return Fraction(terms[0])
 
 
 def estimate_return_rates(
@@ -283,7 +306,7 @@ def estimate_return_rates(
         rank = -(-percentile.numerator * len(values) // (percentile.denominator * 100))
         threshold = magnitudes[max(rank, 1) - 1]
         kept = [v for v in values if abs(v) <= threshold]
-        return sum(kept, Fraction(0)) / len(kept)
+        return exact_sum(kept) / len(kept)
 
     return ReturnRates(
         r_plus=trimmed_mean([r for r in rates if r >= 0]),

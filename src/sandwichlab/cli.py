@@ -243,8 +243,7 @@ def cmd_params(args) -> int:
         if not timelines:
             raise ValidationFailure(f"no timelines in {args.timelines}")
         theta = _fraction(args.theta)
-        params = attack.estimate_noise_params(timelines, theta)
-        rate_samples = attack.sample_profit_rates(timelines, theta)
+        params, rate_samples = attack.noise_params_and_rates(timelines, theta)
         if not rate_samples:
             raise ValidationFailure("no attackable timelines; cannot estimate rates")
         rates = attack.estimate_return_rates(rate_samples, _fraction(args.percentile))
@@ -266,8 +265,32 @@ def cmd_params(args) -> int:
     return 0
 
 
+def _detect_horizon(pairs_path: str) -> int:
+    """The num_blocks that detect ran with, read from the manifest.json
+    it wrote beside pairs_path; the default when there is none. A
+    manifest whose digest is not that in the pairs header is an error."""
+    manifest_path = Path(pairs_path).with_name("manifest.json")
+    if not manifest_path.exists():
+        return detector.DetectionConfig().num_blocks
+    try:
+        with open(manifest_path) as handle:
+            manifest = ingest.RunManifest(**json.load(handle))
+        with open(pairs_path) as handle:
+            header = handle.readline().strip()
+        if header == f"# manifest-digest {manifest.digest()}":
+            return int(manifest.config["num_blocks"])
+    except (TypeError, KeyError, ValueError):
+        pass
+    raise ValidationFailure(
+        f"{manifest_path} is not the detect manifest of {pairs_path}; "
+        "cannot tell the num_blocks it was detected with"
+    )
+
+
 def cmd_analyze(args) -> int:
-    pairs = [ingest.pair_from_dict(row) for row in ingest.read_jsonl(args.pairs)]
+    num_blocks = _detect_horizon(args.pairs)
+    memo: dict = {}
+    pairs = [ingest.pair_from_dict(row, memo) for row in ingest.read_jsonl(args.pairs)]
     records = (
         [ingest.record_from_dict(row) for row in ingest.read_jsonl(args.records)]
         if args.records
@@ -275,7 +298,7 @@ def cmd_analyze(args) -> int:
     )
     prices = detector.PriceTable.from_csv(args.prices)
     enriched, missing = detector.classify_and_price(pairs, prices)
-    report = detector.aggregate(enriched, records)
+    report = detector.aggregate(enriched, records, num_blocks)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

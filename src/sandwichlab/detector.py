@@ -105,14 +105,16 @@ class DetectionConfig:
         if not self.band_low < 1 < self.band_high:
             raise ValueError("amount band must straddle 1")
 
-    def in_band(self, back_in: int, front_out: int) -> bool:
-        """back_in / front_out within [band_low, band_high], exact."""
+    def back_band(self, front_out: int) -> tuple[int, int]:
+        """Exact integer bounds (lo, hi) on a back's input amount:
+        ceil(front_out * band_low) and floor(front_out * band_high).
+        The band is empty (lo > hi) when front_out <= 0."""
         if front_out <= 0:
-            return False
+            return (1, 0)
         lo, hi = self.band_low, self.band_high
         return (
-            back_in * lo.denominator >= front_out * lo.numerator
-            and back_in * hi.denominator <= front_out * hi.numerator
+            -(-front_out * lo.numerator // lo.denominator),
+            front_out * hi.numerator // hi.denominator,
         )
 
 
@@ -179,16 +181,6 @@ def prefilter(
     return kept
 
 
-def _front_window_start(logs: Sequence[SwapLog], src_timestamp: float) -> int:
-    """Earliest destination block eligible to hold a front-run: the
-    first block (seen in these logs) timestamped at or after the source
-    commit."""
-    index = bisect_left(logs, src_timestamp, key=lambda log: log.timestamp)
-    if index < len(logs):
-        return logs[index].block_number
-    return 0
-
-
 def _find_victim(
     logs: Sequence[SwapLog], tx_hash: str, block_hint: int
 ) -> Optional[SwapLog]:
@@ -230,8 +222,11 @@ def detect_pairs(
         if victim is None:
             continue
         direction = victim.direction
-        window_start = _front_window_start(logs, record.src_timestamp)
+        opposite = direction.opposite()
         start = bisect_left(logs, record.src_timestamp, key=lambda log: log.timestamp)
+        # Earliest block eligible to hold a front-run: that of the first
+        # log timestamped at or after the source commit.
+        window_start = logs[start].block_number if start < len(logs) else 0
         victim_index = bisect_left(logs, victim.position(), key=SwapLog.position)
         back_end = bisect_right(
             logs,
@@ -244,24 +239,26 @@ def detect_pairs(
         backs = [
             log
             for log in logs[victim_index + 1 : back_end]
-            if log.direction is direction.opposite()
+            if log.direction is opposite
         ]
-        consumed: set[tuple[int, int]] = set()
-        for front in sorted(fronts, key=SwapLog.position):
-            chosen = None
-            for back in backs:
-                if back.position() in consumed:
-                    continue
-                if not cfg.in_band(back.token_in_amount, front.token_out_amount):
-                    continue
-                if back.recipient == front.recipient:
-                    chosen = back
-                    break
-                if chosen is None:
-                    chosen = back
-            if chosen is None:
+        back_ins = [back.token_in_amount for back in backs]
+        back_recipients = [back.recipient for back in backs]
+        free = [True] * len(backs)
+        for front in fronts:
+            lo, hi = cfg.back_band(front.token_out_amount)
+            recipient = front.recipient
+            index = -1
+            for i, back_in in enumerate(back_ins):
+                if lo <= back_in <= hi and free[i]:
+                    if back_recipients[i] == recipient:
+                        index = i
+                        break
+                    if index < 0:
+                        index = i
+            if index < 0:
                 continue
-            consumed.add(chosen.position())
+            free[index] = False
+            chosen = backs[index]
             classification = (
                 Classification.SINGLE_CHAIN
                 if front.block_number == victim.block_number
@@ -302,7 +299,10 @@ def reference_detect_pairs(
                 break
         if victim is None:
             continue
-        window_start = _front_window_start(logs, record.src_timestamp)
+        window_start = next(
+            (log.block_number for log in logs if log.timestamp >= record.src_timestamp),
+            0,
+        )
         front_logs = []
         back_logs = []
         for log in logs:

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional
 from . import __version__
 from .amm import Direction, Pool, SwapRequest
 from .attack import PoolTimeline
-from .detector import CrossChainTx, SandwichPair, SwapLog, VictimHop
+from .detector import Classification, CrossChainTx, SandwichPair, SwapLog, VictimHop
 
 WORD = 32  # bytes per ABI word
 
@@ -284,9 +284,20 @@ def _fraction_from_str(value: str) -> Fraction:
 
 
 def swap_log_to_dict(log: SwapLog) -> dict:
-    data = asdict(log)
-    data["direction"] = log.direction.value
-    return data
+    return {
+        "tx_hash": log.tx_hash,
+        "block_number": log.block_number,
+        "log_index": log.log_index,
+        "pool_address": log.pool_address,
+        "chain_id": log.chain_id,
+        "direction": log.direction.value,
+        "token_in_amount": log.token_in_amount,
+        "token_out_amount": log.token_out_amount,
+        "sender": log.sender,
+        "recipient": log.recipient,
+        "gas_price": log.gas_price,
+        "timestamp": log.timestamp,
+    }
 
 
 def swap_log_from_dict(data: dict) -> SwapLog:
@@ -298,11 +309,30 @@ def swap_log_from_dict(data: dict) -> SwapLog:
 
 
 def record_to_dict(record: CrossChainTx) -> dict:
-    data = asdict(record)
-    data["hops"] = [
-        {**asdict(hop), "direction": hop.direction.value} for hop in record.hops
-    ]
-    return data
+    return {
+        "record_id": record.record_id,
+        "src_tx_hash": record.src_tx_hash,
+        "src_chain_id": record.src_chain_id,
+        "src_block_number": record.src_block_number,
+        "src_timestamp": record.src_timestamp,
+        "dst_tx_hash": record.dst_tx_hash,
+        "dst_chain_id": record.dst_chain_id,
+        "dst_block_number": record.dst_block_number,
+        "dst_timestamp": record.dst_timestamp,
+        "dst_gas_price": record.dst_gas_price,
+        "hops": [
+            {
+                "pool_address": hop.pool_address,
+                "token_in": hop.token_in,
+                "token_out": hop.token_out,
+                "direction": hop.direction.value,
+                "amount_in": hop.amount_in,
+                "amount_out": hop.amount_out,
+                "min_return": hop.min_return,
+            }
+            for hop in record.hops
+        ],
+    }
 
 
 def record_from_dict(data: dict) -> CrossChainTx:
@@ -399,15 +429,26 @@ def pair_to_dict(pair: SandwichPair) -> dict:
     }
 
 
-def pair_from_dict(data: dict) -> SandwichPair:
-    from .detector import Classification
+def _shared_swap_log(row: dict, memo: Optional[dict]) -> SwapLog:
+    if memo is None:
+        return swap_log_from_dict(row)
+    key = tuple(row.items())
+    log = memo.get(key)
+    if log is None:
+        log = memo[key] = swap_log_from_dict(row)
+    return log
 
+
+def pair_from_dict(data: dict, memo: Optional[dict] = None) -> SandwichPair:
+    """Decode one pairs.jsonl row. With a memo (one dict shared across
+    the rows of a file), equal swap-log rows decode to one shared
+    SwapLog: a victim sits in many pairs."""
     return SandwichPair(
         record_id=data["record_id"],
         pool_address=data["pool_address"],
-        front=swap_log_from_dict(data["front"]),
-        victim=swap_log_from_dict(data["victim"]),
-        back=swap_log_from_dict(data["back"]),
+        front=_shared_swap_log(data["front"], memo),
+        victim=_shared_swap_log(data["victim"], memo),
+        back=_shared_swap_log(data["back"], memo),
         classification=Classification(data["classification"]),
         token_in=data["token_in"],
         front_window_start_block=int(data["front_window_start_block"]),

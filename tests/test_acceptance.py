@@ -26,9 +26,9 @@ from sandwichlab.amm import (
     victim_output_after_frontrun,
 )
 from sandwichlab.attack import (
-    estimate_noise_params,
     estimate_return_rates,
-    sample_profit_rates,
+    exact_sum,
+    noise_params_and_rates,
 )
 from sandwichlab.bridge import (
     AttackerConfig,
@@ -456,14 +456,13 @@ class TestCriterion7:
         ) / len(corpus.records)
 
         theta = Fraction(1, 2)
-        params = estimate_noise_params(corpus.timelines, theta)
+        params, rates = noise_params_and_rates(corpus.timelines, theta)
         q_error = abs(float(params.q) - predicted_q)
 
-        rates = sample_profit_rates(corpus.timelines, theta)
         returns = estimate_return_rates(rates, Fraction(100))
         win = params.q + (1 - params.q) * params.p
         model_rate = win * returns.r_plus + (1 - win) * returns.r_minus
-        mc_rate = sum(rates, Fraction(0)) / len(rates)
+        mc_rate = exact_sum(rates) / len(rates)
         rate_gap_pp = abs(float(model_rate - mc_rate)) * 100
         with capsys.disabled():
             verdict(

@@ -24,7 +24,9 @@ from sandwichlab.attack import (
     classify_ordering,
     estimate_noise_params,
     estimate_return_rates,
+    exact_sum,
     expected_profit,
+    noise_params_and_rates,
     optimal_frontrun_for_timeline,
     replay_timeline,
     success_probability,
@@ -285,6 +287,49 @@ class TestEstimators:
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyInput):
             estimate_noise_params([])
+        with pytest.raises(EmptyInput):
+            noise_params_and_rates([])
+
+    def test_one_pass_matches_separate_estimates(self):
+        # Mixed corpus: empty and noisy windows, winning and losing
+        # replays, and a victim too small to front-run (no rate sample).
+        pool = make_pool(10**12, 10**12, Fraction(3, 1000))
+        rng = random.Random(7)
+        timelines = []
+        for _ in range(60):
+            noise = rng.choice(
+                [
+                    [],
+                    [(Direction.Y_FOR_X, rng.randrange(1, 10**9))],
+                    [(Direction.X_FOR_Y, 10**11)],
+                ]
+            )
+            size = rng.choice([10, 10**9, 5 * 10**9])
+            timelines.append(make_timeline(pool, size, Fraction(1, 100), noise))
+        for theta in (Fraction(1), Fraction(1, 2)):
+            params, rates = noise_params_and_rates(timelines, theta)
+            assert params == estimate_noise_params(timelines, theta)
+            expected = []
+            for timeline in timelines:
+                frontrun_in = optimal_frontrun_for_timeline(timeline, theta)
+                if frontrun_in:
+                    _, recovered = replay_timeline(timeline, frontrun_in)
+                    expected.append(Fraction(recovered - frontrun_in, frontrun_in))
+            assert rates == expected
+            assert 0 < len(rates) < len(timelines)
+            assert any(r < 0 for r in rates) and any(r >= 0 for r in rates)
+
+    def test_exact_sum_equals_linear_sum(self):
+        rng = random.Random(3)
+        for count in (0, 1, 2, 3, 7, 64, 101):
+            values = [
+                Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**6))
+                for _ in range(count)
+            ]
+            total = exact_sum(values)
+            assert isinstance(total, Fraction)
+            assert total == sum(values, Fraction(0))
+        assert exact_sum(iter([1, 2, 3])) == Fraction(6)
 
     def test_rates_all_positive(self):
         rates = estimate_return_rates([Fraction(5, 100)] * 7)

@@ -255,6 +255,88 @@ class TestAnalyze:
         assert (rep / "chain_pairs.csv").exists()
 
 
+    def test_detect_horizon_sets_back_position_bins(self, tmp_path):
+        from sandwichlab.amm import Direction
+        from sandwichlab.detector import CrossChainTx, SwapLog, VictimHop
+        from sandwichlab.ingest import record_to_dict, swap_log_to_dict, write_jsonl
+
+        pool = "0x" + "11" * 20
+
+        def log(block, direction):
+            return SwapLog(
+                tx_hash=f"0x{block:064x}",
+                block_number=block,
+                log_index=0,
+                pool_address=pool,
+                chain_id=56,
+                direction=direction,
+                token_in_amount=10**18,
+                token_out_amount=10**18,
+                sender="0xa",
+                recipient="0xa",
+                gas_price=10**9,
+                timestamp=3.0 * block,
+            )
+
+        # A sandwich whose back-run is 150 blocks after its victim.
+        front, victim = log(99, Direction.X_FOR_Y), log(100, Direction.X_FOR_Y)
+        back = log(250, Direction.Y_FOR_X)
+        record = CrossChainTx(
+            record_id="r1",
+            src_tx_hash="0x" + "01" * 32,
+            src_chain_id=1,
+            src_block_number=1,
+            src_timestamp=victim.timestamp - 10,
+            dst_tx_hash=victim.tx_hash,
+            dst_chain_id=56,
+            dst_block_number=victim.block_number,
+            dst_timestamp=victim.timestamp,
+            dst_gas_price=victim.gas_price,
+            hops=(
+                VictimHop(
+                    pool_address=pool,
+                    token_in="WETH",
+                    token_out="USDT",
+                    direction=victim.direction,
+                    amount_in=victim.token_in_amount,
+                    amount_out=victim.token_out_amount,
+                    min_return=0,
+                ),
+            ),
+        )
+        records, logs = tmp_path / "records.jsonl", tmp_path / "swap_logs.jsonl"
+        write_jsonl(str(records), [record_to_dict(record)])
+        write_jsonl(str(logs), [swap_log_to_dict(x) for x in (front, victim, back)])
+        prices = tmp_path / "prices.csv"
+        prices.write_text(PRICES_CSV)
+        config = tmp_path / "detect.yaml"
+        config.write_text("num_blocks: 200\n")
+        det = tmp_path / "det"
+        detect = ["detect", "--records", str(records), "--logs", str(logs)]
+        assert main([*detect, "--config", str(config), "--out", str(det)]) == 0
+        pairs = det / "pairs.jsonl"
+        analyze = ["analyze", "--pairs", str(pairs), "--prices", str(prices)]
+
+        assert main([*analyze, "--out", str(tmp_path / "rep")]) == 0
+        report = json.loads((tmp_path / "rep" / "report.json").read_text())
+        assert report["total_pairs"] == 1
+        assert report["back_position_hist"] == [0] * 7 + [1, 0, 0]  # 150/200
+        manifest = json.loads((tmp_path / "rep" / "manifest.json").read_text())
+        assert set(manifest["input_digests"]) == {"pairs", "prices"}
+
+        # A manifest that is not the one detect wrote is refused.
+        detect_manifest = json.loads((det / "manifest.json").read_text())
+        detect_manifest["config"]["num_blocks"] = 100
+        (det / "manifest.json").write_text(json.dumps(detect_manifest))
+        assert main([*analyze, "--out", str(tmp_path / "bad")]) == 1
+
+        # Without a manifest beside the pairs, the default 100 blocks.
+        (det / "manifest.json").unlink()
+        assert main([*analyze, "--out", str(tmp_path / "default")]) == 0
+        report = json.loads((tmp_path / "default" / "report.json").read_text())
+        assert report["back_position_hist"] == [0] * 9 + [1]  # 150/100, clamped
+
+
 class TestSelftest:
     def test_passes(self, capsys):
         assert main(["selftest"]) == 0

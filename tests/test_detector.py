@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -123,21 +124,50 @@ class TestPrefilter:
 
 
 class TestBand:
+    @staticmethod
+    def in_band(cfg, back_in, front_out):
+        lo, hi = cfg.back_band(front_out)
+        return lo <= back_in <= hi
+
     def test_endpoints_inclusive(self):
         cfg = DetectionConfig()
-        assert cfg.in_band(90, 100)
-        assert cfg.in_band(110, 100)
-        assert not cfg.in_band(89, 100)
-        assert not cfg.in_band(111, 100)
+        assert cfg.back_band(100) == (90, 110)
+        assert self.in_band(cfg, 90, 100)
+        assert self.in_band(cfg, 110, 100)
+        assert not self.in_band(cfg, 89, 100)
+        assert not self.in_band(cfg, 111, 100)
 
     def test_scale_invariance(self):
         cfg = DetectionConfig()
         for scale in (1, 7, 10**12):
-            assert cfg.in_band(95 * scale, 100 * scale)
-            assert not cfg.in_band(89 * scale, 100 * scale)
+            assert self.in_band(cfg, 95 * scale, 100 * scale)
+            assert not self.in_band(cfg, 89 * scale, 100 * scale)
 
     def test_zero_front_out(self):
-        assert not DetectionConfig().in_band(100, 0)
+        assert not self.in_band(DetectionConfig(), 100, 0)
+        assert not self.in_band(DetectionConfig(), 0, 0)
+
+    @pytest.mark.parametrize(
+        "band_low, band_high",
+        [
+            (Fraction(9, 10), Fraction(11, 10)),
+            (Fraction(7, 8), Fraction(9, 7)),
+            (Fraction(1, 2), Fraction(3, 2)),
+            (Fraction(99, 100), Fraction(101, 100)),
+        ],
+    )
+    def test_back_band_edges_match_exact_ratio(self, band_low, band_high):
+        cfg = DetectionConfig(band_low=band_low, band_high=band_high)
+        for front_out in (-3, 0, 1, 2, 7, 9, 100, 101, 10**18 + 7):
+            lo, hi = cfg.back_band(front_out)
+            if front_out <= 0:
+                assert lo > hi
+            for back_in in (0, lo - 1, lo, lo + 1, hi - 1, hi, hi + 1):
+                exact = (
+                    front_out > 0
+                    and band_low <= Fraction(back_in, front_out) <= band_high
+                )
+                assert (lo <= back_in <= hi) == exact
 
 
 class TestDetectPairs:
@@ -310,6 +340,38 @@ class TestGreedyMatchesReference:
             assert detect_pairs(record, logs, cfg) == reference_detect_pairs(
                 record, logs, cfg
             )
+
+    @pytest.mark.parametrize("num_blocks", [1, 3, 100])
+    @pytest.mark.parametrize(
+        "band_low, band_high",
+        [
+            (Fraction(7, 8), Fraction(9, 7)),
+            (Fraction(1, 2), Fraction(3, 2)),
+            (Fraction(99, 100), Fraction(101, 100)),
+        ],
+    )
+    def test_equivalence_under_other_bands_and_horizons(
+        self, band_low, band_high, num_blocks
+    ):
+        # A fifth of the logs have a zero output, so some fronts have an
+        # empty band.
+        rng = random.Random(num_blocks * 1_000 + band_low.denominator)
+        cfg = DetectionConfig(
+            num_blocks=num_blocks, band_low=band_low, band_high=band_high
+        )
+        found = 0
+        for _ in range(150):
+            record, logs = random_corpus(rng, rng.randrange(2, 40))
+            logs = {
+                POOL: [
+                    replace(log, token_out_amount=0) if rng.random() < 0.2 else log
+                    for log in logs[POOL]
+                ]
+            }
+            pairs = detect_pairs(record, logs, cfg)
+            assert pairs == reference_detect_pairs(record, logs, cfg)
+            found += len(pairs)
+        assert found > 0
 
     def test_determinism_under_input_shuffle(self):
         rng = random.Random(99)

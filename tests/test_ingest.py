@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -246,6 +247,23 @@ class TestCodecRoundTrips:
                 == timeline
             )
 
+    def test_field_codecs_write_what_asdict_wrote(self):
+        trace, _ = run(small_sim_config())
+        corpus = extract_corpus(trace)
+
+        def canonical(data):
+            return json.dumps(data, sort_keys=True)
+
+        for log in corpus.swap_logs:
+            old = {**asdict(log), "direction": log.direction.value}
+            assert canonical(swap_log_to_dict(log)) == canonical(old)
+        for record in corpus.records:
+            old = asdict(record)
+            old["hops"] = [
+                {**asdict(hop), "direction": hop.direction.value} for hop in record.hops
+            ]
+            assert canonical(record_to_dict(record)) == canonical(old)
+
     def test_pool_round_trip_preserves_fraction_fee(self):
         pool = Pool(
             token_x="A",
@@ -303,6 +321,47 @@ class TestCodecRoundTrips:
             front_window_start_block=3,
         )
         assert pair_from_dict(json.loads(json.dumps(pair_to_dict(bare)))) == bare
+
+    def test_pair_memo_shares_equal_logs(self):
+        from sandwichlab.detector import Classification, SandwichPair
+
+        def log(block, index, amount):
+            return SwapLog(
+                tx_hash=f"0x{block:02x}{index:02x}",
+                block_number=block,
+                log_index=index,
+                pool_address="0x" + "11" * 20,
+                chain_id=56,
+                direction=Direction.X_FOR_Y,
+                token_in_amount=amount,
+                token_out_amount=amount - 1,
+                sender="0xa",
+                recipient="0xa",
+                gas_price=10**9,
+                timestamp=3.0 * block,
+            )
+
+        victim = log(5, 9, 10**20)
+        pairs = [
+            SandwichPair(
+                record_id="r1",
+                pool_address=victim.pool_address,
+                front=log(4, index, 10**18 + index),
+                victim=victim,
+                back=log(6, index, 10**18 - index),
+                classification=Classification.CROSS_CHAIN,
+                token_in="WETH",
+                front_window_start_block=3,
+            )
+            for index in range(3)
+        ]
+        rows = [json.loads(json.dumps(pair_to_dict(pair))) for pair in pairs]
+        memo: dict = {}
+        shared = [pair_from_dict(row, memo) for row in rows]
+        assert shared == [pair_from_dict(row) for row in rows] == pairs
+        assert shared[0].victim is shared[1].victim is shared[2].victim
+        assert len({id(pair.front) for pair in shared}) == 3
+        assert len(memo) == 7
 
     def test_jsonl_header_and_round_trip(self, tmp_path):
         path = tmp_path / "logs.jsonl"
