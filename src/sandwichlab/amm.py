@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 MAX_AMOUNT = 2**256 - 1
@@ -98,28 +98,43 @@ class Pool:
             return self.reserve_x, self.reserve_y
         return self.reserve_y, self.reserve_x
 
+    def _derived(self, token_x: str, token_y: str, reserve_x: int, reserve_y: int) -> "Pool":
+        """This pool with new tokens and reserves, built without
+        __post_init__: callers pass values already known to be valid.
+        Every field is set, as the dataclass __init__ would set it (and
+        the instance keeps no materialised __dict__)."""
+        pool = object.__new__(Pool)
+        set_field = object.__setattr__
+        set_field(pool, "token_x", token_x)
+        set_field(pool, "token_y", token_y)
+        set_field(pool, "reserve_x", reserve_x)
+        set_field(pool, "reserve_y", reserve_y)
+        set_field(pool, "fee", self.fee)
+        set_field(pool, "address", self.address)
+        set_field(pool, "protocol", self.protocol)
+        return pool
+
     def after_swap(self, direction: Direction, amount_in: int, amount_out: int) -> "Pool":
+        """The state after a swap of amount_in for amount_out, unchecked:
+        amount_out must come from quote_output, which bounds the input
+        to 256 bits and always leaves at least one unit of output."""
         if direction is Direction.X_FOR_Y:
-            return replace(
-                self,
-                reserve_x=self.reserve_x + amount_in,
-                reserve_y=self.reserve_y - amount_out,
+            return self._derived(
+                self.token_x,
+                self.token_y,
+                self.reserve_x + amount_in,
+                self.reserve_y - amount_out,
             )
-        return replace(
-            self,
-            reserve_x=self.reserve_x - amount_out,
-            reserve_y=self.reserve_y + amount_in,
+        return self._derived(
+            self.token_x,
+            self.token_y,
+            self.reserve_x - amount_out,
+            self.reserve_y + amount_in,
         )
 
     def mirrored(self) -> "Pool":
         """The same pool with token roles swapped."""
-        return replace(
-            self,
-            token_x=self.token_y,
-            token_y=self.token_x,
-            reserve_x=self.reserve_y,
-            reserve_y=self.reserve_x,
-        )
+        return self._derived(self.token_y, self.token_x, self.reserve_y, self.reserve_x)
 
 
 @dataclass(frozen=True)
@@ -220,12 +235,6 @@ def victim_output_after_frontrun(
     return quote_output(pool, direction, victim_in)
 
 
-def _isqrt_fraction(value: Fraction) -> Fraction:
-    """Floor square root of a non-negative rational, exact to < 1/denominator."""
-    n, d = value.numerator, value.denominator
-    return Fraction(math.isqrt(n * d), d)
-
-
 def _analytic_frontrun_root(
     pool: Pool, direction: Direction, victim_in: int, min_out: int
 ) -> int:
@@ -234,18 +243,24 @@ def _analytic_frontrun_root(
     The boundary condition (victim output exactly at min_out, with the
     post-front-run reserve taken as x0 + a) expands to
         g*a^2 + (x0*(1+g) + g^2*dx)*a + x0*(x0 + g*dx) - x0*y0*g*dx/m <= 0
-    with g = 1 - f and m = min_out.
+    with g = 1 - f and m = min_out. Writing g = G/D (D the fee
+    denominator) and scaling by D^2*m gives the integer quadratic
+        A*a^2 + B*a + C <= 0,  A = G*D*m,
+        B = m*(x0*D*(D + G) + G^2*dx),
+        C = D*x0*(m*(x0*D + G*dx) - y0*G*dx),
+    whose root is floored with an integer square root.
     """
     x0, y0 = pool.reserves(direction)
-    g = 1 - pool.fee
-    dx = victim_in
-    b = x0 * (1 + g) + g * g * dx
-    c = x0 * (x0 + g * dx) - Fraction(x0 * y0, min_out) * g * dx
-    disc = b * b - 4 * g * c
+    d = pool.fee.denominator
+    g = d - pool.fee.numerator
+    dx, m = victim_in, min_out
+    qa = g * d * m
+    qb = m * (x0 * d * (d + g) + g * g * dx)
+    qc = d * x0 * (m * (x0 * d + g * dx) - y0 * g * dx)
+    disc = qb * qb - 4 * qa * qc
     if disc < 0:
         return 0
-    root = (-b + _isqrt_fraction(disc)) / (2 * g)
-    return max(0, math.floor(root))
+    return max(0, (math.isqrt(disc) - qb) // (2 * qa))
 
 
 def optimal_frontrun_input(

@@ -173,8 +173,10 @@ def replay_timeline(
         frontrun_out = quote_output(pool, direction, frontrun_in)
         pool = pool.after_swap(direction, frontrun_in, frontrun_out)
     for noise_direction, amount in timeline.noisy_swaps:
-        outcome = execute_swap(pool, SwapRequest(noise_direction, amount))
-        pool = outcome.pool_after
+        # noise has no floor (min_out 0), so it never reverts
+        pool = pool.after_swap(
+            noise_direction, amount, quote_output(pool, noise_direction, amount)
+        )
     victim_outcome = execute_swap(pool, timeline.victim)
     pool = victim_outcome.pool_after
     if direction is Direction.X_FOR_Y:

@@ -84,23 +84,30 @@ def sim_config_from_dict(data: dict) -> bridge.SimConfig:
         raise ValidationFailure(f"bad simulation config: {exc}") from exc
 
 
+_DETECTION_KEYS = {
+    "num_blocks": ("num_blocks", int),
+    "band_low": ("band_low", _fraction),
+    "band_high": ("band_high", _fraction),
+    "max_interval": ("max_interval", float),
+    "stablecoins": (
+        "stablecoin_set",
+        lambda tokens: frozenset(token.upper() for token in tokens),
+    ),
+}
+
+
 def detection_config_from_dict(data: dict) -> detector.DetectionConfig:
+    """Build a DetectionConfig from a parsed YAML document. A key that
+    is not one of _DETECTION_KEYS is a validation error."""
     kwargs: dict = {}
-    if "num_blocks" in data:
-        kwargs["num_blocks"] = int(data["num_blocks"])
-    if "band_low" in data:
-        kwargs["band_low"] = _fraction(data["band_low"])
-    if "band_high" in data:
-        kwargs["band_high"] = _fraction(data["band_high"])
-    if "max_interval" in data:
-        kwargs["max_interval"] = float(data["max_interval"])
-    if "stablecoins" in data:
-        kwargs["stablecoin_set"] = frozenset(
-            token.upper() for token in data["stablecoins"]
-        )
     try:
+        for key, value in data.items():
+            if key not in _DETECTION_KEYS:
+                raise ValueError(f"unknown key {key!r}")
+            field_name, convert = _DETECTION_KEYS[key]
+            kwargs[field_name] = convert(value)
         return detector.DetectionConfig(**kwargs)
-    except ValueError as exc:
+    except (TypeError, ValueError, AttributeError) as exc:
         raise ValidationFailure(f"bad detection config: {exc}") from exc
 
 

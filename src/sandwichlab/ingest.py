@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from . import __version__
-from .amm import Direction, Pool, SwapRequest
+from .amm import MAX_AMOUNT, Direction, Pool, SwapRequest
 from .attack import PoolTimeline
 from .detector import Classification, CrossChainTx, SandwichPair, SwapLog, VictimHop
 
@@ -177,6 +177,10 @@ def decode_swap_log(
             _word(data, 2),
             _word(data, 3),
         )
+        if amount0_in > 0 and amount1_in > 0:
+            raise MalformedData(
+                "V2 swap with both amount0In and amount1In nonzero is ambiguous"
+            )
         if amount0_in > 0:
             direction = Direction.X_FOR_Y
             token_in, token_out = amount0_in, amount1_out
@@ -392,14 +396,32 @@ def timeline_to_dict(timeline: PoolTimeline) -> dict:
     }
 
 
+_DIRECTIONS = {direction.value: direction for direction in Direction}
+
+
+def _noisy_swap(entry) -> tuple[Direction, int]:
+    """One [direction, amount] entry of noisy_swaps. The replay applies
+    noise unchecked, so the amount must be a valid swap input here."""
+    try:
+        name, text = entry
+        direction = _DIRECTIONS[name]
+        if type(text) not in (str, int):
+            raise TypeError(type(text).__name__)
+        amount = int(text)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise MalformedData(f"bad noisy_swaps entry {entry!r}: {exc!r}") from exc
+    if not 1 <= amount <= MAX_AMOUNT:
+        raise MalformedData(
+            f"bad noisy_swaps entry {entry!r}: amount must be in [1, 2**256 - 1]"
+        )
+    return direction, amount
+
+
 def timeline_from_dict(data: dict) -> PoolTimeline:
     victim = data["victim"]
     return PoolTimeline(
         pool=pool_from_dict(data["pool"]),
-        noisy_swaps=tuple(
-            (Direction(direction), int(amount))
-            for direction, amount in data["noisy_swaps"]
-        ),
+        noisy_swaps=tuple(_noisy_swap(entry) for entry in data["noisy_swaps"]),
         victim=SwapRequest(
             direction=Direction(victim["direction"]),
             amount_in=int(victim["amount_in"]),

@@ -3,6 +3,7 @@ values and cross-check the fast code paths."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from sandwichlab.amm import (
@@ -20,6 +21,37 @@ def quote_oracle(pool: Pool, direction: Direction, amount_in: int) -> int:
     effective = Fraction(amount_in) * (1 - pool.fee)
     out = Fraction(reserve_out) * effective / (Fraction(reserve_in) + effective)
     return int(out)  # int() floors non-negative rationals
+
+
+def boundary_quadratic(
+    pool: Pool, direction: Direction, victim_in: int, min_out: int
+) -> tuple[Fraction, Fraction, Fraction]:
+    """(g, b, c) of the front-run boundary quadratic g*a^2 + b*a + c,
+    with g = 1 - f and m = min_out:
+        g*a^2 + (x0*(1+g) + g^2*dx)*a + x0*(x0 + g*dx) - x0*y0*g*dx/m
+    The victim still clears min_out for front-runs a where it is <= 0."""
+    x0, y0 = pool.reserves(direction)
+    g = 1 - pool.fee
+    dx = victim_in
+    b = x0 * (1 + g) + g * g * dx
+    c = x0 * (x0 + g * dx) - Fraction(x0 * y0, min_out) * g * dx
+    return g, b, c
+
+
+def fraction_frontrun_root(
+    pool: Pool, direction: Direction, victim_in: int, min_out: int
+) -> int:
+    """The boundary quadratic's positive root, floored, solved in
+    Fraction arithmetic. The square root is floor(sqrt(n*d))/d, which
+    is below sqrt(n/d) by less than 1/d, so the root can fall short of
+    the real root by up to 1/(2*g*d)."""
+    g, b, c = boundary_quadratic(pool, direction, victim_in, min_out)
+    disc = b * b - 4 * g * c
+    if disc < 0:
+        return 0
+    n, d = disc.numerator, disc.denominator
+    root = (-b + Fraction(math.isqrt(n * d), d)) / (2 * g)
+    return max(0, math.floor(root))
 
 
 def bisect_frontrun(
@@ -67,3 +99,36 @@ def brute_force_frontrun(
 def frontrun_floor(pool: Pool, victim_in: int, tolerance: Fraction) -> int:
     quote = quote_output(pool, Direction.X_FOR_Y, victim_in)
     return min_out_from_tolerance(quote, tolerance)
+
+
+def replay_timeline_oracle(timeline, frontrun_in: int) -> tuple[bool, int]:
+    """replay_timeline on plain reserves: every swap quoted by
+    quote_oracle on a pool rebuilt through the validating constructor.
+    Returns (victim_executed, backrun_out)."""
+    pool = timeline.pool
+    reserves = {"x": pool.reserve_x, "y": pool.reserve_y}
+
+    def swap(direction: Direction, amount_in: int) -> int:
+        current = Pool(
+            token_x=pool.token_x,
+            token_y=pool.token_y,
+            reserve_x=reserves["x"],
+            reserve_y=reserves["y"],
+            fee=pool.fee,
+        )
+        out = quote_oracle(current, direction, amount_in)
+        side_in, side_out = ("x", "y") if direction is Direction.X_FOR_Y else ("y", "x")
+        reserves[side_in] += amount_in
+        reserves[side_out] -= out
+        return out
+
+    victim = timeline.victim
+    frontrun_out = swap(victim.direction, frontrun_in) if frontrun_in else 0
+    for direction, amount in timeline.noisy_swaps:
+        swap(direction, amount)
+    saved = dict(reserves)
+    executed = swap(victim.direction, victim.amount_in) >= victim.min_out
+    if not executed:
+        reserves.update(saved)
+    recovered = swap(victim.direction.opposite(), frontrun_out) if frontrun_out else 0
+    return executed, recovered

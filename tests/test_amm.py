@@ -1,18 +1,27 @@
 import math
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import bisect_frontrun, brute_force_frontrun, quote_oracle
+from _oracles import (
+    bisect_frontrun,
+    boundary_quadratic,
+    brute_force_frontrun,
+    fraction_frontrun_root,
+    quote_oracle,
+)
 from sandwichlab.amm import (
     MAX_AMOUNT,
     Direction,
     Overflow,
     Pool,
+    PoolProtocol,
     SwapRequest,
     ZeroInput,
+    _analytic_frontrun_root,
     backrun_output,
     execute_swap,
     largest_frontrun_for_min_out,
@@ -35,6 +44,15 @@ reserves = st.integers(min_value=10**3, max_value=10**18)
 fees = st.sampled_from(
     [Fraction(0), Fraction(5, 10_000), FEE_30, Fraction(100, 10_000)]
 )
+
+# the solver's fee range: zero, common fees and the extremes
+WIDE_FEES = [
+    Fraction(0),
+    Fraction(25, 10_000),
+    FEE_30,
+    Fraction(1, 3),
+    Fraction(9990, 10_000),
+]
 
 
 class TestQuote:
@@ -88,6 +106,67 @@ class TestQuote:
         assert quote_output(pool, Direction.Y_FOR_X, dx) == quote_output(
             pool.mirrored(), Direction.X_FOR_Y, dx
         )
+
+    def test_input_past_256_bits_raises(self):
+        with pytest.raises(Overflow):
+            quote_output(make_pool(10, 10), Direction.X_FOR_Y, MAX_AMOUNT + 1)
+
+
+def validated(pool):
+    """pool rebuilt from every one of its fields through the validating
+    constructor, after checking that each field is set on the instance
+    itself rather than read from a class-level default."""
+    assert set(vars(pool)) == {field.name for field in fields(Pool)}
+    return Pool(**vars(pool))
+
+
+def listed_pool(x, y, fee):
+    """A pool whose defaulted fields all hold non-default values."""
+    return Pool(
+        token_x="X",
+        token_y="Y",
+        reserve_x=x,
+        reserve_y=y,
+        fee=fee,
+        address="0x" + "ab" * 20,
+        protocol=PoolProtocol.PANCAKE_V3,
+    )
+
+
+class TestPoolTransitions:
+    @given(
+        x=reserves,
+        y=reserves,
+        fee=fees,
+        dx=st.integers(1, 10**15),
+        direction=st.sampled_from(list(Direction)),
+    )
+    @settings(max_examples=200)
+    def test_after_swap_equals_validated_pool(self, x, y, fee, dx, direction):
+        pool = listed_pool(x, y, fee)
+        out = quote_output(pool, direction, dx)
+        after = pool.after_swap(direction, dx, out)
+        assert after == validated(after)
+        reserve_in, reserve_out = pool.reserves(direction)
+        assert after.reserves(direction) == (reserve_in + dx, reserve_out - out)
+        assert replace(after, reserve_x=x, reserve_y=y) == pool
+
+    @given(x=reserves, y=reserves, fee=fees)
+    def test_mirrored_equals_validated_pool(self, x, y, fee):
+        pool = listed_pool(x, y, fee)
+        mirrored = pool.mirrored()
+        assert mirrored == validated(mirrored)
+        assert (mirrored.token_x, mirrored.reserve_x) == ("Y", y)
+        assert (mirrored.token_y, mirrored.reserve_y) == ("X", x)
+        assert mirrored.mirrored() == pool
+
+    def test_constructor_still_validates(self):
+        with pytest.raises(ValueError):
+            make_pool(0, 10)
+        with pytest.raises(Overflow):
+            make_pool(MAX_AMOUNT + 1, 10)
+        with pytest.raises(ValueError):
+            make_pool(10, 10, Fraction(1))
 
 
 class TestExecute:
@@ -229,11 +308,11 @@ class TestFrontrunSolver:
     @given(
         x=st.integers(10**4, 10**14),
         y=st.integers(10**4, 10**14),
-        fee=fees,
+        fee=st.one_of(fees, st.sampled_from(WIDE_FEES)),
         victim_frac=st.integers(1, 1000),
         s_num=st.integers(1, 500),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_matches_bisection_oracle(self, x, y, fee, victim_frac, s_num):
         pool = make_pool(x, y, fee)
         victim_in = max(1, x * victim_frac // 10_000)
@@ -244,6 +323,39 @@ class TestFrontrunSolver:
         floor = min_out_from_tolerance(quote, tolerance)
         fast = largest_frontrun_for_min_out(pool, Direction.X_FOR_Y, victim_in, floor)
         assert fast == bisect_frontrun(pool, Direction.X_FOR_Y, victim_in, floor)
+
+    @given(
+        x=st.integers(1, 10**24),
+        y=st.integers(1, 10**24),
+        fee=st.sampled_from(WIDE_FEES),
+        victim_in=st.integers(1, 10**22),
+        min_out=st.one_of(st.just(1), st.integers(1, 10**24)),
+    )
+    @settings(max_examples=400)
+    # here the Fraction root's truncated square root leaves it 2 short
+    @example(
+        x=9_536_743_164_062_500,
+        y=17_627,
+        fee=Fraction(9990, 10_000),
+        victim_in=9_536_743_164_062_500,
+        min_out=1,
+    )
+    def test_integer_root_is_floor_of_real_root(self, x, y, fee, victim_in, min_out):
+        pool = make_pool(x, y, fee)
+        fast = _analytic_frontrun_root(pool, Direction.X_FOR_Y, victim_in, min_out)
+        g, b, c = boundary_quadratic(pool, Direction.X_FOR_Y, victim_in, min_out)
+
+        def boundary(a):
+            return g * a * a + b * a + c
+
+        # fast is the largest a >= 0 on the boundary's feasible side, or 0
+        assert boundary(fast + 1) > 0
+        assert fast == 0 or boundary(fast) <= 0
+        # within 1 of the former Fraction root, beyond that root's own
+        # truncation error of at most 1/(2*g*den(disc))
+        slow = fraction_frontrun_root(pool, Direction.X_FOR_Y, victim_in, min_out)
+        slack = 1 / (2 * g * (b * b - 4 * g * c).denominator)
+        assert slow <= fast <= slow + 1 + slack
 
 
 class TestBackrun:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import replay_timeline_oracle
 from sandwichlab.amm import (
     Direction,
     Pool,
@@ -231,6 +232,34 @@ class TestReplayTimeline:
         executed, recovered = replay_timeline(timeline, frontrun_in)
         assert executed
         assert recovered >= frontrun_in
+
+    @given(
+        victim_direction=st.sampled_from(list(Direction)),
+        noise=st.lists(
+            st.tuples(st.sampled_from(list(Direction)), st.integers(1, 10**12)),
+            max_size=6,
+        ),
+        tolerance=st.integers(1, 500),
+        theta=st.sampled_from([Fraction(1), Fraction(3, 4), Fraction(1, 2)]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_noisy_replay_matches_oracle(self, victim_direction, noise, tolerance, theta):
+        pool = make_pool(10**12, 3 * 10**12, Fraction(30, 10_000))
+        quote = quote_output(pool, victim_direction, 10**9)
+        timeline = PoolTimeline(
+            pool=pool,
+            noisy_swaps=tuple(noise),
+            victim=SwapRequest(
+                victim_direction,
+                10**9,
+                min_out=min_out_from_tolerance(quote, Fraction(tolerance, 10_000)),
+            ),
+            victim_tolerance=Fraction(tolerance, 10_000),
+        )
+        frontrun_in = optimal_frontrun_for_timeline(timeline, theta)
+        assert replay_timeline(timeline, frontrun_in) == replay_timeline_oracle(
+            timeline, frontrun_in
+        )
 
 
 class TestOptimalFrontrunForTimeline:

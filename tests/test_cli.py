@@ -1,11 +1,13 @@
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 import yaml
 
-from sandwichlab.cli import main
+from sandwichlab.cli import detection_config_from_dict, main
+from sandwichlab.detector import DetectionConfig
 from sandwichlab.ingest import file_digest
 
 CONFIG_YAML = """\
@@ -182,6 +184,54 @@ class TestDetect:
         ]
         assert body == []
 
+    def detect_with_config(self, sim_outputs, tmp_path, config_text):
+        _, out = sim_outputs
+        config = tmp_path / "detect.yaml"
+        config.write_text(config_text)
+        det = tmp_path / "det-config"
+        rc = main(
+            [
+                "detect",
+                "--records",
+                str(out / "records.jsonl"),
+                "--logs",
+                str(out / "swap_logs.jsonl"),
+                "--config",
+                str(config),
+                "--out",
+                str(det),
+            ]
+        )
+        return rc, det
+
+    def test_unknown_config_key_is_validation_error(self, sim_outputs, tmp_path, capsys):
+        rc, det = self.detect_with_config(
+            sim_outputs, tmp_path, "num_block: 200\nband_low: 1/2\n"
+        )
+        assert rc == 1
+        assert "num_block" in capsys.readouterr().err
+        assert not det.exists()
+
+    def test_full_config_is_applied(self, sim_outputs, tmp_path):
+        text = (
+            "num_blocks: 150\n"
+            "band_low: 4/5\n"
+            "band_high: 6/5\n"
+            "max_interval: 50\n"
+            "stablecoins: [usdt, usdc]\n"
+        )
+        assert detection_config_from_dict(yaml.safe_load(text)) == DetectionConfig(
+            num_blocks=150,
+            band_low=Fraction(4, 5),
+            band_high=Fraction(6, 5),
+            max_interval=50.0,
+            stablecoin_set=frozenset({"USDT", "USDC"}),
+        )
+        rc, det = self.detect_with_config(sim_outputs, tmp_path, text)
+        assert rc == 0
+        config = json.loads((det / "manifest.json").read_text())["config"]
+        assert config == {"num_blocks": 150, "max_interval": 50.0}
+
 
 class TestParams:
     def test_direct_mode_prints_headline_numbers(self, capsys):
@@ -213,6 +263,21 @@ class TestParams:
 
     def test_missing_arguments_is_validation_error(self):
         assert main(["params"]) == 1
+
+    def test_zero_noise_amount_is_validation_error(self, sim_outputs, tmp_path, capsys):
+        _, out = sim_outputs
+        rows = [
+            line
+            for line in (out / "timelines.jsonl").read_text().splitlines()
+            if not line.startswith("#")
+        ]
+        row = json.loads(rows[0])
+        row["noisy_swaps"].append(["x_for_y", "0"])
+        timelines = tmp_path / "timelines.jsonl"
+        timelines.write_text("\n".join([json.dumps(row), *rows[1:]]) + "\n")
+        assert main(["params", "--timelines", str(timelines)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "noisy_swaps" in err
 
 
 class TestAnalyze:

@@ -125,6 +125,10 @@ class TestDecodeSwapLog:
         assert log.token_in_amount == 200
         assert log.token_out_amount == 195
 
+    def test_v2_both_inputs_nonzero_raises(self):
+        with pytest.raises(MalformedData, match="ambiguous"):
+            decode_swap_log(raw(TOPIC_UNISWAP_V2_SWAP, words(100, 200, 0, 97)))
+
     def test_v2_wrong_length_raises(self):
         with pytest.raises(MalformedData):
             decode_swap_log(raw(TOPIC_UNISWAP_V2_SWAP, words(1, 2, 3)))
@@ -246,6 +250,34 @@ class TestCodecRoundTrips:
                 timeline_from_dict(json.loads(json.dumps(timeline_to_dict(timeline))))
                 == timeline
             )
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            ["x_for_y", "0"],
+            ["x_for_y", "-5"],
+            ["x_for_y", str(2**256)],
+            ["x_for_y", "1.5"],
+            ["x_for_y", 1.0],
+            ["x_for_y", None],
+            ["sideways", "10"],
+            ["x_for_y"],
+            "x_for_y",
+        ],
+    )
+    def test_timeline_rejects_bad_noisy_swap(self, entry):
+        pool = Pool(token_x="X", token_y="Y", reserve_x=10**6, reserve_y=10**6)
+        timeline = PoolTimeline(
+            pool=pool,
+            noisy_swaps=((Direction.Y_FOR_X, 7),),
+            victim=SwapRequest(Direction.X_FOR_Y, 100, min_out=90),
+            victim_tolerance=Fraction(1, 100),
+        )
+        row = json.loads(json.dumps(timeline_to_dict(timeline)))
+        assert timeline_from_dict(row) == timeline
+        row["noisy_swaps"].append(entry)
+        with pytest.raises(MalformedData, match="noisy_swaps"):
+            timeline_from_dict(row)
 
     def test_field_codecs_write_what_asdict_wrote(self):
         trace, _ = run(small_sim_config())
