@@ -23,7 +23,6 @@ from .amm import (
     backrun_output,
     execute_swap,
     largest_frontrun_for_min_out,
-    max_extractable,
     min_out_from_tolerance,
     optimal_frontrun_input,
     plan_sandwich,
@@ -79,18 +78,6 @@ from .detector import (
     prefilter,
     reference_detect_pairs,
 )
-from .ingest import (
-    DEFAULT_REGISTRY,
-    BridgeIntent,
-    MalformedData,
-    RawLogRecord,
-    RunManifest,
-    SignatureRegistry,
-    SKIP,
-    UnknownSelector,
-    decode_bridge_intent,
-    decode_swap_log,
-    encode_bridge_intent,
-)
+from .ingest import MalformedData, RunManifest
 
 from .bridge import run as run_simulation

@@ -212,18 +212,6 @@ def min_out_from_tolerance(quote: int, tolerance: Fraction) -> int:
     return _ceil_div(quote * keep.numerator, keep.denominator)
 
 
-def max_extractable(victim_in: int, tolerance: Fraction) -> int:
-    """floor(s * dx): the victim's maximum tolerable loss in its input token.
-
-    First-order bound; the exact zero-fee closed form exceeds it by a
-    factor (x0 + dx) / x0, which vanishes for trades small relative to
-    the pool.
-    """
-    _check_amount("victim_in", victim_in)
-    _check_rate("tolerance", tolerance)
-    return victim_in * tolerance.numerator // tolerance.denominator
-
-
 def victim_output_after_frontrun(
     pool: Pool, direction: Direction, frontrun_in: int, victim_in: int
 ) -> int:

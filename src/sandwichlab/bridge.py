@@ -149,21 +149,6 @@ class SimConfig:
             raise InvalidConfig("at least one pool is required")
 
 
-@dataclass(frozen=True)
-class RelayMessage:
-    """The public commit event: leaks the full destination swap."""
-
-    id: str
-    source_height: int
-    dest_chain_id: int
-    pool_address: str
-    direction: Direction
-    victim_in: int
-    min_return: int
-    recipient: str
-    emit_time: float
-
-
 @dataclass
 class PendingTx:
     """A destination-chain transaction waiting in the mempool; ``account``
@@ -182,6 +167,10 @@ class PendingTx:
 
 @dataclass(frozen=True)
 class TraceEvent:
+    """One trace entry. A "swap" is a destination-chain execution; a
+    "commit" is the public source-chain commit log, whose amount_out is
+    the min_return frozen at commit, so it leaks the destination swap."""
+
     time: float
     kind: str
     chain_id: int
@@ -343,9 +332,13 @@ class Simulation:
 
     # -- protocol steps ----------------------------------------------------
 
-    def ccmp_commit(self, victim: VictimRecord, src_block: int, now: float) -> RelayMessage:
+    def ccmp_commit(
+        self, victim: VictimRecord, src_block: int, log_index: int, now: float
+    ) -> TraceEvent:
         """Source-side commit: freeze minReturnAmount at the current
-        destination pool state and emit the (public) relay message."""
+        destination pool state, append the public commit event to the
+        trace and return it. The event leaks the destination swap: its
+        amount_out is the frozen min_return."""
         pool = self.pools[victim.pool_address]
         quote = quote_output(pool, victim.direction, victim.amount_in)
         min_return = min_out_from_tolerance(quote, victim.tolerance)
@@ -354,18 +347,25 @@ class Simulation:
         victim.pool_snapshot = pool
         victim.src_block = src_block
         victim.emit_time = now
-        message = RelayMessage(
-            id=victim.src_tx_hash,
-            source_height=src_block,
-            dest_chain_id=self.config.dst_chain_id,
+        commit = TraceEvent(
+            time=now,
+            kind="commit",
+            chain_id=self.config.src_chain_id,
+            tx_hash=victim.src_tx_hash,
+            label=TxLabel.TS.value,
             pool_address=victim.pool_address,
             direction=victim.direction,
-            victim_in=victim.amount_in,
-            min_return=min_return,
+            amount_in=victim.amount_in,
+            amount_out=min_return,
+            gas_price=victim.gas_price,
+            block_number=src_block,
+            log_index=log_index,
+            sender=victim.sender,
             recipient=victim.recipient,
-            emit_time=now,
+            victim_id=victim.victim_id,
         )
-        return message
+        self.trace.events.append(commit)
+        return commit
 
     def _relay(self, victim: VictimRecord, now: float) -> None:
         """Deliver the committed swap to the destination mempool after a
@@ -401,14 +401,18 @@ class Simulation:
         )
         return tx_hash
 
-    def _attacker_react(self, message: RelayMessage, victim: VictimRecord) -> None:
+    def _attacker_react(self, commit: TraceEvent) -> None:
+        """Size a front-run from the public commit event alone (pool,
+        direction, amount_in and the frozen min_return in amount_out)
+        against the live pool; the victim is looked up only to record
+        the result."""
         cfg = self.config.attacker
         try:
             amount = frontrun_size(
-                self.pools[message.pool_address],
-                message.direction,
-                message.victim_in,
-                message.min_return,
+                self.pools[commit.pool_address],
+                commit.direction,
+                commit.amount_in,
+                commit.amount_out,
                 cfg.theta,
             )
         except AmmError:
@@ -417,6 +421,7 @@ class Simulation:
             amount = min(amount, cfg.capital_limit)
         if amount <= 0:
             return
+        victim = self.trace.victims[commit.victim_id]
         victim.attacker_in = amount
         victim.attacker_front_hash = self._queue_agent_tx(
             TxLabel.TA1, victim, 0 if cfg.uses_private_submission else cfg.gas_price, amount
@@ -497,28 +502,9 @@ class Simulation:
         victims = _by_gas_price(self.src_mempool)
         self.src_mempool = []
         for index, victim in enumerate(victims):
-            message = self.ccmp_commit(victim, self.src_height, now)
-            self.trace.events.append(
-                TraceEvent(
-                    time=now,
-                    kind="commit",
-                    chain_id=self.config.src_chain_id,
-                    tx_hash=victim.src_tx_hash,
-                    label=TxLabel.TS.value,
-                    pool_address=victim.pool_address,
-                    direction=victim.direction,
-                    amount_in=victim.amount_in,
-                    amount_out=victim.min_return,
-                    gas_price=victim.gas_price,
-                    block_number=self.src_height,
-                    log_index=index,
-                    sender=victim.sender,
-                    recipient=victim.recipient,
-                    victim_id=victim.victim_id,
-                )
-            )
+            commit = self.ccmp_commit(victim, self.src_height, index, now)
             if self.config.attacker.enabled:
-                self._attacker_react(message, victim)
+                self._attacker_react(commit)
             self._relay(victim, now)
         next_time = now + self.config.src_block_interval
         if next_time <= self.config.horizon:

@@ -6,8 +6,7 @@ and logs), params (estimate or evaluate the attack-model parameters),
 analyze (aggregate detected pairs into a report), selftest (cross-check
 the fast implementations against their reference oracles).
 
-Exit codes: 0 success, 1 validation error, 2 I/O error. The environment
-variable SANDWICHLAB_CONFIG overrides any --config path.
+Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
 
 from __future__ import annotations
@@ -84,15 +83,18 @@ def sim_config_from_dict(data: dict) -> bridge.SimConfig:
         raise ValidationFailure(f"bad simulation config: {exc}") from exc
 
 
+def _token_set(tokens) -> frozenset:
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise ValueError(f"stablecoins must be a list of token symbols, got {tokens!r}")
+    return frozenset(token.upper() for token in tokens)
+
+
 _DETECTION_KEYS = {
     "num_blocks": ("num_blocks", int),
     "band_low": ("band_low", _fraction),
     "band_high": ("band_high", _fraction),
     "max_interval": ("max_interval", float),
-    "stablecoins": (
-        "stablecoin_set",
-        lambda tokens: frozenset(token.upper() for token in tokens),
-    ),
+    "stablecoins": ("stablecoin_set", _token_set),
 }
 
 
@@ -119,10 +121,6 @@ def _load_yaml(path: str) -> dict:
     return data
 
 
-def _config_path(args_path: Optional[str]) -> Optional[str]:
-    return os.environ.get("SANDWICHLAB_CONFIG") or args_path
-
-
 def _manifest(command: str, config: dict, inputs: dict, seed=None) -> ingest.RunManifest:
     digests = {}
     for name, path in inputs.items():
@@ -137,17 +135,16 @@ def _manifest(command: str, config: dict, inputs: dict, seed=None) -> ingest.Run
 
 
 def cmd_simulate(args) -> int:
-    config_path = _config_path(args.config)
-    if not config_path:
-        raise ValidationFailure("simulate requires --config (or SANDWICHLAB_CONFIG)")
-    raw = _load_yaml(config_path)
+    if not args.config:
+        raise ValidationFailure("simulate requires --config")
+    raw = _load_yaml(args.config)
     config = sim_config_from_dict(raw)
     trace, metrics = bridge.run(config)
     corpus = bridge.extract_corpus(trace)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = _manifest("simulate", raw, {"config": config_path}, seed=config.seed)
+    manifest = _manifest("simulate", raw, {"config": args.config}, seed=config.seed)
     # Set before the JSONL files are written: their header carries the
     # digest of this manifest, which must equal that of manifest.json.
     manifest.output_paths = [
@@ -191,19 +188,24 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    config_path = _config_path(args.config)
     cfg = (
-        detection_config_from_dict(_load_yaml(config_path))
-        if config_path
+        detection_config_from_dict(_load_yaml(args.config))
+        if args.config
         else detector.DetectionConfig()
     )
-    records = [ingest.record_from_dict(row) for row in ingest.read_jsonl(args.records)]
+    records = ingest.decode_jsonl(args.records, ingest.record_from_dict)
     logs_by_pool: dict[str, list[detector.SwapLog]] = {}
-    for row in ingest.read_jsonl(args.logs):
-        log = ingest.swap_log_from_dict(row)
+    for log in ingest.decode_jsonl(args.logs, ingest.swap_log_from_dict):
         logs_by_pool.setdefault(log.pool_address, []).append(log)
-    for logs in logs_by_pool.values():
+    for pool, logs in logs_by_pool.items():
         logs.sort(key=detector.SwapLog.position)
+        # detect_pairs bisects on timestamp along this order
+        for earlier, later in zip(logs, logs[1:]):
+            if later.timestamp < earlier.timestamp:
+                raise ValidationFailure(
+                    f"{args.logs}: pool {pool}: timestamp decreases from "
+                    f"{earlier.position()} to {later.position()}"
+                )
 
     kept = detector.prefilter(records, cfg)
     pairs: list[detector.SandwichPair] = []
@@ -215,7 +217,7 @@ def cmd_detect(args) -> int:
     manifest = _manifest(
         "detect",
         {"num_blocks": cfg.num_blocks, "max_interval": cfg.max_interval},
-        {"records": args.records, "logs": args.logs, "config": config_path},
+        {"records": args.records, "logs": args.logs, "config": args.config},
     )
     ingest.write_jsonl(
         str(out / "pairs.jsonl"),
@@ -244,9 +246,7 @@ def _params_from_values(args) -> tuple[attack.NoiseParams, attack.ReturnRates]:
 
 def cmd_params(args) -> int:
     if args.timelines:
-        timelines = [
-            ingest.timeline_from_dict(row) for row in ingest.read_jsonl(args.timelines)
-        ]
+        timelines = ingest.decode_jsonl(args.timelines, ingest.timeline_from_dict)
         if not timelines:
             raise ValidationFailure(f"no timelines in {args.timelines}")
         theta = _fraction(args.theta)
@@ -297,11 +297,9 @@ def _detect_horizon(pairs_path: str) -> int:
 def cmd_analyze(args) -> int:
     num_blocks = _detect_horizon(args.pairs)
     memo: dict = {}
-    pairs = [ingest.pair_from_dict(row, memo) for row in ingest.read_jsonl(args.pairs)]
+    pairs = ingest.decode_jsonl(args.pairs, lambda row: ingest.pair_from_dict(row, memo))
     records = (
-        [ingest.record_from_dict(row) for row in ingest.read_jsonl(args.records)]
-        if args.records
-        else []
+        ingest.decode_jsonl(args.records, ingest.record_from_dict) if args.records else []
     )
     prices = detector.PriceTable.from_csv(args.prices)
     enriched, missing = detector.classify_and_price(pairs, prices)

@@ -1,9 +1,8 @@
-"""Raw-log decoding, file codecs, and run manifests.
+"""File codecs and run manifests.
 
-The event-topic / function-selector registry drives decoding of
-receipt-style log exports into swap logs. Bridge intents use a
-documented, simplified payload (the simulator's export format): real
-aggregator executor calldata is opaque and out of scope.
+JSONL codecs for the simulator's exports (swap logs, cross-chain
+records, pool timelines) and the detector's pairs, and the manifest
+that ties each CLI run's outputs to its inputs.
 """
 
 from __future__ import annotations
@@ -13,266 +12,16 @@ import json
 from dataclasses import asdict, dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import __version__
 from .amm import MAX_AMOUNT, Direction, Pool, SwapRequest
 from .attack import PoolTimeline
 from .detector import Classification, CrossChainTx, SandwichPair, SwapLog, VictimHop
 
-WORD = 32  # bytes per ABI word
-
-TOPIC_UNISWAP_V2_SWAP = (
-    "0xd78ad95fa46c994b6551d0da85fc275fe613ce37657fb8d5e3d130840159d822"
-)
-TOPIC_UNISWAP_V3_SWAP = (
-    "0xc42079f94a6350d7e6235f29174924f928cc2ac818eb64fed8004e115fbcca67"
-)
-TOPIC_PANCAKE_V3_SWAP = (
-    "0x19b47279256b2a23a1665c810c8d55a1758940ee09377d4f8d26497a3577dc83"
-)
-TOPIC_ORACLE_REQUEST = (
-    "0x532dbb6d061eee97ab4370060f60ede10b3dc361cc1214c07ae5e34dd86e6aaf"
-)
-
 
 class MalformedData(ValueError):
-    """A known topic with a data payload of the wrong shape."""
-
-
-class UnknownSelector(ValueError):
-    pass
-
-
-class MissingOracleRequest(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class EventEntry:
-    protocol: str
-    event_name: str
-    topic: str
-    layout: str  # "v2" | "v3" | "oracle_request"
-
-
-@dataclass(frozen=True)
-class FunctionEntry:
-    protocol: str
-    function_name: str
-    selector: str
-
-
-@dataclass(frozen=True)
-class SignatureRegistry:
-    events: tuple[EventEntry, ...]
-    functions: tuple[FunctionEntry, ...]
-
-    def layouts_for_topic(self, topic: str) -> list[EventEntry]:
-        return [e for e in self.events if e.topic == topic.lower()]
-
-    def function_by_selector(self, selector: str) -> FunctionEntry:
-        for entry in self.functions:
-            if entry.selector == selector.lower():
-                return entry
-        raise UnknownSelector(selector)
-
-
-DEFAULT_REGISTRY = SignatureRegistry(
-    events=(
-        EventEntry("Uniswap V2", "Swap", TOPIC_UNISWAP_V2_SWAP, "v2"),
-        EventEntry("PancakeSwap V2", "Swap", TOPIC_UNISWAP_V2_SWAP, "v2"),
-        EventEntry("Uniswap V3", "Swap", TOPIC_UNISWAP_V3_SWAP, "v3"),
-        EventEntry("PancakeSwap V3", "Swap", TOPIC_PANCAKE_V3_SWAP, "v3"),
-        EventEntry("Symbiosis", "OracleRequest", TOPIC_ORACLE_REQUEST, "oracle_request"),
-    ),
-    functions=(
-        FunctionEntry("Symbiosis", "metaMintSyntheticToken", "0xc29a91bc"),
-        FunctionEntry("Symbiosis", "metaBurnSyntheticToken", "0xe66bb550"),
-        FunctionEntry("Symbiosis", "receiveRequestV2Signed", "0x84d61c97"),
-        FunctionEntry("Symbiosis", "metaUnsynthesize", "0xc23a4c88"),
-        FunctionEntry("Symbiosis", "externalCall", "0xf5b697a5"),
-        FunctionEntry("1inch", "swap", "0x12aa3caf"),
-        FunctionEntry("1inch", "uniswapV3SwapTo", "0xbc80f1a8"),
-        FunctionEntry("OpenOcean", "swap", "0x90411a32"),
-        FunctionEntry("Uniswap V2", "swapExactTokensForTokens", "0x38ed1739"),
-        FunctionEntry("Uniswap V2", "swapExactTokensForETH", "0x18cbafe5"),
-    ),
-)
-
-
-@dataclass(frozen=True)
-class RawLogRecord:
-    tx_hash: str
-    block_number: int
-    log_index: int
-    address: str
-    topics: tuple[str, ...]
-    data: str  # 0x-prefixed hex
-    chain_id: int = 0
-    gas_price: int = 0
-    timestamp: float = 0.0
-
-
-class Skip:
-    """Sentinel: topic not in the registry, record ignored."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "Skip"
-
-
-SKIP = Skip()
-
-
-def _data_bytes(record: RawLogRecord) -> bytes:
-    payload = record.data
-    if payload.startswith("0x"):
-        payload = payload[2:]
-    try:
-        return bytes.fromhex(payload)
-    except ValueError as exc:
-        raise MalformedData(f"bad hex in log data: {exc}") from exc
-
-
-def _word(data: bytes, index: int) -> int:
-    return int.from_bytes(data[index * WORD : (index + 1) * WORD], "big")
-
-
-def _signed_word(data: bytes, index: int) -> int:
-    return int.from_bytes(data[index * WORD : (index + 1) * WORD], "big", signed=True)
-
-
-def _topic_address(record: RawLogRecord, index: int) -> str:
-    if len(record.topics) > index:
-        return "0x" + record.topics[index][-40:]
-    return "0x" + "00" * 20
-
-
-def decode_swap_log(
-    record: RawLogRecord, registry: SignatureRegistry = DEFAULT_REGISTRY
-):
-    """Decode one receipt log into a SwapLog, or SKIP for unknown topics.
-
-    V2 layout: four unsigned words (amount0In, amount1In, amount0Out,
-    amount1Out); the nonzero In picks the direction. V3 layouts: two
-    leading signed words (amount0, amount1); positive means the token
-    flows into the pool.
-    """
-    if not record.topics:
-        return SKIP
-    entries = registry.layouts_for_topic(record.topics[0])
-    swap_entries = [e for e in entries if e.layout in ("v2", "v3")]
-    if not swap_entries:
-        return SKIP
-    layout = swap_entries[0].layout
-    data = _data_bytes(record)
-    if layout == "v2":
-        if len(data) != 4 * WORD:
-            raise MalformedData(
-                f"V2 swap data must be 4 words, got {len(data)} bytes"
-            )
-        amount0_in, amount1_in, amount0_out, amount1_out = (
-            _word(data, 0),
-            _word(data, 1),
-            _word(data, 2),
-            _word(data, 3),
-        )
-        if amount0_in > 0 and amount1_in > 0:
-            raise MalformedData(
-                "V2 swap with both amount0In and amount1In nonzero is ambiguous"
-            )
-        if amount0_in > 0:
-            direction = Direction.X_FOR_Y
-            token_in, token_out = amount0_in, amount1_out
-        else:
-            direction = Direction.Y_FOR_X
-            token_in, token_out = amount1_in, amount0_out
-    else:
-        if len(data) < 5 * WORD:
-            raise MalformedData(
-                f"V3 swap data must be at least 5 words, got {len(data)} bytes"
-            )
-        amount0 = _signed_word(data, 0)
-        amount1 = _signed_word(data, 1)
-        if amount0 > 0:
-            direction = Direction.X_FOR_Y
-            token_in, token_out = amount0, abs(amount1)
-        else:
-            direction = Direction.Y_FOR_X
-            token_in, token_out = amount1, abs(amount0)
-    return SwapLog(
-        tx_hash=record.tx_hash,
-        block_number=record.block_number,
-        log_index=record.log_index,
-        pool_address=record.address,
-        chain_id=record.chain_id,
-        direction=direction,
-        token_in_amount=abs(token_in),
-        token_out_amount=token_out,
-        sender=_topic_address(record, 1),
-        recipient=_topic_address(record, 2),
-        gas_price=record.gas_price,
-        timestamp=record.timestamp,
-    )
-
-
-@dataclass(frozen=True)
-class BridgeIntent:
-    """Decoded bridge-intent fragment: the destination swap the source
-    chain leaks."""
-
-    selector: str
-    dest_chain_id: int
-    pool_addresses: tuple[str, ...]
-    victim_in: int
-    min_return: int
-    recipient: str
-
-
-def encode_bridge_intent(intent: BridgeIntent) -> str:
-    """Selector word followed by a JSON body, hex encoded."""
-    body = json.dumps(
-        {
-            "dest_chain_id": intent.dest_chain_id,
-            "pools": list(intent.pool_addresses),
-            "victim_in": str(intent.victim_in),
-            "min_return": str(intent.min_return),
-            "recipient": intent.recipient,
-        },
-        sort_keys=True,
-    ).encode()
-    return intent.selector + body.hex()
-
-
-def decode_bridge_intent(
-    records: Iterable[RawLogRecord],
-    registry: SignatureRegistry = DEFAULT_REGISTRY,
-) -> BridgeIntent:
-    """Extract the destination swap details from an OracleRequest log."""
-    oracle = None
-    for record in records:
-        if record.topics and record.topics[0] == TOPIC_ORACLE_REQUEST:
-            oracle = record
-            break
-    if oracle is None:
-        raise MissingOracleRequest("no OracleRequest topic in the supplied logs")
-    payload = oracle.data
-    if not payload.startswith("0x") or len(payload) < 10:
-        raise MalformedData("bridge intent payload too short")
-    selector = payload[:10].lower()
-    entry = registry.function_by_selector(selector)
-    try:
-        body = json.loads(bytes.fromhex(payload[10:]).decode())
-        return BridgeIntent(
-            selector=entry.selector,
-            dest_chain_id=int(body["dest_chain_id"]),
-            pool_addresses=tuple(body["pools"]),
-            victim_in=int(body["victim_in"]),
-            min_return=int(body["min_return"]),
-            recipient=body["recipient"],
-        )
-    except (ValueError, KeyError, TypeError) as exc:
-        raise MalformedData(f"bridge intent payload malformed: {exc}") from exc
+    """An input row or field of the wrong shape."""
 
 
 # -- JSONL codecs ----------------------------------------------------------
@@ -304,8 +53,21 @@ def swap_log_to_dict(log: SwapLog) -> dict:
     }
 
 
+_SWAP_LOG_NUMBERS = (
+    ("block_number", (int,)),
+    ("log_index", (int,)),
+    ("chain_id", (int,)),
+    ("timestamp", (int, float)),
+)
+
+
 def swap_log_from_dict(data: dict) -> SwapLog:
     data = dict(data)
+    # detect sorts on the position and bisects on the timestamp, which a
+    # string or a bool would break or silently mis-order
+    for key, allowed in _SWAP_LOG_NUMBERS:
+        if type(data[key]) not in allowed:
+            raise TypeError(f"{key} must be a JSON {allowed[-1].__name__}, not {data[key]!r}")
     data["direction"] = Direction(data["direction"])
     for key in ("token_in_amount", "token_out_amount", "gas_price"):
         data[key] = int(data[key])
@@ -514,10 +276,34 @@ def write_jsonl(path: str, rows: Iterable[dict], manifest: Optional[RunManifest]
             handle.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def read_jsonl(path: str) -> Iterator[dict]:
+def _numbered_rows(path: str) -> Iterator[tuple[int, dict]]:
+    """(line number, row) for each data line; a line that is not JSON
+    raises MalformedData naming the file and line."""
     with open(path) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            yield json.loads(line)
+            try:
+                row = json.loads(line)
+            except ValueError as exc:
+                raise MalformedData(f"{path}:{number}: invalid JSON: {exc}") from exc
+            yield number, row
+
+
+def read_jsonl(path: str) -> Iterator[dict]:
+    for _, row in _numbered_rows(path):
+        yield row
+
+
+def decode_jsonl(path: str, decode: Callable[[dict], object]) -> list:
+    """Decode every row of a JSONL file. A row that decode rejects (not
+    an object, a missing key, a value of the wrong type) raises
+    MalformedData naming the file and line."""
+    out = []
+    for number, row in _numbered_rows(path):
+        try:
+            out.append(decode(row))
+        except (KeyError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:
+            raise MalformedData(f"{path}:{number}: {type(exc).__name__}: {exc}") from exc
+    return out

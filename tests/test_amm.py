@@ -25,7 +25,6 @@ from sandwichlab.amm import (
     backrun_output,
     execute_swap,
     largest_frontrun_for_min_out,
-    max_extractable,
     min_out_from_tolerance,
     optimal_frontrun_input,
     plan_sandwich,
@@ -251,17 +250,6 @@ class TestMinOut:
         assert floor >= (1 - s) * quote
         if floor > 0:
             assert floor - 1 < (1 - s) * quote
-
-
-class TestMaxExtractable:
-    def test_headline_bound(self):
-        assert max_extractable(10**9, Fraction(1, 100)) == 10**7
-
-    def test_smallest_tolerance(self):
-        assert max_extractable(10**9, Fraction(1, 10**9)) == 1
-
-    def test_zero_input(self):
-        assert max_extractable(0, Fraction(1, 100)) == 0
 
 
 class TestFrontrunSolver:

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from sandwichlab.amm import Direction, Pool
-from sandwichlab.attack import optimal_frontrun_for_timeline
+from sandwichlab.amm import AmmError, Direction, Pool
+from sandwichlab.attack import frontrun_size, optimal_frontrun_for_timeline
 from sandwichlab.bridge import (
     ATTACKER_ADDR,
     BOT_ADDR,
@@ -200,6 +200,45 @@ class TestAttackerDecision:
             != trace.victims[label["victim_id"]].attacker_in
         ]
         assert disagree == [], f"{len(disagree)}/{len(corpus.timelines)} timelines"
+
+    def test_walls_have_ears(self):
+        # The attacker's front-run is a function of the public commit log
+        # (and the pool it names) alone, for every committed victim:
+        # executed, reverted and dropped alike.
+        theta, cap = Fraction(3, 4), 5 * 10**18
+        config = base_config(
+            seed=7,
+            horizon=300.0,
+            victim_arrival_rate=0.5,
+            victim_size=DistSpec("lognormal", {"mu": 34.5, "sigma": 1.0}),
+            victim_tolerance=DistSpec("uniform", {"low": 0.005, "high": 0.03}),
+            noise_arrival_rate=0.05,
+            attacker=AttackerConfig(enabled=True, theta=theta, capital_limit=cap),
+            bot=BotConfig(enabled=True),
+        )
+        trace, _ = run(config)
+        checked = []
+        for event in trace.events:
+            if event.kind != "commit":
+                continue
+            victim = trace.victims[event.victim_id]
+            try:
+                size = frontrun_size(
+                    victim.pool_snapshot,
+                    event.direction,
+                    event.amount_in,
+                    event.amount_out,
+                    theta,
+                )
+            except AmmError:
+                size = 0
+            assert victim.attacker_in == max(0, min(cap, size)), victim.victim_id
+            checked.append(victim)
+        assert len(checked) == len(trace.victims)
+        assert any(v.attacker_in == cap for v in checked)
+        assert any(0 < v.attacker_in < cap for v in checked)
+        assert any(v.reverted and v.attacker_in for v in checked)
+        assert any(v.dropped and v.attacker_in for v in checked)
 
 
 class TestVictimOutcomes:

@@ -1,14 +1,15 @@
 import hashlib
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 import yaml
 
-from sandwichlab.cli import detection_config_from_dict, main
+from sandwichlab.cli import ValidationFailure, build_parser, detection_config_from_dict, main
 from sandwichlab.detector import DetectionConfig
-from sandwichlab.ingest import file_digest
+from sandwichlab.ingest import MalformedData, file_digest
 
 CONFIG_YAML = """\
 seed: 11
@@ -130,16 +131,16 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
         assert (out / "manifest.json").read_text() == first
 
-    def test_env_var_overrides_config_path(self, tmp_path, monkeypatch):
+    def test_config_env_var_is_ignored(self, tmp_path, monkeypatch):
         good = tmp_path / "good.yaml"
         good.write_text(CONFIG_YAML)
-        monkeypatch.setenv("SANDWICHLAB_CONFIG", str(good))
+        monkeypatch.setenv("SANDWICHLAB_" + "CONFIG", str(good))
         out = tmp_path / "env-sim"
         assert (
             main(["simulate", "--config", str(tmp_path / "bogus.yaml"), "--out", str(out)])
-            == 0
+            == 2
         )
-        assert (out / "metrics.json").exists()
+        assert not out.exists()
 
 
 class TestDetect:
@@ -231,6 +232,37 @@ class TestDetect:
         assert rc == 0
         config = json.loads((det / "manifest.json").read_text())["config"]
         assert config == {"num_blocks": 150, "max_interval": 50.0}
+
+    @pytest.mark.parametrize("value", ["usdt", 5, {"usdt": 1}, ["usdt", 5]])
+    def test_stablecoins_must_be_list_of_strings(self, sim_outputs, tmp_path, capsys, value):
+        with pytest.raises(ValidationFailure, match="stablecoins"):
+            detection_config_from_dict({"stablecoins": value})
+        rc, det = self.detect_with_config(
+            sim_outputs, tmp_path, yaml.safe_dump({"stablecoins": value})
+        )
+        assert rc == 1
+        assert "stablecoins" in capsys.readouterr().err
+        assert not det.exists()
+
+    def test_decreasing_timestamp_is_validation_error(self, sim_outputs, tmp_path, capsys):
+        _, out = sim_outputs
+        rows = [
+            json.loads(line)
+            for line in (out / "swap_logs.jsonl").read_text().splitlines()
+            if not line.startswith("#")
+        ]
+        first = rows[0]
+        later = next(row for row in rows if row["timestamp"] > first["timestamp"])
+        assert later["pool_address"] == first["pool_address"]
+        first["timestamp"], later["timestamp"] = later["timestamp"], first["timestamp"]
+        logs = tmp_path / "swap_logs.jsonl"
+        logs.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        det = tmp_path / "det"
+        argv = ["detect", "--records", str(out / "records.jsonl"), "--logs", str(logs)]
+        assert main([*argv, "--out", str(det)]) == 1
+        err = capsys.readouterr().err
+        assert "timestamp" in err and first["pool_address"] in err
+        assert not det.exists()
 
 
 class TestParams:
@@ -408,3 +440,54 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
         assert "FAIL" not in out
+
+
+class TestMalformedRows:
+    @pytest.mark.parametrize("bad_row", ['{"bad": 1}', "not json", "[1]"])
+    @pytest.mark.parametrize("name", ["records", "swap_logs", "timelines", "pairs"])
+    def test_bad_row_names_file_and_line(self, sim_outputs, tmp_path, capsys, name, bad_row):
+        _, sim = sim_outputs
+        det = tmp_path / "det"
+        inputs = {
+            "records": sim / "records.jsonl",
+            "swap_logs": sim / "swap_logs.jsonl",
+            "timelines": sim / "timelines.jsonl",
+            "pairs": det / "pairs.jsonl",
+        }
+        detect = ["detect", "--records", str(inputs["records"]), "--logs"]
+        assert main([*detect, str(inputs["swap_logs"]), "--out", str(det)]) == 0
+        header, first, *rest = inputs[name].read_text().splitlines()
+        bad = inputs[name] = tmp_path / f"{name}.jsonl"
+        bad.write_text("\n".join([header, first, bad_row, *rest]) + "\n")
+        prices = tmp_path / "prices.csv"
+        prices.write_text(PRICES_CSV)
+        out = str(tmp_path / "out")
+        detect = ["detect", "--records", str(inputs["records"]), "--logs"]
+        argv = {
+            "records": [*detect, str(inputs["swap_logs"]), "--out", out],
+            "swap_logs": [*detect, str(inputs["swap_logs"]), "--out", out],
+            "timelines": ["params", "--timelines", str(inputs["timelines"])],
+            "pairs": ["analyze", "--pairs", str(bad), "--prices", str(prices), "--out", out],
+        }[name]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert f"error: {bad}:3: " in capsys.readouterr().err
+        args = build_parser().parse_args(argv)
+        with pytest.raises(MalformedData, match=re.escape(f"{bad}:3: ")):
+            args.func(args)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["block_number", "log_index", "chain_id", "timestamp"])
+    def test_string_swap_log_number_names_file_and_line(self, sim_outputs, tmp_path, capsys, key):
+        _, sim = sim_outputs
+        header, first, *rest = (sim / "swap_logs.jsonl").read_text().splitlines()
+        row = json.loads(first)
+        row[key] = str(row[key])
+        bad = tmp_path / "swap_logs.jsonl"
+        bad.write_text("\n".join([header, json.dumps(row), *rest]) + "\n")
+        out = tmp_path / "out"
+        argv = ["detect", "--records", str(sim / "records.jsonl"), "--logs", str(bad), "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert f"error: {bad}:2: TypeError: {key} must be" in capsys.readouterr().err
+        assert not out.exists()

@@ -9,22 +9,8 @@ from sandwichlab.attack import PoolTimeline
 from sandwichlab.bridge import AttackerConfig, BotConfig, DistSpec, SimConfig, extract_corpus, run
 from sandwichlab.detector import SwapLog
 from sandwichlab.ingest import (
-    DEFAULT_REGISTRY,
-    SKIP,
-    BridgeIntent,
     MalformedData,
-    MissingOracleRequest,
-    RawLogRecord,
     RunManifest,
-    Skip,
-    TOPIC_ORACLE_REQUEST,
-    TOPIC_PANCAKE_V3_SWAP,
-    TOPIC_UNISWAP_V2_SWAP,
-    TOPIC_UNISWAP_V3_SWAP,
-    UnknownSelector,
-    decode_bridge_intent,
-    decode_swap_log,
-    encode_bridge_intent,
     file_digest,
     pair_from_dict,
     pair_to_dict,
@@ -39,176 +25,6 @@ from sandwichlab.ingest import (
     timeline_to_dict,
     write_jsonl,
 )
-
-WORD = 32
-
-
-def words(*values, signed=False):
-    return "0x" + "".join(
-        int(v).to_bytes(WORD, "big", signed=signed).hex() for v in values
-    )
-
-
-def raw(topic, data, topics_extra=(), **kwargs):
-    defaults = dict(
-        tx_hash="0x" + "ab" * 32,
-        block_number=100,
-        log_index=3,
-        address="0x" + "11" * 20,
-        topics=(topic, *topics_extra),
-        data=data,
-        chain_id=56,
-        gas_price=10**9,
-        timestamp=300.0,
-    )
-    defaults.update(kwargs)
-    return RawLogRecord(**defaults)
-
-
-class TestRegistry:
-    # Every registry row, spelled out so a drifted constant fails loudly.
-    EXPECTED_TOPICS = {
-        ("Uniswap V2", "Swap"): "0xd78ad95fa46c994b6551d0da85fc275fe613ce37657fb8d5e3d130840159d822",
-        ("PancakeSwap V2", "Swap"): "0xd78ad95fa46c994b6551d0da85fc275fe613ce37657fb8d5e3d130840159d822",
-        ("Uniswap V3", "Swap"): "0xc42079f94a6350d7e6235f29174924f928cc2ac818eb64fed8004e115fbcca67",
-        ("PancakeSwap V3", "Swap"): "0x19b47279256b2a23a1665c810c8d55a1758940ee09377d4f8d26497a3577dc83",
-        ("Symbiosis", "OracleRequest"): "0x532dbb6d061eee97ab4370060f60ede10b3dc361cc1214c07ae5e34dd86e6aaf",
-    }
-    EXPECTED_SELECTORS = {
-        ("Symbiosis", "metaMintSyntheticToken"): "0xc29a91bc",
-        ("Symbiosis", "metaBurnSyntheticToken"): "0xe66bb550",
-        ("Symbiosis", "receiveRequestV2Signed"): "0x84d61c97",
-        ("Symbiosis", "metaUnsynthesize"): "0xc23a4c88",
-        ("Symbiosis", "externalCall"): "0xf5b697a5",
-        ("1inch", "swap"): "0x12aa3caf",
-        ("1inch", "uniswapV3SwapTo"): "0xbc80f1a8",
-        ("OpenOcean", "swap"): "0x90411a32",
-        ("Uniswap V2", "swapExactTokensForTokens"): "0x38ed1739",
-        ("Uniswap V2", "swapExactTokensForETH"): "0x18cbafe5",
-    }
-
-    def test_every_event_row_present(self):
-        actual = {
-            (e.protocol, e.event_name): e.topic for e in DEFAULT_REGISTRY.events
-        }
-        assert actual == self.EXPECTED_TOPICS
-
-    def test_every_function_row_present(self):
-        actual = {
-            (f.protocol, f.function_name): f.selector
-            for f in DEFAULT_REGISTRY.functions
-        }
-        assert actual == self.EXPECTED_SELECTORS
-
-    def test_shared_v2_topic_keeps_both_rows(self):
-        entries = DEFAULT_REGISTRY.layouts_for_topic(TOPIC_UNISWAP_V2_SWAP)
-        assert {e.protocol for e in entries} == {"Uniswap V2", "PancakeSwap V2"}
-        assert {e.layout for e in entries} == {"v2"}
-
-    def test_unknown_selector_raises(self):
-        with pytest.raises(UnknownSelector):
-            DEFAULT_REGISTRY.function_by_selector("0xdeadbeef")
-
-
-class TestDecodeSwapLog:
-    def test_v2_token0_in(self):
-        record = raw(TOPIC_UNISWAP_V2_SWAP, words(100, 0, 0, 97))
-        log = decode_swap_log(record)
-        assert isinstance(log, SwapLog)
-        assert log.direction is Direction.X_FOR_Y
-        assert log.token_in_amount == 100
-        assert log.token_out_amount == 97
-
-    def test_v2_token1_in(self):
-        log = decode_swap_log(raw(TOPIC_UNISWAP_V2_SWAP, words(0, 200, 195, 0)))
-        assert log.direction is Direction.Y_FOR_X
-        assert log.token_in_amount == 200
-        assert log.token_out_amount == 195
-
-    def test_v2_both_inputs_nonzero_raises(self):
-        with pytest.raises(MalformedData, match="ambiguous"):
-            decode_swap_log(raw(TOPIC_UNISWAP_V2_SWAP, words(100, 200, 0, 97)))
-
-    def test_v2_wrong_length_raises(self):
-        with pytest.raises(MalformedData):
-            decode_swap_log(raw(TOPIC_UNISWAP_V2_SWAP, words(1, 2, 3)))
-
-    def test_v3_positive_amount0_in(self):
-        data = words(100, -97, 0, 0, 0, signed=True)
-        log = decode_swap_log(raw(TOPIC_UNISWAP_V3_SWAP, data))
-        assert log.direction is Direction.X_FOR_Y
-        assert log.token_in_amount == 100
-        assert log.token_out_amount == 97
-
-    def test_v3_negative_amount0_out(self):
-        data = words(-95, 100, 0, 0, 0, signed=True)
-        log = decode_swap_log(raw(TOPIC_PANCAKE_V3_SWAP, data))
-        assert log.direction is Direction.Y_FOR_X
-        assert log.token_in_amount == 100
-        assert log.token_out_amount == 95
-
-    def test_v3_short_data_raises(self):
-        with pytest.raises(MalformedData):
-            decode_swap_log(raw(TOPIC_UNISWAP_V3_SWAP, words(1, 2, 3, 4, signed=True)))
-
-    def test_unknown_topic_skips(self):
-        result = decode_swap_log(raw("0x" + "99" * 32, words(1, 2, 3, 4)))
-        assert isinstance(result, Skip)
-        assert result is SKIP
-
-    def test_no_topics_skips(self):
-        record = RawLogRecord(
-            tx_hash="0x00",
-            block_number=1,
-            log_index=0,
-            address="0x" + "11" * 20,
-            topics=(),
-            data="0x",
-        )
-        assert decode_swap_log(record) is SKIP
-
-    def test_indexed_sender_recipient_from_topics(self):
-        sender = "0x" + "00" * 12 + "ab" * 20
-        recipient = "0x" + "00" * 12 + "cd" * 20
-        record = raw(
-            TOPIC_UNISWAP_V2_SWAP, words(5, 0, 0, 4), topics_extra=(sender, recipient)
-        )
-        log = decode_swap_log(record)
-        assert log.sender == "0x" + "ab" * 20
-        assert log.recipient == "0x" + "cd" * 20
-
-
-class TestBridgeIntent:
-    def _intent(self):
-        return BridgeIntent(
-            selector="0xc29a91bc",
-            dest_chain_id=56,
-            pool_addresses=("0x" + "11" * 20,),
-            victim_in=10**18,
-            min_return=99 * 10**16,
-            recipient="0x" + "ee" * 20,
-        )
-
-    def test_round_trip(self):
-        intent = self._intent()
-        payload = encode_bridge_intent(intent)
-        record = raw(TOPIC_ORACLE_REQUEST, payload)
-        assert decode_bridge_intent([record]) == intent
-
-    def test_missing_oracle_request(self):
-        with pytest.raises(MissingOracleRequest):
-            decode_bridge_intent([raw(TOPIC_UNISWAP_V2_SWAP, words(1, 0, 0, 1))])
-
-    def test_unknown_selector(self):
-        body = encode_bridge_intent(self._intent())[10:]
-        with pytest.raises(UnknownSelector):
-            decode_bridge_intent([raw(TOPIC_ORACLE_REQUEST, "0xdeadbeef" + body)])
-
-    def test_malformed_body(self):
-        with pytest.raises(MalformedData):
-            decode_bridge_intent(
-                [raw(TOPIC_ORACLE_REQUEST, "0xc29a91bc" + b"not json".hex())]
-            )
 
 
 def small_sim_config(seed=5):
@@ -278,6 +94,38 @@ class TestCodecRoundTrips:
         row["noisy_swaps"].append(entry)
         with pytest.raises(MalformedData, match="noisy_swaps"):
             timeline_from_dict(row)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("block_number", "5"),
+            ("block_number", True),
+            ("log_index", 1.0),
+            ("chain_id", "1"),
+            ("timestamp", "3.0"),
+            ("timestamp", None),
+        ],
+    )
+    def test_swap_log_rejects_non_numeric_position(self, key, value):
+        log = SwapLog(
+            tx_hash="0xaa",
+            block_number=5,
+            log_index=1,
+            pool_address="0x" + "11" * 20,
+            chain_id=1,
+            direction=Direction.X_FOR_Y,
+            token_in_amount=10,
+            token_out_amount=9,
+            sender="0xbb",
+            recipient="0xbb",
+            gas_price=7,
+            timestamp=15.0,
+        )
+        row = json.loads(json.dumps(swap_log_to_dict(log)))
+        assert swap_log_from_dict(row) == log
+        assert swap_log_from_dict({**row, "timestamp": 15}).timestamp == 15
+        with pytest.raises(TypeError, match=key):
+            swap_log_from_dict({**row, key: value})
 
     def test_field_codecs_write_what_asdict_wrote(self):
         trace, _ = run(small_sim_config())
