@@ -32,12 +32,19 @@ class ValidationFailure(ValueError):
 
 
 def _fraction(value) -> Fraction:
+    """A Fraction from a config value or flag: "n/d", an int, a float or
+    a decimal string. A zero denominator or a bad literal is a
+    ValueError, which the callers report as a validation error."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, str) and "/" in value:
-        num, _, den = value.partition("/")
-        return Fraction(int(num), int(den))
-    return Fraction(str(value))
+    try:
+        if isinstance(value, str) and "/" in value:
+            num, _, den = value.partition("/")
+            return Fraction(int(num), int(den))
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        reason = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
+        raise ValueError(f"bad fraction {value!r}: {reason}") from None
 
 
 def _dist(data) -> bridge.DistSpec:
@@ -219,11 +226,7 @@ def cmd_detect(args) -> int:
         {"num_blocks": cfg.num_blocks, "max_interval": cfg.max_interval},
         {"records": args.records, "logs": args.logs, "config": args.config},
     )
-    ingest.write_jsonl(
-        str(out / "pairs.jsonl"),
-        (ingest.pair_to_dict(pair) for pair in pairs),
-        manifest,
-    )
+    ingest.write_pairs_jsonl(str(out / "pairs.jsonl"), pairs, manifest)
     with open(out / "manifest.json", "w") as handle:
         json.dump(asdict(manifest), handle, indent=2, sort_keys=True, default=str)
     print(

@@ -14,8 +14,8 @@ from __future__ import annotations
 import csv
 import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
-from decimal import Decimal
+from dataclasses import dataclass, field
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -28,6 +28,10 @@ DEFAULT_STABLECOINS = frozenset(
 
 class MissingPrice(KeyError):
     pass
+
+
+class MalformedData(ValueError):
+    """An input row or field of the wrong shape."""
 
 
 class Classification(enum.Enum):
@@ -133,6 +137,25 @@ class SandwichPair:
     profit_usd: Optional[Decimal] = None
 
 
+def _finite_decimal(text: str) -> Decimal:
+    try:
+        value = Decimal(text)
+        if value.is_finite():
+            return value
+    except InvalidOperation:
+        pass
+    raise ValueError(f"usd_price must be a finite decimal number, not {text!r}")
+
+
+def _token_decimals(text: str) -> int:
+    # an ERC-20 decimals() is a uint8; 10**decimals must stay inside the
+    # exponent range of the Decimal context
+    value = int(text)
+    if not 0 <= value <= 255:
+        raise ValueError(f"decimals must be in [0, 255], not {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class PriceTable:
     prices: Mapping[str, Decimal]
@@ -147,14 +170,24 @@ class PriceTable:
 
     @classmethod
     def from_csv(cls, path: str) -> "PriceTable":
+        """Read a token_id,usd_price[,decimals][,snapshot_date] CSV. A row
+        without token_id or usd_price, a usd_price that is not a finite
+        decimal or a decimals that is not an integer in [0, 255] raises
+        MalformedData naming the file and line."""
         prices: dict[str, Decimal] = {}
         decimals: dict[str, int] = {}
         snapshot = ""
         with open(path, newline="") as handle:
-            for row in csv.DictReader(handle):
-                token = row["token_id"]
-                prices[token] = Decimal(row["usd_price"])
-                decimals[token] = int(row.get("decimals") or 18)
+            reader = csv.DictReader(handle)
+            for row in reader:
+                try:
+                    token = row["token_id"]
+                    prices[token] = _finite_decimal(row["usd_price"])
+                    decimals[token] = _token_decimals(row.get("decimals") or "18")
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise MalformedData(
+                        f"{path}:{reader.line_num}: {type(exc).__name__}: {exc}"
+                    ) from exc
                 snapshot = row.get("snapshot_date", "") or snapshot
         return cls(prices=prices, decimals=decimals, snapshot_date=snapshot)
 
@@ -374,17 +407,27 @@ def classify_and_price(
             missing.add(pair.token_in)
             usd = None
         enriched.append(
-            replace(pair, profit_token=profit, profit_rate=rate, profit_usd=usd)
+            SandwichPair(
+                record_id=pair.record_id,
+                pool_address=pair.pool_address,
+                front=pair.front,
+                victim=pair.victim,
+                back=pair.back,
+                classification=pair.classification,
+                token_in=pair.token_in,
+                front_window_start_block=pair.front_window_start_block,
+                profit_token=profit,
+                profit_rate=rate,
+                profit_usd=usd,
+            )
         )
     return enriched, missing
 
 
-def _histogram(values: Iterable[float], bins: int = 10) -> list[int]:
-    counts = [0] * bins
-    for value in values:
-        index = min(int(max(value, 0.0) * bins), bins - 1)
-        counts[index] += 1
-    return counts
+def _bin(value: float, bins: int) -> int:
+    """The histogram bin of a relative position; values below 0 fall in
+    the first bin and values of 1 or more in the last."""
+    return min(int(max(value, 0.0) * bins), bins - 1)
 
 
 @dataclass
@@ -417,12 +460,16 @@ def aggregate(
     single- vs cross-chain split. Cross-chain profit totals exclude
     same-block (single-chain-classified) pairs."""
     report = Report()
-    records_by_id = {record.record_id: record for record in records}
+    chain_keys = {
+        record.record_id: f"{record.src_chain_id}->{record.dst_chain_id}"
+        for record in records
+    }
 
-    front_rel: list[float] = []
-    back_rel: list[float] = []
-    front_rel_profit: list[float] = []
-    back_rel_profit: list[float] = []
+    bins = 10
+    front_hist = [0] * bins
+    back_hist = [0] * bins
+    front_hist_profit = [0] * bins
+    back_hist_profit = [0] * bins
     gas_lt_1 = 0
     delta_buckets = {"<0": 0, "[0,1)": 0, "[1,10)": 0, ">=10": 0}
     gwei = 10**9
@@ -435,7 +482,9 @@ def aggregate(
         else:
             report.cross_chain_pairs += 1
         usd = pair.profit_usd
+        profitable = False
         if usd is not None:
+            profitable = usd > 0
             report.total_profit_usd += usd
             if single:
                 report.single_chain_profit_usd += usd
@@ -443,9 +492,8 @@ def aggregate(
                 report.cross_chain_profit_usd += usd
             if usd > report.max_single_profit_usd:
                 report.max_single_profit_usd = usd
-            record = records_by_id.get(pair.record_id)
-            if record is not None:
-                key = f"{record.src_chain_id}->{record.dst_chain_id}"
+            key = chain_keys.get(pair.record_id)
+            if key is not None:
                 bucket = report.chain_pairs.setdefault(
                     key, {"pairs": 0, "profit_usd": Decimal(0)}
                 )
@@ -458,14 +506,14 @@ def aggregate(
 
         span = pair.victim.block_number - pair.front_window_start_block
         if span > 0:
-            rel = (pair.front.block_number - pair.front_window_start_block) / span
-            front_rel.append(rel)
-            if usd is not None and usd > 0:
-                front_rel_profit.append(rel)
-        rel_back = (pair.back.block_number - pair.victim.block_number) / num_blocks
-        back_rel.append(rel_back)
-        if usd is not None and usd > 0:
-            back_rel_profit.append(rel_back)
+            index = _bin((pair.front.block_number - pair.front_window_start_block) / span, bins)
+            front_hist[index] += 1
+            if profitable:
+                front_hist_profit[index] += 1
+        index = _bin((pair.back.block_number - pair.victim.block_number) / num_blocks, bins)
+        back_hist[index] += 1
+        if profitable:
+            back_hist_profit[index] += 1
 
         if pair.front.gas_price < pair.victim.gas_price:
             gas_lt_1 += 1
@@ -481,10 +529,10 @@ def aggregate(
         else:
             delta_buckets[">=10"] += 1
 
-    report.front_position_hist = _histogram(front_rel)
-    report.back_position_hist = _histogram(back_rel)
-    report.front_position_hist_profitable = _histogram(front_rel_profit)
-    report.back_position_hist_profitable = _histogram(back_rel_profit)
+    report.front_position_hist = front_hist
+    report.back_position_hist = back_hist
+    report.front_position_hist_profitable = front_hist_profit
+    report.back_position_hist_profitable = back_hist_profit
     report.front_gas_ratio_lt_1 = gas_lt_1 / report.total_pairs if pairs else 0.0
     report.back_gas_delta_buckets = delta_buckets
     report.pool_counts = dict(

@@ -17,11 +17,14 @@ from typing import Callable, Iterable, Iterator, Optional
 from . import __version__
 from .amm import MAX_AMOUNT, Direction, Pool, SwapRequest
 from .attack import PoolTimeline
-from .detector import Classification, CrossChainTx, SandwichPair, SwapLog, VictimHop
-
-
-class MalformedData(ValueError):
-    """An input row or field of the wrong shape."""
+from .detector import (
+    Classification,
+    CrossChainTx,
+    MalformedData,
+    SandwichPair,
+    SwapLog,
+    VictimHop,
+)
 
 
 # -- JSONL codecs ----------------------------------------------------------
@@ -216,17 +219,33 @@ def pair_to_dict(pair: SandwichPair) -> dict:
 def _shared_swap_log(row: dict, memo: Optional[dict]) -> SwapLog:
     if memo is None:
         return swap_log_from_dict(row)
-    key = tuple(row.items())
-    log = memo.get(key)
-    if log is None:
-        log = memo[key] = swap_log_from_dict(row)
+    key = (row["block_number"], row["log_index"], row["tx_hash"])
+    hit = memo.get(key)
+    if hit is not None and hit[0] == row and _same_number_types(hit[0], row):
+        return hit[1]
+    log = swap_log_from_dict(row)
+    memo[key] = (row, log)
     return log
+
+
+def _same_number_types(a: dict, b: dict) -> bool:
+    """True == 1 == 1.0 in Python but not in JSON: a memo hit must not
+    let a row skip the checks of swap_log_from_dict (_SWAP_LOG_NUMBERS)
+    or decode an int timestamp as a float."""
+    return (
+        type(a["block_number"]) is type(b["block_number"])
+        and type(a["log_index"]) is type(b["log_index"])
+        and type(a["chain_id"]) is type(b["chain_id"])
+        and type(a["timestamp"]) is type(b["timestamp"])
+    )
 
 
 def pair_from_dict(data: dict, memo: Optional[dict] = None) -> SandwichPair:
     """Decode one pairs.jsonl row. With a memo (one dict shared across
     the rows of a file), equal swap-log rows decode to one shared
-    SwapLog: a victim sits in many pairs."""
+    SwapLog: a victim sits in many pairs. The memo is keyed on
+    (block_number, log_index, tx_hash), and a hit counts only when the
+    whole row, and the JSON type of each number, equals the stored one."""
     return SandwichPair(
         record_id=data["record_id"],
         pool_address=data["pool_address"],
@@ -268,12 +287,57 @@ def file_digest(path: str) -> str:
     return digest.hexdigest()
 
 
-def write_jsonl(path: str, rows: Iterable[dict], manifest: Optional[RunManifest] = None) -> None:
+def _write_lines(path: str, lines: Iterable[str], manifest: Optional[RunManifest]) -> None:
     with open(path, "w") as handle:
         if manifest is not None:
             handle.write(f"# manifest-digest {manifest.digest()}\n")
-        for row in rows:
-            handle.write(json.dumps(row, sort_keys=True) + "\n")
+        for line in lines:
+            handle.write(line + "\n")
+
+
+def write_jsonl(path: str, rows: Iterable[dict], manifest: Optional[RunManifest] = None) -> None:
+    _write_lines(path, (json.dumps(row, sort_keys=True) for row in rows), manifest)
+
+
+# what json.dumps writes for a str, ensure_ascii escapes included
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_optional(value, to_str: Callable[..., str]) -> str:
+    return "null" if value is None else _json_str(to_str(value))
+
+
+def write_pairs_jsonl(
+    path: str, pairs: Iterable[SandwichPair], manifest: Optional[RunManifest] = None
+) -> None:
+    """write_jsonl(path, map(pair_to_dict, pairs), manifest), byte for
+    byte, with each distinct swap log encoded once: a victim sits in many
+    pairs, and a front or back in several."""
+    # id(log) -> (log, its text); holding the log keeps its id unique
+    texts: dict[int, tuple[SwapLog, str]] = {}
+
+    def log_text(log: SwapLog) -> str:
+        entry = texts.get(id(log))
+        if entry is None:
+            entry = texts[id(log)] = (log, json.dumps(swap_log_to_dict(log), sort_keys=True))
+        return entry[1]
+
+    # the keys of pair_to_dict in sorted order
+    lines = (
+        f'{{"back": {log_text(pair.back)}, '
+        f'"classification": {_json_str(pair.classification.value)}, '
+        f'"front": {log_text(pair.front)}, '
+        f'"front_window_start_block": {pair.front_window_start_block}, '
+        f'"pool_address": {_json_str(pair.pool_address)}, '
+        f'"profit_rate": {_json_optional(pair.profit_rate, _fraction_to_str)}, '
+        f'"profit_token": {_json_optional(pair.profit_token, str)}, '
+        f'"profit_usd": {_json_optional(pair.profit_usd, str)}, '
+        f'"record_id": {_json_str(pair.record_id)}, '
+        f'"token_in": {_json_str(pair.token_in)}, '
+        f'"victim": {log_text(pair.victim)}}}'
+        for pair in pairs
+    )
+    _write_lines(path, lines, manifest)
 
 
 def _numbered_rows(path: str) -> Iterator[tuple[int, dict]]:

@@ -4,6 +4,7 @@ values and cross-check the fast code paths."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 from sandwichlab.amm import (
@@ -13,6 +14,7 @@ from sandwichlab.amm import (
     quote_output,
     victim_output_after_frontrun,
 )
+from sandwichlab.detector import MissingPrice
 
 
 def quote_oracle(pool: Pool, direction: Direction, amount_in: int) -> int:
@@ -132,3 +134,19 @@ def replay_timeline_oracle(timeline, frontrun_in: int) -> tuple[bool, int]:
         reserves.update(saved)
     recovered = swap(victim.direction.opposite(), frontrun_out) if frontrun_out else 0
     return executed, recovered
+
+
+def classify_and_price_oracle(pairs, prices):
+    """classify_and_price through dataclasses.replace: every field of a
+    pair is carried over and only the three profit fields are set."""
+    enriched, missing = [], set()
+    for pair in pairs:
+        profit = pair.back.token_out_amount - pair.front.token_in_amount
+        try:
+            usd = prices.usd(pair.token_in, profit)
+        except MissingPrice:
+            missing.add(pair.token_in)
+            usd = None
+        rate = Fraction(profit, pair.front.token_in_amount)
+        enriched.append(replace(pair, profit_token=profit, profit_rate=rate, profit_usd=usd))
+    return enriched, missing

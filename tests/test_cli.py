@@ -1,15 +1,34 @@
 import hashlib
 import json
 import re
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 import yaml
 
+from _oracles import classify_and_price_oracle
+from sandwichlab.bridge import extract_corpus, run
 from sandwichlab.cli import ValidationFailure, build_parser, detection_config_from_dict, main
-from sandwichlab.detector import DetectionConfig
-from sandwichlab.ingest import MalformedData, file_digest
+from sandwichlab.detector import (
+    DetectionConfig,
+    PriceTable,
+    SwapLog,
+    aggregate,
+    detect_pairs,
+    prefilter,
+)
+from sandwichlab.ingest import (
+    MalformedData,
+    RunManifest,
+    file_digest,
+    pair_to_dict,
+    record_to_dict,
+    swap_log_to_dict,
+    write_jsonl,
+)
+from test_ingest import small_sim_config
 
 CONFIG_YAML = """\
 seed: 11
@@ -115,6 +134,16 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
         assert key in capsys.readouterr().err
 
+    def test_zero_denominator_theta_is_validation_error(self, tmp_path, capsys):
+        data = yaml.safe_load(CONFIG_YAML)
+        data["attacker"]["theta"] = "3/0"
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(data))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: bad simulation config: bad fraction '3/0'")
+        assert not out.exists()
+
     def test_jsonl_header_is_manifest_digest(self, sim_outputs):
         _, out = sim_outputs
         manifest = json.loads((out / "manifest.json").read_text())
@@ -213,6 +242,12 @@ class TestDetect:
         assert "num_block" in capsys.readouterr().err
         assert not det.exists()
 
+    def test_zero_denominator_band_is_validation_error(self, sim_outputs, tmp_path, capsys):
+        rc, det = self.detect_with_config(sim_outputs, tmp_path, "band_low: 1/0\n")
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: bad detection config: bad fraction '1/0'")
+        assert not det.exists()
+
     def test_full_config_is_applied(self, sim_outputs, tmp_path):
         text = (
             "num_blocks: 150\n"
@@ -296,6 +331,12 @@ class TestParams:
     def test_missing_arguments_is_validation_error(self):
         assert main(["params"]) == 1
 
+    @pytest.mark.parametrize("flag, value", [("--theta", "3/0"), ("--percentile", "1/0"), ("--theta", "x")])
+    def test_bad_fraction_flag_is_validation_error(self, sim_outputs, capsys, flag, value):
+        _, out = sim_outputs
+        assert main(["params", "--timelines", str(out / "timelines.jsonl"), flag, value]) == 1
+        assert capsys.readouterr().err.startswith(f"error: bad fraction '{value}'")
+
     def test_zero_noise_amount_is_validation_error(self, sim_outputs, tmp_path, capsys):
         _, out = sim_outputs
         rows = [
@@ -351,6 +392,35 @@ class TestAnalyze:
         assert (rep / "pool_counts.csv").exists()
         assert (rep / "chain_pairs.csv").exists()
 
+
+    @pytest.mark.parametrize(
+        "csv_text, line, message",
+        [
+            (PRICES_CSV.replace("USDT,1,", "USDT,one,"), 3, "ValueError: usd_price must be"),
+            (PRICES_CSV.replace("WETH,3000,", "WETH,sNaN,"), 2, "ValueError: usd_price must be"),
+            (PRICES_CSV.replace("token_id", "token"), 2, "KeyError: 'token_id'"),
+            (PRICES_CSV.replace("USDT,1,18,", "USDT,1,six,"), 3, "ValueError: invalid literal"),
+            (PRICES_CSV.replace("WETH,3000,18,", "WETH,3000,1000000000,"), 2, "ValueError: decimals"),
+            (PRICES_CSV + "DAI\n", 4, "TypeError: "),
+        ],
+    )
+    def test_bad_price_row_names_file_and_line(
+        self, sim_outputs, tmp_path, capsys, csv_text, line, message
+    ):
+        _, out = sim_outputs
+        det = tmp_path / "det"
+        argv = ["detect", "--records", str(out / "records.jsonl"), "--logs"]
+        assert main([*argv, str(out / "swap_logs.jsonl"), "--out", str(det)]) == 0
+        prices = tmp_path / "prices.csv"
+        prices.write_text(csv_text)
+        rep = tmp_path / "rep"
+        argv = ["analyze", "--pairs", str(det / "pairs.jsonl"), "--prices", str(prices)]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(rep)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {prices}:{line}: {message}")
+        with pytest.raises(MalformedData):
+            PriceTable.from_csv(str(prices))
+        assert not rep.exists()
 
     def test_detect_horizon_sets_back_position_bins(self, tmp_path):
         from sandwichlab.amm import Direction
@@ -432,6 +502,51 @@ class TestAnalyze:
         assert main([*analyze, "--out", str(tmp_path / "default")]) == 0
         report = json.loads((tmp_path / "default" / "report.json").read_text())
         assert report["back_position_hist"] == [0] * 9 + [1]  # 150/100, clamped
+
+
+class TestPairsContract:
+    """detect and analyze against their specs: pairs.jsonl is
+    write_jsonl(map(pair_to_dict)) of the pairs found in process, and
+    report.json prices the pairs through dataclasses.replace."""
+
+    def test_detect_and_analyze_equal_their_specs(self, tmp_path):
+        trace, _ = run(small_sim_config())
+        corpus = extract_corpus(trace)
+        sim = tmp_path / "sim"
+        sim.mkdir()
+        write_jsonl(str(sim / "records.jsonl"), map(record_to_dict, corpus.records))
+        write_jsonl(str(sim / "swap_logs.jsonl"), map(swap_log_to_dict, corpus.swap_logs))
+        det = tmp_path / "det"
+        argv = ["detect", "--records", str(sim / "records.jsonl")]
+        assert main([*argv, "--logs", str(sim / "swap_logs.jsonl"), "--out", str(det)]) == 0
+
+        cfg = DetectionConfig()
+        logs_by_pool: dict = {}
+        for log in sorted(corpus.swap_logs, key=SwapLog.position):
+            logs_by_pool.setdefault(log.pool_address, []).append(log)
+        pairs = [
+            pair
+            for record in prefilter(corpus.records, cfg)
+            for pair in detect_pairs(record, logs_by_pool, cfg)
+        ]
+        # many pairs share a victim, so the writer's log cache is exercised
+        assert len({pair.victim for pair in pairs}) < len(pairs)
+        manifest = RunManifest(**json.loads((det / "manifest.json").read_text()))
+        expected = tmp_path / "expected.jsonl"
+        write_jsonl(str(expected), map(pair_to_dict, pairs), manifest)
+        assert (det / "pairs.jsonl").read_bytes() == expected.read_bytes()
+
+        prices = tmp_path / "prices.csv"
+        prices.write_text(PRICES_CSV.replace("USDT,1,18,2025-10-31\n", ""))
+        rep = tmp_path / "rep"
+        argv = ["analyze", "--pairs", str(det / "pairs.jsonl"), "--prices", str(prices)]
+        assert main([*argv, "--records", str(sim / "records.jsonl"), "--out", str(rep)]) == 0
+        enriched, missing = classify_and_price_oracle(pairs, PriceTable.from_csv(str(prices)))
+        assert missing == {"USDT"} and any(pair.profit_usd is not None for pair in enriched)
+        report = aggregate(enriched, corpus.records, cfg.num_blocks)
+        report_dict = {**asdict(report), "missing_price_tokens": sorted(missing)}
+        text = json.dumps(report_dict, indent=2, sort_keys=True, default=str)
+        assert (rep / "report.json").read_text() == text
 
 
 class TestSelftest:

@@ -11,6 +11,7 @@ from sandwichlab.detector import (
     CrossChainTx,
     DetectionConfig,
     PriceTable,
+    SandwichPair,
     SwapLog,
     VictimHop,
     aggregate,
@@ -469,3 +470,36 @@ class TestAggregate:
         assert report.total_profit_usd == Decimal(20)
         assert report.chain_pairs["1->56"]["pairs"] == 1
         assert report.pool_counts == {POOL: 1}
+
+    def test_position_bins_clamp_to_first_and_last(self):
+        victim = make_log(50, 10)
+        record = make_record(victim, record_id="r0")
+        prices = PriceTable(prices={"WETH": Decimal(1)}, decimals={"WETH": 0})
+
+        def pair(front_block, back_block, window_start, back_out):
+            return SandwichPair(
+                record_id="r0",
+                pool_address=POOL,
+                front=make_log(front_block, 0, amount_in=100),
+                victim=victim,
+                back=make_log(back_block, 0, Direction.Y_FOR_X, amount_out=back_out),
+                classification=Classification.CROSS_CHAIN,
+                token_in="WETH",
+                front_window_start_block=window_start,
+            )
+
+        pairs = [
+            pair(40, 50, 40, 150),  # front at the window start, back in the victim's block
+            pair(35, 60, 40, 50),  # front before the window start: rel < 0
+            pair(49, 75, 40, 120),  # rel 0.9 and 0.25
+            pair(50, 150, 40, 90),  # rel 1 for both: the last bin
+            pair(45, 160, 50, 200),  # span 0: no front bin; back rel 1.1
+        ]
+        enriched, _ = classify_and_price(pairs, prices)
+        report = aggregate(enriched, [record], num_blocks=100)
+        assert report.front_position_hist == [2, 0, 0, 0, 0, 0, 0, 0, 0, 2]
+        assert report.back_position_hist == [1, 1, 1, 0, 0, 0, 0, 0, 0, 2]
+        # profitable: back_out > 100 (pairs 1, 3 and 5)
+        assert report.front_position_hist_profitable == [1, 0, 0, 0, 0, 0, 0, 0, 0, 1]
+        assert report.back_position_hist_profitable == [1, 0, 1, 0, 0, 0, 0, 0, 0, 1]
+        assert report.chain_pairs == {"1->56": {"pairs": 5, "profit_usd": Decimal(110)}}

@@ -1,13 +1,17 @@
 import json
+import tempfile
 from dataclasses import asdict
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sandwichlab.amm import Direction, Pool, SwapRequest
 from sandwichlab.attack import PoolTimeline
 from sandwichlab.bridge import AttackerConfig, BotConfig, DistSpec, SimConfig, extract_corpus, run
-from sandwichlab.detector import SwapLog
+from sandwichlab.detector import Classification, SandwichPair, SwapLog
 from sandwichlab.ingest import (
     MalformedData,
     RunManifest,
@@ -24,6 +28,7 @@ from sandwichlab.ingest import (
     timeline_from_dict,
     timeline_to_dict,
     write_jsonl,
+    write_pairs_jsonl,
 )
 
 
@@ -251,6 +256,127 @@ class TestCodecRoundTrips:
         text = path.read_text()
         assert text.startswith("# manifest-digest ")
         assert list(read_jsonl(str(path))) == rows
+
+
+# json.dumps escapes each of these: a quote, a backslash, control
+# characters, non-ASCII letters, a line separator, an astral character
+# and a lone surrogate
+_ESCAPED = st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "\u2028", "😀", "\ud800"])
+_texts = st.lists(st.one_of(_ESCAPED, st.characters()), max_size=4).map("".join)
+_amounts = st.integers(min_value=-(2**80), max_value=2**80)
+_swap_logs = st.builds(
+    SwapLog,
+    tx_hash=_texts,
+    block_number=st.integers(0, 10**12),
+    log_index=st.integers(0, 10**6),
+    pool_address=_texts,
+    chain_id=st.integers(0, 10**6),
+    direction=st.sampled_from(Direction),
+    token_in_amount=_amounts,
+    token_out_amount=_amounts,
+    sender=_texts,
+    recipient=_texts,
+    gas_price=_amounts,
+    timestamp=st.one_of(
+        st.integers(-(2**60), 2**60), st.floats(allow_nan=False, allow_infinity=False)
+    ),
+)
+
+
+@st.composite
+def _pair_lists(draw):
+    """Pairs whose logs are drawn from a small shared set or made fresh,
+    each pair priced (all three profit fields) or unpriced."""
+    shared = draw(st.lists(_swap_logs, min_size=1, max_size=3))
+    logs = st.one_of(st.sampled_from(shared), _swap_logs)
+    pairs = []
+    for _ in range(draw(st.integers(0, 4))):
+        priced = draw(st.booleans())
+        pairs.append(
+            SandwichPair(
+                record_id=draw(_texts),
+                pool_address=draw(_texts),
+                front=draw(logs),
+                victim=draw(logs),
+                back=draw(logs),
+                classification=draw(st.sampled_from(Classification)),
+                token_in=draw(_texts),
+                front_window_start_block=draw(st.integers(-(2**40), 2**40)),
+                profit_token=draw(_amounts) if priced else None,
+                profit_rate=draw(st.fractions()) if priced else None,
+                profit_usd=draw(st.decimals(allow_nan=False, allow_infinity=False))
+                if priced
+                else None,
+            )
+        )
+    return pairs
+
+
+def _timestamp_types(pairs):
+    return [type(log.timestamp) for p in pairs for log in (p.front, p.victim, p.back)]
+
+
+class TestPairsWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(pairs=_pair_lists())
+    def test_rows_are_json_dumps_of_pair_to_dict_and_decode_back(self, pairs):
+        manifest = RunManifest(command="detect", config={"num_blocks": 100})
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = Path(tmp, "new.jsonl"), Path(tmp, "old.jsonl")
+            write_pairs_jsonl(str(new), pairs, manifest)
+            write_jsonl(str(old), map(pair_to_dict, pairs), manifest)
+            assert new.read_bytes() == old.read_bytes()
+            rows = list(read_jsonl(str(new)))
+        memo: dict = {}
+        shared = [pair_from_dict(row, memo) for row in rows]
+        plain = [pair_from_dict(row) for row in rows]
+        assert shared == plain == pairs
+        assert _timestamp_types(shared) == _timestamp_types(plain) == _timestamp_types(pairs)
+
+    def test_memo_keeps_rows_with_one_position_apart(self):
+        log = SwapLog(
+            tx_hash="0xaa",
+            block_number=5,
+            log_index=1,
+            pool_address="0x" + "11" * 20,
+            chain_id=56,
+            direction=Direction.X_FOR_Y,
+            token_in_amount=10,
+            token_out_amount=9,
+            sender="0xbb",
+            recipient="0xbb",
+            gas_price=7,
+            timestamp=15.0,
+        )
+        row = json.loads(json.dumps(swap_log_to_dict(log)))
+        memo: dict = {}
+        pair_row = {
+            "record_id": "r1",
+            "pool_address": log.pool_address,
+            "classification": "cross_chain",
+            "token_in": "WETH",
+            "front_window_start_block": 3,
+            "profit_token": None,
+            "profit_rate": None,
+            "profit_usd": None,
+        }
+        bigger = {**row, "token_in_amount": 11}
+        first = pair_from_dict({**pair_row, "front": row, "victim": row, "back": bigger}, memo)
+        assert first.front is first.victim
+        assert first.back is not first.front
+        assert (first.front.token_in_amount, first.back.token_in_amount) == (10, 11)
+        # equal in Python, not in JSON: decoded as without the memo
+        int_time = {**row, "timestamp": 15}
+        second = pair_from_dict({**pair_row, "front": row, "victim": int_time, "back": row}, memo)
+        assert type(second.front.timestamp) is float and type(second.victim.timestamp) is int
+        for key in ("block_number", "log_index"):
+            bad = {**row, key: float(row[key])}
+            with pytest.raises(TypeError, match=key):
+                pair_from_dict({**pair_row, "front": row, "victim": bad, "back": row}, memo)
+        one = {**row, "chain_id": 1}
+        pair_from_dict({**pair_row, "front": one, "victim": one, "back": one}, memo)
+        with pytest.raises(TypeError, match="chain_id"):
+            pair_from_dict({**pair_row, "front": one, "victim": {**one, "chain_id": True}, "back": one}, memo)
 
 
 class TestManifest:
