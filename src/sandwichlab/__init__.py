@@ -1,6 +1,6 @@
 """Cross-chain sandwich-attack laboratory.
 
-Exact constant-product swap math and sandwich construction, a
+Exact constant-product swap math and front-run sizing, a
 discrete-event simulator of cross-chain bridge swaps with attacker,
 bot, and noise agents, a heuristic sandwich-pair detector over exported
 swap logs, and codecs/CLI tying the pieces together.
@@ -16,7 +16,6 @@ from .amm import (
     Overflow,
     Pool,
     PoolProtocol,
-    SandwichPlan,
     SwapOutcome,
     SwapRequest,
     ZeroInput,
@@ -24,10 +23,7 @@ from .amm import (
     execute_swap,
     largest_frontrun_for_min_out,
     min_out_from_tolerance,
-    optimal_frontrun_input,
-    plan_sandwich,
     quote_output,
-    replay_sandwich,
     victim_output_after_frontrun,
 )
 from .attack import (

@@ -1,4 +1,4 @@
-"""Exact constant-product swap math and sandwich construction.
+"""Exact constant-product swap math and the front-run solver.
 
 All pool math runs on arbitrary-precision integers (token base units,
 capped at 256 bits like the EVM) with a single floor per quote, so that
@@ -54,10 +54,9 @@ def _check_amount(name: str, value: int, minimum: int = 0) -> None:
         raise Overflow(f"{name} exceeds 256 bits")
 
 
-def _check_rate(name: str, value: Fraction, lo_open: bool = True, hi_closed: bool = False) -> None:
+def _check_rate(name: str, value: Fraction, lo_open: bool = True) -> None:
     lo_ok = value > 0 if lo_open else value >= 0
-    hi_ok = value <= 1 if hi_closed else value < 1
-    if not (lo_ok and hi_ok):
+    if not (lo_ok and value < 1):
         raise ValueError(f"{name} out of range: {value}")
 
 
@@ -158,22 +157,6 @@ class SwapOutcome:
     reverted: bool
 
 
-@dataclass(frozen=True)
-class SandwichPlan:
-    """A fully replayed (front-run, victim, back-run) construction.
-
-    ``profit`` is denominated in the victim's input token and may be
-    negative (it is exactly ``backrun_out - frontrun_in - gas_cost``).
-    """
-
-    frontrun_in: int
-    frontrun_out: int
-    expected_victim_out: int
-    backrun_out: int
-    gas_cost: int
-    profit: int
-
-
 def quote_output(pool: Pool, direction: Direction, amount_in: int) -> int:
     """Exact swap quote: floor(out * (1-f) * dx / (in + (1-f) * dx)).
 
@@ -251,30 +234,6 @@ def _analytic_frontrun_root(
     return max(0, (math.isqrt(disc) - qb) // (2 * qa))
 
 
-def optimal_frontrun_input(
-    pool: Pool,
-    victim_in: int,
-    victim_tolerance: Fraction,
-    theta: Fraction = Fraction(1),
-) -> int:
-    """Largest front-run input that still lets the victim execute.
-
-    The victim's floor is taken at the effective tolerance s*theta:
-    theta = 1 drives the victim exactly to its limit, theta < 1 leaves
-    (1-theta)*s of the quoted output as a safety buffer.
-
-    Returns 0 when there is no room for even a one-unit front-run.
-    """
-    _check_amount("victim_in", victim_in, minimum=1)
-    _check_rate("victim_tolerance", victim_tolerance)
-    _check_rate("theta", theta, hi_closed=True)
-    quote = quote_output(pool, Direction.X_FOR_Y, victim_in)
-    if quote <= 0:
-        raise ZeroInput("victim's unattacked quote is zero")
-    min_out = min_out_from_tolerance(quote, victim_tolerance * theta)
-    return largest_frontrun_for_min_out(pool, Direction.X_FOR_Y, victim_in, min_out)
-
-
 def largest_frontrun_for_min_out(
     pool: Pool, direction: Direction, victim_in: int, min_out: int
 ) -> int:
@@ -323,47 +282,3 @@ def backrun_output(pool_after_victim: Pool, frontrun_out: int) -> int:
     if frontrun_out == 0:
         return 0
     return quote_output(pool_after_victim, Direction.Y_FOR_X, frontrun_out)
-
-
-def replay_sandwich(
-    pool: Pool, victim_in: int, frontrun_in: int, gas_cost: int = 0
-) -> SandwichPlan:
-    """Replay an X-for-Y front-run, the victim and the back-run on pool.
-
-    frontrun_in == 0 means no front-run: the plan then holds the victim's
-    unattacked quote and a profit of -gas_cost.
-    """
-    frontrun_out = 0
-    if frontrun_in:
-        frontrun_out = quote_output(pool, Direction.X_FOR_Y, frontrun_in)
-        pool = pool.after_swap(Direction.X_FOR_Y, frontrun_in, frontrun_out)
-    victim_out = quote_output(pool, Direction.X_FOR_Y, victim_in)
-    pool = pool.after_swap(Direction.X_FOR_Y, victim_in, victim_out)
-    recovered = backrun_output(pool, frontrun_out)
-    return SandwichPlan(
-        frontrun_in=frontrun_in,
-        frontrun_out=frontrun_out,
-        expected_victim_out=victim_out,
-        backrun_out=recovered,
-        gas_cost=gas_cost,
-        profit=recovered - frontrun_in - gas_cost,
-    )
-
-
-def plan_sandwich(
-    pool: Pool,
-    victim: SwapRequest,
-    victim_tolerance: Fraction,
-    theta: Fraction = Fraction(1),
-    gas_cost: int = 0,
-) -> SandwichPlan:
-    """Size the front-run, replay all three swaps, and account the profit.
-
-    A Y-for-X victim is handled by mirroring the pool; amounts in the
-    returned plan are then denominated in the victim's input token.
-    """
-    _check_amount("gas_cost", gas_cost)
-    if victim.direction is Direction.Y_FOR_X:
-        pool = pool.mirrored()
-    frontrun_in = optimal_frontrun_input(pool, victim.amount_in, victim_tolerance, theta)
-    return replay_sandwich(pool, victim.amount_in, frontrun_in, gas_cost)

@@ -28,9 +28,15 @@ from .amm import (
     execute_swap,
     min_out_from_tolerance,
     quote_output,
-    replay_sandwich,
 )
-from .attack import PoolTimeline, TxLabel, classify_ordering, frontrun_size
+from .attack import (
+    PoolTimeline,
+    TxLabel,
+    classify_ordering,
+    frontrun_size,
+    optimal_frontrun_for_timeline,
+    replay_timeline,
+)
 from .detector import CrossChainTx, SwapLog, VictimHop
 
 GWEI = 10**9
@@ -235,7 +241,6 @@ class SimTrace:
     victims: dict[int, VictimRecord] = field(default_factory=dict)
     blocks: dict[int, list[tuple[int, float]]] = field(default_factory=dict)
     final_pools: dict[str, Pool] = field(default_factory=dict)
-    agent_balances: dict[str, dict[str, int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -292,7 +297,6 @@ class Simulation:
         self.pools: dict[str, Pool] = {p.address: p for p in config.pools}
         if len(self.pools) != len(config.pools):
             raise InvalidConfig("duplicate pool addresses")
-        self.initial_pools = dict(self.pools)
         self.queue: list[tuple[float, int, str, object]] = []
         self.seq = 0
         self.src_mempool: list[VictimRecord] = []
@@ -300,10 +304,6 @@ class Simulation:
         self.src_height = 0
         self.dst_height = 0
         self.victim_counter = 0
-        self.balances: dict[str, dict[str, int]] = {
-            ATTACKER_ADDR: {},
-            BOT_ADDR: {},
-        }
         self.trace.blocks = {config.src_chain_id: [], config.dst_chain_id: []}
 
     # -- plumbing ----------------------------------------------------------
@@ -317,10 +317,6 @@ class Simulation:
             ":".join(str(p) for p in (self.config.seed, *parts)).encode()
         ).hexdigest()
         return "0x" + digest
-
-    def _credit(self, agent: str, token: str, amount: int) -> None:
-        book = self.balances[agent]
-        book[token] = book.get(token, 0) + amount
 
     def _gwei(self, spec: DistSpec) -> int:
         return max(0, int(round(spec.sample(self.rng) * GWEI)))
@@ -433,15 +429,19 @@ class Simulation:
         victim.attacker_back_hash = self._queue_agent_tx(TxLabel.TA2, victim, gas_price, None)
 
     def _bot_react(self, victim: VictimRecord) -> None:
+        """Bracket the victim in its own block if a front-run sized on the
+        live pool, replayed with an empty noise window, clears min_profit."""
         cfg = self.config.bot
-        pool = self.pools[victim.pool_address]
-        if victim.direction is Direction.Y_FOR_X:
-            pool = pool.mirrored()
-        amount = frontrun_size(pool, Direction.X_FOR_Y, victim.amount_in, victim.min_return)
+        bracket = PoolTimeline(
+            pool=self.pools[victim.pool_address],
+            noisy_swaps=(),
+            victim=SwapRequest(victim.direction, victim.amount_in, victim.min_return),
+            victim_tolerance=victim.tolerance,
+        )
+        amount = optimal_frontrun_for_timeline(bracket)
         if amount <= 0:
             return
-        # hypothetical same-block bracket on the current state
-        if replay_sandwich(pool, victim.amount_in, amount).profit < cfg.min_profit:
+        if replay_timeline(bracket, amount)[1] - amount < cfg.min_profit:
             return
         victim.bot_in = amount
         victim.bot_front_hash = self._queue_agent_tx(
@@ -612,14 +612,6 @@ class Simulation:
         else:
             victim.bot_back_block = block
             victim.bot_back_out = outcome.amount_out
-        pool = self.initial_pools[tx.pool_address]
-        token_in, token_out = (
-            (pool.token_x, pool.token_y)
-            if tx.direction is Direction.X_FOR_Y
-            else (pool.token_y, pool.token_x)
-        )
-        self._credit(tx.account, token_in, -outcome.amount_in)
-        self._credit(tx.account, token_out, outcome.amount_out)
 
     # -- driver ------------------------------------------------------------
 
@@ -652,7 +644,6 @@ class Simulation:
             if victim.exec_block is None:
                 victim.dropped = True
         self.trace.final_pools = dict(self.pools)
-        self.trace.agent_balances = self.balances
         return self.trace
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import random
 import sys
@@ -34,7 +35,7 @@ class ValidationFailure(ValueError):
 def _fraction(value) -> Fraction:
     """A Fraction from a config value or flag: "n/d", an int, a float or
     a decimal string. A zero denominator or a bad literal is a
-    ValueError, which the callers report as a validation error."""
+    ValidationFailure."""
     if isinstance(value, Fraction):
         return value
     try:
@@ -44,13 +45,16 @@ def _fraction(value) -> Fraction:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError) as exc:
         reason = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
-        raise ValueError(f"bad fraction {value!r}: {reason}") from None
+        raise ValidationFailure(f"bad fraction {value!r}: {reason}") from None
 
 
 def _dist(data) -> bridge.DistSpec:
     if isinstance(data, (int, float)):
         return bridge.DistSpec("fixed", {"value": float(data)})
-    return bridge.DistSpec.from_dict(data)
+    spec = bridge.DistSpec.from_dict(data)
+    # a bad family or parameter fails here, not in the middle of the run
+    spec.sample(random.Random(0))
+    return spec
 
 
 _DIST_KEYS = (
@@ -86,7 +90,7 @@ def sim_config_from_dict(data: dict) -> bridge.SimConfig:
             else:
                 kwargs[key] = value
         return bridge.SimConfig(**kwargs)
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError, ValueError, ZeroDivisionError, amm.AmmError) as exc:
         raise ValidationFailure(f"bad simulation config: {exc}") from exc
 
 
@@ -122,7 +126,10 @@ def detection_config_from_dict(data: dict) -> detector.DetectionConfig:
 
 def _load_yaml(path: str) -> dict:
     with open(path) as handle:
-        data = yaml.safe_load(handle)
+        try:
+            data = yaml.safe_load(handle)
+        except yaml.YAMLError as exc:
+            raise ValidationFailure(f"config file {path} is not valid YAML: {exc}") from None
     if not isinstance(data, dict):
         raise ValidationFailure(f"config file {path} must hold a mapping")
     return data
@@ -236,33 +243,33 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _params_from_values(args) -> tuple[attack.NoiseParams, attack.ReturnRates]:
-    params = attack.NoiseParams(
-        q=_fraction(args.q),
-        p=None if args.p is None else _fraction(args.p),
-    )
-    rates = attack.ReturnRates(
-        r_plus=_fraction(args.r_plus), r_minus=_fraction(args.r_minus)
-    )
-    return params, rates
-
-
 def cmd_params(args) -> int:
     if args.timelines:
         timelines = ingest.decode_jsonl(args.timelines, ingest.timeline_from_dict)
         if not timelines:
             raise ValidationFailure(f"no timelines in {args.timelines}")
         theta = _fraction(args.theta)
+        if not 0 < theta <= 1:
+            raise ValidationFailure(f"--theta must be in (0, 1], got {args.theta}")
+        percentile = _fraction(args.percentile)
+        if not 0 < percentile <= 100:
+            raise ValidationFailure(f"--percentile must be in (0, 100], got {args.percentile}")
         params, rate_samples = attack.noise_params_and_rates(timelines, theta)
         if not rate_samples:
             raise ValidationFailure("no attackable timelines; cannot estimate rates")
-        rates = attack.estimate_return_rates(rate_samples, _fraction(args.percentile))
+        rates = attack.estimate_return_rates(rate_samples, percentile)
     else:
         if args.q is None or args.r_plus is None or args.r_minus is None:
             raise ValidationFailure(
                 "params needs either --timelines or all of --q/--r-plus/--r-minus"
             )
-        params, rates = _params_from_values(args)
+        q, r_plus, r_minus = _fraction(args.q), _fraction(args.r_plus), _fraction(args.r_minus)
+        p = None if args.p is None else _fraction(args.p)
+        try:
+            params = attack.NoiseParams(q=q, p=p)
+            rates = attack.ReturnRates(r_plus=r_plus, r_minus=r_minus)
+        except ValueError as exc:
+            raise ValidationFailure(f"bad model parameters: {exc}") from None
 
     win = attack.success_probability(params)
     expected_rate = attack.expected_profit(1, params, rates)
@@ -340,6 +347,8 @@ def cmd_analyze(args) -> int:
 
 
 def _selftest_solver(rng: random.Random, trials: int) -> bool:
+    """frontrun_size is the largest front-run that keeps the victim at
+    ceil(quote - (quote - min_out) * theta), and 0 with no buffer."""
     from .amm import Direction, Pool, victim_output_after_frontrun
 
     for _ in range(trials):
@@ -350,24 +359,23 @@ def _selftest_solver(rng: random.Random, trials: int) -> bool:
             reserve_y=rng.randrange(10**6, 10**12),
             fee=Fraction(rng.choice([0, 5, 30, 100]), 10_000),
         )
-        victim_in = rng.randrange(1, pool.reserve_x // 10 + 2)
+        # a victim of under 100 units often leaves no buffer above min_out
+        victim_in = rng.randrange(1, rng.choice([100, pool.reserve_x // 10 + 2]))
         tolerance = Fraction(rng.randrange(10, 500), 10_000)
-        best = amm.optimal_frontrun_input(pool, victim_in, tolerance)
+        theta = rng.choice([Fraction(1, 2), Fraction(3, 4), Fraction(1)])
         quote = amm.quote_output(pool, Direction.X_FOR_Y, victim_in)
-        floor = amm.min_out_from_tolerance(quote, tolerance)
-        if floor == 0:
-            floor = 1
-        ok = (
-            victim_output_after_frontrun(pool, Direction.X_FOR_Y, best, victim_in)
-            >= floor
+        min_out = amm.min_out_from_tolerance(quote, tolerance)
+        best = attack.frontrun_size(pool, Direction.X_FOR_Y, victim_in, min_out, theta)
+        if quote <= min_out:
+            if best != 0:
+                return False
+            continue
+        floor = max(math.ceil(quote - (quote - min_out) * theta), 1)
+        fits, over = (
+            victim_output_after_frontrun(pool, Direction.X_FOR_Y, a, victim_in)
+            for a in (best, best + 1)
         )
-        over = (
-            victim_output_after_frontrun(
-                pool, Direction.X_FOR_Y, best + 1, victim_in
-            )
-            < floor
-        )
-        if not (ok and over):
+        if not fits >= floor > over:
             return False
     return True
 
@@ -445,7 +453,9 @@ def _selftest_detector(rng: random.Random, trials: int) -> bool:
 
 
 def _selftest_replay(rng: random.Random, trials: int) -> bool:
-    from .amm import Direction, Pool, SwapRequest
+    """replay_timeline equals the same swaps applied one by one with
+    execute_swap: front-run, noise, victim (which may revert), back-run."""
+    from .amm import Direction, Pool, SwapRequest, execute_swap
 
     for _ in range(trials):
         pool = Pool(
@@ -455,22 +465,32 @@ def _selftest_replay(rng: random.Random, trials: int) -> bool:
             reserve_y=rng.randrange(10**8, 10**12),
             fee=Fraction(rng.choice([0, 30]), 10_000),
         )
-        victim_in = rng.randrange(1_000, pool.reserve_x // 20)
+        directions = [Direction.X_FOR_Y, Direction.Y_FOR_X]
+        direction = rng.choice(directions)
+        reserve_in = pool.reserves(direction)[0]
+        victim_in = rng.randrange(1_000, reserve_in // 20)
         tolerance = Fraction(rng.randrange(10, 300), 10_000)
-        plan = amm.plan_sandwich(pool, SwapRequest(Direction.X_FOR_Y, victim_in), tolerance)
-        quote = amm.quote_output(pool, Direction.X_FOR_Y, victim_in)
-        timeline = attack.PoolTimeline(
-            pool=pool,
-            noisy_swaps=(),
-            victim=SwapRequest(
-                Direction.X_FOR_Y,
-                victim_in,
-                min_out=amm.min_out_from_tolerance(quote, tolerance),
-            ),
-            victim_tolerance=tolerance,
+        noise = tuple(
+            (rng.choice(directions), rng.randrange(1, reserve_in // 50))
+            for _ in range(rng.randrange(4))
         )
-        executed, recovered = attack.replay_timeline(timeline, plan.frontrun_in)
-        if not executed or recovered != plan.backrun_out:
+        min_out = amm.min_out_from_tolerance(amm.quote_output(pool, direction, victim_in), tolerance)
+        timeline = attack.PoolTimeline(
+            pool, noise, SwapRequest(direction, victim_in, min_out), tolerance
+        )
+        frontrun_in = attack.optimal_frontrun_for_timeline(timeline)
+        state, frontrun_out = pool, 0
+        if frontrun_in:
+            front = execute_swap(state, SwapRequest(direction, frontrun_in))
+            state, frontrun_out = front.pool_after, front.amount_out
+        for noise_direction, amount in timeline.noisy_swaps:
+            state = execute_swap(state, SwapRequest(noise_direction, amount)).pool_after
+        victim = execute_swap(state, timeline.victim)
+        backrun_out = 0
+        if frontrun_out:
+            back = SwapRequest(direction.opposite(), frontrun_out)
+            backrun_out = execute_swap(victim.pool_after, back).amount_out
+        if attack.replay_timeline(timeline, frontrun_in) != (not victim.reverted, backrun_out):
             return False
     return True
 
@@ -480,7 +500,7 @@ def cmd_selftest(args) -> int:
     checks = [
         ("front-run solver maximality", _selftest_solver(rng, 60)),
         ("detector fast == reference", _selftest_detector(rng, 120)),
-        ("timeline replay == sandwich plan", _selftest_replay(rng, 60)),
+        ("timeline replay == swap-by-swap execution", _selftest_replay(rng, 60)),
     ]
     failed = 0
     for name, ok in checks:
@@ -532,12 +552,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# bad input, reported as "error: ..." with exit 1; any other exception
+# is a bug and keeps its traceback
+_INPUT_ERRORS = (ValidationFailure, bridge.InvalidConfig, ingest.MalformedData, attack.EmptyInput)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationFailure, bridge.InvalidConfig, ValueError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

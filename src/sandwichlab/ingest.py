@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import __version__
-from .amm import MAX_AMOUNT, Direction, Pool, SwapRequest
+from .amm import MAX_AMOUNT, AmmError, Direction, Pool, SwapRequest
 from .attack import PoolTimeline
 from .detector import (
     Classification,
@@ -362,12 +362,12 @@ def read_jsonl(path: str) -> Iterator[dict]:
 
 def decode_jsonl(path: str, decode: Callable[[dict], object]) -> list:
     """Decode every row of a JSONL file. A row that decode rejects (not
-    an object, a missing key, a value of the wrong type) raises
-    MalformedData naming the file and line."""
+    an object, a missing key, a value of the wrong type, an amount past
+    256 bits) raises MalformedData naming the file and line."""
     out = []
     for number, row in _numbered_rows(path):
         try:
             out.append(decode(row))
-        except (KeyError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, ArithmeticError, AmmError) as exc:
             raise MalformedData(f"{path}:{number}: {type(exc).__name__}: {exc}") from exc
     return out

@@ -13,22 +13,22 @@ import random
 import time
 from fractions import Fraction
 
-from _oracles import bisect_frontrun
+from _oracles import bisect_frontrun, make_timeline, theta_floor
 
 from sandwichlab.amm import (
     Direction,
     Pool,
-    SwapRequest,
     min_out_from_tolerance,
-    optimal_frontrun_input,
-    plan_sandwich,
     quote_output,
     victim_output_after_frontrun,
 )
 from sandwichlab.attack import (
     estimate_return_rates,
     exact_sum,
+    frontrun_size,
     noise_params_and_rates,
+    optimal_frontrun_for_timeline,
+    replay_timeline,
 )
 from sandwichlab.bridge import (
     AttackerConfig,
@@ -132,8 +132,16 @@ class TestCriterion2:
             theta = rng.choice((Fraction(1, 2), Fraction(1)))
             pool, victim_in, tolerance = random_attack_instance(rng, fee)
             quote = quote_output(pool, Direction.X_FOR_Y, victim_in)
-            floor = max(min_out_from_tolerance(quote, tolerance * theta), 1)
-            best = optimal_frontrun_input(pool, victim_in, tolerance, theta)
+            min_out = min_out_from_tolerance(quote, tolerance)
+            best = frontrun_size(pool, Direction.X_FOR_Y, victim_in, min_out, theta)
+            if quote <= min_out:
+                # no buffer above the victim's floor: nothing to take
+                if best != 0:
+                    ok = False
+                    break
+                checked += 1
+                continue
+            floor = max(theta_floor(quote, min_out, theta), 1)
             oracle = bisect_frontrun(pool, Direction.X_FOR_Y, victim_in, floor)
             fits = victim_output_after_frontrun(pool, Direction.X_FOR_Y, best, victim_in) >= floor
             overshoots = (
@@ -155,6 +163,16 @@ class TestCriterion2:
 
 class TestCriteria3And4:
     GAS = 10**6
+
+    @staticmethod
+    def profit(pool, victim_in, tolerance):
+        """Back-run out less front-run in of the attacker's sandwich on an
+        empty noise window; the victim must still execute."""
+        timeline = make_timeline(pool, victim_in, tolerance)
+        frontrun_in = optimal_frontrun_for_timeline(timeline)
+        executed, backrun_out = replay_timeline(timeline, frontrun_in)
+        assert executed
+        return backrun_out - frontrun_in
 
     def instances(self):
         # The output token is kept at least as fine-grained as the input
@@ -184,12 +202,7 @@ class TestCriteria3And4:
         total = 0
         for pool, victim_in, tolerance in self.instances():
             total += 1
-            plan = plan_sandwich(
-                pool,
-                SwapRequest(Direction.X_FOR_Y, victim_in),
-                tolerance,
-                gas_cost=self.GAS,
-            )
+            profit = self.profit(pool, victim_in, tolerance) - self.GAS
             quote = quote_output(pool, Direction.X_FOR_Y, victim_in)
             floor = min_out_from_tolerance(quote, tolerance)
             closed = (
@@ -197,9 +210,9 @@ class TestCriteria3And4:
                 - (-(-pool.k // (pool.reserve_y - floor)))
                 - self.GAS
             )
-            if abs(plan.profit - closed) <= 2:
+            if abs(profit - closed) <= 2:
                 within_closed += 1
-            gross = plan.profit + self.GAS
+            gross = profit + self.GAS
             loose = Fraction(victim_in * (pool.reserve_x + victim_in), pool.reserve_x)
             if gross <= tolerance * loose + 2:
                 within_loose_bound += 1
@@ -223,9 +236,8 @@ class TestCriteria3And4:
                 quote = quote_output(pool, Direction.X_FOR_Y, victim_in)
                 if quote > 0 and min_out_from_tolerance(quote, tolerance) > 0:
                     break
-            plan = plan_sandwich(pool, SwapRequest(Direction.X_FOR_Y, victim_in), tolerance)
             tiny_total += 1
-            if plan.profit <= tolerance * victim_in:
+            if self.profit(pool, victim_in, tolerance) <= tolerance * victim_in:
                 tiny_hold += 1
         with capsys.disabled():
             verdict(

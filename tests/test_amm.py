@@ -11,7 +11,10 @@ from _oracles import (
     boundary_quadratic,
     brute_force_frontrun,
     fraction_frontrun_root,
+    frontrun_floor,
+    make_timeline,
     quote_oracle,
+    theta_floor,
 )
 from sandwichlab.amm import (
     MAX_AMOUNT,
@@ -26,11 +29,10 @@ from sandwichlab.amm import (
     execute_swap,
     largest_frontrun_for_min_out,
     min_out_from_tolerance,
-    optimal_frontrun_input,
-    plan_sandwich,
     quote_output,
     victim_output_after_frontrun,
 )
+from sandwichlab.attack import frontrun_size, optimal_frontrun_for_timeline, replay_timeline
 
 FEE_30 = Fraction(30, 10_000)
 
@@ -256,9 +258,8 @@ class TestFrontrunSolver:
     def test_big_symmetric_pool_matches_bisection(self):
         pool = make_pool(10**12, 10**12, FEE_30)
         victim_in = 10**9
-        best = optimal_frontrun_input(pool, victim_in, Fraction(1, 100))
-        quote = quote_output(pool, Direction.X_FOR_Y, victim_in)
-        floor = min_out_from_tolerance(quote, Fraction(1, 100))
+        floor = frontrun_floor(pool, victim_in, Fraction(1, 100))
+        best = frontrun_size(pool, Direction.X_FOR_Y, victim_in, floor)
         assert best == bisect_frontrun(pool, Direction.X_FOR_Y, victim_in, floor)
         assert (
             victim_output_after_frontrun(pool, Direction.X_FOR_Y, best, victim_in)
@@ -286,12 +287,33 @@ class TestFrontrunSolver:
 
     def test_theta_scales_room_monotonically(self):
         pool = make_pool(10**12, 10**12)
+        min_out = frontrun_floor(pool, 10**9, Fraction(1, 100))
         sizes = [
-            optimal_frontrun_input(pool, 10**9, Fraction(1, 100), Fraction(t, 4))
+            frontrun_size(pool, Direction.X_FOR_Y, 10**9, min_out, Fraction(t, 4))
             for t in (1, 2, 3, 4)
         ]
         assert sizes == sorted(sizes)
         assert sizes[0] < sizes[-1]
+
+    @given(
+        x=st.integers(10**4, 10**14),
+        y=st.integers(10**4, 10**14),
+        fee=fees,
+        victim_in=st.one_of(st.integers(1, 400), st.integers(1, 10**12)),
+        s_num=st.integers(1, 500),
+        theta=st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(1)]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_frontrun_size_targets_theta_floor(self, x, y, fee, victim_in, s_num, theta):
+        pool = make_pool(x, y, fee)
+        quote = quote_output(pool, Direction.X_FOR_Y, victim_in)
+        min_out = min_out_from_tolerance(quote, Fraction(s_num, 10_000))
+        size = frontrun_size(pool, Direction.X_FOR_Y, victim_in, min_out, theta)
+        if quote <= min_out:
+            assert size == 0  # no buffer above the floor to take
+            return
+        floor = theta_floor(quote, min_out, theta)
+        assert size == bisect_frontrun(pool, Direction.X_FOR_Y, victim_in, floor)
 
     @given(
         x=st.integers(10**4, 10**14),
@@ -358,44 +380,47 @@ class TestBackrun:
         assert 10**6 - 1 <= back <= 10**6
 
 
-class TestPlanSandwich:
-    def test_no_room_plan(self):
+def sandwich(pool, victim_in, tolerance, theta=Fraction(1), direction=Direction.X_FOR_Y):
+    """The attacker's front-run against an empty noise window and the
+    replay of front-run, victim and back-run: (front-run in, victim
+    executed, back-run out)."""
+    timeline = make_timeline(pool, victim_in, tolerance, direction=direction)
+    frontrun_in = optimal_frontrun_for_timeline(timeline, theta)
+    return (frontrun_in, *replay_timeline(timeline, frontrun_in))
+
+
+class TestSandwich:
+    def test_no_room_no_frontrun(self):
         pool = make_pool(100, 100)
-        victim = SwapRequest(Direction.X_FOR_Y, 100)
-        # Floor pinned at the unattacked quote: a one-unit front-run
-        # already pushes the victim below it.
-        plan = plan_sandwich(pool, victim, Fraction(1, 10**9), gas_cost=7)
-        assert plan.frontrun_in == 0
-        assert plan.profit == -7
+        # Floor pinned at the unattacked quote: there is no buffer to take.
+        assert sandwich(pool, 100, Fraction(1, 10**9)) == (0, True, 0)
 
     def test_replay_consistency(self):
         pool = make_pool(10**12, 10**12, FEE_30)
-        victim = SwapRequest(Direction.X_FOR_Y, 10**9)
-        plan = plan_sandwich(pool, victim, Fraction(1, 100))
-        assert plan.frontrun_in > 0
-        front_out = quote_output(pool, Direction.X_FOR_Y, plan.frontrun_in)
-        assert front_out == plan.frontrun_out
-        p1 = pool.after_swap(Direction.X_FOR_Y, plan.frontrun_in, front_out)
+        frontrun_in, executed, backrun_out = sandwich(pool, 10**9, Fraction(1, 100))
+        assert frontrun_in > 0
+        assert executed
+        front_out = quote_output(pool, Direction.X_FOR_Y, frontrun_in)
+        p1 = pool.after_swap(Direction.X_FOR_Y, frontrun_in, front_out)
         victim_out = quote_output(p1, Direction.X_FOR_Y, 10**9)
-        assert victim_out == plan.expected_victim_out
+        assert victim_out >= frontrun_floor(pool, 10**9, Fraction(1, 100))
         p2 = p1.after_swap(Direction.X_FOR_Y, 10**9, victim_out)
-        assert backrun_output(p2, front_out) == plan.backrun_out
-        assert plan.profit == plan.backrun_out - plan.frontrun_in
+        assert backrun_output(p2, front_out) == backrun_out
 
     def test_profit_positive_and_bounded(self):
         pool = make_pool(10**12, 10**12)
-        plan = plan_sandwich(pool, SwapRequest(Direction.X_FOR_Y, 10**9), Fraction(1, 100))
-        assert plan.profit > 0
+        frontrun_in, _, backrun_out = sandwich(pool, 10**9, Fraction(1, 100))
+        profit = backrun_out - frontrun_in
+        assert profit > 0
         bound = Fraction(1, 100) * 10**9 * Fraction(10**12 + 10**9, 10**12)
-        assert plan.profit <= math.ceil(bound)
+        assert profit <= math.ceil(bound)
 
     def test_theta_half_strictly_smaller(self):
         pool = make_pool(10**12, 10**12)
-        victim = SwapRequest(Direction.X_FOR_Y, 10**9)
-        full = plan_sandwich(pool, victim, Fraction(1, 100), Fraction(1))
-        half = plan_sandwich(pool, victim, Fraction(1, 100), Fraction(1, 2))
-        assert half.frontrun_in < full.frontrun_in
-        assert half.profit < full.profit
+        full_in, _, full_out = sandwich(pool, 10**9, Fraction(1, 100), Fraction(1))
+        half_in, _, half_out = sandwich(pool, 10**9, Fraction(1, 100), Fraction(1, 2))
+        assert half_in < full_in
+        assert half_out - half_in < full_out - full_in
 
     def test_zero_fee_closed_form(self):
         # At f=0 the whole three-swap profit collapses to
@@ -403,22 +428,18 @@ class TestPlanSandwich:
         pool = make_pool(10**12, 10**12)
         victim_in = 10**9
         tolerance = Fraction(1, 100)
-        plan = plan_sandwich(pool, SwapRequest(Direction.X_FOR_Y, victim_in), tolerance)
-        quote = quote_output(pool, Direction.X_FOR_Y, victim_in)
-        floor = min_out_from_tolerance(quote, tolerance)
+        frontrun_in, _, backrun_out = sandwich(pool, victim_in, tolerance)
+        floor = frontrun_floor(pool, victim_in, tolerance)
         closed = (pool.reserve_x + victim_in) - (
             -(-pool.k // (pool.reserve_y - floor))
         )
-        assert abs(plan.profit - closed) <= 2
+        assert abs(backrun_out - frontrun_in - closed) <= 2
 
     def test_mirroring(self):
         pool = Pool(
             token_x="X", token_y="Y", reserve_x=10**12, reserve_y=3 * 10**12, fee=FEE_30
         )
-        forward = plan_sandwich(
-            pool.mirrored(), SwapRequest(Direction.X_FOR_Y, 10**9), Fraction(1, 100)
-        )
-        mirrored = plan_sandwich(
-            pool, SwapRequest(Direction.Y_FOR_X, 10**9), Fraction(1, 100)
-        )
+        forward = sandwich(pool.mirrored(), 10**9, Fraction(1, 100))
+        mirrored = sandwich(pool, 10**9, Fraction(1, 100), direction=Direction.Y_FOR_X)
         assert forward == mirrored
+        assert forward[0] > 0

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import replay_timeline_oracle
+from _oracles import make_timeline, replay_timeline_oracle
 from sandwichlab.amm import (
     Direction,
     Pool,
     SwapRequest,
+    execute_swap,
     min_out_from_tolerance,
-    plan_sandwich,
     quote_output,
 )
 from sandwichlab.attack import (
@@ -41,20 +41,6 @@ R_MINUS = Fraction(-47, 1000)
 
 def make_pool(x, y, fee=Fraction(0)):
     return Pool(token_x="X", token_y="Y", reserve_x=x, reserve_y=y, fee=fee)
-
-
-def make_timeline(pool, victim_in, tolerance, noise=()):
-    quote = quote_output(pool, Direction.X_FOR_Y, victim_in)
-    return PoolTimeline(
-        pool=pool,
-        noisy_swaps=tuple(noise),
-        victim=SwapRequest(
-            Direction.X_FOR_Y,
-            victim_in,
-            min_out=min_out_from_tolerance(quote, tolerance),
-        ),
-        victim_tolerance=tolerance,
-    )
 
 
 class TestExpectedProfit:
@@ -175,14 +161,18 @@ class TestClassifyOrdering:
 
 
 class TestReplayTimeline:
-    def test_no_noise_matches_plan(self):
+    def test_no_noise_matches_swap_by_swap_execution(self):
         pool = make_pool(10**12, 10**12, Fraction(30, 10_000))
-        tolerance = Fraction(1, 100)
-        timeline = make_timeline(pool, 10**9, tolerance)
-        plan = plan_sandwich(pool, SwapRequest(Direction.X_FOR_Y, 10**9), tolerance)
-        executed, recovered = replay_timeline(timeline, plan.frontrun_in)
-        assert executed
-        assert recovered == plan.backrun_out
+        timeline = make_timeline(pool, 10**9, Fraction(1, 100))
+        frontrun_in = optimal_frontrun_for_timeline(timeline)
+        assert frontrun_in > 0
+        front = execute_swap(pool, SwapRequest(Direction.X_FOR_Y, frontrun_in))
+        victim = execute_swap(front.pool_after, timeline.victim)
+        back = execute_swap(
+            victim.pool_after, SwapRequest(Direction.Y_FOR_X, front.amount_out)
+        )
+        assert not victim.reverted
+        assert replay_timeline(timeline, frontrun_in) == (True, back.amount_out)
 
     def test_no_noise_non_losing_at_zero_fee(self):
         pool = make_pool(10**12, 10**12)

@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 from _oracles import classify_and_price_oracle
+from sandwichlab import attack
 from sandwichlab.bridge import extract_corpus, run
 from sandwichlab.cli import ValidationFailure, build_parser, detection_config_from_dict, main
 from sandwichlab.detector import (
@@ -144,6 +145,42 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: bad simulation config: bad fraction '3/0'")
         assert not out.exists()
 
+    def test_malformed_yaml_is_validation_error(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text("seed: [1\n")
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config file {config} is not valid YAML")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"family": "uniform", "low": "abc", "high": 1},  # not a number
+            {"family": "uniform", "low": 1},  # no high
+            {"family": "lognormal", "sigma": 1, "p95": -1},  # log of a negative
+            {"family": "exponential", "rate": 0},  # division by zero
+            {"family": "cauchy", "x0": 1},  # unknown family
+        ],
+    )
+    def test_bad_distribution_is_validation_error(self, tmp_path, capsys, spec):
+        data = yaml.safe_load(CONFIG_YAML)
+        data["victim_size"] = spec
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(data))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: bad simulation config:")
+        assert not out.exists()
+
+    def test_pool_reserve_past_256_bits_is_validation_error(self, tmp_path, capsys):
+        data = yaml.safe_load(CONFIG_YAML)
+        data["pools"][0]["reserve_x"] = str(2**256)
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(data))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == "error: bad simulation config: reserve_x exceeds 256 bits\n"
+
     def test_jsonl_header_is_manifest_digest(self, sim_outputs):
         _, out = sim_outputs
         manifest = json.loads((out / "manifest.json").read_text())
@@ -242,6 +279,14 @@ class TestDetect:
         assert "num_block" in capsys.readouterr().err
         assert not det.exists()
 
+    def test_malformed_yaml_is_validation_error(self, sim_outputs, tmp_path, capsys):
+        rc, det = self.detect_with_config(sim_outputs, tmp_path, "num_blocks: [1\n")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file ") and "is not valid YAML" in err
+        assert "Traceback" not in err
+        assert not det.exists()
+
     def test_zero_denominator_band_is_validation_error(self, sim_outputs, tmp_path, capsys):
         rc, det = self.detect_with_config(sim_outputs, tmp_path, "band_low: 1/0\n")
         assert rc == 1
@@ -336,6 +381,39 @@ class TestParams:
         _, out = sim_outputs
         assert main(["params", "--timelines", str(out / "timelines.jsonl"), flag, value]) == 1
         assert capsys.readouterr().err.startswith(f"error: bad fraction '{value}'")
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--theta", "0", "--theta must be in (0, 1]"),
+            ("--theta", "2", "--theta must be in (0, 1]"),
+            ("--percentile", "0", "--percentile must be in (0, 100]"),
+            ("--percentile", "101", "--percentile must be in (0, 100]"),
+        ],
+    )
+    def test_flag_out_of_range_is_validation_error(
+        self, sim_outputs, capsys, flag, value, message
+    ):
+        _, out = sim_outputs
+        assert main(["params", "--timelines", str(out / "timelines.jsonl"), flag, value]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--q", "2", "--p", "0.5"], "bad model parameters: q out of [0,1]"),
+            (["--q", "0.5", "--p", "-1"], "bad model parameters: p out of [0,1]"),
+            (["--q", "0.5", "--p", "0.5", "--r-plus", "-1"], "bad model parameters: r_plus"),
+            (["--q", "0.5"], "p is unobservable but q < 1"),
+        ],
+    )
+    def test_direct_mode_bad_values_are_validation_errors(self, capsys, argv, message):
+        rates = {"--r-plus": "0.045", "--r-minus": "-0.047"}
+        for flag, value in zip(argv[::2], argv[1::2]):
+            rates.pop(flag, None)
+        extra = [item for pair in rates.items() for item in pair]
+        assert main(["params", *argv, *extra]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_zero_noise_amount_is_validation_error(self, sim_outputs, tmp_path, capsys):
         _, out = sim_outputs
@@ -547,6 +625,22 @@ class TestPairsContract:
         report_dict = {**asdict(report), "missing_price_tokens": sorted(missing)}
         text = json.dumps(report_dict, indent=2, sort_keys=True, default=str)
         assert (rep / "report.json").read_text() == text
+
+
+class TestErrorBoundary:
+    def test_internal_value_error_is_not_reported_as_validation_error(
+        self, sim_outputs, monkeypatch, capsys
+    ):
+        # A ValueError from inside a stage is a bug, not bad input: it
+        # must surface as an exception, not as "error: ..." and exit 1.
+        def broken(*args, **kwargs):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr(attack, "noise_params_and_rates", broken)
+        _, out = sim_outputs
+        with pytest.raises(ValueError, match="internal failure"):
+            main(["params", "--timelines", str(out / "timelines.jsonl")])
+        assert "error:" not in capsys.readouterr().err
 
 
 class TestSelftest:

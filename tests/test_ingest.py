@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sandwichlab.amm import Direction, Pool, SwapRequest
+from sandwichlab.amm import MAX_AMOUNT, Direction, Pool, PoolProtocol, SwapRequest
 from sandwichlab.attack import PoolTimeline
 from sandwichlab.bridge import AttackerConfig, BotConfig, DistSpec, SimConfig, extract_corpus, run
-from sandwichlab.detector import Classification, SandwichPair, SwapLog
+from sandwichlab.detector import Classification, CrossChainTx, SandwichPair, SwapLog, VictimHop
 from sandwichlab.ingest import (
     MalformedData,
     RunManifest,
+    decode_jsonl,
     file_digest,
     pair_from_dict,
     pair_to_dict,
@@ -377,6 +378,180 @@ class TestPairsWriter:
         pair_from_dict({**pair_row, "front": one, "victim": one, "back": one}, memo)
         with pytest.raises(TypeError, match="chain_id"):
             pair_from_dict({**pair_row, "front": one, "victim": {**one, "chain_id": True}, "back": one}, memo)
+
+
+# token amounts at the edges of the 256-bit range as well as in between
+_token_amounts = st.one_of(
+    st.sampled_from([0, 1, 2**53 + 1, MAX_AMOUNT]), st.integers(0, MAX_AMOUNT)
+)
+_positive_amounts = _token_amounts.filter(bool)
+_timestamps = st.one_of(
+    st.integers(0, 2**40), st.floats(0, 2**40, allow_nan=False, allow_infinity=False)
+)
+_wide_swap_logs = st.builds(
+    SwapLog,
+    tx_hash=_texts,
+    block_number=st.integers(0, 10**12),
+    log_index=st.integers(0, 10**6),
+    pool_address=_texts,
+    chain_id=st.integers(0, 10**6),
+    direction=st.sampled_from(Direction),
+    token_in_amount=_token_amounts,
+    token_out_amount=_token_amounts,
+    sender=_texts,
+    recipient=_texts,
+    gas_price=_token_amounts,
+    timestamp=_timestamps,
+)
+_hops = st.builds(
+    VictimHop,
+    pool_address=_texts,
+    token_in=_texts,
+    token_out=_texts,
+    direction=st.sampled_from(Direction),
+    amount_in=_token_amounts,
+    amount_out=_token_amounts,
+    min_return=_token_amounts,
+)
+
+
+@st.composite
+def _records(draw):
+    src_timestamp = draw(_timestamps)
+    return CrossChainTx(
+        record_id=draw(_texts),
+        src_tx_hash=draw(_texts),
+        src_chain_id=draw(st.integers(0, 10**6)),
+        src_block_number=draw(st.integers(0, 10**12)),
+        src_timestamp=src_timestamp,
+        dst_tx_hash=draw(_texts),
+        dst_chain_id=draw(st.integers(0, 10**6)),
+        dst_block_number=draw(st.integers(0, 10**12)),
+        # the destination never precedes the source
+        dst_timestamp=src_timestamp + draw(st.sampled_from([0, 1, 0.5, 10**6])),
+        dst_gas_price=draw(_token_amounts),
+        hops=tuple(draw(st.lists(_hops, min_size=1, max_size=3))),
+    )
+
+
+_fees = st.fractions(min_value=0, max_value=Fraction(9999, 10_000), max_denominator=10**6)
+_timelines = st.builds(
+    PoolTimeline,
+    pool=st.builds(
+        Pool,
+        token_x=_texts,
+        token_y=_texts,
+        reserve_x=_positive_amounts,
+        reserve_y=_positive_amounts,
+        fee=_fees,
+        address=_texts,
+        protocol=st.sampled_from(PoolProtocol),
+    ),
+    noisy_swaps=st.lists(
+        st.tuples(st.sampled_from(Direction), _positive_amounts), max_size=4
+    ).map(tuple),
+    victim=st.builds(
+        SwapRequest,
+        direction=st.sampled_from(Direction),
+        amount_in=_positive_amounts,
+        min_out=_token_amounts,
+        sender=_texts,
+        recipient=_texts,
+    ),
+    victim_tolerance=st.fractions(0, 1, max_denominator=10**6),
+)
+
+
+def _through_file(rows, decode):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp, "rows.jsonl"))
+        write_jsonl(path, rows, RunManifest(command="simulate"))
+        return decode_jsonl(path, decode)
+
+
+class TestCodecProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(logs=st.lists(_wide_swap_logs, max_size=4))
+    def test_swap_logs_round_trip(self, logs):
+        decoded = _through_file(map(swap_log_to_dict, logs), swap_log_from_dict)
+        assert decoded == logs
+        assert [type(log.timestamp) for log in decoded] == [type(log.timestamp) for log in logs]
+
+    @settings(max_examples=50, deadline=None)
+    @given(records=st.lists(_records(), max_size=4))
+    def test_records_round_trip(self, records):
+        decoded = _through_file(map(record_to_dict, records), record_from_dict)
+        assert decoded == records
+        assert [(type(r.src_timestamp), type(r.dst_timestamp)) for r in decoded] == [
+            (type(r.src_timestamp), type(r.dst_timestamp)) for r in records
+        ]
+
+    @settings(max_examples=50, deadline=None)
+    @given(timelines=st.lists(_timelines, max_size=4))
+    def test_timelines_round_trip(self, timelines):
+        decoded = _through_file(map(timeline_to_dict, timelines), timeline_from_dict)
+        assert decoded == timelines
+
+
+def _paths(value, prefix=()):
+    """The key path of every value inside a decoded JSON row."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield (*prefix, key)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, (*prefix, key))
+
+
+def _mutants(row):
+    """Copies of row with one value deleted (from an object) or replaced
+    by a value of another JSON type, out of range, or a string that
+    parses as a number."""
+    replacements = [None, True, 0, -1, 1.5, 2**300, "", "x", "-5", "1/0", [], {}, [1], {"a": 1}]
+    for path in _paths(row):
+        for replacement in [_DELETE, *replacements]:
+            mutant = json.loads(json.dumps(row))
+            container = mutant
+            for key in path[:-1]:
+                container = container[key]
+            if replacement is _DELETE:
+                if not isinstance(container, dict):
+                    continue
+                del container[path[-1]]
+            else:
+                container[path[-1]] = replacement
+            yield mutant
+
+
+_DELETE = object()
+
+_CODECS = {
+    "swap_logs": (_wide_swap_logs, swap_log_to_dict, swap_log_from_dict),
+    "records": (_records(), record_to_dict, record_from_dict),
+    "timelines": (_timelines, timeline_to_dict, timeline_from_dict),
+    "pairs": (
+        _pair_lists().filter(bool).map(lambda pairs: pairs[0]),
+        pair_to_dict,
+        lambda row: pair_from_dict(row, {}),
+    ),
+}
+
+
+class TestDecodeFuzz:
+    @pytest.mark.parametrize("name", sorted(_CODECS))
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_mutated_row_fails_only_as_malformed_data(self, name, data):
+        objects, encode, decode = _CODECS[name]
+        good = encode(data.draw(objects))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp, f"{name}.jsonl"))
+            for mutant in _mutants(json.loads(json.dumps(good))):
+                write_jsonl(path, [good, mutant], RunManifest(command="simulate"))
+                try:
+                    decode_jsonl(path, decode)
+                except MalformedData as exc:
+                    # the header is line 1 and the good row line 2
+                    assert str(exc).startswith(f"{path}:3: "), str(exc)
 
 
 class TestManifest:
