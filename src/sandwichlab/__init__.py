@@ -72,6 +72,7 @@ from .detector import (
     classify_and_price,
     detect_pairs,
     prefilter,
+    price_pair,
     reference_detect_pairs,
 )
 from .ingest import MalformedData, RunManifest

@@ -153,6 +153,11 @@ class SimConfig:
             raise InvalidConfig("block intervals must be > 0")
         if not self.pools:
             raise InvalidConfig("at least one pool is required")
+        for name in ("victim_arrival_rate", "noise_arrival_rate"):
+            rate = getattr(self, name)
+            # a bool is an int to Python but not a rate; NaN fails 0 <= rate
+            if type(rate) not in (int, float) or not 0 <= rate < math.inf:
+                raise InvalidConfig(f"{name} must be a finite number >= 0, not {rate!r}")
 
 
 @dataclass

@@ -100,11 +100,26 @@ def _token_set(tokens) -> frozenset:
     return frozenset(token.upper() for token in tokens)
 
 
+def _block_count(value) -> int:
+    # int() would truncate 1.5 and turn true into 1
+    if type(value) is not int:
+        raise ValueError(f"num_blocks must be an integer, not {value!r}")
+    return value
+
+
+def _interval(value) -> float:
+    # NaN would switch the prefilter off and a negative bound would drop
+    # every record; NaN and infinity are not valid JSON in manifest.json
+    if type(value) not in (int, float) or not 0 <= value < math.inf:
+        raise ValueError(f"max_interval must be a finite number >= 0, not {value!r}")
+    return float(value)
+
+
 _DETECTION_KEYS = {
-    "num_blocks": ("num_blocks", int),
+    "num_blocks": ("num_blocks", _block_count),
     "band_low": ("band_low", _fraction),
     "band_high": ("band_high", _fraction),
-    "max_interval": ("max_interval", float),
+    "max_interval": ("max_interval", _interval),
     "stablecoins": ("stablecoin_set", _token_set),
 }
 
@@ -306,14 +321,19 @@ def _detect_horizon(pairs_path: str) -> int:
 
 def cmd_analyze(args) -> int:
     num_blocks = _detect_horizon(args.pairs)
-    memo: dict = {}
-    pairs = ingest.decode_jsonl(args.pairs, lambda row: ingest.pair_from_dict(row, memo))
     records = (
         ingest.decode_jsonl(args.records, ingest.record_from_dict) if args.records else []
     )
     prices = detector.PriceTable.from_csv(args.prices)
-    enriched, missing = detector.classify_and_price(pairs, prices)
-    report = detector.aggregate(enriched, records, num_blocks)
+    # One row at a time: each pair is decoded, priced and folded into the
+    # report before the next is read, so memory follows the distinct swap
+    # logs (the memo) and the records, not the number of pairs.
+    memo: dict = {}
+    missing: set[str] = set()
+    pairs = ingest.iter_decoded(args.pairs, lambda row: ingest.pair_from_dict(row, memo))
+    report = detector.aggregate(
+        (detector.price_pair(pair, prices, missing) for pair in pairs), records, num_blocks
+    )
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

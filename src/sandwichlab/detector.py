@@ -387,41 +387,42 @@ def reference_detect_pairs(
     return pairs
 
 
-def classify_and_price(
-    pairs: Sequence[SandwichPair], prices: PriceTable
-) -> tuple[list[SandwichPair], set[str]]:
-    """Fill in token profit, profit rate, and USD profit.
+def price_pair(pair: SandwichPair, prices: PriceTable, missing: set[str]) -> SandwichPair:
+    """The pair with token profit, profit rate and USD profit filled in.
 
-    Gas costs are deliberately excluded. Pairs whose input token is not
-    in the price table are retained with profit_usd unknown; the set of
-    missing tokens is returned alongside.
+    Gas costs are deliberately excluded. A pair whose input token is not
+    in the price table keeps profit_usd unknown, and the token is added
+    to missing.
     """
-    enriched = []
+    profit = pair.back.token_out_amount - pair.front.token_in_amount
+    rate = Fraction(profit, pair.front.token_in_amount)
+    try:
+        usd = prices.usd(pair.token_in, profit)
+    except MissingPrice:
+        missing.add(pair.token_in)
+        usd = None
+    return SandwichPair(
+        record_id=pair.record_id,
+        pool_address=pair.pool_address,
+        front=pair.front,
+        victim=pair.victim,
+        back=pair.back,
+        classification=pair.classification,
+        token_in=pair.token_in,
+        front_window_start_block=pair.front_window_start_block,
+        profit_token=profit,
+        profit_rate=rate,
+        profit_usd=usd,
+    )
+
+
+def classify_and_price(
+    pairs: Iterable[SandwichPair], prices: PriceTable
+) -> tuple[list[SandwichPair], set[str]]:
+    """Every pair through price_pair, and the set of tokens with no
+    price."""
     missing: set[str] = set()
-    for pair in pairs:
-        profit = pair.back.token_out_amount - pair.front.token_in_amount
-        rate = Fraction(profit, pair.front.token_in_amount)
-        try:
-            usd = prices.usd(pair.token_in, profit)
-        except MissingPrice:
-            missing.add(pair.token_in)
-            usd = None
-        enriched.append(
-            SandwichPair(
-                record_id=pair.record_id,
-                pool_address=pair.pool_address,
-                front=pair.front,
-                victim=pair.victim,
-                back=pair.back,
-                classification=pair.classification,
-                token_in=pair.token_in,
-                front_window_start_block=pair.front_window_start_block,
-                profit_token=profit,
-                profit_rate=rate,
-                profit_usd=usd,
-            )
-        )
-    return enriched, missing
+    return [price_pair(pair, prices, missing) for pair in pairs], missing
 
 
 def _bin(value: float, bins: int) -> int:
@@ -451,14 +452,15 @@ class Report:
 
 
 def aggregate(
-    pairs: Sequence[SandwichPair],
+    pairs: Iterable[SandwichPair],
     records: Sequence[CrossChainTx],
     num_blocks: int = 100,
 ) -> Report:
     """Corpus-level rollup: per chain-pair profit, per-pool attack
     counts, relative-position histograms, gas-price statistics, and the
     single- vs cross-chain split. Cross-chain profit totals exclude
-    same-block (single-chain-classified) pairs."""
+    same-block (single-chain-classified) pairs. pairs is read once, in
+    order, so it may be an iterator."""
     report = Report()
     chain_keys = {
         record.record_id: f"{record.src_chain_id}->{record.dst_chain_id}"
@@ -533,7 +535,7 @@ def aggregate(
     report.back_position_hist = back_hist
     report.front_position_hist_profitable = front_hist_profit
     report.back_position_hist_profitable = back_hist_profit
-    report.front_gas_ratio_lt_1 = gas_lt_1 / report.total_pairs if pairs else 0.0
+    report.front_gas_ratio_lt_1 = gas_lt_1 / report.total_pairs if report.total_pairs else 0.0
     report.back_gas_delta_buckets = delta_buckets
     report.pool_counts = dict(
         sorted(report.pool_counts.items(), key=lambda kv: -kv[1])

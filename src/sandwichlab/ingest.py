@@ -360,14 +360,19 @@ def read_jsonl(path: str) -> Iterator[dict]:
         yield row
 
 
-def decode_jsonl(path: str, decode: Callable[[dict], object]) -> list:
-    """Decode every row of a JSONL file. A row that decode rejects (not
-    an object, a missing key, a value of the wrong type, an amount past
-    256 bits) raises MalformedData naming the file and line."""
-    out = []
+def iter_decoded(path: str, decode: Callable[[dict], object]) -> Iterator:
+    """Decode the rows of a JSONL file one at a time, as they are read.
+    A row that decode rejects (not an object, a missing key, a value of
+    the wrong type, an amount past 256 bits) raises MalformedData naming
+    the file and line."""
     for number, row in _numbered_rows(path):
         try:
-            out.append(decode(row))
+            value = decode(row)
         except (KeyError, TypeError, ValueError, AttributeError, ArithmeticError, AmmError) as exc:
             raise MalformedData(f"{path}:{number}: {type(exc).__name__}: {exc}") from exc
-    return out
+        yield value
+
+
+def decode_jsonl(path: str, decode: Callable[[dict], object]) -> list:
+    """Every row of a JSONL file, decoded: list(iter_decoded(...))."""
+    return list(iter_decoded(path, decode))

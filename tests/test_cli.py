@@ -173,6 +173,28 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: bad simulation config:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["victim_arrival_rate", "noise_arrival_rate"])
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "abc",  # a raw TypeError from Simulation.run before
+            True,
+            -1,  # ran as a rate of 0 and exited 0 before
+            float("inf"),
+            float("nan"),
+        ],
+    )
+    def test_bad_arrival_rate_is_validation_error(self, tmp_path, capsys, key, value):
+        data = yaml.safe_load(CONFIG_YAML)
+        data[key] = value
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(data))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad simulation config: {key} must be a finite number >= 0")
+        assert not out.exists()
+
     def test_pool_reserve_past_256_bits_is_validation_error(self, tmp_path, capsys):
         data = yaml.safe_load(CONFIG_YAML)
         data["pools"][0]["reserve_x"] = str(2**256)
@@ -312,6 +334,30 @@ class TestDetect:
         assert rc == 0
         config = json.loads((det / "manifest.json").read_text())["config"]
         assert config == {"num_blocks": 150, "max_interval": 50.0}
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("num_blocks", 1.5),  # ran as 1 before
+            ("num_blocks", True),  # ran as 1 before
+            ("num_blocks", "100"),
+            ("max_interval", float("nan")),  # switched the prefilter off before
+            ("max_interval", float("inf")),  # wrote Infinity into manifest.json before
+            ("max_interval", -1),  # dropped every record before
+            ("max_interval", True),
+            ("max_interval", "100"),
+        ],
+    )
+    def test_bad_number_is_validation_error(self, sim_outputs, tmp_path, capsys, key, value):
+        with pytest.raises(ValidationFailure, match=key):
+            detection_config_from_dict({key: value})
+        rc, det = self.detect_with_config(sim_outputs, tmp_path, yaml.safe_dump({key: value}))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: bad detection config: {key} must be")
+        assert not det.exists()
+
+    def test_zero_max_interval_is_accepted(self):
+        assert detection_config_from_dict({"max_interval": 0}).max_interval == 0.0
 
     @pytest.mark.parametrize("value", ["usdt", 5, {"usdt": 1}, ["usdt", 5]])
     def test_stablecoins_must_be_list_of_strings(self, sim_outputs, tmp_path, capsys, value):
@@ -580,6 +626,116 @@ class TestAnalyze:
         assert main([*analyze, "--out", str(tmp_path / "default")]) == 0
         report = json.loads((tmp_path / "default" / "report.json").read_text())
         assert report["back_position_hist"] == [0] * 9 + [1]  # 150/100, clamped
+
+
+class TestAnalyzeStreams:
+    """analyze reads pairs.jsonl one row at a time after the records and
+    the price table, and writes nothing until the last row is read."""
+
+    @pytest.fixture()
+    def detected(self, sim_outputs, tmp_path):
+        _, out = sim_outputs
+        det = tmp_path / "det"
+        argv = ["detect", "--records", str(out / "records.jsonl"), "--logs"]
+        assert main([*argv, str(out / "swap_logs.jsonl"), "--out", str(det)]) == 0
+        prices = tmp_path / "prices.csv"
+        prices.write_text(PRICES_CSV)
+        return det / "pairs.jsonl", prices
+
+    @staticmethod
+    def break_last_row(pairs: Path) -> int:
+        """Give the last row of pairs a string block_number; its line."""
+        lines = pairs.read_text().splitlines()
+        assert len(lines) > 2  # the header and at least two pairs
+        row = json.loads(lines[-1])
+        row["back"]["block_number"] = str(row["back"]["block_number"])
+        pairs.write_text("\n".join([*lines[:-1], json.dumps(row)]) + "\n")
+        return len(lines)
+
+    def test_bad_last_row_leaves_no_report(self, detected, tmp_path, capsys):
+        pairs, prices = detected
+        line = self.break_last_row(pairs)
+        rep = tmp_path / "rep"
+        capsys.readouterr()
+        argv = ["analyze", "--pairs", str(pairs), "--prices", str(prices), "--out", str(rep)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pairs}:{line}: TypeError: block_number must be")
+        assert not (rep / "report.json").exists()
+
+    def test_price_table_error_comes_first(self, detected, tmp_path, capsys):
+        pairs, prices = detected
+        self.break_last_row(pairs)
+        prices.write_text(PRICES_CSV.replace("USDT,1,", "USDT,one,"))
+        capsys.readouterr()
+        argv = ["analyze", "--pairs", str(pairs), "--prices", str(prices)]
+        assert main([*argv, "--out", str(tmp_path / "rep")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {prices}:3: ValueError: usd_price")
+
+    def test_peak_heap_does_not_grow_with_pairs(self, tmp_path):
+        """N and 4N rows that embed the same six swap logs: the traced
+        peak of an in-process analyze may grow by at most a quarter from
+        N to 4N. About 2 MB of the peak is fixed (file_digest reads 1 MB
+        chunks); an analyze that held every pair grew it by about 75%
+        from 1,000 to 4,000 rows, and a streaming one by under 1%."""
+        import tracemalloc
+
+        from sandwichlab.amm import Direction
+        from sandwichlab.detector import Classification, SandwichPair
+
+        logs = [
+            SwapLog(
+                tx_hash=f"0x{i:064x}",
+                block_number=100 + i,
+                log_index=0,
+                pool_address="0x" + "11" * 20,
+                chain_id=56,
+                direction=Direction.X_FOR_Y if i < 3 else Direction.Y_FOR_X,
+                token_in_amount=10**18 + i,
+                token_out_amount=10**18 - i,
+                sender="0x" + "aa" * 20,
+                recipient="0x" + "aa" * 20,
+                gas_price=10**9 * i,
+                timestamp=300.0 + 3 * i,
+            )
+            for i in range(6)
+        ]
+        prices = tmp_path / "prices.csv"
+        prices.write_text(PRICES_CSV)
+
+        def peak(rows: int, run: str) -> int:
+            pairs = tmp_path / run / "pairs.jsonl"  # no manifest beside it
+            pairs.parent.mkdir()
+            write_jsonl(
+                str(pairs),
+                (
+                    pair_to_dict(
+                        SandwichPair(
+                            record_id=f"r{i}",
+                            pool_address=logs[0].pool_address,
+                            front=logs[i % 2],
+                            victim=logs[2],
+                            back=logs[3 + i % 3],
+                            classification=Classification.CROSS_CHAIN,
+                            token_in="WETH",
+                            front_window_start_block=100,
+                        )
+                    )
+                    for i in range(rows)
+                ),
+            )
+            argv = ["analyze", "--pairs", str(pairs), "--prices", str(prices)]
+            tracemalloc.start()
+            try:
+                assert main([*argv, "--out", str(pairs.parent / "rep")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        rows = 1_000
+        peak(rows, "warm-up")  # one-time imports and caches
+        small, large = peak(rows, "small"), peak(4 * rows, "large")
+        assert large <= 1.25 * small, (small, large)
 
 
 class TestPairsContract:

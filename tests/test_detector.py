@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -471,7 +471,10 @@ class TestAggregate:
         assert report.chain_pairs["1->56"]["pairs"] == 1
         assert report.pool_counts == {POOL: 1}
 
-    def test_position_bins_clamp_to_first_and_last(self):
+    @staticmethod
+    def _binned_pairs():
+        """Five priced pairs of one record at the edges of the position
+        bins, and that record."""
         victim = make_log(50, 10)
         record = make_record(victim, record_id="r0")
         prices = PriceTable(prices={"WETH": Decimal(1)}, decimals={"WETH": 0})
@@ -496,6 +499,10 @@ class TestAggregate:
             pair(45, 160, 50, 200),  # span 0: no front bin; back rel 1.1
         ]
         enriched, _ = classify_and_price(pairs, prices)
+        return enriched, record
+
+    def test_position_bins_clamp_to_first_and_last(self):
+        enriched, record = self._binned_pairs()
         report = aggregate(enriched, [record], num_blocks=100)
         assert report.front_position_hist == [2, 0, 0, 0, 0, 0, 0, 0, 0, 2]
         assert report.back_position_hist == [1, 1, 1, 0, 0, 0, 0, 0, 0, 2]
@@ -503,3 +510,13 @@ class TestAggregate:
         assert report.front_position_hist_profitable == [1, 0, 0, 0, 0, 0, 0, 0, 0, 1]
         assert report.back_position_hist_profitable == [1, 0, 1, 0, 0, 0, 0, 0, 0, 1]
         assert report.chain_pairs == {"1->56": {"pairs": 5, "profit_usd": Decimal(110)}}
+
+    def test_iterator_gives_the_report_of_a_list(self):
+        """analyze streams its pairs: aggregate reads them once, in order,
+        so an iterator must give the report a list gives, field by field,
+        the empty one included (which once divided by zero)."""
+        enriched, record = self._binned_pairs()
+        for pairs in ([], enriched):
+            streamed = aggregate(iter(pairs), [record], num_blocks=100)
+            assert asdict(streamed) == asdict(aggregate(pairs, [record], num_blocks=100))
+        assert aggregate(iter([]), []).front_gas_ratio_lt_1 == 0.0
