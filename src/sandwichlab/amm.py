@@ -64,7 +64,7 @@ def _ceil_div(n: int, d: int) -> int:
     return -(-n // d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pool:
     """Constant-product pool state.
 
@@ -100,8 +100,7 @@ class Pool:
     def _derived(self, token_x: str, token_y: str, reserve_x: int, reserve_y: int) -> "Pool":
         """This pool with new tokens and reserves, built without
         __post_init__: callers pass values already known to be valid.
-        Every field is set, as the dataclass __init__ would set it (and
-        the instance keeps no materialised __dict__)."""
+        Every slot is set, as the dataclass __init__ would set it."""
         pool = object.__new__(Pool)
         set_field = object.__setattr__
         set_field(pool, "token_x", token_x)
@@ -136,7 +135,7 @@ class Pool:
         return self._derived(self.token_y, self.token_x, self.reserve_y, self.reserve_x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SwapRequest:
     direction: Direction
     amount_in: int
@@ -149,7 +148,7 @@ class SwapRequest:
         _check_amount("min_out", self.min_out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SwapOutcome:
     amount_in: int
     amount_out: int

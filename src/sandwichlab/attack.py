@@ -32,7 +32,7 @@ class EmptyInput(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoiseParams:
     """q: probability of an empty noise window; p: probability of
     non-loss given a non-empty window (None when unobservable)."""
@@ -47,7 +47,7 @@ class NoiseParams:
             raise ValueError(f"p out of [0,1]: {self.p}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReturnRates:
     r_plus: Fraction
     r_minus: Fraction
@@ -78,7 +78,7 @@ class OrderingScenario(enum.Enum):
     ATTACKER_SANDWICHED = "attacker_sandwiched"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PoolTimeline:
     """Pool snapshot at commit time plus everything that hits the pool
     before the victim: the raw material for replaying what-if attacks.

@@ -46,7 +46,7 @@ class InvalidConfig(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DistSpec:
     """A sampleable distribution: family plus parameters.
 
@@ -91,7 +91,7 @@ class DistSpec:
         return {"family": self.family, **self.params}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttackerConfig:
     enabled: bool = True
     theta: Fraction = Fraction(1)
@@ -105,14 +105,14 @@ class AttackerConfig:
             raise InvalidConfig("theta must be in (0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BotConfig:
     enabled: bool = False
     gas_premium: int = GWEI
     min_profit: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimConfig:
     seed: int = 0
     horizon: float = 600.0
@@ -147,20 +147,21 @@ class SimConfig:
     pools: tuple[Pool, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise InvalidConfig("horizon must be > 0")
-        if self.src_block_interval <= 0 or self.dst_block_interval <= 0:
-            raise InvalidConfig("block intervals must be > 0")
+        # a bool is an int to Python but not a duration or a rate; NaN
+        # fails every comparison, and an infinite horizon never ends
+        for name in ("horizon", "src_block_interval", "dst_block_interval"):
+            span = getattr(self, name)
+            if type(span) not in (int, float) or not 0 < span < math.inf:
+                raise InvalidConfig(f"{name} must be a finite number > 0, not {span!r}")
         if not self.pools:
             raise InvalidConfig("at least one pool is required")
         for name in ("victim_arrival_rate", "noise_arrival_rate"):
             rate = getattr(self, name)
-            # a bool is an int to Python but not a rate; NaN fails 0 <= rate
             if type(rate) not in (int, float) or not 0 <= rate < math.inf:
                 raise InvalidConfig(f"{name} must be a finite number >= 0, not {rate!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingTx:
     """A destination-chain transaction waiting in the mempool; ``account``
     both sends it and receives its output."""
@@ -176,7 +177,7 @@ class PendingTx:
     victim_id: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One trace entry. A "swap" is a destination-chain execution; a
     "commit" is the public source-chain commit log, whose amount_out is
@@ -200,7 +201,7 @@ class TraceEvent:
     reverted: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class VictimRecord:
     victim_id: int
     pool_address: str
@@ -239,7 +240,7 @@ class VictimRecord:
     bot_back_out: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class SimTrace:
     config: SimConfig
     events: list[TraceEvent] = field(default_factory=list)
@@ -248,7 +249,7 @@ class SimTrace:
     final_pools: dict[str, Pool] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class SimMetrics:
     victims_total: int = 0
     victims_executed: int = 0
@@ -265,7 +266,7 @@ class SimMetrics:
     bot_profit_by_token: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class Corpus:
     timelines: list[PoolTimeline]
     swap_logs: list[SwapLog]
@@ -464,6 +465,7 @@ class Simulation:
         pool = self.config.pools[self.rng.randrange(len(self.config.pools))]
         direction = Direction.X_FOR_Y if self.rng.random() < 0.5 else Direction.Y_FOR_X
         size = max(1, int(self.config.victim_size.sample(self.rng)))
+        account = f"0xuser{vid:036x}"
         victim = VictimRecord(
             victim_id=vid,
             pool_address=pool.address,
@@ -471,8 +473,8 @@ class Simulation:
             amount_in=size,
             tolerance=self._tolerance(),
             gas_price=self._gwei(self.config.victim_gas),
-            sender=f"0xuser{vid:036x}",
-            recipient=f"0xuser{vid:036x}",
+            sender=account,
+            recipient=account,
         )
         victim.src_tx_hash = self._hash("Ts", vid)
         victim.dst_tx_hash = self._hash("Tv", vid)

@@ -39,7 +39,7 @@ class Classification(enum.Enum):
     SINGLE_CHAIN = "single_chain"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SwapLog:
     """One decoded swap event; (block_number, log_index) totally orders
     logs within a chain."""
@@ -61,7 +61,7 @@ class SwapLog:
         return (self.block_number, self.log_index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VictimHop:
     pool_address: str
     token_in: str
@@ -72,7 +72,7 @@ class VictimHop:
     min_return: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrossChainTx:
     """One bridged swap: the source commit and the destination execution."""
 
@@ -95,7 +95,7 @@ class CrossChainTx:
             raise ValueError("destination precedes source")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectionConfig:
     num_blocks: int = 100
     band_low: Fraction = Fraction(9, 10)
@@ -122,7 +122,7 @@ class DetectionConfig:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SandwichPair:
     record_id: str
     pool_address: str
@@ -156,7 +156,7 @@ def _token_decimals(text: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PriceTable:
     prices: Mapping[str, Decimal]
     decimals: Mapping[str, int]
@@ -431,7 +431,7 @@ def _bin(value: float, bins: int) -> int:
     return min(int(max(value, 0.0) * bins), bins - 1)
 
 
-@dataclass
+@dataclass(slots=True)
 class Report:
     total_pairs: int = 0
     single_chain_pairs: int = 0

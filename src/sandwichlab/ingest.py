@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import __version__
-from .amm import MAX_AMOUNT, AmmError, Direction, Pool, SwapRequest
+from .amm import MAX_AMOUNT, AmmError, Direction, Pool, SwapRequest, _check_amount
 from .attack import PoolTimeline
 from .detector import (
     Classification,
@@ -62,6 +62,9 @@ _SWAP_LOG_NUMBERS = (
     ("chain_id", (int,)),
     ("timestamp", (int, float)),
 )
+# uint256 amounts, each with its least value: analyze divides by the
+# front's token_in_amount
+_SWAP_LOG_AMOUNTS = (("token_in_amount", 1), ("token_out_amount", 0), ("gas_price", 0))
 
 
 def swap_log_from_dict(data: dict) -> SwapLog:
@@ -71,9 +74,9 @@ def swap_log_from_dict(data: dict) -> SwapLog:
     for key, allowed in _SWAP_LOG_NUMBERS:
         if type(data[key]) not in allowed:
             raise TypeError(f"{key} must be a JSON {allowed[-1].__name__}, not {data[key]!r}")
+    for key, least in _SWAP_LOG_AMOUNTS:
+        _check_amount(key, data[key], least)
     data["direction"] = Direction(data["direction"])
-    for key in ("token_in_amount", "token_out_amount", "gas_price"):
-        data[key] = int(data[key])
     return SwapLog(**data)
 
 
@@ -230,13 +233,16 @@ def _shared_swap_log(row: dict, memo: Optional[dict]) -> SwapLog:
 
 def _same_number_types(a: dict, b: dict) -> bool:
     """True == 1 == 1.0 in Python but not in JSON: a memo hit must not
-    let a row skip the checks of swap_log_from_dict (_SWAP_LOG_NUMBERS)
-    or decode an int timestamp as a float."""
+    let a row skip the checks of swap_log_from_dict (_SWAP_LOG_NUMBERS,
+    _SWAP_LOG_AMOUNTS) or decode an int timestamp as a float."""
     return (
         type(a["block_number"]) is type(b["block_number"])
         and type(a["log_index"]) is type(b["log_index"])
         and type(a["chain_id"]) is type(b["chain_id"])
         and type(a["timestamp"]) is type(b["timestamp"])
+        and type(a["token_in_amount"]) is type(b["token_in_amount"])
+        and type(a["token_out_amount"]) is type(b["token_out_amount"])
+        and type(a["gas_price"]) is type(b["gas_price"])
     )
 
 
@@ -263,7 +269,7 @@ def pair_from_dict(data: dict, memo: Optional[dict] = None) -> SandwichPair:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class RunManifest:
     """Reproducibility envelope for one CLI invocation."""
 

@@ -115,10 +115,9 @@ class TestQuote:
 
 def validated(pool):
     """pool rebuilt from every one of its fields through the validating
-    constructor, after checking that each field is set on the instance
-    itself rather than read from a class-level default."""
-    assert set(vars(pool)) == {field.name for field in fields(Pool)}
-    return Pool(**vars(pool))
+    constructor; reading a slot that was never set raises AttributeError,
+    so this also checks that each field is set on the instance."""
+    return Pool(**{field.name: getattr(pool, field.name) for field in fields(Pool)})
 
 
 def listed_pool(x, y, fee):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,14 @@ class TestConfigValidation:
     def test_needs_pools(self):
         with pytest.raises(InvalidConfig):
             SimConfig(pools=())
+
+    @pytest.mark.parametrize("key", ["horizon", "src_block_interval", "dst_block_interval"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0, -1.0, True, "600"])
+    def test_spans_must_be_finite_and_positive(self, key, value):
+        # an infinite horizon ran forever; a NaN one or a NaN block
+        # interval ran and dropped every victim
+        with pytest.raises(InvalidConfig, match=f"{key} must be a finite number > 0"):
+            base_config(**{key: value})
 
     def test_theta_range(self):
         with pytest.raises(InvalidConfig):

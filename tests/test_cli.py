@@ -195,6 +195,19 @@ class TestSimulate:
         assert err.startswith(f"error: bad simulation config: {key} must be a finite number >= 0")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["horizon", "src_block_interval", "dst_block_interval"])
+    def test_nan_span_is_validation_error(self, tmp_path, capsys, key):
+        data = yaml.safe_load(CONFIG_YAML)
+        data[key] = float("nan")
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(data))
+        assert f"{key}: .nan" in config.read_text()
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: bad simulation config: {key} must be a finite number > 0, not nan\n"
+        assert not out.exists()
+
     def test_pool_reserve_past_256_bits_is_validation_error(self, tmp_path, capsys):
         data = yaml.safe_load(CONFIG_YAML)
         data["pools"][0]["reserve_x"] = str(2**256)
@@ -663,6 +676,23 @@ class TestAnalyzeStreams:
         assert err.startswith(f"error: {pairs}:{line}: TypeError: block_number must be")
         assert not (rep / "report.json").exists()
 
+    # 0 ended analyze in a ZeroDivisionError traceback, -5 reported a profit
+    @pytest.mark.parametrize("amount", [0, -5])
+    def test_bad_front_amount_names_file_and_line(self, detected, tmp_path, capsys, amount):
+        pairs, prices = detected
+        header, first, *rest = pairs.read_text().splitlines()
+        row = json.loads(first)
+        row["front"]["token_in_amount"] = amount
+        pairs.write_text("\n".join([header, json.dumps(row), *rest]) + "\n")
+        rep = tmp_path / "rep"
+        capsys.readouterr()
+        argv = ["analyze", "--pairs", str(pairs), "--prices", str(prices), "--out", str(rep)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {pairs}:2: ValueError: token_in_amount must be >= 1, got {amount}"
+        )
+        assert not (rep / "report.json").exists()
+
     def test_price_table_error_comes_first(self, detected, tmp_path, capsys):
         pairs, prices = detected
         self.break_last_row(pairs)
@@ -842,7 +872,18 @@ class TestMalformedRows:
             args.func(args)
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("key", ["block_number", "log_index", "chain_id", "timestamp"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "block_number",
+            "log_index",
+            "chain_id",
+            "timestamp",
+            "token_in_amount",
+            "token_out_amount",
+            "gas_price",
+        ],
+    )
     def test_string_swap_log_number_names_file_and_line(self, sim_outputs, tmp_path, capsys, key):
         _, sim = sim_outputs
         header, first, *rest = (sim / "swap_logs.jsonl").read_text().splitlines()

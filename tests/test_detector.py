@@ -104,22 +104,20 @@ class TestPrefilter:
     def test_mixed_hops_kept(self):
         victim = make_log(10, 0)
         record = make_record(victim, src_timestamp=victim.timestamp - 10)
-        record = CrossChainTx(
-            **{
-                **record.__dict__,
-                "hops": record.hops
-                + (
-                    VictimHop(
-                        pool_address="0x" + "33" * 20,
-                        token_in="USDC",
-                        token_out="USDT",
-                        direction=Direction.X_FOR_Y,
-                        amount_in=1,
-                        amount_out=1,
-                        min_return=0,
-                    ),
+        record = replace(
+            record,
+            hops=record.hops
+            + (
+                VictimHop(
+                    pool_address="0x" + "33" * 20,
+                    token_in="USDC",
+                    token_out="USDT",
+                    direction=Direction.X_FOR_Y,
+                    amount_in=1,
+                    amount_out=1,
+                    min_return=0,
                 ),
-            }
+            ),
         )
         assert prefilter([record], DetectionConfig()) == [record]
 
@@ -271,22 +269,20 @@ class TestDetectPairs:
             51, 0, direction=Direction.Y_FOR_X, amount_in=100, pool=other_pool
         )
         record = make_record(victim_a)
-        record = CrossChainTx(
-            **{
-                **record.__dict__,
-                "hops": record.hops
-                + (
-                    VictimHop(
-                        pool_address=other_pool,
-                        token_in="WBNB",
-                        token_out="BUSD",
-                        direction=Direction.X_FOR_Y,
-                        amount_in=10**6,
-                        amount_out=10**6,
-                        min_return=0,
-                    ),
+        record = replace(
+            record,
+            hops=record.hops
+            + (
+                VictimHop(
+                    pool_address=other_pool,
+                    token_in="WBNB",
+                    token_out="BUSD",
+                    direction=Direction.X_FOR_Y,
+                    amount_in=10**6,
+                    amount_out=10**6,
+                    min_return=0,
                 ),
-            }
+            ),
         )
         logs = {POOL: [victim_a], other_pool: [front_b, victim_b, back_b]}
         pairs = detect_pairs(record, logs, DetectionConfig())

@@ -1,6 +1,6 @@
 import json
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sandwichlab.amm import MAX_AMOUNT, Direction, Pool, PoolProtocol, SwapRequest
+from sandwichlab.amm import MAX_AMOUNT, Direction, Overflow, Pool, PoolProtocol, SwapRequest
 from sandwichlab.attack import PoolTimeline
 from sandwichlab.bridge import AttackerConfig, BotConfig, DistSpec, SimConfig, extract_corpus, run
 from sandwichlab.detector import Classification, CrossChainTx, SandwichPair, SwapLog, VictimHop
@@ -131,6 +131,42 @@ class TestCodecRoundTrips:
         assert swap_log_from_dict(row) == log
         assert swap_log_from_dict({**row, "timestamp": 15}).timestamp == 15
         with pytest.raises(TypeError, match=key):
+            swap_log_from_dict({**row, key: value})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            *(
+                (key, value)
+                for key in ("token_in_amount", "token_out_amount", "gas_price")
+                for value in ("5", True, 1.5, 7.0, None, -3, 2**256, 2**300)
+            ),
+            ("token_in_amount", 0),
+        ],
+        ids=lambda value: f"2**{value.bit_length() - 1}" if type(value) is int and value > 2**64 else None,
+    )
+    def test_swap_log_rejects_bad_amount(self, key, value):
+        log = SwapLog(
+            tx_hash="0xaa",
+            block_number=5,
+            log_index=1,
+            pool_address="0x" + "11" * 20,
+            chain_id=1,
+            direction=Direction.X_FOR_Y,
+            token_in_amount=10,
+            token_out_amount=9,
+            sender="0xbb",
+            recipient="0xbb",
+            gas_price=7,
+            timestamp=15.0,
+        )
+        row = json.loads(json.dumps(swap_log_to_dict(log)))
+        assert swap_log_from_dict({**row, "token_in_amount": 1}).token_in_amount == 1
+        for edge in (0, MAX_AMOUNT):
+            assert swap_log_from_dict({**row, "token_out_amount": edge, "gas_price": edge}) == replace(
+                log, token_out_amount=edge, gas_price=edge
+            )
+        with pytest.raises((TypeError, ValueError, Overflow), match=key):
             swap_log_from_dict({**row, key: value})
 
     def test_field_codecs_write_what_asdict_wrote(self):
@@ -264,7 +300,10 @@ class TestCodecRoundTrips:
 # and a lone surrogate
 _ESCAPED = st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "\u2028", "😀", "\ud800"])
 _texts = st.lists(st.one_of(_ESCAPED, st.characters()), max_size=4).map("".join)
-_amounts = st.integers(min_value=-(2**80), max_value=2**80)
+# a swap log's amounts are uint256s with a nonzero input; a profit may
+# be negative
+_amounts = st.integers(min_value=0, max_value=2**80)
+_profits = st.integers(min_value=-(2**80), max_value=2**80)
 _swap_logs = st.builds(
     SwapLog,
     tx_hash=_texts,
@@ -273,7 +312,7 @@ _swap_logs = st.builds(
     pool_address=_texts,
     chain_id=st.integers(0, 10**6),
     direction=st.sampled_from(Direction),
-    token_in_amount=_amounts,
+    token_in_amount=_amounts.filter(bool),
     token_out_amount=_amounts,
     sender=_texts,
     recipient=_texts,
@@ -303,7 +342,7 @@ def _pair_lists(draw):
                 classification=draw(st.sampled_from(Classification)),
                 token_in=draw(_texts),
                 front_window_start_block=draw(st.integers(-(2**40), 2**40)),
-                profit_token=draw(_amounts) if priced else None,
+                profit_token=draw(_profits) if priced else None,
                 profit_rate=draw(st.fractions()) if priced else None,
                 profit_usd=draw(st.decimals(allow_nan=False, allow_infinity=False))
                 if priced
@@ -378,6 +417,12 @@ class TestPairsWriter:
         pair_from_dict({**pair_row, "front": one, "victim": one, "back": one}, memo)
         with pytest.raises(TypeError, match="chain_id"):
             pair_from_dict({**pair_row, "front": one, "victim": {**one, "chain_id": True}, "back": one}, memo)
+        # an amount equal in Python to a stored valid one must still fail
+        unit = {**row, "token_in_amount": 1, "token_out_amount": 1, "gas_price": 0}
+        pair_from_dict({**pair_row, "front": unit, "victim": unit, "back": unit}, memo)
+        for key, value in (("token_in_amount", True), ("token_out_amount", 1.0), ("gas_price", False)):
+            with pytest.raises(TypeError, match=key):
+                pair_from_dict({**pair_row, "front": unit, "victim": {**unit, key: value}, "back": unit}, memo)
 
 
 # token amounts at the edges of the 256-bit range as well as in between
@@ -396,7 +441,7 @@ _wide_swap_logs = st.builds(
     pool_address=_texts,
     chain_id=st.integers(0, 10**6),
     direction=st.sampled_from(Direction),
-    token_in_amount=_token_amounts,
+    token_in_amount=_positive_amounts,
     token_out_amount=_token_amounts,
     sender=_texts,
     recipient=_texts,
