@@ -135,8 +135,8 @@ def estimate_grid_config() -> SimConfig:
 
 class TestMemory:
     # Traced peak of run + extract_corpus per simulated victim. Slotted
-    # records measure 4,150-4,450 B on CPython 3.10-3.13; records with an
-    # instance __dict__ measured 6,050-6,450 B.
+    # records measure 4,144-4,432 B on CPython 3.10-3.13; records with an
+    # instance __dict__ measured 6,053-6,406 B.
     BYTES_PER_VICTIM = 5_300
 
     def test_simulation_peak_per_victim(self):
