@@ -327,12 +327,14 @@ def cmd_analyze(args) -> int:
     prices = detector.PriceTable.from_csv(args.prices)
     # One row at a time: each pair is decoded, priced and folded into the
     # report before the next is read, so memory follows the distinct swap
-    # logs (the memo) and the records, not the number of pairs.
-    memo: dict = {}
+    # logs (iter_pairs decodes each text once) and the records, not the
+    # number of pairs.
     missing: set[str] = set()
-    pairs = ingest.iter_decoded(args.pairs, lambda row: ingest.pair_from_dict(row, memo))
     report = detector.aggregate(
-        (detector.price_pair(pair, prices, missing) for pair in pairs), records, num_blocks
+        ingest.iter_pairs(args.pairs),
+        records,
+        num_blocks,
+        usd=lambda pair: detector.pair_profit(pair, prices, missing)[1],
     )
 
     out = Path(args.out)

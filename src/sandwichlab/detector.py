@@ -17,7 +17,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .amm import Direction
 
@@ -387,20 +388,27 @@ def reference_detect_pairs(
     return pairs
 
 
-def price_pair(pair: SandwichPair, prices: PriceTable, missing: set[str]) -> SandwichPair:
-    """The pair with token profit, profit rate and USD profit filled in.
+def pair_profit(
+    pair: SandwichPair, prices: PriceTable, missing: set[str]
+) -> tuple[int, Optional[Decimal]]:
+    """The pair's profit in units of its input token, and in USD.
 
-    Gas costs are deliberately excluded. A pair whose input token is not
-    in the price table keeps profit_usd unknown, and the token is added
-    to missing.
+    Gas costs are deliberately excluded. When the input token is not in
+    the price table the USD profit is None, and the token is added to
+    missing.
     """
     profit = pair.back.token_out_amount - pair.front.token_in_amount
-    rate = Fraction(profit, pair.front.token_in_amount)
     try:
-        usd = prices.usd(pair.token_in, profit)
+        return profit, prices.usd(pair.token_in, profit)
     except MissingPrice:
         missing.add(pair.token_in)
-        usd = None
+        return profit, None
+
+
+def price_pair(pair: SandwichPair, prices: PriceTable, missing: set[str]) -> SandwichPair:
+    """The pair with token profit, profit rate and USD profit filled in
+    from pair_profit."""
+    profit, usd = pair_profit(pair, prices, missing)
     return SandwichPair(
         record_id=pair.record_id,
         pool_address=pair.pool_address,
@@ -411,7 +419,7 @@ def price_pair(pair: SandwichPair, prices: PriceTable, missing: set[str]) -> San
         token_in=pair.token_in,
         front_window_start_block=pair.front_window_start_block,
         profit_token=profit,
-        profit_rate=rate,
+        profit_rate=Fraction(profit, pair.front.token_in_amount),
         profit_usd=usd,
     )
 
@@ -455,12 +463,15 @@ def aggregate(
     pairs: Iterable[SandwichPair],
     records: Sequence[CrossChainTx],
     num_blocks: int = 100,
+    usd: Callable[[SandwichPair], Optional[Decimal]] = attrgetter("profit_usd"),
 ) -> Report:
     """Corpus-level rollup: per chain-pair profit, per-pool attack
     counts, relative-position histograms, gas-price statistics, and the
     single- vs cross-chain split. Cross-chain profit totals exclude
     same-block (single-chain-classified) pairs. pairs is read once, in
-    order, so it may be an iterator."""
+    order, so it may be an iterator. usd gives a pair's USD profit
+    (None when unknown); by default its profit_usd, as price_pair sets
+    it."""
     report = Report()
     chain_keys = {
         record.record_id: f"{record.src_chain_id}->{record.dst_chain_id}"
@@ -483,24 +494,24 @@ def aggregate(
             report.single_chain_pairs += 1
         else:
             report.cross_chain_pairs += 1
-        usd = pair.profit_usd
+        profit = usd(pair)
         profitable = False
-        if usd is not None:
-            profitable = usd > 0
-            report.total_profit_usd += usd
+        if profit is not None:
+            profitable = profit > 0
+            report.total_profit_usd += profit
             if single:
-                report.single_chain_profit_usd += usd
+                report.single_chain_profit_usd += profit
             else:
-                report.cross_chain_profit_usd += usd
-            if usd > report.max_single_profit_usd:
-                report.max_single_profit_usd = usd
+                report.cross_chain_profit_usd += profit
+            if profit > report.max_single_profit_usd:
+                report.max_single_profit_usd = profit
             key = chain_keys.get(pair.record_id)
             if key is not None:
                 bucket = report.chain_pairs.setdefault(
                     key, {"pairs": 0, "profit_usd": Decimal(0)}
                 )
                 bucket["pairs"] += 1
-                bucket["profit_usd"] += usd
+                bucket["profit_usd"] += profit
 
         report.pool_counts[pair.pool_address] = (
             report.pool_counts.get(pair.pool_address, 0) + 1

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import asdict, dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -109,12 +110,13 @@ def record_to_dict(record: CrossChainTx) -> dict:
 
 def record_from_dict(data: dict) -> CrossChainTx:
     data = dict(data)
+    _check_amount("dst_gas_price", data["dst_gas_price"])
     hops = []
     for hop in data["hops"]:
         hop = dict(hop)
         hop["direction"] = Direction(hop["direction"])
         for key in ("amount_in", "amount_out", "min_return"):
-            hop[key] = int(hop[key])
+            _check_amount(key, hop[key])
         hops.append(VictimHop(**hop))
     data["hops"] = tuple(hops)
     return CrossChainTx(**data)
@@ -219,54 +221,53 @@ def pair_to_dict(pair: SandwichPair) -> dict:
     }
 
 
-def _shared_swap_log(row: dict, memo: Optional[dict]) -> SwapLog:
-    if memo is None:
-        return swap_log_from_dict(row)
-    key = (row["block_number"], row["log_index"], row["tx_hash"])
-    hit = memo.get(key)
-    if hit is not None and hit[0] == row and _same_number_types(hit[0], row):
-        return hit[1]
-    log = swap_log_from_dict(row)
-    memo[key] = (row, log)
-    return log
+def _json_int(key: str, value) -> int:
+    if type(value) is not int:
+        raise TypeError(f"{key} must be a JSON int, not {value!r}")
+    return value
 
 
-def _same_number_types(a: dict, b: dict) -> bool:
-    """True == 1 == 1.0 in Python but not in JSON: a memo hit must not
-    let a row skip the checks of swap_log_from_dict (_SWAP_LOG_NUMBERS,
-    _SWAP_LOG_AMOUNTS) or decode an int timestamp as a float."""
-    return (
-        type(a["block_number"]) is type(b["block_number"])
-        and type(a["log_index"]) is type(b["log_index"])
-        and type(a["chain_id"]) is type(b["chain_id"])
-        and type(a["timestamp"]) is type(b["timestamp"])
-        and type(a["token_in_amount"]) is type(b["token_in_amount"])
-        and type(a["token_out_amount"]) is type(b["token_out_amount"])
-        and type(a["gas_price"]) is type(b["gas_price"])
-    )
+def _optional_str(key: str, value, parse: Callable[[str], object]):
+    if value is None:
+        return None
+    if type(value) is not str:
+        raise TypeError(f"{key} must be a string or null, not {value!r}")
+    return parse(value)
 
 
-def pair_from_dict(data: dict, memo: Optional[dict] = None) -> SandwichPair:
-    """Decode one pairs.jsonl row. With a memo (one dict shared across
-    the rows of a file), equal swap-log rows decode to one shared
-    SwapLog: a victim sits in many pairs. The memo is keyed on
-    (block_number, log_index, tx_hash), and a hit counts only when the
-    whole row, and the JSON type of each number, equals the stored one."""
+# int() alone would also take " 7", "+7", "1_0" and non-ASCII digits
+_DECIMAL_INT = re.compile(r"-?[0-9]+")
+
+
+def _decimal_int(text: str) -> int:
+    if not _DECIMAL_INT.fullmatch(text):
+        raise ValueError(f"profit_token must be a decimal integer, not {text!r}")
+    return int(text)
+
+
+def _pair(data: dict, log: Callable[..., SwapLog]) -> SandwichPair:
+    """A pairs.jsonl row's fields as a SandwichPair, each embedded swap
+    log through log."""
     return SandwichPair(
         record_id=data["record_id"],
         pool_address=data["pool_address"],
-        front=_shared_swap_log(data["front"], memo),
-        victim=_shared_swap_log(data["victim"], memo),
-        back=_shared_swap_log(data["back"], memo),
+        front=log(data["front"]),
+        victim=log(data["victim"]),
+        back=log(data["back"]),
         classification=Classification(data["classification"]),
         token_in=data["token_in"],
-        front_window_start_block=int(data["front_window_start_block"]),
-        profit_token=None if data["profit_token"] is None else int(data["profit_token"]),
-        profit_rate=None
-        if data["profit_rate"] is None
-        else _fraction_from_str(data["profit_rate"]),
-        profit_usd=None if data["profit_usd"] is None else Decimal(data["profit_usd"]),
+        front_window_start_block=_json_int(
+            "front_window_start_block", data["front_window_start_block"]
+        ),
+        profit_token=_optional_str("profit_token", data["profit_token"], _decimal_int),
+        profit_rate=_optional_str("profit_rate", data["profit_rate"], _fraction_from_str),
+        profit_usd=_optional_str("profit_usd", data["profit_usd"], Decimal),
     )
+
+
+def pair_from_dict(data: dict) -> SandwichPair:
+    """Decode one pairs.jsonl row."""
+    return _pair(data, swap_log_from_dict)
 
 
 @dataclass(slots=True)
@@ -313,6 +314,26 @@ def _json_optional(value, to_str: Callable[..., str]) -> str:
     return "null" if value is None else _json_str(to_str(value))
 
 
+def _pair_line(pair: SandwichPair, back: str, front: str, victim: str) -> str:
+    """json.dumps(pair_to_dict(pair), sort_keys=True), given the text of
+    each of its swap logs: the one row layout of pairs.jsonl, shared by
+    write_pairs_jsonl and iter_pairs."""
+    # the keys of pair_to_dict in sorted order
+    return (
+        f'{{"back": {back}, '
+        f'"classification": {_json_str(pair.classification.value)}, '
+        f'"front": {front}, '
+        f'"front_window_start_block": {pair.front_window_start_block}, '
+        f'"pool_address": {_json_str(pair.pool_address)}, '
+        f'"profit_rate": {_json_optional(pair.profit_rate, _fraction_to_str)}, '
+        f'"profit_token": {_json_optional(pair.profit_token, str)}, '
+        f'"profit_usd": {_json_optional(pair.profit_usd, str)}, '
+        f'"record_id": {_json_str(pair.record_id)}, '
+        f'"token_in": {_json_str(pair.token_in)}, '
+        f'"victim": {victim}}}'
+    )
+
+
 def write_pairs_jsonl(
     path: str, pairs: Iterable[SandwichPair], manifest: Optional[RunManifest] = None
 ) -> None:
@@ -328,57 +349,121 @@ def write_pairs_jsonl(
             entry = texts[id(log)] = (log, json.dumps(swap_log_to_dict(log), sort_keys=True))
         return entry[1]
 
-    # the keys of pair_to_dict in sorted order
     lines = (
-        f'{{"back": {log_text(pair.back)}, '
-        f'"classification": {_json_str(pair.classification.value)}, '
-        f'"front": {log_text(pair.front)}, '
-        f'"front_window_start_block": {pair.front_window_start_block}, '
-        f'"pool_address": {_json_str(pair.pool_address)}, '
-        f'"profit_rate": {_json_optional(pair.profit_rate, _fraction_to_str)}, '
-        f'"profit_token": {_json_optional(pair.profit_token, str)}, '
-        f'"profit_usd": {_json_optional(pair.profit_usd, str)}, '
-        f'"record_id": {_json_str(pair.record_id)}, '
-        f'"token_in": {_json_str(pair.token_in)}, '
-        f'"victim": {log_text(pair.victim)}}}'
+        _pair_line(pair, log_text(pair.back), log_text(pair.front), log_text(pair.victim))
         for pair in pairs
     )
     _write_lines(path, lines, manifest)
 
 
-def _numbered_rows(path: str) -> Iterator[tuple[int, dict]]:
-    """(line number, row) for each data line; a line that is not JSON
-    raises MalformedData naming the file and line."""
+def _numbered_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) for each line that is not blank or
+    a # comment."""
     with open(path) as handle:
         for number, line in enumerate(handle, 1):
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError as exc:
-                raise MalformedData(f"{path}:{number}: invalid JSON: {exc}") from exc
-            yield number, row
+            if line and not line.startswith("#"):
+                yield number, line
+
+
+def _row(path: str, number: int, line: str):
+    try:
+        return json.loads(line)
+    except ValueError as exc:
+        raise MalformedData(f"{path}:{number}: invalid JSON: {exc}") from exc
 
 
 def read_jsonl(path: str) -> Iterator[dict]:
-    for _, row in _numbered_rows(path):
-        yield row
+    """The rows of a JSONL file; a line that is not JSON raises
+    MalformedData naming the file and line."""
+    for number, line in _numbered_lines(path):
+        yield _row(path, number, line)
+
+
+# what a decoder raises on a row it rejects: not an object, a missing
+# key, a value of the wrong type, an amount past 256 bits
+_DECODE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, ArithmeticError, AmmError)
+
+
+def _decoded(path: str, number: int, line: str, decode: Callable[[dict], object]):
+    row = _row(path, number, line)
+    try:
+        return decode(row)
+    except _DECODE_ERRORS as exc:
+        raise MalformedData(f"{path}:{number}: {type(exc).__name__}: {exc}") from exc
 
 
 def iter_decoded(path: str, decode: Callable[[dict], object]) -> Iterator:
     """Decode the rows of a JSONL file one at a time, as they are read.
-    A row that decode rejects (not an object, a missing key, a value of
-    the wrong type, an amount past 256 bits) raises MalformedData naming
-    the file and line."""
-    for number, row in _numbered_rows(path):
-        try:
-            value = decode(row)
-        except (KeyError, TypeError, ValueError, AttributeError, ArithmeticError, AmmError) as exc:
-            raise MalformedData(f"{path}:{number}: {type(exc).__name__}: {exc}") from exc
-        yield value
+    A line that is not JSON, or a row that decode rejects, raises
+    MalformedData naming the file and line."""
+    for number, line in _numbered_lines(path):
+        yield _decoded(path, number, line, decode)
 
 
 def decode_jsonl(path: str, decode: Callable[[dict], object]) -> list:
     """Every row of a JSONL file, decoded: list(iter_decoded(...))."""
     return list(iter_decoded(path, decode))
+
+
+# the text of _pair_line around its three swap-log texts
+_BEFORE_BACK = '{"back": '
+_AFTER_BACK = ', "classification": '
+_BEFORE_FRONT = ', "front": '
+_AFTER_FRONT = ', "front_window_start_block": '
+_BEFORE_VICTIM = ', "victim": '
+
+
+def _written_pair(line: str, log: Callable[[str], SwapLog]) -> Optional[SandwichPair]:
+    """The pair of a line that _pair_line rebuilds byte for byte from
+    what was read, each swap-log text through log; None for any other
+    line, and for a line that any decoder rejects."""
+    if not line.startswith(_BEFORE_BACK):
+        return None
+    a = line.find(_AFTER_BACK)
+    b = line.find(_BEFORE_FRONT, a)
+    c = line.find(_AFTER_FRONT, b)
+    d = line.find(_BEFORE_VICTIM, c)
+    if -1 in (a, b, c, d):
+        return None
+    back = line[len(_BEFORE_BACK) : a]
+    front = line[b + len(_BEFORE_FRONT) : c]
+    victim = line[d + len(_BEFORE_VICTIM) : -1]
+    try:
+        # the row's own fields: everything but the three logs
+        own = json.loads(f"{{{line[a + 2 : b]}, {line[c + 2 : d]}}}")
+        own["back"], own["front"], own["victim"] = back, front, victim
+        pair = _pair(own, log)
+        return pair if _pair_line(pair, back, front, victim) == line else None
+    except _DECODE_ERRORS:
+        # the caller decodes the line again in full and raises its error
+        return None
+
+
+def iter_pairs(path: str) -> Iterator[SandwichPair]:
+    """iter_decoded(path, pair_from_dict), the same pairs and the same
+    MalformedData errors, with each distinct swap-log text decoded once.
+
+    A row that write_pairs_jsonl could have written (_written_pair) is
+    read from its three log texts, looked up by their exact text, and
+    its own fields; only then is it rebuilt and compared. A text is
+    decoded on its first sight, and kept only when swap_log_from_dict
+    accepts it and swap_log_to_dict encodes the log back to the same
+    text. Every other row (other spacing or key order, 15 for 15.0,
+    duplicate keys, a bad value) goes through json.loads and
+    pair_from_dict. Equal texts give one shared SwapLog, so memory
+    follows the distinct log texts, not the number of pairs."""
+    logs: dict[str, SwapLog] = {}
+
+    def log(text: str) -> SwapLog:
+        found = logs.get(text)
+        if found is None:
+            found = swap_log_from_dict(json.loads(text))
+            if json.dumps(swap_log_to_dict(found), sort_keys=True) != text:
+                raise ValueError("not a canonical swap-log text")
+            logs[text] = found
+        return found
+
+    for number, line in _numbered_lines(path):
+        pair = _written_pair(line, log)
+        yield pair if pair is not None else _decoded(path, number, line, pair_from_dict)

@@ -897,3 +897,60 @@ class TestMalformedRows:
         assert main(argv) == 1
         assert f"error: {bad}:2: TypeError: {key} must be" in capsys.readouterr().err
         assert not out.exists()
+
+    # int() read 1.5 as 1, "-7" as -7 and true as 1
+    @pytest.mark.parametrize("value", [1.5, "-7", True])
+    @pytest.mark.parametrize(
+        "key", ["dst_gas_price", "hops.amount_in", "hops.amount_out", "hops.min_return"]
+    )
+    def test_non_integer_record_amount_names_file_and_line(
+        self, sim_outputs, tmp_path, capsys, key, value
+    ):
+        _, sim = sim_outputs
+        header, first, *rest = (sim / "records.jsonl").read_text().splitlines()
+        row = json.loads(first)
+        if key.startswith("hops."):
+            row["hops"][0][key[len("hops.") :]] = value
+        else:
+            row[key] = value
+        bad = tmp_path / "records.jsonl"
+        bad.write_text("\n".join([header, json.dumps(row), *rest]) + "\n")
+        out = tmp_path / "out"
+        argv = ["detect", "--records", str(bad), "--logs", str(sim / "swap_logs.jsonl"), "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        name = key.rpartition(".")[2]
+        assert f"error: {bad}:2: TypeError: {name} must be an int" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("front_window_start_block", 1.5),
+            ("front_window_start_block", "-7"),
+            ("front_window_start_block", True),
+            ("profit_token", 1.5),
+            ("profit_token", True),
+            ("profit_token", "1.5"),
+        ],
+    )
+    def test_bad_pair_field_names_file_and_line(self, sim_outputs, tmp_path, capsys, key, value):
+        _, sim = sim_outputs
+        det = tmp_path / "det"
+        detect = ["detect", "--records", str(sim / "records.jsonl"), "--logs"]
+        assert main([*detect, str(sim / "swap_logs.jsonl"), "--out", str(det)]) == 0
+        header, first, *rest = (det / "pairs.jsonl").read_text().splitlines()
+        row = json.loads(first)
+        row[key] = value
+        bad = tmp_path / "pairs.jsonl"
+        bad.write_text("\n".join([header, json.dumps(row, sort_keys=True), *rest]) + "\n")
+        prices = tmp_path / "prices.csv"
+        prices.write_text(PRICES_CSV)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["analyze", "--pairs", str(bad), "--prices", str(prices), "--out", str(out)]) == 1
+        assert re.match(
+            rf"error: {re.escape(str(bad))}:2: (TypeError|ValueError): {key} must be",
+            capsys.readouterr().err,
+        )
+        assert not out.exists()
