@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .amm import (
     AmmError,
@@ -162,19 +162,37 @@ class SimConfig:
 
 
 @dataclass(slots=True)
+class Sandwich:
+    """One agent's sandwich around one victim: the front-run of
+    ``amount_in`` and the back-run that sells what it bought. A hash is
+    set when its leg is queued, a block and an output when the leg
+    executes without reverting."""
+
+    amount_in: int
+    front_hash: str = ""
+    back_hash: str = ""
+    front_block: Optional[int] = None
+    front_out: int = 0
+    back_block: Optional[int] = None
+    back_out: int = 0
+
+
+@dataclass(slots=True)
 class PendingTx:
     """A destination-chain transaction waiting in the mempool; ``account``
-    both sends it and receives its output."""
+    both sends it and receives its output. An agent's transaction points
+    at its sandwich."""
 
     tx_hash: str
     label: TxLabel
     gas_price: int
     pool_address: str
     direction: Direction
-    amount_in: Optional[int]  # back-runs resolve at execution time
+    amount_in: Optional[int]  # None for a back-run: its front-run's output
     min_out: int
     account: str
     victim_id: Optional[int] = None
+    sandwich: Optional[Sandwich] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,6 +221,11 @@ class TraceEvent:
 
 @dataclass(slots=True)
 class VictimRecord:
+    """One bridged swap. Never executed (``exec_block`` None) means
+    dropped: its relay delivery fell past the horizon, or it was still
+    in a mempool when the run ended. ``attacker`` and ``bot`` stay None
+    until that agent acts on this victim."""
+
     victim_id: int
     pool_address: str
     direction: Direction
@@ -220,24 +243,10 @@ class VictimRecord:
     dst_tx_hash: str = ""
     exec_block: Optional[int] = None
     exec_time: Optional[float] = None
-    executed: bool = False
     reverted: bool = False
     amount_out: int = 0
-    dropped: bool = False
-    attacker_in: int = 0
-    attacker_front_hash: str = ""
-    attacker_front_block: Optional[int] = None
-    attacker_front_out: int = 0
-    attacker_back_hash: str = ""
-    attacker_back_block: Optional[int] = None
-    attacker_back_out: int = 0
-    bot_in: int = 0
-    bot_front_hash: str = ""
-    bot_front_block: Optional[int] = None
-    bot_front_out: int = 0
-    bot_back_hash: str = ""
-    bot_back_block: Optional[int] = None
-    bot_back_out: int = 0
+    attacker: Optional[Sandwich] = None
+    bot: Optional[Sandwich] = None
 
 
 @dataclass(slots=True)
@@ -245,7 +254,6 @@ class SimTrace:
     config: SimConfig
     events: list[TraceEvent] = field(default_factory=list)
     victims: dict[int, VictimRecord] = field(default_factory=dict)
-    blocks: dict[int, list[tuple[int, float]]] = field(default_factory=dict)
     final_pools: dict[str, Pool] = field(default_factory=dict)
 
 
@@ -303,20 +311,21 @@ class Simulation:
         self.pools: dict[str, Pool] = {p.address: p for p in config.pools}
         if len(self.pools) != len(config.pools):
             raise InvalidConfig("duplicate pool addresses")
-        self.queue: list[tuple[float, int, str, object]] = []
+        # (time, seq, handler, args): handler(time, *args) runs at time;
+        # seq breaks ties in push order
+        self.queue: list[tuple[float, int, Callable[..., None], tuple]] = []
         self.seq = 0
         self.src_mempool: list[VictimRecord] = []
         self.dst_mempool: list[PendingTx] = []
         self.src_height = 0
         self.dst_height = 0
         self.victim_counter = 0
-        self.trace.blocks = {config.src_chain_id: [], config.dst_chain_id: []}
 
     # -- plumbing ----------------------------------------------------------
 
-    def _push(self, time: float, action: str, payload: object = None) -> None:
+    def _push(self, time: float, handler: Callable[..., None], *args: object) -> None:
         self.seq += 1
-        heapq.heappush(self.queue, (time, self.seq, action, payload))
+        heapq.heappush(self.queue, (time, self.seq, handler, args))
 
     def _hash(self, *parts: object) -> str:
         digest = hashlib.sha256(
@@ -373,20 +382,18 @@ class Simulation:
         """Deliver the committed swap to the destination mempool after a
         sampled relay delay; a delivery past the horizon is dropped."""
         delivery = now + self.config.relay_delay.sample(self.rng)
-        if delivery > self.config.horizon:
-            victim.dropped = True
-            return
-        self._push(delivery, "deliver_victim", victim.victim_id)
+        if delivery <= self.config.horizon:
+            self._push(delivery, self._on_deliver_victim, victim)
 
     # -- agents ------------------------------------------------------------
 
     def _queue_agent_tx(
-        self, label: TxLabel, victim: VictimRecord, gas_price: int, amount_in: Optional[int]
+        self, label: TxLabel, victim: VictimRecord, sandwich: Sandwich, gas_price: int,
+        backrun: bool,
     ) -> str:
-        """Queue an agent's front-run of ``amount_in`` or, with amount_in
-        None, its back-run of whatever the front-run bought; returns the
+        """Queue the front-run of ``sandwich`` or, with ``backrun``, its
+        back-run of whatever the front-run bought; returns the
         transaction hash."""
-        backrun = amount_in is None
         tx_hash = self._hash(label.value, victim.victim_id)
         self.dst_mempool.append(
             PendingTx(
@@ -395,10 +402,11 @@ class Simulation:
                 gas_price=gas_price,
                 pool_address=victim.pool_address,
                 direction=victim.direction.opposite() if backrun else victim.direction,
-                amount_in=amount_in,
+                amount_in=None if backrun else sandwich.amount_in,
                 min_out=0,
                 account=_AGENT_ACCOUNT[label],
                 victim_id=victim.victim_id,
+                sandwich=sandwich,
             )
         )
         return tx_hash
@@ -424,15 +432,19 @@ class Simulation:
         if amount <= 0:
             return
         victim = self.trace.victims[commit.victim_id]
-        victim.attacker_in = amount
-        victim.attacker_front_hash = self._queue_agent_tx(
-            TxLabel.TA1, victim, 0 if cfg.uses_private_submission else cfg.gas_price, amount
+        victim.attacker = sandwich = Sandwich(amount)
+        sandwich.front_hash = self._queue_agent_tx(
+            TxLabel.TA1, victim, sandwich,
+            0 if cfg.uses_private_submission else cfg.gas_price, backrun=False,
         )
 
     def _attacker_backrun(self, victim: VictimRecord, gas_price: int) -> None:
-        if victim.attacker_front_out <= 0 or victim.attacker_back_hash:
+        sandwich = victim.attacker
+        if sandwich is None or sandwich.front_out <= 0 or sandwich.back_hash:
             return
-        victim.attacker_back_hash = self._queue_agent_tx(TxLabel.TA2, victim, gas_price, None)
+        sandwich.back_hash = self._queue_agent_tx(
+            TxLabel.TA2, victim, sandwich, gas_price, backrun=True
+        )
 
     def _bot_react(self, victim: VictimRecord) -> None:
         """Bracket the victim in its own block if a front-run sized on the
@@ -449,12 +461,12 @@ class Simulation:
             return
         if replay_timeline(bracket, amount)[1] - amount < cfg.min_profit:
             return
-        victim.bot_in = amount
-        victim.bot_front_hash = self._queue_agent_tx(
-            TxLabel.TB1, victim, victim.gas_price + cfg.gas_premium, amount
+        victim.bot = sandwich = Sandwich(amount)
+        sandwich.front_hash = self._queue_agent_tx(
+            TxLabel.TB1, victim, sandwich, victim.gas_price + cfg.gas_premium, backrun=False
         )
-        victim.bot_back_hash = self._queue_agent_tx(
-            TxLabel.TB2, victim, max(victim.gas_price - 1, 0), None
+        sandwich.back_hash = self._queue_agent_tx(
+            TxLabel.TB2, victim, sandwich, max(victim.gas_price - 1, 0), backrun=True
         )
 
     # -- event handlers ----------------------------------------------------
@@ -482,9 +494,9 @@ class Simulation:
         self.src_mempool.append(victim)
         interval = self.rng.expovariate(self.config.victim_arrival_rate)
         if now + interval <= self.config.horizon:
-            self._push(now + interval, "victim_arrival")
+            self._push(now + interval, self._on_victim_arrival)
 
-    def _on_noise_arrival(self, pool_address: str, now: float) -> None:
+    def _on_noise_arrival(self, now: float, pool_address: str) -> None:
         direction = Direction.X_FOR_Y if self.rng.random() < 0.5 else Direction.Y_FOR_X
         size = max(1, int(self.config.noise_size.sample(self.rng)))
         self.dst_mempool.append(
@@ -501,11 +513,10 @@ class Simulation:
         )
         interval = self.rng.expovariate(self.config.noise_arrival_rate)
         if now + interval <= self.config.horizon:
-            self._push(now + interval, "noise_arrival", pool_address)
+            self._push(now + interval, self._on_noise_arrival, pool_address)
 
     def _on_src_block(self, now: float) -> None:
         self.src_height += 1
-        self.trace.blocks[self.config.src_chain_id].append((self.src_height, now))
         victims = _by_gas_price(self.src_mempool)
         self.src_mempool = []
         for index, victim in enumerate(victims):
@@ -515,10 +526,9 @@ class Simulation:
             self._relay(victim, now)
         next_time = now + self.config.src_block_interval
         if next_time <= self.config.horizon:
-            self._push(next_time, "src_block")
+            self._push(next_time, self._on_src_block)
 
-    def _on_deliver_victim(self, victim_id: int) -> None:
-        victim = self.trace.victims[victim_id]
+    def _on_deliver_victim(self, now: float, victim: VictimRecord) -> None:
         self.dst_mempool.append(
             PendingTx(
                 tx_hash=victim.dst_tx_hash,
@@ -529,7 +539,7 @@ class Simulation:
                 amount_in=victim.amount_in,
                 min_out=victim.min_return,
                 account=victim.sender,
-                victim_id=victim_id,
+                victim_id=victim.victim_id,
             )
         )
         if self.config.bot.enabled:
@@ -539,24 +549,17 @@ class Simulation:
             # back-run lands after it inside the same block
             self._attacker_backrun(victim, max(victim.gas_price - 2, 0))
 
-    def _resolve_amount(self, tx: PendingTx) -> Optional[int]:
-        if tx.amount_in is not None:
-            return tx.amount_in
-        victim = self.trace.victims[tx.victim_id]
-        if tx.label is TxLabel.TA2:
-            return victim.attacker_front_out or None
-        return victim.bot_front_out or None
-
     def _on_dst_block(self, now: float) -> None:
         self.dst_height += 1
         block = self.dst_height
-        self.trace.blocks[self.config.dst_chain_id].append((block, now))
         txs = _by_gas_price(self.dst_mempool)
         self.dst_mempool = []
         log_index = 0
         for tx in txs:
-            amount = self._resolve_amount(tx)
-            if amount is None or amount <= 0:
+            amount = tx.amount_in
+            if amount is None:
+                amount = tx.sandwich.front_out
+            if amount <= 0:
                 continue
             pool = self.pools[tx.pool_address]
             outcome = execute_swap(
@@ -590,66 +593,46 @@ class Simulation:
             self._post_execute(tx, outcome, block, now)
         next_time = now + self.config.dst_block_interval
         if next_time <= self.config.horizon:
-            self._push(next_time, "dst_block")
+            self._push(next_time, self._on_dst_block)
 
     def _post_execute(self, tx: PendingTx, outcome: SwapOutcome, block: int, now: float) -> None:
-        if tx.label is TxLabel.NOISE:
-            return
-        victim = self.trace.victims[tx.victim_id]
         if tx.label is TxLabel.TV:
+            victim = self.trace.victims[tx.victim_id]
             victim.exec_block = block
             victim.exec_time = now
-            victim.executed = not outcome.reverted
             victim.reverted = outcome.reverted
             victim.amount_out = outcome.amount_out
             if self.config.attacker.enabled and not self.config.attacker.backrun_on_mempool:
                 self._attacker_backrun(victim, self.config.attacker.gas_price)
             return
-        if outcome.reverted:
+        sandwich = tx.sandwich
+        if sandwich is None or outcome.reverted:
             return
-        if tx.label is TxLabel.TA1:
-            victim.attacker_front_block = block
-            victim.attacker_front_out = outcome.amount_out
-        elif tx.label is TxLabel.TA2:
-            victim.attacker_back_block = block
-            victim.attacker_back_out = outcome.amount_out
-        elif tx.label is TxLabel.TB1:
-            victim.bot_front_block = block
-            victim.bot_front_out = outcome.amount_out
+        if tx.amount_in is None:
+            sandwich.back_block = block
+            sandwich.back_out = outcome.amount_out
         else:
-            victim.bot_back_block = block
-            victim.bot_back_out = outcome.amount_out
+            sandwich.front_block = block
+            sandwich.front_out = outcome.amount_out
 
     # -- driver ------------------------------------------------------------
 
     def run(self) -> SimTrace:
         config = self.config
-        self._push(config.src_block_interval, "src_block")
-        self._push(config.dst_block_interval, "dst_block")
+        self._push(config.src_block_interval, self._on_src_block)
+        self._push(config.dst_block_interval, self._on_dst_block)
         if config.victim_arrival_rate > 0:
             first = self.rng.expovariate(config.victim_arrival_rate)
             if first <= config.horizon:
-                self._push(first, "victim_arrival")
+                self._push(first, self._on_victim_arrival)
         if config.noise_arrival_rate > 0:
             for pool in config.pools:
                 first = self.rng.expovariate(config.noise_arrival_rate)
                 if first <= config.horizon:
-                    self._push(first, "noise_arrival", pool.address)
+                    self._push(first, self._on_noise_arrival, pool.address)
         while self.queue:
-            time, _, action, payload = heapq.heappop(self.queue)
-            if action == "src_block":
-                self._on_src_block(time)
-            elif action == "dst_block":
-                self._on_dst_block(time)
-            elif action == "victim_arrival":
-                self._on_victim_arrival(time)
-            elif action == "noise_arrival":
-                self._on_noise_arrival(payload, time)
-            elif action == "deliver_victim":
-                self._on_deliver_victim(payload)
-        for victim in self.trace.victims.values():
-            if victim.exec_block is None:
-                victim.dropped = True
+            time, _, handler, args = heapq.heappop(self.queue)
+            handler(time, *args)
         self.trace.final_pools = dict(self.pools)
         return self.trace
 
@@ -684,13 +667,14 @@ class _TraceIndex:
         if where is None:
             return []
         events = self.events_by_pool[victim.pool_address]
+        own_front = victim.attacker.front_hash if victim.attacker else None
         out: list[TraceEvent] = []
         i = where - 1
         while i >= 0:
             event = events[i]
             if event.time <= victim.emit_time:
                 break
-            if event.tx_hash != victim.attacker_front_hash:
+            if event.tx_hash != own_front:
                 out.append(event)
             i -= 1
         out.reverse()
@@ -701,72 +685,63 @@ def compute_metrics(trace: SimTrace) -> SimMetrics:
     metrics = SimMetrics()
     metrics.victims_total = len(trace.victims)
     index = _TraceIndex(trace)
-    completed = []
-    window_cache: dict[int, list[TraceEvent]] = {}
+    pools = {p.address: p for p in trace.config.pools}
+    empty_windows = 0
     for victim in trace.victims.values():
-        if victim.dropped or victim.exec_block is None:
+        if victim.exec_block is None:
             metrics.victims_dropped += 1
             continue
         if victim.reverted:
             metrics.victims_reverted += 1
         else:
             metrics.victims_executed += 1
-        completed.append(victim)
-        window_cache[victim.victim_id] = index.window(victim)
+        if not index.window(victim):
+            empty_windows += 1
+        scenario = classify_ordering(_label_sequence(index, victim)).value
+        metrics.scenario_counts[scenario] = metrics.scenario_counts.get(scenario, 0) + 1
 
-    if completed:
-        empty = sum(1 for v in completed if not window_cache[v.victim_id])
-        metrics.measured_q = Fraction(empty, len(completed))
-
-    for victim in completed:
-        sequence = _label_sequence(index, victim)
-        scenario = classify_ordering(sequence)
-        metrics.scenario_counts[scenario.value] = (
-            metrics.scenario_counts.get(scenario.value, 0) + 1
-        )
-        if victim.attacker_front_block is not None:
+        attacker_front = victim.attacker.front_block if victim.attacker else None
+        bot_front = victim.bot.front_block if victim.bot else None
+        if attacker_front is not None:
             metrics.attacker_attacked += 1
-            if victim.attacker_front_block == victim.exec_block:
+            if attacker_front == victim.exec_block:
                 metrics.attacker_same_block_victims += 1
-            if victim.bot_front_block is not None:
+            if bot_front is not None:
                 metrics.contested_cases += 1
-                if victim.attacker_front_block < victim.bot_front_block:
+                if attacker_front < bot_front:
                     metrics.contested_front_precedes_bot += 1
-        if victim.bot_front_block is not None:
+        if bot_front is not None:
             metrics.bot_attacked += 1
 
-    pool_tokens = {p.address: p for p in trace.config.pools}
-    for victim in completed:
-        pool = pool_tokens[victim.pool_address]
-        token_in = (
-            pool.token_x if victim.direction is Direction.X_FOR_Y else pool.token_y
-        )
-        if victim.attacker_front_block is not None and victim.attacker_back_block is not None:
-            profit = victim.attacker_back_out - victim.attacker_in
-            metrics.attacker_profit_by_token[token_in] = (
-                metrics.attacker_profit_by_token.get(token_in, 0) + profit
-            )
-        if victim.bot_front_block is not None and victim.bot_back_block is not None:
-            profit = victim.bot_back_out - victim.bot_in
-            metrics.bot_profit_by_token[token_in] = (
-                metrics.bot_profit_by_token.get(token_in, 0) + profit
-            )
+        pool = pools[victim.pool_address]
+        token_in = pool.token_x if victim.direction is Direction.X_FOR_Y else pool.token_y
+        for sandwich, profits in (
+            (victim.attacker, metrics.attacker_profit_by_token),
+            (victim.bot, metrics.bot_profit_by_token),
+        ):
+            # a back-run executes only after its front-run has
+            if sandwich is not None and sandwich.back_block is not None:
+                profit = sandwich.back_out - sandwich.amount_in
+                profits[token_in] = profits.get(token_in, 0) + profit
+
+    completed = metrics.victims_executed + metrics.victims_reverted
+    if completed:
+        metrics.measured_q = Fraction(empty_windows, completed)
     return metrics
 
 
 def _label_sequence(index: _TraceIndex, victim: VictimRecord) -> list[TxLabel]:
     """Execution-ordered labels of this victim's own attack transactions."""
-    own = {
-        victim.dst_tx_hash: TxLabel.TV,
-        victim.attacker_front_hash: TxLabel.TA1,
-        victim.attacker_back_hash: TxLabel.TA2,
-        victim.bot_front_hash: TxLabel.TB1,
-        victim.bot_back_hash: TxLabel.TB2,
-    }
-    own.pop("", None)
+    own = [(victim.dst_tx_hash, TxLabel.TV)]
+    for sandwich, front, back in (
+        (victim.attacker, TxLabel.TA1, TxLabel.TA2),
+        (victim.bot, TxLabel.TB1, TxLabel.TB2),
+    ):
+        if sandwich is not None:
+            own += [(sandwich.front_hash, front), (sandwich.back_hash, back)]
     tagged = [
         (index.position_of[tx_hash], label)
-        for tx_hash, label in own.items()
+        for tx_hash, label in own
         if tx_hash in index.position_of
     ]
     tagged.sort(key=lambda item: item[0])
@@ -779,7 +754,6 @@ def extract_corpus(trace: SimTrace) -> Corpus:
     labels kept separately for detector evaluation."""
     pool_meta = {p.address: p for p in trace.config.pools}
     swap_logs: list[SwapLog] = []
-    block_times = dict(trace.blocks[trace.config.dst_chain_id])
     for event in trace.events:
         if event.kind != "swap" or event.reverted:
             continue
@@ -796,7 +770,8 @@ def extract_corpus(trace: SimTrace) -> Corpus:
                 sender=event.sender,
                 recipient=event.recipient,
                 gas_price=event.gas_price,
-                timestamp=block_times.get(event.block_number, event.time),
+                # a swap happens at its destination block's time
+                timestamp=event.time,
             )
         )
 
@@ -805,7 +780,7 @@ def extract_corpus(trace: SimTrace) -> Corpus:
     records: list[CrossChainTx] = []
     labels: list[dict] = []
     for victim in trace.victims.values():
-        if victim.dropped or not victim.executed or victim.pool_snapshot is None:
+        if victim.exec_block is None or victim.reverted:
             continue
         window = index.window(victim)
         timelines.append(
@@ -855,17 +830,18 @@ def extract_corpus(trace: SimTrace) -> Corpus:
                 ),
             )
         )
+        attacker, bot = victim.attacker, victim.bot
         labels.append(
             {
                 "victim_id": victim.victim_id,
                 "record_id": f"rec-{victim.victim_id}",
                 "victim_tx": victim.dst_tx_hash,
-                "attacker_front_tx": victim.attacker_front_hash or None,
-                "attacker_back_tx": victim.attacker_back_hash or None,
-                "attacker_front_block": victim.attacker_front_block,
-                "attacker_back_block": victim.attacker_back_block,
-                "bot_front_tx": victim.bot_front_hash or None,
-                "bot_back_tx": victim.bot_back_hash or None,
+                "attacker_front_tx": attacker.front_hash if attacker else None,
+                "attacker_back_tx": (attacker.back_hash or None) if attacker else None,
+                "attacker_front_block": attacker.front_block if attacker else None,
+                "attacker_back_block": attacker.back_block if attacker else None,
+                "bot_front_tx": bot.front_hash if bot else None,
+                "bot_back_tx": bot.back_hash if bot else None,
             }
         )
     return Corpus(timelines=timelines, swap_logs=swap_logs, records=records, labels=labels)

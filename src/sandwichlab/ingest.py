@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import asdict, dataclass, field
 from decimal import Decimal
@@ -57,12 +58,32 @@ def swap_log_to_dict(log: SwapLog) -> dict:
     }
 
 
-_SWAP_LOG_NUMBERS = (
-    ("block_number", (int,)),
-    ("log_index", (int,)),
-    ("chain_id", (int,)),
-    ("timestamp", (int, float)),
-)
+_JSON_NAMES = {int: "int", str: "string"}
+
+
+def _require(data: dict, keys: tuple, kind: type) -> None:
+    """Each key of data holds a value of exactly type kind: a bool is an
+    int to Python, but not a JSON int."""
+    for key in keys:
+        if type(data[key]) is not kind:
+            raise TypeError(f"{key} must be a JSON {_JSON_NAMES[kind]}, not {data[key]!r}")
+
+
+def _require_finite(data: dict, keys: tuple) -> None:
+    """Each key of data holds a finite JSON number. NaN fails every
+    comparison, so it would pass the order checks and switch the time
+    windows off."""
+    for key in keys:
+        value = data[key]
+        if type(value) is float:
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, not {value!r}")
+        elif type(value) is not int:
+            raise TypeError(f"{key} must be a JSON number, not {value!r}")
+
+
+_SWAP_LOG_INTS = ("block_number", "log_index", "chain_id")
+_SWAP_LOG_STRINGS = ("tx_hash", "pool_address", "sender", "recipient")
 # uint256 amounts, each with its least value: analyze divides by the
 # front's token_in_amount
 _SWAP_LOG_AMOUNTS = (("token_in_amount", 1), ("token_out_amount", 0), ("gas_price", 0))
@@ -72,9 +93,9 @@ def swap_log_from_dict(data: dict) -> SwapLog:
     data = dict(data)
     # detect sorts on the position and bisects on the timestamp, which a
     # string or a bool would break or silently mis-order
-    for key, allowed in _SWAP_LOG_NUMBERS:
-        if type(data[key]) not in allowed:
-            raise TypeError(f"{key} must be a JSON {allowed[-1].__name__}, not {data[key]!r}")
+    _require(data, _SWAP_LOG_INTS, int)
+    _require_finite(data, ("timestamp",))
+    _require(data, _SWAP_LOG_STRINGS, str)
     for key, least in _SWAP_LOG_AMOUNTS:
         _check_amount(key, data[key], least)
     data["direction"] = Direction(data["direction"])
@@ -108,12 +129,21 @@ def record_to_dict(record: CrossChainTx) -> dict:
     }
 
 
+_RECORD_INTS = ("src_chain_id", "src_block_number", "dst_chain_id", "dst_block_number")
+_RECORD_STRINGS = ("record_id", "src_tx_hash", "dst_tx_hash")
+_HOP_STRINGS = ("pool_address", "token_in", "token_out")
+
+
 def record_from_dict(data: dict) -> CrossChainTx:
     data = dict(data)
+    _require(data, _RECORD_INTS, int)
+    _require_finite(data, ("src_timestamp", "dst_timestamp"))
+    _require(data, _RECORD_STRINGS, str)
     _check_amount("dst_gas_price", data["dst_gas_price"])
     hops = []
     for hop in data["hops"]:
         hop = dict(hop)
+        _require(hop, _HOP_STRINGS, str)
         hop["direction"] = Direction(hop["direction"])
         for key in ("amount_in", "amount_out", "min_return"):
             _check_amount(key, hop[key])
@@ -221,12 +251,6 @@ def pair_to_dict(pair: SandwichPair) -> dict:
     }
 
 
-def _json_int(key: str, value) -> int:
-    if type(value) is not int:
-        raise TypeError(f"{key} must be a JSON int, not {value!r}")
-    return value
-
-
 def _optional_str(key: str, value, parse: Callable[[str], object]):
     if value is None:
         return None
@@ -248,6 +272,8 @@ def _decimal_int(text: str) -> int:
 def _pair(data: dict, log: Callable[..., SwapLog]) -> SandwichPair:
     """A pairs.jsonl row's fields as a SandwichPair, each embedded swap
     log through log."""
+    _require(data, ("record_id", "pool_address", "token_in"), str)
+    _require(data, ("front_window_start_block",), int)
     return SandwichPair(
         record_id=data["record_id"],
         pool_address=data["pool_address"],
@@ -256,9 +282,7 @@ def _pair(data: dict, log: Callable[..., SwapLog]) -> SandwichPair:
         back=log(data["back"]),
         classification=Classification(data["classification"]),
         token_in=data["token_in"],
-        front_window_start_block=_json_int(
-            "front_window_start_block", data["front_window_start_block"]
-        ),
+        front_window_start_block=data["front_window_start_block"],
         profit_token=_optional_str("profit_token", data["profit_token"], _decimal_int),
         profit_rate=_optional_str("profit_rate", data["profit_rate"], _fraction_from_str),
         profit_usd=_optional_str("profit_usd", data["profit_usd"], Decimal),

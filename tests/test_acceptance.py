@@ -403,11 +403,13 @@ class TestCriterion6:
         contested = [
             victim
             for victim in trace.victims.values()
-            if victim.attacker_front_block is not None
-            and victim.bot_front_block is not None
+            if victim.attacker is not None
+            and victim.attacker.front_block is not None
+            and victim.bot is not None
+            and victim.bot.front_block is not None
         ]
         front_first = sum(
-            1 for v in contested if v.attacker_front_block < v.bot_front_block
+            1 for v in contested if v.attacker.front_block < v.bot.front_block
         )
         corpus = extract_corpus(trace)
         _, pairs_by_record = detect_all(corpus)

@@ -37,6 +37,11 @@ def make_pools(fee=Fraction(30, 10_000)):
     )
 
 
+def attacker_in(victim):
+    """The attacker's front-run size for this victim; 0 if it never acted."""
+    return victim.attacker.amount_in if victim.attacker is not None else 0
+
+
 def base_config(**overrides):
     defaults = dict(
         seed=42,
@@ -129,11 +134,13 @@ class TestOrderingAdvantage:
         attacked = [
             v
             for v in trace.victims.values()
-            if v.attacker_front_block is not None and v.exec_block is not None
+            if v.attacker is not None
+            and v.attacker.front_block is not None
+            and v.exec_block is not None
         ]
         assert attacked
         for victim in attacked:
-            assert victim.attacker_front_block < victim.exec_block
+            assert victim.attacker.front_block < victim.exec_block
 
     def test_contested_cases_front_precedes_bot(self):
         # On 30 bp pools the bot's same-block bracket never pays; at zero
@@ -147,9 +154,11 @@ class TestOrderingAdvantage:
         trace, metrics = run(config)
         assert metrics.contested_cases > 0
         for victim in trace.victims.values():
-            if victim.attacker_front_block is None or victim.bot_front_block is None:
+            if victim.attacker is None or victim.bot is None:
                 continue
-            assert victim.attacker_front_block < victim.bot_front_block
+            if victim.attacker.front_block is None or victim.bot.front_block is None:
+                continue
+            assert victim.attacker.front_block < victim.bot.front_block
         assert metrics.contested_cases == metrics.contested_front_precedes_bot
 
     def test_mempool_gas_order_within_blocks(self):
@@ -174,7 +183,7 @@ class TestBotDecision:
                 pools=make_pools(fee=Fraction(0)),
             )
             trace, metrics = run(config)
-            attacked = [v for v in trace.victims.values() if v.bot_in]
+            attacked = [v for v in trace.victims.values() if v.bot is not None]
             assert len(attacked) == metrics.bot_attacked
             return metrics.bot_attacked
 
@@ -203,7 +212,7 @@ class TestAttackerDecision:
             label["victim_id"]
             for timeline, label in zip(corpus.timelines, corpus.labels)
             if optimal_frontrun_for_timeline(timeline, theta)
-            != trace.victims[label["victim_id"]].attacker_in
+            != attacker_in(trace.victims[label["victim_id"]])
         ]
         assert disagree == [], f"{len(disagree)}/{len(corpus.timelines)} timelines"
 
@@ -238,13 +247,14 @@ class TestAttackerDecision:
                 )
             except AmmError:
                 size = 0
-            assert victim.attacker_in == max(0, min(cap, size)), victim.victim_id
+            assert attacker_in(victim) == max(0, min(cap, size)), victim.victim_id
             checked.append(victim)
         assert len(checked) == len(trace.victims)
-        assert any(v.attacker_in == cap for v in checked)
-        assert any(0 < v.attacker_in < cap for v in checked)
-        assert any(v.reverted and v.attacker_in for v in checked)
-        assert any(v.dropped and v.attacker_in for v in checked)
+        assert any(attacker_in(v) == cap for v in checked)
+        assert any(0 < attacker_in(v) < cap for v in checked)
+        assert any(v.reverted and attacker_in(v) for v in checked)
+        # dropped: never executed
+        assert any(v.exec_block is None and attacker_in(v) for v in checked)
 
 
 class TestVictimOutcomes:
@@ -314,6 +324,18 @@ class TestExtractCorpus:
         assert record_ids == {label["record_id"] for label in corpus.labels}
         for record in corpus.records:
             assert record.dst_timestamp >= record.src_timestamp
+
+    def test_swap_log_time_is_its_destination_block_time(self):
+        # with one chain id for both chains, the logs once took the time
+        # of the source block of the same number
+        apart = extract_corpus(run(base_config(seed=3))[0]).swap_logs
+        shared = extract_corpus(
+            run(base_config(seed=3, src_chain_id=56, dst_chain_id=56))[0]
+        ).swap_logs
+        assert apart
+        assert shared == apart
+        for log in shared:
+            assert log.timestamp == log.block_number * 3.0
 
     def test_swap_logs_totally_ordered_per_pool(self):
         trace, _ = run(base_config(noise_arrival_rate=0.05))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 from dataclasses import asdict
 from fractions import Fraction
@@ -898,6 +899,51 @@ class TestMalformedRows:
         assert f"error: {bad}:2: TypeError: {key} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    # A NaN source timestamp switched the time window off (more pairs,
+    # exit 0) and a NaN log timestamp passed the order check; an int
+    # record_id or token_in failed later as a raw TypeError/AttributeError.
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            ("records", "src_timestamp", math.nan),
+            ("records", "dst_timestamp", math.inf),
+            ("records", "src_timestamp", True),
+            ("records", "src_block_number", 1.5),
+            ("records", "dst_chain_id", "56"),
+            ("records", "record_id", 5),
+            ("records", "dst_tx_hash", None),
+            ("records", "hops.token_in", 5),
+            ("records", "hops.pool_address", ["0x11"]),
+            ("swap_logs", "timestamp", math.nan),
+            ("swap_logs", "timestamp", -math.inf),
+            ("swap_logs", "sender", 5),
+            ("swap_logs", "tx_hash", None),
+        ],
+    )
+    def test_bad_detect_input_names_file_and_line(
+        self, sim_outputs, tmp_path, capsys, name, key, value
+    ):
+        _, sim = sim_outputs
+        header, first, *rest = (sim / f"{name}.jsonl").read_text().splitlines()
+        row = json.loads(first)
+        if key.startswith("hops."):
+            row["hops"][0][key[len("hops.") :]] = value
+        else:
+            row[key] = value
+        bad = tmp_path / f"{name}.jsonl"
+        bad.write_text("\n".join([header, json.dumps(row), *rest]) + "\n")
+        inputs = {"records": sim / "records.jsonl", "swap_logs": sim / "swap_logs.jsonl", name: bad}
+        out = tmp_path / "out"
+        argv = ["detect", "--records", str(inputs["records"]), "--logs", str(inputs["swap_logs"])]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 1
+        field = key.rpartition(".")[2]
+        assert re.search(
+            rf"error: {re.escape(str(bad))}:2: (TypeError|ValueError): {field} must be",
+            capsys.readouterr().err,
+        )
+        assert not out.exists()
+
     # int() read 1.5 as 1, "-7" as -7 and true as 1
     @pytest.mark.parametrize("value", [1.5, "-7", True])
     @pytest.mark.parametrize(
@@ -932,6 +978,9 @@ class TestMalformedRows:
             ("profit_token", 1.5),
             ("profit_token", True),
             ("profit_token", "1.5"),
+            ("record_id", 5),
+            ("pool_address", None),
+            ("token_in", 5),
         ],
     )
     def test_bad_pair_field_names_file_and_line(self, sim_outputs, tmp_path, capsys, key, value):

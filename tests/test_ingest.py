@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import tempfile
 from dataclasses import asdict, replace
@@ -691,9 +692,12 @@ def _paths(value, prefix=()):
 def _mutants(row):
     """(key path, replacement, mutant) for copies of row with one value
     deleted (from an object; the replacement is _DELETE) or replaced by a
-    value of another JSON type, out of range, or a string that parses as
-    a number."""
-    replacements = [None, True, 0, -1, 1.5, 2**300, "", "x", "-5", "1/0", [], {}, [1], {"a": 1}]
+    value of another JSON type, out of range, not finite, or a string that
+    parses as a number."""
+    replacements = [
+        None, True, 0, -1, 1.5, 2**300, float("nan"), float("inf"),
+        "", "x", "-5", "1/0", [], {}, [1], {"a": 1},
+    ]
     for path in _paths(row):
         for replacement in [_DELETE, *replacements]:
             mutant = json.loads(json.dumps(row))
@@ -716,14 +720,30 @@ def _uint256(value) -> bool:
     return type(value) is int and 0 <= value <= MAX_AMOUNT
 
 
+def _json_int(value) -> bool:
+    return type(value) is int
+
+
+def _finite(value) -> bool:
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
+def _string(value) -> bool:
+    return type(value) is str
+
+
 _SWAP_LOG_VALUES = {
-    "block_number": lambda value: type(value) is int,
-    "log_index": lambda value: type(value) is int,
-    "chain_id": lambda value: type(value) is int,
-    "timestamp": lambda value: type(value) in (int, float),
+    "tx_hash": _string,
+    "block_number": _json_int,
+    "log_index": _json_int,
+    "pool_address": _string,
+    "chain_id": _json_int,
     "token_in_amount": lambda value: _uint256(value) and value >= 1,
     "token_out_amount": _uint256,
+    "sender": _string,
+    "recipient": _string,
     "gas_price": _uint256,
+    "timestamp": _finite,
 }
 # per codec, the fields whose every mutant must be rejected unless the
 # new value passes the field's test: the JSON type and range the format
@@ -731,7 +751,19 @@ _SWAP_LOG_VALUES = {
 _CHECKED_FIELDS = {
     "swap_logs": _SWAP_LOG_VALUES,
     "records": {
+        "record_id": _string,
+        "src_tx_hash": _string,
+        "src_chain_id": _json_int,
+        "src_block_number": _json_int,
+        "src_timestamp": _finite,
+        "dst_tx_hash": _string,
+        "dst_chain_id": _json_int,
+        "dst_block_number": _json_int,
+        "dst_timestamp": _finite,
         "dst_gas_price": _uint256,
+        "pool_address": _string,
+        "token_in": _string,
+        "token_out": _string,
         "amount_in": _uint256,
         "amount_out": _uint256,
         "min_return": _uint256,
@@ -739,7 +771,9 @@ _CHECKED_FIELDS = {
     "timelines": {},
     "pairs": {
         **_SWAP_LOG_VALUES,
-        "front_window_start_block": lambda value: type(value) is int,
+        "record_id": _string,
+        "token_in": _string,
+        "front_window_start_block": _json_int,
         "profit_token": lambda value: value is None
         or (type(value) is str and re.fullmatch(r"-?[0-9]+", value) is not None),
     },

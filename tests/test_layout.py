@@ -63,6 +63,7 @@ def row_instances() -> list:
         ),
         trace.events[0],
         next(iter(trace.victims.values())),
+        next(v.attacker for v in trace.victims.values() if v.attacker is not None),
         front,
         record,
         record.hops[0],
@@ -95,6 +96,7 @@ class TestSlots:
             "PendingTx",
             "TraceEvent",
             "VictimRecord",
+            "Sandwich",
             "SwapLog",
             "VictimHop",
             "CrossChainTx",
@@ -135,8 +137,9 @@ def estimate_grid_config() -> SimConfig:
 
 class TestMemory:
     # Traced peak of run + extract_corpus per simulated victim. Slotted
-    # records measure 4,144-4,432 B on CPython 3.10-3.13; records with an
-    # instance __dict__ measured 6,053-6,406 B.
+    # records measured 4,144-4,432 B on CPython 3.10-3.13; records with an
+    # instance __dict__ measured 6,053-6,406 B. With one Sandwich per agent
+    # and no block-time table, 3,674-3,804 B on CPython 3.11.
     BYTES_PER_VICTIM = 5_300
 
     def test_simulation_peak_per_victim(self):
