@@ -19,7 +19,6 @@ from .amm import (
     SwapOutcome,
     SwapRequest,
     ZeroInput,
-    backrun_output,
     execute_swap,
     largest_frontrun_for_min_out,
     min_out_from_tolerance,

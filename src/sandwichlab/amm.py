@@ -156,21 +156,35 @@ class SwapOutcome:
     reverted: bool
 
 
-def quote_output(pool: Pool, direction: Direction, amount_in: int) -> int:
-    """Exact swap quote: floor(out * (1-f) * dx / (in + (1-f) * dx)).
+def fee_terms(pool: Pool) -> tuple[int, int]:
+    """(g, fd) with 1 - fee = g / fd: the integer fee terms of swap_output."""
+    fd = pool.fee.denominator
+    return fd - pool.fee.numerator, fd
 
-    Computed as a single rational expression with one final floor.
+
+def swap_output(reserve_in: int, reserve_out: int, g: int, fd: int, amount_in: int) -> int:
+    """The one swap formula, on plain reserves: floor(out * (1-f) * dx /
+    (in + (1-f) * dx)) as a single rational expression with one floor.
+
+    Only the 256-bit guard on the updated input reserve is checked. The
+    caller vouches for the rest: reserves >= 1, 1 <= amount_in, and
+    (g, fd) from fee_terms. The output is then below reserve_out, so
+    the output reserve never reaches zero.
     """
+    if reserve_in + amount_in > MAX_AMOUNT:
+        raise Overflow("updated reserve exceeds 256 bits")
+    return reserve_out * g * amount_in // (reserve_in * fd + g * amount_in)
+
+
+def quote_output(pool: Pool, direction: Direction, amount_in: int) -> int:
+    """Exact swap quote: swap_output on the pool's reserves, after
+    checking amount_in."""
     if amount_in == 0:
         raise ZeroInput("swap amount_in is zero")
     _check_amount("amount_in", amount_in, minimum=1)
     reserve_in, reserve_out = pool.reserves(direction)
-    if reserve_in + amount_in > MAX_AMOUNT:
-        raise Overflow("updated reserve exceeds 256 bits")
-    fn, fd = pool.fee.numerator, pool.fee.denominator
-    g = fd - fn  # fee-retained numerator: (1 - f) = g / fd
-    out = (reserve_out * g * amount_in) // (reserve_in * fd + g * amount_in)
-    return out
+    fd = pool.fee.denominator  # fee_terms, inlined on the simulator's hot path
+    return swap_output(reserve_in, reserve_out, fd - pool.fee.numerator, fd, amount_in)
 
 
 def execute_swap(pool: Pool, req: SwapRequest) -> SwapOutcome:
@@ -221,8 +235,7 @@ def _analytic_frontrun_root(
     whose root is floored with an integer square root.
     """
     x0, y0 = pool.reserves(direction)
-    d = pool.fee.denominator
-    g = d - pool.fee.numerator
+    g, d = fee_terms(pool)
     dx, m = victim_in, min_out
     qa = g * d * m
     qb = m * (x0 * d * (d + g) + g * g * dx)
@@ -246,8 +259,17 @@ def largest_frontrun_for_min_out(
     if min_out == 0:
         min_out = 1  # a zero floor gives unbounded room; treat as one base unit
 
+    # victim_output_after_frontrun on plain reserves; a comes from the
+    # root and the search below, so it is a non-negative int
+    reserve_in, reserve_out = pool.reserves(direction)
+    g, fd = fee_terms(pool)
+
     def fits(a: int) -> bool:
-        return victim_output_after_frontrun(pool, direction, a, victim_in) >= min_out
+        if not a:
+            return swap_output(reserve_in, reserve_out, g, fd, victim_in) >= min_out
+        front_out = swap_output(reserve_in, reserve_out, g, fd, a)
+        victim_out = swap_output(reserve_in + a, reserve_out - front_out, g, fd, victim_in)
+        return victim_out >= min_out
 
     if not fits(0):
         return 0
@@ -274,10 +296,3 @@ def largest_frontrun_for_min_out(
     while a > 0 and not fits(a):
         a -= 1
     return a
-
-
-def backrun_output(pool_after_victim: Pool, frontrun_out: int) -> int:
-    """Output of swapping the front-run proceeds back after the victim."""
-    if frontrun_out == 0:
-        return 0
-    return quote_output(pool_after_victim, Direction.Y_FOR_X, frontrun_out)

@@ -14,13 +14,15 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .amm import (
+    MAX_AMOUNT,
     Direction,
     Pool,
     SwapRequest,
-    backrun_output,
-    execute_swap,
+    _check_amount,
+    fee_terms,
     largest_frontrun_for_min_out,
     quote_output,
+    swap_output,
 )
 
 
@@ -91,6 +93,15 @@ class PoolTimeline:
     noisy_swaps: tuple[tuple[Direction, int], ...]
     victim: SwapRequest
     victim_tolerance: Fraction
+
+    def __post_init__(self) -> None:
+        # replay_timeline applies noise unchecked, so each entry must be
+        # a valid swap input here: a Direction and an int in [1, 2**256 - 1]
+        for direction, amount in self.noisy_swaps:
+            if type(direction) is not Direction:
+                raise TypeError(f"noisy_swaps direction must be a Direction, not {direction!r}")
+            if type(amount) is not int or not 0 < amount <= MAX_AMOUNT:
+                _check_amount("noisy_swaps amount", amount, minimum=1)
 
 
 def success_probability(params: NoiseParams) -> Fraction:
@@ -165,25 +176,41 @@ def replay_timeline(
     The victim respects its min_out (a revert leaves the pool
     untouched); the attacker back-runs unconditionally right after.
     Returns (victim_executed, backrun_out in the victim's input token).
+
+    Every swap is swap_output on two ints, the reserves of the victim's
+    input and output tokens, so each keeps its 256-bit Overflow guard.
+    The timeline's amounts were checked when it was built; frontrun_in
+    is checked here.
     """
-    pool = timeline.pool
-    direction = timeline.victim.direction
+    _check_amount("frontrun_in", frontrun_in)
+    victim = timeline.victim
+    direction = victim.direction
+    reserve_in, reserve_out = timeline.pool.reserves(direction)
+    g, fd = fee_terms(timeline.pool)
     frontrun_out = 0
     if frontrun_in:
-        frontrun_out = quote_output(pool, direction, frontrun_in)
-        pool = pool.after_swap(direction, frontrun_in, frontrun_out)
+        frontrun_out = swap_output(reserve_in, reserve_out, g, fd, frontrun_in)
+        reserve_in += frontrun_in
+        reserve_out -= frontrun_out
     for noise_direction, amount in timeline.noisy_swaps:
         # noise has no floor (min_out 0), so it never reverts
-        pool = pool.after_swap(
-            noise_direction, amount, quote_output(pool, noise_direction, amount)
-        )
-    victim_outcome = execute_swap(pool, timeline.victim)
-    pool = victim_outcome.pool_after
-    if direction is Direction.X_FOR_Y:
-        recovered = backrun_output(pool, frontrun_out)
-    else:
-        recovered = backrun_output(pool.mirrored(), frontrun_out)
-    return (not victim_outcome.reverted, recovered)
+        if noise_direction is direction:
+            out = swap_output(reserve_in, reserve_out, g, fd, amount)
+            reserve_in += amount
+            reserve_out -= out
+        else:
+            out = swap_output(reserve_out, reserve_in, g, fd, amount)
+            reserve_out += amount
+            reserve_in -= out
+    victim_out = swap_output(reserve_in, reserve_out, g, fd, victim.amount_in)
+    executed = victim_out >= victim.min_out
+    if executed:
+        reserve_in += victim.amount_in
+        reserve_out -= victim_out
+    recovered = 0
+    if frontrun_out:
+        recovered = swap_output(reserve_out, reserve_in, g, fd, frontrun_out)
+    return (executed, recovered)
 
 
 def frontrun_size(
@@ -285,6 +312,14 @@ def exact_sum(values: Iterable[Fraction]) -> Fraction:
     return Fraction(terms[0])
 
 
+def _magnitude_key(value: Fraction) -> tuple[int, Fraction]:
+    """A sort key for non-negative Fractions that orders them as the
+    Fractions themselves: floor(value * 2**64) is non-decreasing in
+    value and settles almost every comparison as one int comparison;
+    the value itself breaks the ties exactly."""
+    return (value.numerator << 64) // value.denominator, value
+
+
 def estimate_return_rates(
     rates: Iterable[Fraction], percentile: Fraction = Fraction(95)
 ) -> ReturnRates:
@@ -304,7 +339,7 @@ def estimate_return_rates(
     def trimmed_mean(values: list[Fraction]) -> Fraction:
         if not values:
             return Fraction(0)
-        magnitudes = sorted(abs(v) for v in values)
+        magnitudes = sorted(map(abs, values), key=_magnitude_key)
         rank = -(-percentile.numerator * len(values) // (percentile.denominator * 100))
         threshold = magnitudes[max(rank, 1) - 1]
         kept = [v for v in values if abs(v) <= threshold]

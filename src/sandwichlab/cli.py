@@ -269,7 +269,12 @@ def cmd_params(args) -> int:
         percentile = _fraction(args.percentile)
         if not 0 < percentile <= 100:
             raise ValidationFailure(f"--percentile must be in (0, 100], got {args.percentile}")
-        params, rate_samples = attack.noise_params_and_rates(timelines, theta)
+        try:
+            params, rate_samples = attack.noise_params_and_rates(timelines, theta)
+        except amm.Overflow as exc:
+            raise ValidationFailure(
+                f"{args.timelines}: replaying a timeline overflows: {exc}"
+            ) from None
         if not rate_samples:
             raise ValidationFailure("no attackable timelines; cannot estimate rates")
         rates = attack.estimate_return_rates(rate_samples, percentile)
@@ -474,10 +479,32 @@ def _selftest_detector(rng: random.Random, trials: int) -> bool:
     return True
 
 
+def _replay_by_swaps(timeline: attack.PoolTimeline, frontrun_in: int) -> tuple[bool, int]:
+    """replay_timeline as the same swaps applied one by one with
+    execute_swap on validated pools: front-run, noise, victim (which may
+    revert), back-run. The reference that selftest and the tests hold
+    replay_timeline to."""
+    from .amm import SwapRequest, execute_swap
+
+    direction = timeline.victim.direction
+    state, frontrun_out = timeline.pool, 0
+    if frontrun_in:
+        front = execute_swap(state, SwapRequest(direction, frontrun_in))
+        state, frontrun_out = front.pool_after, front.amount_out
+    for noise_direction, amount in timeline.noisy_swaps:
+        state = execute_swap(state, SwapRequest(noise_direction, amount)).pool_after
+    victim = execute_swap(state, timeline.victim)
+    backrun_out = 0
+    if frontrun_out:
+        back = SwapRequest(direction.opposite(), frontrun_out)
+        backrun_out = execute_swap(victim.pool_after, back).amount_out
+    return not victim.reverted, backrun_out
+
+
 def _selftest_replay(rng: random.Random, trials: int) -> bool:
-    """replay_timeline equals the same swaps applied one by one with
-    execute_swap: front-run, noise, victim (which may revert), back-run."""
-    from .amm import Direction, Pool, SwapRequest, execute_swap
+    """replay_timeline equals _replay_by_swaps at no front-run, the
+    solver's front-run and an oversized one."""
+    from .amm import Direction, Pool, SwapRequest
 
     for _ in range(trials):
         pool = Pool(
@@ -500,20 +527,10 @@ def _selftest_replay(rng: random.Random, trials: int) -> bool:
         timeline = attack.PoolTimeline(
             pool, noise, SwapRequest(direction, victim_in, min_out), tolerance
         )
-        frontrun_in = attack.optimal_frontrun_for_timeline(timeline)
-        state, frontrun_out = pool, 0
-        if frontrun_in:
-            front = execute_swap(state, SwapRequest(direction, frontrun_in))
-            state, frontrun_out = front.pool_after, front.amount_out
-        for noise_direction, amount in timeline.noisy_swaps:
-            state = execute_swap(state, SwapRequest(noise_direction, amount)).pool_after
-        victim = execute_swap(state, timeline.victim)
-        backrun_out = 0
-        if frontrun_out:
-            back = SwapRequest(direction.opposite(), frontrun_out)
-            backrun_out = execute_swap(victim.pool_after, back).amount_out
-        if attack.replay_timeline(timeline, frontrun_in) != (not victim.reverted, backrun_out):
-            return False
+        best = attack.optimal_frontrun_for_timeline(timeline)
+        for frontrun_in in (0, best, best + rng.randrange(1, reserve_in // 20)):
+            if attack.replay_timeline(timeline, frontrun_in) != _replay_by_swaps(timeline, frontrun_in):
+                return False
     return True
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import __version__
-from .amm import MAX_AMOUNT, AmmError, Direction, Pool, SwapRequest, _check_amount
+from .amm import AmmError, Direction, Pool, SwapRequest, _check_amount
 from .attack import PoolTimeline
 from .detector import (
     Classification,
@@ -152,6 +152,18 @@ def record_from_dict(data: dict) -> CrossChainTx:
     return CrossChainTx(**data)
 
 
+def _amount(key: str, value) -> int:
+    """A pool reserve or timeline amount: a string of ASCII digits, as
+    the writers put it, or a JSON int. int() alone would also take 1.5,
+    true, " 7", "+7" and "1_0". The range is checked by the class that
+    holds the value: Pool, SwapRequest or PoolTimeline."""
+    if type(value) is int:
+        return value
+    if type(value) is str and value.isascii() and value.isdigit():
+        return int(value)
+    raise ValueError(f"{key} must be a decimal string or a JSON int, not {value!r}")
+
+
 def pool_to_dict(pool: Pool) -> dict:
     return {
         "token_x": pool.token_x,
@@ -167,11 +179,12 @@ def pool_to_dict(pool: Pool) -> dict:
 def pool_from_dict(data: dict) -> Pool:
     from .amm import PoolProtocol
 
+    _require(data, ("token_x", "token_y", "address"), str)
     return Pool(
         token_x=data["token_x"],
         token_y=data["token_y"],
-        reserve_x=int(data["reserve_x"]),
-        reserve_y=int(data["reserve_y"]),
+        reserve_x=_amount("reserve_x", data["reserve_x"]),
+        reserve_y=_amount("reserve_y", data["reserve_y"]),
         fee=_fraction_from_str(data["fee"]),
         address=data["address"],
         protocol=PoolProtocol(data.get("protocol", "other")),
@@ -200,37 +213,33 @@ _DIRECTIONS = {direction.value: direction for direction in Direction}
 
 
 def _noisy_swap(entry) -> tuple[Direction, int]:
-    """One [direction, amount] entry of noisy_swaps. The replay applies
-    noise unchecked, so the amount must be a valid swap input here."""
+    """One [direction, amount] entry of noisy_swaps; PoolTimeline checks
+    the amount's range."""
     try:
-        name, text = entry
-        direction = _DIRECTIONS[name]
-        if type(text) not in (str, int):
-            raise TypeError(type(text).__name__)
-        amount = int(text)
+        name, amount = entry
+        return _DIRECTIONS[name], _amount("amount", amount)
     except (TypeError, ValueError, KeyError) as exc:
         raise MalformedData(f"bad noisy_swaps entry {entry!r}: {exc!r}") from exc
-    if not 1 <= amount <= MAX_AMOUNT:
-        raise MalformedData(
-            f"bad noisy_swaps entry {entry!r}: amount must be in [1, 2**256 - 1]"
-        )
-    return direction, amount
 
 
 def timeline_from_dict(data: dict) -> PoolTimeline:
     victim = data["victim"]
-    return PoolTimeline(
-        pool=pool_from_dict(data["pool"]),
-        noisy_swaps=tuple(_noisy_swap(entry) for entry in data["noisy_swaps"]),
-        victim=SwapRequest(
-            direction=Direction(victim["direction"]),
-            amount_in=int(victim["amount_in"]),
-            min_out=int(victim["min_out"]),
-            sender=victim["sender"],
-            recipient=victim["recipient"],
-        ),
-        victim_tolerance=_fraction_from_str(data["victim_tolerance"]),
+    _require(victim, ("sender", "recipient"), str)
+    request = SwapRequest(
+        direction=Direction(victim["direction"]),
+        amount_in=_amount("amount_in", victim["amount_in"]),
+        min_out=_amount("min_out", victim["min_out"]),
+        sender=victim["sender"],
+        recipient=victim["recipient"],
     )
+    pool = pool_from_dict(data["pool"])
+    noisy_swaps = tuple(map(_noisy_swap, data["noisy_swaps"]))
+    tolerance = _fraction_from_str(data["victim_tolerance"])
+    try:
+        return PoolTimeline(pool, noisy_swaps, request, tolerance)
+    except (TypeError, ValueError, AmmError) as exc:
+        # PoolTimeline itself checks only the range of each noise amount
+        raise MalformedData(f"bad noisy_swaps: {exc}") from exc
 
 
 def pair_to_dict(pair: SandwichPair) -> dict:

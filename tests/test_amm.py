@@ -25,7 +25,6 @@ from sandwichlab.amm import (
     SwapRequest,
     ZeroInput,
     _analytic_frontrun_root,
-    backrun_output,
     execute_swap,
     largest_frontrun_for_min_out,
     min_out_from_tolerance,
@@ -368,14 +367,11 @@ class TestFrontrunSolver:
 
 
 class TestBackrun:
-    def test_zero_in_zero_out(self):
-        assert backrun_output(make_pool(10, 10), 0) == 0
-
     def test_zero_fee_round_trip_within_one_unit(self):
         pool = make_pool(10**12, 10**12)
         out = quote_output(pool, Direction.X_FOR_Y, 10**6)
         pool_after = pool.after_swap(Direction.X_FOR_Y, 10**6, out)
-        back = backrun_output(pool_after, out)
+        back = quote_output(pool_after, Direction.Y_FOR_X, out)
         assert 10**6 - 1 <= back <= 10**6
 
 
@@ -404,7 +400,7 @@ class TestSandwich:
         victim_out = quote_output(p1, Direction.X_FOR_Y, 10**9)
         assert victim_out >= frontrun_floor(pool, 10**9, Fraction(1, 100))
         p2 = p1.after_swap(Direction.X_FOR_Y, 10**9, victim_out)
-        assert backrun_output(p2, front_out) == backrun_out
+        assert quote_output(p2, Direction.Y_FOR_X, front_out) == backrun_out
 
     def test_profit_positive_and_bounded(self):
         pool = make_pool(10**12, 10**12)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from _oracles import make_timeline, replay_timeline_oracle
 from sandwichlab.amm import (
+    MAX_AMOUNT,
     Direction,
+    Overflow,
     Pool,
     SwapRequest,
     execute_swap,
@@ -22,6 +25,7 @@ from sandwichlab.attack import (
     PoolTimeline,
     ReturnRates,
     TxLabel,
+    _magnitude_key,
     classify_ordering,
     estimate_noise_params,
     estimate_return_rates,
@@ -32,6 +36,25 @@ from sandwichlab.attack import (
     replay_timeline,
     success_probability,
 )
+from sandwichlab.cli import _replay_by_swaps
+
+
+def _trimmed_means_oracle(rates, percentile):
+    """estimate_return_rates with the magnitudes in plain sorted order."""
+
+    def trimmed_mean(values):
+        if not values:
+            return Fraction(0)
+        magnitudes = sorted(abs(v) for v in values)
+        rank = math.ceil(percentile * len(values) / 100)
+        kept = [v for v in values if abs(v) <= magnitudes[max(rank, 1) - 1]]
+        return sum(kept, Fraction(0)) / len(kept)
+
+    return ReturnRates(
+        r_plus=trimmed_mean([r for r in rates if r >= 0]),
+        r_minus=trimmed_mean([r for r in rates if r < 0]),
+    )
+
 
 Q = Fraction(57, 100)
 P = Fraction(68, 100)
@@ -224,32 +247,53 @@ class TestReplayTimeline:
         assert recovered >= frontrun_in
 
     @given(
+        reserves=st.tuples(st.integers(10**6, 10**15), st.integers(10**6, 10**15)),
+        fee=st.sampled_from([Fraction(0), Fraction(30, 10_000), Fraction(1, 3)]),
         victim_direction=st.sampled_from(list(Direction)),
+        victim_share=st.integers(1, 2_000),
+        # min_out as a share of the quote in 1/10,000: above 10,000 the
+        # victim reverts even unattacked
+        keep=st.integers(9_000, 10_100),
         noise=st.lists(
-            st.tuples(st.sampled_from(list(Direction)), st.integers(1, 10**12)),
+            st.tuples(st.sampled_from(list(Direction)), st.integers(1, 10**14)),
             max_size=6,
         ),
-        tolerance=st.integers(1, 500),
         theta=st.sampled_from([Fraction(1), Fraction(3, 4), Fraction(1, 2)]),
+        front=st.sampled_from(["none", "solver", "oversized"]),
+        extra=st.integers(1, 10**14),
     )
-    @settings(max_examples=150, deadline=None)
-    def test_noisy_replay_matches_oracle(self, victim_direction, noise, tolerance, theta):
-        pool = make_pool(10**12, 3 * 10**12, Fraction(30, 10_000))
-        quote = quote_output(pool, victim_direction, 10**9)
+    @settings(max_examples=300, deadline=None)
+    def test_noisy_replay_matches_oracle(
+        self, reserves, fee, victim_direction, victim_share, keep, noise, theta, front, extra
+    ):
+        pool = make_pool(*reserves, fee)
+        victim_in = pool.reserves(victim_direction)[0] * victim_share // 10_000 + 1
+        quote = quote_output(pool, victim_direction, victim_in)
         timeline = PoolTimeline(
             pool=pool,
             noisy_swaps=tuple(noise),
-            victim=SwapRequest(
-                victim_direction,
-                10**9,
-                min_out=min_out_from_tolerance(quote, Fraction(tolerance, 10_000)),
-            ),
-            victim_tolerance=Fraction(tolerance, 10_000),
+            victim=SwapRequest(victim_direction, victim_in, min_out=quote * keep // 10_000),
+            victim_tolerance=Fraction(1, 100),
         )
-        frontrun_in = optimal_frontrun_for_timeline(timeline, theta)
-        assert replay_timeline(timeline, frontrun_in) == replay_timeline_oracle(
-            timeline, frontrun_in
+        frontrun_in = {
+            "none": 0,
+            "solver": optimal_frontrun_for_timeline(timeline, theta),
+            "oversized": optimal_frontrun_for_timeline(timeline, theta) + extra,
+        }[front]
+        replayed = replay_timeline(timeline, frontrun_in)
+        assert replayed == replay_timeline_oracle(timeline, frontrun_in)
+        assert replayed == _replay_by_swaps(timeline, frontrun_in)
+
+    @pytest.mark.parametrize("noise_direction", list(Direction))
+    def test_overflowing_noise_raises_like_swap_by_swap(self, noise_direction):
+        # the noise swap pushes a reserve past 256 bits
+        pool = make_pool(MAX_AMOUNT - 10**6, MAX_AMOUNT - 10**6)
+        timeline = make_timeline(
+            pool, 1_000, Fraction(1, 100), noise=[(noise_direction, 2**255)]
         )
+        for replay in (replay_timeline, _replay_by_swaps, replay_timeline_oracle):
+            with pytest.raises(Overflow):
+                replay(timeline, 10)
 
 
 class TestOptimalFrontrunForTimeline:
@@ -369,6 +413,28 @@ class TestEstimators:
         assert rates.r_minus == Fraction(-1, 100)
         untrimmed = estimate_return_rates(values, percentile=Fraction(100))
         assert untrimmed.r_minus < Fraction(-1, 100)
+
+    @given(
+        values=st.lists(
+            st.fractions(min_value=-10, max_value=10, max_denominator=10**30), max_size=40
+        ),
+        ties=st.lists(st.integers(-3, 3), max_size=12),
+        base=st.fractions(min_value=0, max_value=2, max_denominator=10**6),
+        percentile=st.sampled_from([Fraction(50), Fraction(95), Fraction(100)]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_keyed_magnitude_order_is_fraction_order(self, values, ties, base, percentile):
+        # base plus k * 2**-66: magnitudes equal up to 2**-64 (most share
+        # floor(m * 2**64)), both signs, and exact repeats
+        rates = values + [
+            sign * (base + Fraction(k, 2**66)) for k in ties for sign in (1, -1)
+        ]
+        magnitudes = [abs(v) for v in rates]
+        assert sorted(magnitudes, key=_magnitude_key) == sorted(magnitudes)
+        if rates:
+            assert estimate_return_rates(rates, percentile) == _trimmed_means_oracle(
+                rates, percentile
+            )
 
     def test_rates_empty_raises(self):
         with pytest.raises(EmptyInput):

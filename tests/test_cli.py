@@ -11,6 +11,8 @@ import yaml
 
 from _oracles import classify_and_price_oracle
 from sandwichlab import attack
+from sandwichlab.amm import MAX_AMOUNT, Direction, Pool, SwapRequest
+from sandwichlab.attack import PoolTimeline
 from sandwichlab.bridge import extract_corpus, run
 from sandwichlab.cli import ValidationFailure, build_parser, detection_config_from_dict, main
 from sandwichlab.detector import (
@@ -28,6 +30,7 @@ from sandwichlab.ingest import (
     pair_to_dict,
     record_to_dict,
     swap_log_to_dict,
+    timeline_to_dict,
     write_jsonl,
 )
 from test_ingest import small_sim_config
@@ -489,6 +492,25 @@ class TestParams:
         assert main(["params", "--timelines", str(timelines)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "noisy_swaps" in err
+
+
+    def test_replay_overflow_names_file(self, tmp_path, capsys):
+        # the replay raised a raw Overflow traceback
+        huge = MAX_AMOUNT - 9
+        pool = Pool(token_x="X", token_y="Y", reserve_x=huge, reserve_y=huge)
+        timeline = PoolTimeline(
+            pool=pool,
+            noisy_swaps=((Direction.Y_FOR_X, 2**255),),
+            victim=SwapRequest(Direction.X_FOR_Y, 5, min_out=1),
+            victim_tolerance=Fraction(1, 100),
+        )
+        path = tmp_path / "timelines.jsonl"
+        write_jsonl(str(path), [timeline_to_dict(timeline)])
+        assert main(["params", "--timelines", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: replaying a timeline overflows: "
+            "updated reserve exceeds 256 bits\n"
+        )
 
 
 class TestAnalyze:

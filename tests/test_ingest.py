@@ -121,6 +121,64 @@ class TestCodecRoundTrips:
         with pytest.raises(MalformedData, match="noisy_swaps"):
             timeline_from_dict(row)
 
+    # int() read amount_in 1.5 as 1 and min_out true as 1, and the pool
+    # reserves likewise; string fields passed whatever their JSON type
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            ("victim", "amount_in", 1.5),
+            ("victim", "amount_in", True),
+            ("victim", "amount_in", "1.5"),
+            ("victim", "amount_in", " 100"),
+            ("victim", "amount_in", "+100"),
+            ("victim", "amount_in", "0"),
+            ("victim", "min_out", True),
+            ("victim", "min_out", "-1"),
+            ("victim", "min_out", str(2**256)),
+            ("victim", "sender", 5),
+            ("victim", "recipient", None),
+            ("pool", "reserve_x", 1.5),
+            ("pool", "reserve_y", "1_000"),
+            ("pool", "reserve_y", False),
+            ("pool", "token_x", 5),
+            ("pool", "address", ["0x11"]),
+        ],
+    )
+    def test_timeline_rejects_bad_field(self, tmp_path, where, key, value):
+        timeline = PoolTimeline(
+            pool=Pool(token_x="X", token_y="Y", reserve_x=10**6, reserve_y=10**6),
+            noisy_swaps=((Direction.Y_FOR_X, 7),),
+            victim=SwapRequest(Direction.X_FOR_Y, 100, min_out=90),
+            victim_tolerance=Fraction(1, 100),
+        )
+        row = json.loads(json.dumps(timeline_to_dict(timeline)))
+        row[where][key] = value
+        path = str(tmp_path / "timelines.jsonl")
+        write_jsonl(path, [timeline_to_dict(timeline), row], RunManifest(command="simulate"))
+        with pytest.raises(MalformedData, match=rf"^{re.escape(path)}:3: \w+: .*{key}"):
+            decode_jsonl(path, timeline_from_dict)
+
+    @pytest.mark.parametrize(
+        "entry, error",
+        [
+            ((Direction.X_FOR_Y, 0), ValueError),
+            ((Direction.X_FOR_Y, -3), ValueError),
+            ((Direction.X_FOR_Y, True), TypeError),
+            ((Direction.X_FOR_Y, 1.0), TypeError),
+            ((Direction.X_FOR_Y, MAX_AMOUNT + 1), Overflow),
+            (("x_for_y", 5), TypeError),
+        ],
+    )
+    def test_hand_built_timeline_rejects_bad_noise(self, entry, error):
+        # replay_timeline applies noise unchecked, so the timeline checks it
+        with pytest.raises(error, match="noisy_swaps"):
+            PoolTimeline(
+                pool=Pool(token_x="X", token_y="Y", reserve_x=10**6, reserve_y=10**6),
+                noisy_swaps=((Direction.Y_FOR_X, 7), entry),
+                victim=SwapRequest(Direction.X_FOR_Y, 100, min_out=90),
+                victim_tolerance=Fraction(1, 100),
+            )
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -732,6 +790,22 @@ def _string(value) -> bool:
     return type(value) is str
 
 
+def _decimal_amount(least: int):
+    """The test of a timeline amount: a JSON int or a string of ASCII
+    digits, in [least, 2**256 - 1]."""
+
+    def accepts(value) -> bool:
+        if type(value) is str and value.isascii() and value.isdigit():
+            value = int(value)
+        return type(value) is int and least <= value <= MAX_AMOUNT
+
+    return accepts
+
+
+def _direction(value) -> bool:
+    return value in ("x_for_y", "y_for_x")
+
+
 _SWAP_LOG_VALUES = {
     "tx_hash": _string,
     "block_number": _json_int,
@@ -768,7 +842,21 @@ _CHECKED_FIELDS = {
         "amount_out": _uint256,
         "min_return": _uint256,
     },
-    "timelines": {},
+    "timelines": {
+        "token_x": _string,
+        "token_y": _string,
+        "address": _string,
+        "reserve_x": _decimal_amount(1),
+        "reserve_y": _decimal_amount(1),
+        "direction": _direction,
+        "amount_in": _decimal_amount(1),
+        "min_out": _decimal_amount(0),
+        "sender": _string,
+        "recipient": _string,
+        # a noisy_swaps entry, [direction, amount]
+        0: _direction,
+        1: _decimal_amount(1),
+    },
     "pairs": {
         **_SWAP_LOG_VALUES,
         "record_id": _string,
