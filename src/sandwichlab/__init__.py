@@ -70,6 +70,7 @@ from .detector import (
     aggregate,
     classify_and_price,
     detect_pairs,
+    group_logs,
     prefilter,
     price_pair,
     reference_detect_pairs,

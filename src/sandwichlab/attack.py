@@ -228,13 +228,11 @@ def frontrun_size(
     a fraction (1 - theta) of the quoted buffer untouched. Returns 0 when
     the quote leaves no buffer above min_out.
     """
-    if direction is Direction.Y_FOR_X:
-        pool = pool.mirrored()
-    quote = quote_output(pool, Direction.X_FOR_Y, victim_in)
+    quote = quote_output(pool, direction, victim_in)
     if quote <= min_out:
         return 0
     floor = quote - (quote - min_out) * theta.numerator // theta.denominator
-    return largest_frontrun_for_min_out(pool, Direction.X_FOR_Y, victim_in, floor)
+    return largest_frontrun_for_min_out(pool, direction, victim_in, floor)
 
 
 def optimal_frontrun_for_timeline(

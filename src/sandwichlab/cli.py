@@ -163,6 +163,11 @@ def _manifest(command: str, config: dict, inputs: dict, seed=None) -> ingest.Run
     )
 
 
+def _write_json(path: Path, data: dict) -> None:
+    with open(path, "w") as handle:
+        json.dump(data, handle, indent=2, sort_keys=True, default=str)
+
+
 def cmd_simulate(args) -> int:
     if not args.config:
         raise ValidationFailure("simulate requires --config")
@@ -203,10 +208,8 @@ def cmd_simulate(args) -> int:
     metrics_dict = asdict(metrics)
     if metrics.measured_q is not None:
         metrics_dict["measured_q"] = float(metrics.measured_q)
-    with open(out / "metrics.json", "w") as handle:
-        json.dump(metrics_dict, handle, indent=2, sort_keys=True, default=str)
-    with open(out / "manifest.json", "w") as handle:
-        json.dump(asdict(manifest), handle, indent=2, sort_keys=True, default=str)
+    _write_json(out / "metrics.json", metrics_dict)
+    _write_json(out / "manifest.json", asdict(manifest))
 
     print(
         f"simulated {metrics.victims_total} victims "
@@ -223,18 +226,11 @@ def cmd_detect(args) -> int:
         else detector.DetectionConfig()
     )
     records = ingest.decode_jsonl(args.records, ingest.record_from_dict)
-    logs_by_pool: dict[str, list[detector.SwapLog]] = {}
-    for log in ingest.decode_jsonl(args.logs, ingest.swap_log_from_dict):
-        logs_by_pool.setdefault(log.pool_address, []).append(log)
-    for pool, logs in logs_by_pool.items():
-        logs.sort(key=detector.SwapLog.position)
-        # detect_pairs bisects on timestamp along this order
-        for earlier, later in zip(logs, logs[1:]):
-            if later.timestamp < earlier.timestamp:
-                raise ValidationFailure(
-                    f"{args.logs}: pool {pool}: timestamp decreases from "
-                    f"{earlier.position()} to {later.position()}"
-                )
+    logs = ingest.decode_jsonl(args.logs, ingest.swap_log_from_dict)
+    try:
+        logs_by_pool = detector.group_logs(logs)
+    except detector.MalformedData as exc:
+        raise ValidationFailure(f"{args.logs}: {exc}") from None
 
     kept = detector.prefilter(records, cfg)
     pairs: list[detector.SandwichPair] = []
@@ -249,8 +245,7 @@ def cmd_detect(args) -> int:
         {"records": args.records, "logs": args.logs, "config": args.config},
     )
     ingest.write_pairs_jsonl(str(out / "pairs.jsonl"), pairs, manifest)
-    with open(out / "manifest.json", "w") as handle:
-        json.dump(asdict(manifest), handle, indent=2, sort_keys=True, default=str)
+    _write_json(out / "manifest.json", asdict(manifest))
     print(
         f"{len(records)} records in, {len(kept)} past prefilter, "
         f"{len(pairs)} sandwich pairs -> {out / 'pairs.jsonl'}"
@@ -346,8 +341,7 @@ def cmd_analyze(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     report_dict = asdict(report)
     report_dict["missing_price_tokens"] = sorted(missing)
-    with open(out / "report.json", "w") as handle:
-        json.dump(report_dict, handle, indent=2, sort_keys=True, default=str)
+    _write_json(out / "report.json", report_dict)
     with open(out / "pool_counts.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["pool_address", "pairs"])
@@ -361,8 +355,7 @@ def cmd_analyze(args) -> int:
         "analyze", {}, {"pairs": args.pairs, "prices": args.prices}
     )
     manifest.output_paths = ["report.json", "pool_counts.csv", "chain_pairs.csv"]
-    with open(out / "manifest.json", "w") as handle:
-        json.dump(asdict(manifest), handle, indent=2, sort_keys=True, default=str)
+    _write_json(out / "manifest.json", asdict(manifest))
     print(
         f"{report.total_pairs} pairs "
         f"({report.single_chain_pairs} same-block, {report.cross_chain_pairs} cross-chain), "
@@ -373,179 +366,11 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _selftest_solver(rng: random.Random, trials: int) -> bool:
-    """frontrun_size is the largest front-run that keeps the victim at
-    ceil(quote - (quote - min_out) * theta), and 0 with no buffer."""
-    from .amm import Direction, Pool, victim_output_after_frontrun
-
-    for _ in range(trials):
-        pool = Pool(
-            token_x="X",
-            token_y="Y",
-            reserve_x=rng.randrange(10**6, 10**12),
-            reserve_y=rng.randrange(10**6, 10**12),
-            fee=Fraction(rng.choice([0, 5, 30, 100]), 10_000),
-        )
-        # a victim of under 100 units often leaves no buffer above min_out
-        victim_in = rng.randrange(1, rng.choice([100, pool.reserve_x // 10 + 2]))
-        tolerance = Fraction(rng.randrange(10, 500), 10_000)
-        theta = rng.choice([Fraction(1, 2), Fraction(3, 4), Fraction(1)])
-        quote = amm.quote_output(pool, Direction.X_FOR_Y, victim_in)
-        min_out = amm.min_out_from_tolerance(quote, tolerance)
-        best = attack.frontrun_size(pool, Direction.X_FOR_Y, victim_in, min_out, theta)
-        if quote <= min_out:
-            if best != 0:
-                return False
-            continue
-        floor = max(math.ceil(quote - (quote - min_out) * theta), 1)
-        fits, over = (
-            victim_output_after_frontrun(pool, Direction.X_FOR_Y, a, victim_in)
-            for a in (best, best + 1)
-        )
-        if not fits >= floor > over:
-            return False
-    return True
-
-
-def _selftest_detector(rng: random.Random, trials: int) -> bool:
-    from .amm import Direction
-
-    cfg = detector.DetectionConfig()
-    for _ in range(trials):
-        pool_address = "0x" + "11" * 20
-        logs = []
-        victim_block = 50
-        for i in range(rng.randrange(4, 16)):
-            block = victim_block + rng.randrange(-3, 6)
-            logs.append(
-                detector.SwapLog(
-                    tx_hash=f"0x{i:064x}",
-                    block_number=block,
-                    log_index=rng.randrange(100),
-                    pool_address=pool_address,
-                    chain_id=56,
-                    direction=rng.choice([Direction.X_FOR_Y, Direction.Y_FOR_X]),
-                    token_in_amount=rng.randrange(1, 10**6),
-                    token_out_amount=rng.randrange(1, 10**6),
-                    sender="0x" + "22" * 20,
-                    recipient="0x" + f"{rng.randrange(4):02x}" * 20,
-                    gas_price=rng.randrange(10**9),
-                    timestamp=float(block * 3),
-                )
-            )
-        victim = detector.SwapLog(
-            tx_hash="0x" + "ff" * 32,
-            block_number=victim_block,
-            log_index=1_000,
-            pool_address=pool_address,
-            chain_id=56,
-            direction=Direction.X_FOR_Y,
-            token_in_amount=10**6,
-            token_out_amount=10**6,
-            sender="0x" + "33" * 20,
-            recipient="0x" + "33" * 20,
-            gas_price=5 * 10**9,
-            timestamp=float(victim_block * 3),
-        )
-        logs.append(victim)
-        logs.sort(key=detector.SwapLog.position)
-        record = detector.CrossChainTx(
-            record_id="r0",
-            src_tx_hash="0x" + "01" * 32,
-            src_chain_id=1,
-            src_block_number=10,
-            src_timestamp=float(victim_block * 3 - 60),
-            dst_tx_hash=victim.tx_hash,
-            dst_chain_id=56,
-            dst_block_number=victim_block,
-            dst_timestamp=victim.timestamp,
-            dst_gas_price=victim.gas_price,
-            hops=(
-                detector.VictimHop(
-                    pool_address=pool_address,
-                    token_in="X",
-                    token_out="Y",
-                    direction=Direction.X_FOR_Y,
-                    amount_in=victim.token_in_amount,
-                    amount_out=victim.token_out_amount,
-                    min_return=0,
-                ),
-            ),
-        )
-        fast = detector.detect_pairs(record, {pool_address: logs}, cfg)
-        slow = detector.reference_detect_pairs(record, {pool_address: logs}, cfg)
-        if fast != slow:
-            return False
-    return True
-
-
-def _replay_by_swaps(timeline: attack.PoolTimeline, frontrun_in: int) -> tuple[bool, int]:
-    """replay_timeline as the same swaps applied one by one with
-    execute_swap on validated pools: front-run, noise, victim (which may
-    revert), back-run. The reference that selftest and the tests hold
-    replay_timeline to."""
-    from .amm import SwapRequest, execute_swap
-
-    direction = timeline.victim.direction
-    state, frontrun_out = timeline.pool, 0
-    if frontrun_in:
-        front = execute_swap(state, SwapRequest(direction, frontrun_in))
-        state, frontrun_out = front.pool_after, front.amount_out
-    for noise_direction, amount in timeline.noisy_swaps:
-        state = execute_swap(state, SwapRequest(noise_direction, amount)).pool_after
-    victim = execute_swap(state, timeline.victim)
-    backrun_out = 0
-    if frontrun_out:
-        back = SwapRequest(direction.opposite(), frontrun_out)
-        backrun_out = execute_swap(victim.pool_after, back).amount_out
-    return not victim.reverted, backrun_out
-
-
-def _selftest_replay(rng: random.Random, trials: int) -> bool:
-    """replay_timeline equals _replay_by_swaps at no front-run, the
-    solver's front-run and an oversized one."""
-    from .amm import Direction, Pool, SwapRequest
-
-    for _ in range(trials):
-        pool = Pool(
-            token_x="X",
-            token_y="Y",
-            reserve_x=rng.randrange(10**8, 10**12),
-            reserve_y=rng.randrange(10**8, 10**12),
-            fee=Fraction(rng.choice([0, 30]), 10_000),
-        )
-        directions = [Direction.X_FOR_Y, Direction.Y_FOR_X]
-        direction = rng.choice(directions)
-        reserve_in = pool.reserves(direction)[0]
-        victim_in = rng.randrange(1_000, reserve_in // 20)
-        tolerance = Fraction(rng.randrange(10, 300), 10_000)
-        noise = tuple(
-            (rng.choice(directions), rng.randrange(1, reserve_in // 50))
-            for _ in range(rng.randrange(4))
-        )
-        min_out = amm.min_out_from_tolerance(amm.quote_output(pool, direction, victim_in), tolerance)
-        timeline = attack.PoolTimeline(
-            pool, noise, SwapRequest(direction, victim_in, min_out), tolerance
-        )
-        best = attack.optimal_frontrun_for_timeline(timeline)
-        for frontrun_in in (0, best, best + rng.randrange(1, reserve_in // 20)):
-            if attack.replay_timeline(timeline, frontrun_in) != _replay_by_swaps(timeline, frontrun_in):
-                return False
-    return True
-
-
 def cmd_selftest(args) -> int:
-    rng = random.Random(20_240_817)
-    checks = [
-        ("front-run solver maximality", _selftest_solver(rng, 60)),
-        ("detector fast == reference", _selftest_detector(rng, 120)),
-        ("timeline replay == swap-by-swap execution", _selftest_replay(rng, 60)),
-    ]
-    failed = 0
-    for name, ok in checks:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        failed += 0 if ok else 1
-    return 1 if failed else 0
+    # imported here, so that importing the CLI loads none of it
+    from . import selftest
+
+    return selftest.main()
 
 
 def build_parser() -> argparse.ArgumentParser:

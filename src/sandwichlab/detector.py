@@ -230,6 +230,24 @@ def _find_victim(
     return None
 
 
+def group_logs(logs: Iterable[SwapLog]) -> dict[str, list[SwapLog]]:
+    """The logs_by_pool that detect_pairs takes: each pool's logs sorted
+    by position. A timestamp that decreases along that order raises
+    MalformedData, since detect_pairs bisects on timestamps."""
+    logs_by_pool: dict[str, list[SwapLog]] = {}
+    for log in logs:
+        logs_by_pool.setdefault(log.pool_address, []).append(log)
+    for pool, pool_logs in logs_by_pool.items():
+        pool_logs.sort(key=SwapLog.position)
+        for earlier, later in zip(pool_logs, pool_logs[1:]):
+            if later.timestamp < earlier.timestamp:
+                raise MalformedData(
+                    f"pool {pool}: timestamp decreases from "
+                    f"{earlier.position()} to {later.position()}"
+                )
+    return logs_by_pool
+
+
 def detect_pairs(
     record: CrossChainTx,
     logs_by_pool: Mapping[str, Sequence[SwapLog]],

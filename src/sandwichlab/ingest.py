@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import __version__
-from .amm import AmmError, Direction, Pool, SwapRequest, _check_amount
+from .amm import AmmError, Direction, Pool, SwapRequest, _check_amount, _check_rate
 from .attack import PoolTimeline
 from .detector import (
     Classification,
@@ -36,7 +36,15 @@ def _fraction_to_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+# int() alone would also take " 3", "+3", "3_0" and non-ASCII digits
+_FRACTION = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
 def _fraction_from_str(value: str) -> Fraction:
+    """A string "n" or "n/d" of ASCII digits, n with an optional minus
+    sign, d not zero."""
+    if type(value) is not str or not _FRACTION.fullmatch(value):
+        raise ValueError(f'bad fraction {value!r}: not a string "n" or "n/d" of digits, d > 0')
     num, _, den = value.partition("/")
     return Fraction(int(num), int(den or 1))
 
@@ -235,6 +243,7 @@ def timeline_from_dict(data: dict) -> PoolTimeline:
     pool = pool_from_dict(data["pool"])
     noisy_swaps = tuple(map(_noisy_swap, data["noisy_swaps"]))
     tolerance = _fraction_from_str(data["victim_tolerance"])
+    _check_rate("victim_tolerance", tolerance)
     try:
         return PoolTimeline(pool, noisy_swaps, request, tolerance)
     except (TypeError, ValueError, AmmError) as exc:

@@ -1,6 +1,5 @@
 """Slow, independent reference implementations used to freeze expected
-values and cross-check the fast code paths, and the timeline builder
-the tests share."""
+values and cross-check the fast code paths."""
 
 from __future__ import annotations
 
@@ -8,15 +7,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
-from sandwichlab.amm import (
-    Direction,
-    Pool,
-    SwapRequest,
-    min_out_from_tolerance,
-    quote_output,
-    victim_output_after_frontrun,
-)
-from sandwichlab.attack import PoolTimeline
+from sandwichlab.amm import Direction, Pool, victim_output_after_frontrun
 from sandwichlab.detector import MissingPrice
 
 
@@ -99,37 +90,6 @@ def brute_force_frontrun(
         if victim_output_after_frontrun(pool, direction, a, victim_in) >= min_out:
             best = a
     return best
-
-
-def frontrun_floor(pool: Pool, victim_in: int, tolerance: Fraction) -> int:
-    quote = quote_output(pool, Direction.X_FOR_Y, victim_in)
-    return min_out_from_tolerance(quote, tolerance)
-
-
-def make_timeline(
-    pool: Pool,
-    victim_in: int,
-    tolerance: Fraction,
-    noise=(),
-    direction: Direction = Direction.X_FOR_Y,
-) -> PoolTimeline:
-    """A victim swap on pool whose min_out is frozen at its quote less
-    tolerance, behind the given noise swaps."""
-    quote = quote_output(pool, direction, victim_in)
-    return PoolTimeline(
-        pool=pool,
-        noisy_swaps=tuple(noise),
-        victim=SwapRequest(
-            direction, victim_in, min_out=min_out_from_tolerance(quote, tolerance)
-        ),
-        victim_tolerance=tolerance,
-    )
-
-
-def theta_floor(quote: int, min_out: int, theta: Fraction) -> int:
-    """The victim output a front-run sized at theta must leave: the
-    least integer >= quote - (quote - min_out) * theta."""
-    return math.ceil(quote - (quote - min_out) * theta)
 
 
 def replay_timeline_oracle(timeline, frontrun_in: int) -> tuple[bool, int]:

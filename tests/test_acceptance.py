@@ -13,19 +13,12 @@ import random
 import time
 from fractions import Fraction
 
-from _oracles import bisect_frontrun, make_timeline, theta_floor
+from _oracles import bisect_frontrun
 
-from sandwichlab.amm import (
-    Direction,
-    Pool,
-    min_out_from_tolerance,
-    quote_output,
-    victim_output_after_frontrun,
-)
+from sandwichlab.amm import Direction, Pool, min_out_from_tolerance, quote_output
 from sandwichlab.attack import (
     estimate_return_rates,
     exact_sum,
-    frontrun_size,
     noise_params_and_rates,
     optimal_frontrun_for_timeline,
     replay_timeline,
@@ -41,16 +34,14 @@ from sandwichlab.bridge import (
 from sandwichlab.cli import main
 from sandwichlab.detector import (
     Classification,
-    CrossChainTx,
     DetectionConfig,
-    SwapLog,
-    VictimHop,
     detect_pairs,
+    group_logs,
     reference_detect_pairs,
 )
+from sandwichlab.selftest import detection_case, frontrun_case, make_timeline
 
 GWEI = 10**9
-FEES = (Fraction(0), Fraction(5, 10_000), Fraction(30, 10_000), Fraction(100, 10_000))
 
 
 def verdict(number: int, name: str, ok: bool, detail: str) -> None:
@@ -75,30 +66,13 @@ def grid_pools(count, fee=Fraction(0), reserve_x=10**21, reserve_y=3 * 10**21):
 
 def detect_all(corpus):
     """Run the detector over a simulated corpus, per-pool logs sorted."""
-    logs_by_pool: dict[str, list[SwapLog]] = {}
-    for log in corpus.swap_logs:
-        logs_by_pool.setdefault(log.pool_address, []).append(log)
-    for logs in logs_by_pool.values():
-        logs.sort(key=SwapLog.position)
+    logs_by_pool = group_logs(corpus.swap_logs)
     config = DetectionConfig()
     pairs_by_record = {
         record.record_id: detect_pairs(record, logs_by_pool, config)
         for record in corpus.records
     }
     return logs_by_pool, pairs_by_record
-
-
-def random_attack_instance(rng, fee):
-    """A pool plus a victim sized 0.1%-5% of the input-side reserve."""
-    while True:
-        reserve_x = rng.randrange(10**3, 10**18)
-        reserve_y = rng.randrange(10**3, 10**18)
-        pool = Pool(token_x="X", token_y="Y", reserve_x=reserve_x, reserve_y=reserve_y, fee=fee)
-        victim_in = max(1, int(reserve_x * rng.uniform(0.001, 0.05)))
-        tolerance = Fraction(rng.randrange(10, 500), 10_000)  # 0.1% .. 5%
-        quote = quote_output(pool, Direction.X_FOR_Y, victim_in)
-        if quote > 0 and min_out_from_tolerance(quote, tolerance) > 0:
-            return pool, victim_in, tolerance
 
 
 class TestCriterion1:
@@ -126,29 +100,15 @@ class TestCriterion2:
         started = time.monotonic()
         rng = random.Random(20_260_824)
         checked = 0
-        ok = True
-        while checked < 1000:
-            fee = rng.choice(FEES)
-            theta = rng.choice((Fraction(1, 2), Fraction(1)))
-            pool, victim_in, tolerance = random_attack_instance(rng, fee)
-            quote = quote_output(pool, Direction.X_FOR_Y, victim_in)
-            min_out = min_out_from_tolerance(quote, tolerance)
-            best = frontrun_size(pool, Direction.X_FOR_Y, victim_in, min_out, theta)
-            if quote <= min_out:
-                # no buffer above the victim's floor: nothing to take
-                if best != 0:
-                    ok = False
-                    break
-                checked += 1
-                continue
-            floor = max(theta_floor(quote, min_out, theta), 1)
-            oracle = bisect_frontrun(pool, Direction.X_FOR_Y, victim_in, floor)
-            fits = victim_output_after_frontrun(pool, Direction.X_FOR_Y, best, victim_in) >= floor
-            overshoots = (
-                victim_output_after_frontrun(pool, Direction.X_FOR_Y, best + 1, victim_in) < floor
+        for _ in range(1000):
+            case = frontrun_case(rng)
+            best = optimal_frontrun_for_timeline(case.timeline, case.theta)
+            victim, floor = case.timeline.victim, case.floor()
+            # floor 0: the quote leaves no buffer above the victim's floor
+            oracle = floor and bisect_frontrun(
+                case.timeline.pool, victim.direction, victim.amount_in, floor
             )
-            if not (best == oracle and fits and overshoots):
-                ok = False
+            if not (case.is_maximal(best) and best == oracle):
                 break
             checked += 1
         elapsed = time.monotonic() - started
@@ -156,7 +116,7 @@ class TestCriterion2:
             verdict(
                 2,
                 "solver maximality",
-                ok and elapsed < 10.0,
+                checked == 1000 and elapsed < 10.0,
                 f"{checked}/1000 seeded pools match the bisection oracle, {elapsed:.1f}s < 10s",
             )
 
@@ -257,78 +217,6 @@ class TestCriteria3And4:
             )
 
 
-def synthetic_corpus(rng, n_logs):
-    """A single-pool record with up to n_logs bystander swaps, unique
-    (block, log_index) positions, and block-aligned timestamps."""
-    pool = "0x" + "11" * 20
-    victim_block = 50
-    positions = {(victim_block, 199)}
-    logs = []
-    for i in range(n_logs):
-        while True:
-            block = victim_block + rng.randrange(-4, 8)
-            log_index = rng.randrange(199)
-            if (block, log_index) not in positions:
-                positions.add((block, log_index))
-                break
-        logs.append(
-            SwapLog(
-                tx_hash=f"0x{i:064x}",
-                block_number=block,
-                log_index=log_index,
-                pool_address=pool,
-                chain_id=56,
-                direction=rng.choice((Direction.X_FOR_Y, Direction.Y_FOR_X)),
-                token_in_amount=rng.randrange(80, 130),
-                token_out_amount=rng.randrange(80, 130),
-                sender="0x" + f"{rng.randrange(3):02x}" * 20,
-                recipient="0x" + f"{rng.randrange(3):02x}" * 20,
-                gas_price=rng.randrange(10 * GWEI),
-                timestamp=float(block * 3),
-            )
-        )
-    victim = SwapLog(
-        tx_hash="0x" + "ff" * 32,
-        block_number=victim_block,
-        log_index=199,
-        pool_address=pool,
-        chain_id=56,
-        direction=Direction.X_FOR_Y,
-        token_in_amount=rng.randrange(80, 130),
-        token_out_amount=rng.randrange(80, 130),
-        sender="0x" + "22" * 20,
-        recipient="0x" + "22" * 20,
-        gas_price=GWEI,
-        timestamp=float(victim_block * 3),
-    )
-    logs.append(victim)
-    logs.sort(key=SwapLog.position)
-    record = CrossChainTx(
-        record_id="r0",
-        src_tx_hash="0x" + "01" * 32,
-        src_chain_id=1,
-        src_block_number=1,
-        src_timestamp=float((victim_block - 4) * 3),
-        dst_tx_hash=victim.tx_hash,
-        dst_chain_id=56,
-        dst_block_number=victim.block_number,
-        dst_timestamp=victim.timestamp,
-        dst_gas_price=victim.gas_price,
-        hops=(
-            VictimHop(
-                pool_address=pool,
-                token_in="WETH",
-                token_out="USDT",
-                direction=victim.direction,
-                amount_in=victim.token_in_amount,
-                amount_out=victim.token_out_amount,
-                min_return=0,
-            ),
-        ),
-    )
-    return record, {pool: logs}
-
-
 class TestCriterion5:
     def test_detector_oracle_equivalence_and_recall(self, capsys):
         started = time.monotonic()
@@ -336,7 +224,7 @@ class TestCriterion5:
         config = DetectionConfig()
         equal = 0
         for _ in range(200):
-            record, logs = synthetic_corpus(rng, rng.randrange(2, 50))
+            record, logs = detection_case(rng, rng.randrange(2, 50))
             if detect_pairs(record, logs, config) == reference_detect_pairs(
                 record, logs, config
             ):

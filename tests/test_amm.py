@@ -11,10 +11,7 @@ from _oracles import (
     boundary_quadratic,
     brute_force_frontrun,
     fraction_frontrun_root,
-    frontrun_floor,
-    make_timeline,
     quote_oracle,
-    theta_floor,
 )
 from sandwichlab.amm import (
     MAX_AMOUNT,
@@ -29,9 +26,9 @@ from sandwichlab.amm import (
     largest_frontrun_for_min_out,
     min_out_from_tolerance,
     quote_output,
-    victim_output_after_frontrun,
 )
 from sandwichlab.attack import frontrun_size, optimal_frontrun_for_timeline, replay_timeline
+from sandwichlab.selftest import FrontrunCase, make_timeline
 
 FEE_30 = Fraction(30, 10_000)
 
@@ -255,18 +252,11 @@ class TestMinOut:
 class TestFrontrunSolver:
     def test_big_symmetric_pool_matches_bisection(self):
         pool = make_pool(10**12, 10**12, FEE_30)
-        victim_in = 10**9
-        floor = frontrun_floor(pool, victim_in, Fraction(1, 100))
-        best = frontrun_size(pool, Direction.X_FOR_Y, victim_in, floor)
-        assert best == bisect_frontrun(pool, Direction.X_FOR_Y, victim_in, floor)
-        assert (
-            victim_output_after_frontrun(pool, Direction.X_FOR_Y, best, victim_in)
-            >= floor
-        )
-        assert (
-            victim_output_after_frontrun(pool, Direction.X_FOR_Y, best + 1, victim_in)
-            < floor
-        )
+        case = FrontrunCase(make_timeline(pool, 10**9, Fraction(1, 100)), Fraction(1))
+        floor = case.timeline.victim.min_out
+        best = frontrun_size(pool, Direction.X_FOR_Y, 10**9, floor)
+        assert best == bisect_frontrun(pool, Direction.X_FOR_Y, 10**9, floor)
+        assert case.floor() == floor and case.is_maximal(best)
 
     def test_tiny_pool_matches_brute_force(self):
         pool = make_pool(997, 1013, FEE_30)
@@ -285,7 +275,7 @@ class TestFrontrunSolver:
 
     def test_theta_scales_room_monotonically(self):
         pool = make_pool(10**12, 10**12)
-        min_out = frontrun_floor(pool, 10**9, Fraction(1, 100))
+        min_out = make_timeline(pool, 10**9, Fraction(1, 100)).victim.min_out
         sizes = [
             frontrun_size(pool, Direction.X_FOR_Y, 10**9, min_out, Fraction(t, 4))
             for t in (1, 2, 3, 4)
@@ -304,14 +294,12 @@ class TestFrontrunSolver:
     @settings(max_examples=200, deadline=None)
     def test_frontrun_size_targets_theta_floor(self, x, y, fee, victim_in, s_num, theta):
         pool = make_pool(x, y, fee)
-        quote = quote_output(pool, Direction.X_FOR_Y, victim_in)
-        min_out = min_out_from_tolerance(quote, Fraction(s_num, 10_000))
+        case = FrontrunCase(make_timeline(pool, victim_in, Fraction(s_num, 10_000)), theta)
+        min_out = case.timeline.victim.min_out
         size = frontrun_size(pool, Direction.X_FOR_Y, victim_in, min_out, theta)
-        if quote <= min_out:
-            assert size == 0  # no buffer above the floor to take
-            return
-        floor = theta_floor(quote, min_out, theta)
-        assert size == bisect_frontrun(pool, Direction.X_FOR_Y, victim_in, floor)
+        # floor 0: no buffer above the victim's floor to take
+        floor = case.floor()
+        assert size == (floor and bisect_frontrun(pool, Direction.X_FOR_Y, victim_in, floor))
 
     @given(
         x=st.integers(10**4, 10**14),
@@ -398,7 +386,7 @@ class TestSandwich:
         front_out = quote_output(pool, Direction.X_FOR_Y, frontrun_in)
         p1 = pool.after_swap(Direction.X_FOR_Y, frontrun_in, front_out)
         victim_out = quote_output(p1, Direction.X_FOR_Y, 10**9)
-        assert victim_out >= frontrun_floor(pool, 10**9, Fraction(1, 100))
+        assert victim_out >= make_timeline(pool, 10**9, Fraction(1, 100)).victim.min_out
         p2 = p1.after_swap(Direction.X_FOR_Y, 10**9, victim_out)
         assert quote_output(p2, Direction.Y_FOR_X, front_out) == backrun_out
 
@@ -424,7 +412,7 @@ class TestSandwich:
         victim_in = 10**9
         tolerance = Fraction(1, 100)
         frontrun_in, _, backrun_out = sandwich(pool, victim_in, tolerance)
-        floor = frontrun_floor(pool, victim_in, tolerance)
+        floor = make_timeline(pool, victim_in, tolerance).victim.min_out
         closed = (pool.reserve_x + victim_in) - (
             -(-pool.k // (pool.reserve_y - floor))
         )

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import make_timeline, replay_timeline_oracle
+from _oracles import replay_timeline_oracle
 from sandwichlab.amm import (
     MAX_AMOUNT,
     Direction,
@@ -36,7 +36,7 @@ from sandwichlab.attack import (
     replay_timeline,
     success_probability,
 )
-from sandwichlab.cli import _replay_by_swaps
+from sandwichlab.selftest import make_timeline, replay_by_swaps
 
 
 def _trimmed_means_oracle(rates, percentile):
@@ -282,7 +282,7 @@ class TestReplayTimeline:
         }[front]
         replayed = replay_timeline(timeline, frontrun_in)
         assert replayed == replay_timeline_oracle(timeline, frontrun_in)
-        assert replayed == _replay_by_swaps(timeline, frontrun_in)
+        assert replayed == replay_by_swaps(timeline, frontrun_in)
 
     @pytest.mark.parametrize("noise_direction", list(Direction))
     def test_overflowing_noise_raises_like_swap_by_swap(self, noise_direction):
@@ -291,7 +291,7 @@ class TestReplayTimeline:
         timeline = make_timeline(
             pool, 1_000, Fraction(1, 100), noise=[(noise_direction, 2**255)]
         )
-        for replay in (replay_timeline, _replay_by_swaps, replay_timeline_oracle):
+        for replay in (replay_timeline, replay_by_swaps, replay_timeline_oracle):
             with pytest.raises(Overflow):
                 replay(timeline, 10)
 

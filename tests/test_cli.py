@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +24,7 @@ from sandwichlab.detector import (
     SwapLog,
     aggregate,
     detect_pairs,
+    group_logs,
     prefilter,
 )
 from sandwichlab.ingest import (
@@ -219,6 +223,18 @@ class TestSimulate:
         config.write_text(yaml.safe_dump(data))
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err == "error: bad simulation config: reserve_x exceeds 256 bits\n"
+
+    # an int fee ended in a raw AttributeError; " 3/100" and "+3/100" were read
+    @pytest.mark.parametrize("fee", [0, " 3/100", "3/100 ", "+3/100"])
+    def test_bad_pool_fee_is_validation_error(self, tmp_path, capsys, fee):
+        data = yaml.safe_load(CONFIG_YAML)
+        data["pools"][0]["fee"] = fee
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(data))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: bad simulation config: ")
+        assert not out.exists()
 
     def test_jsonl_header_is_manifest_digest(self, sim_outputs):
         _, out = sim_outputs
@@ -438,6 +454,18 @@ class TestParams:
 
     def test_missing_arguments_is_validation_error(self):
         assert main(["params"]) == 1
+
+    # "-5", "0" and "1" were read as tolerances
+    @pytest.mark.parametrize("tolerance", ["-5", "0", "1", "3/2", " 1/100"])
+    def test_bad_victim_tolerance_names_file_and_line(self, sim_outputs, tmp_path, capsys, tolerance):
+        _, sim = sim_outputs
+        header, first, *rest = (sim / "timelines.jsonl").read_text().splitlines()
+        row = json.loads(first)
+        row["victim_tolerance"] = tolerance
+        bad = tmp_path / "timelines.jsonl"
+        bad.write_text("\n".join([header, json.dumps(row), *rest]) + "\n")
+        assert main(["params", "--timelines", str(bad)]) == 1
+        assert re.match(rf"error: {re.escape(str(bad))}:2: ValueError: ", capsys.readouterr().err)
 
     @pytest.mark.parametrize("flag, value", [("--theta", "3/0"), ("--percentile", "1/0"), ("--theta", "x")])
     def test_bad_fraction_flag_is_validation_error(self, sim_outputs, capsys, flag, value):
@@ -808,9 +836,7 @@ class TestPairsContract:
         assert main([*argv, "--logs", str(sim / "swap_logs.jsonl"), "--out", str(det)]) == 0
 
         cfg = DetectionConfig()
-        logs_by_pool: dict = {}
-        for log in sorted(corpus.swap_logs, key=SwapLog.position):
-            logs_by_pool.setdefault(log.pool_address, []).append(log)
+        logs_by_pool = group_logs(corpus.swap_logs)
         pairs = [
             pair
             for record in prefilter(corpus.records, cfg)
@@ -858,6 +884,19 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
         assert "FAIL" not in out
+
+    def test_runs_from_src_alone_and_is_not_loaded_by_the_cli(self, tmp_path):
+        # from an empty directory with only src importable: no tests/
+        code = (
+            "import sys, sandwichlab.cli as cli\n"
+            "assert 'sandwichlab.selftest' not in sys.modules\n"
+            "sys.exit(cli.main(['selftest']))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        argv = [sys.executable, "-c", code]
+        done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.count("PASS  ") == 3
 
 
 class TestMalformedRows:

@@ -20,6 +20,7 @@ from sandwichlab.detector import (
     prefilter,
     reference_detect_pairs,
 )
+from sandwichlab.selftest import check_detector, detection_case
 
 POOL = "0x" + "11" * 20
 GWEI = 10**9
@@ -291,52 +292,9 @@ class TestDetectPairs:
         assert pairs[0].token_in == "WBNB"
 
 
-def random_corpus(rng, n_logs):
-    logs = []
-    victim_block = 50
-    positions = set()
-    for i in range(n_logs):
-        while True:
-            block = victim_block + rng.randrange(-4, 8)
-            log_index = rng.randrange(199)
-            if (block, log_index) not in positions:
-                positions.add((block, log_index))
-                break
-        logs.append(
-            make_log(
-                block,
-                log_index,
-                direction=rng.choice([Direction.X_FOR_Y, Direction.Y_FOR_X]),
-                amount_in=rng.randrange(80, 130),
-                amount_out=rng.randrange(80, 130),
-                tx_hash=f"0x{i:064x}",
-                recipient="0x" + f"{rng.randrange(3):02x}" * 20,
-                gas_price=rng.randrange(10 * GWEI),
-            )
-        )
-    victim = make_log(
-        victim_block,
-        199,
-        amount_in=rng.randrange(80, 130),
-        amount_out=rng.randrange(80, 130),
-        tx_hash="0x" + "ff" * 32,
-    )
-    logs.append(victim)
-    logs.sort(key=SwapLog.position)
-    return make_record(victim, src_timestamp=float((victim_block - 4) * 3)), {
-        POOL: logs
-    }
-
-
 class TestGreedyMatchesReference:
     def test_randomized_equivalence(self):
-        rng = random.Random(1234)
-        cfg = DetectionConfig()
-        for _ in range(300):
-            record, logs = random_corpus(rng, rng.randrange(2, 40))
-            assert detect_pairs(record, logs, cfg) == reference_detect_pairs(
-                record, logs, cfg
-            )
+        assert check_detector(random.Random(1234), 300)
 
     @pytest.mark.parametrize("num_blocks", [1, 3, 100])
     @pytest.mark.parametrize(
@@ -358,7 +316,7 @@ class TestGreedyMatchesReference:
         )
         found = 0
         for _ in range(150):
-            record, logs = random_corpus(rng, rng.randrange(2, 40))
+            record, logs = detection_case(rng, rng.randrange(2, 40))
             logs = {
                 POOL: [
                     replace(log, token_out_amount=0) if rng.random() < 0.2 else log
@@ -373,7 +331,7 @@ class TestGreedyMatchesReference:
     def test_determinism_under_input_shuffle(self):
         rng = random.Random(99)
         cfg = DetectionConfig()
-        record, logs = random_corpus(rng, 30)
+        record, logs = detection_case(rng, 30)
         baseline = detect_pairs(record, logs, cfg)
         for _ in range(10):
             shuffled = list(logs[POOL])
@@ -383,7 +341,7 @@ class TestGreedyMatchesReference:
 
     def test_canonical_output_order(self):
         rng = random.Random(5)
-        record, logs = random_corpus(rng, 35)
+        record, logs = detection_case(rng, 35)
         pairs = detect_pairs(record, logs, DetectionConfig())
         keys = [(p.victim.position(), p.front.position()) for p in pairs]
         assert keys == sorted(keys)

@@ -17,6 +17,7 @@ from sandwichlab.detector import Classification, CrossChainTx, SandwichPair, Swa
 from sandwichlab.ingest import (
     MalformedData,
     RunManifest,
+    _fraction_from_str,
     decode_jsonl,
     file_digest,
     iter_decoded,
@@ -260,6 +261,13 @@ class TestCodecRoundTrips:
         restored = pool_from_dict(json.loads(json.dumps(pool_to_dict(pool))))
         assert restored == pool
         assert restored.fee == Fraction(1, 400)
+
+    def test_fraction_strings(self):
+        # the sign stays for profit_rate; int() alone took " 3" and "3/"
+        assert _fraction_from_str("-3/100") == Fraction(-3, 100)
+        for value in (" 3/100", "3/100 ", "+3/100", "3/", "3/0", "3/-1", "1.5", "١/٢", 0):
+            with pytest.raises(ValueError):
+                _fraction_from_str(value)
 
     def test_pair_round_trip(self):
         from decimal import Decimal
@@ -703,7 +711,8 @@ _timelines = st.builds(
         sender=_texts,
         recipient=_texts,
     ),
-    victim_tolerance=st.fractions(0, 1, max_denominator=10**6),
+    # the decoder takes a tolerance in (0, 1) only
+    victim_tolerance=st.fractions(0, 1, max_denominator=10**6).filter(lambda s: 0 < s < 1),
 )
 
 
