@@ -17,6 +17,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -32,14 +33,20 @@ class ValidationFailure(ValueError):
     pass
 
 
+# int() alone would also take " 3", "+3", "3_0" and non-ASCII digits
+_RATIO = re.compile(r"-?[0-9]+/[0-9]+")
+
+
 def _fraction(value) -> Fraction:
-    """A Fraction from a config value or flag: "n/d", an int, a float or
-    a decimal string. A zero denominator or a bad literal is a
-    ValidationFailure."""
+    """A Fraction from a config value or flag: "n/d" in ASCII digits with
+    a minus sign allowed before n, an int, a float or a decimal string. A
+    zero denominator or a bad literal is a ValidationFailure."""
     if isinstance(value, Fraction):
         return value
     try:
         if isinstance(value, str) and "/" in value:
+            if not _RATIO.fullmatch(value):
+                raise ValueError('not "n/d" in ASCII digits, a minus sign allowed before n')
             num, _, den = value.partition("/")
             return Fraction(int(num), int(den))
         return Fraction(str(value))
@@ -188,11 +195,7 @@ def cmd_simulate(args) -> int:
         "swap_logs.jsonl",
         "timelines.jsonl",
     ]
-    ingest.write_jsonl(
-        str(out / "swap_logs.jsonl"),
-        (ingest.swap_log_to_dict(log) for log in corpus.swap_logs),
-        manifest,
-    )
+    ingest.write_swap_logs_jsonl(str(out / "swap_logs.jsonl"), corpus.swap_logs, manifest)
     ingest.write_jsonl(
         str(out / "records.jsonl"),
         (ingest.record_to_dict(record) for record in corpus.records),

@@ -352,47 +352,99 @@ def write_jsonl(path: str, rows: Iterable[dict], manifest: Optional[RunManifest]
 _json_str = json.encoder.encode_basestring_ascii
 
 
+def swap_log_text(log: SwapLog) -> str:
+    """json.dumps(swap_log_to_dict(log), sort_keys=True), byte for byte:
+    the one text of a swap log in swap_logs.jsonl and pairs.jsonl. As
+    json.dumps does, it writes strings with encode_basestring_ascii and
+    numbers with int.__repr__ or float.__repr__; a decoded timestamp is
+    finite, so the NaN and infinity spellings never arise."""
+    # the keys of swap_log_to_dict in sorted order
+    return (
+        f'{{"block_number": {log.block_number!r}, "chain_id": {log.chain_id!r}, '
+        f'"direction": {_json_str(log.direction.value)}, "gas_price": {log.gas_price!r}, '
+        f'"log_index": {log.log_index!r}, "pool_address": {_json_str(log.pool_address)}, '
+        f'"recipient": {_json_str(log.recipient)}, "sender": {_json_str(log.sender)}, '
+        f'"timestamp": {log.timestamp!r}, "token_in_amount": {log.token_in_amount!r}, '
+        f'"token_out_amount": {log.token_out_amount!r}, "tx_hash": {_json_str(log.tx_hash)}}}'
+    )
+
+
+def write_swap_logs_jsonl(
+    path: str, logs: Iterable[SwapLog], manifest: Optional[RunManifest] = None
+) -> None:
+    """write_jsonl(path, map(swap_log_to_dict, logs), manifest), byte for
+    byte."""
+    _write_lines(path, map(swap_log_text, logs), manifest)
+
+
 def _json_optional(value, to_str: Callable[..., str]) -> str:
     return "null" if value is None else _json_str(to_str(value))
 
 
-def _pair_line(pair: SandwichPair, back: str, front: str, victim: str) -> str:
-    """json.dumps(pair_to_dict(pair), sort_keys=True), given the text of
-    each of its swap logs: the one row layout of pairs.jsonl, shared by
-    write_pairs_jsonl and iter_pairs."""
-    # the keys of pair_to_dict in sorted order
+def _own_segments(pair: SandwichPair) -> tuple[str, str]:
+    """The two runs of a pairs.jsonl row that hold the pair's own
+    fields: the classification, which sorts between back and front, and
+    front_window_start_block to token_in, which sort between front and
+    victim."""
     return (
-        f'{{"back": {back}, '
-        f'"classification": {_json_str(pair.classification.value)}, '
-        f'"front": {front}, '
+        f'"classification": {_json_str(pair.classification.value)}',
         f'"front_window_start_block": {pair.front_window_start_block}, '
         f'"pool_address": {_json_str(pair.pool_address)}, '
         f'"profit_rate": {_json_optional(pair.profit_rate, _fraction_to_str)}, '
         f'"profit_token": {_json_optional(pair.profit_token, str)}, '
         f'"profit_usd": {_json_optional(pair.profit_usd, str)}, '
         f'"record_id": {_json_str(pair.record_id)}, '
-        f'"token_in": {_json_str(pair.token_in)}, '
-        f'"victim": {victim}}}'
+        f'"token_in": {_json_str(pair.token_in)}',
     )
+
+
+def _pair_line(back: str, front: str, victim: str, own: tuple[str, str]) -> str:
+    """json.dumps(pair_to_dict(pair), sort_keys=True), given the text of
+    each of its swap logs and _own_segments(pair): the one row layout of
+    pairs.jsonl, shared by write_pairs_jsonl and iter_pairs."""
+    return f'{{"back": {back}, {own[0]}, "front": {front}, {own[1]}, "victim": {victim}}}'
 
 
 def write_pairs_jsonl(
     path: str, pairs: Iterable[SandwichPair], manifest: Optional[RunManifest] = None
 ) -> None:
     """write_jsonl(path, map(pair_to_dict, pairs), manifest), byte for
-    byte, with each distinct swap log encoded once: a victim sits in many
-    pairs, and a front or back in several."""
+    byte, with each distinct swap log encoded once (a victim sits in many
+    pairs, and a front or back in several), and the own fields encoded
+    only when they differ from the pair before (the pairs of one record
+    hop share them, and detect finds them together)."""
     # id(log) -> (log, its text); holding the log keeps its id unique
     texts: dict[int, tuple[SwapLog, str]] = {}
+    # the own fields of the pair before -> their runs
+    owns: dict[tuple, tuple[str, str]] = {}
 
     def log_text(log: SwapLog) -> str:
         entry = texts.get(id(log))
         if entry is None:
-            entry = texts[id(log)] = (log, json.dumps(swap_log_to_dict(log), sort_keys=True))
+            entry = texts[id(log)] = (log, swap_log_text(log))
         return entry[1]
 
+    def own_text(pair: SandwichPair) -> tuple[str, str]:
+        # fields of their declared types that compare equal write the
+        # same text, but for Decimal("1") and Decimal("1.0")
+        key = (
+            pair.classification,
+            pair.front_window_start_block,
+            pair.pool_address,
+            pair.profit_rate,
+            pair.profit_token,
+            str(pair.profit_usd),
+            pair.record_id,
+            pair.token_in,
+        )
+        found = owns.get(key)
+        if found is None:
+            owns.clear()
+            found = owns[key] = _own_segments(pair)
+        return found
+
     lines = (
-        _pair_line(pair, log_text(pair.back), log_text(pair.front), log_text(pair.victim))
+        _pair_line(log_text(pair.back), log_text(pair.front), log_text(pair.victim), own_text(pair))
         for pair in pairs
     )
     _write_lines(path, lines, manifest)
@@ -448,35 +500,70 @@ def decode_jsonl(path: str, decode: Callable[[dict], object]) -> list:
     return list(iter_decoded(path, decode))
 
 
-# the text of _pair_line around its three swap-log texts
+# the text of _pair_line around its three swap-log texts and its two
+# runs of own fields
 _BEFORE_BACK = '{"back": '
-_AFTER_BACK = ', "classification": '
+_BEFORE_HEAD = ', "classification": '
 _BEFORE_FRONT = ', "front": '
-_AFTER_FRONT = ', "front_window_start_block": '
+_BEFORE_TAIL = ', "front_window_start_block": '
 _BEFORE_VICTIM = ', "victim": '
 
 
-def _written_pair(line: str, log: Callable[[str], SwapLog]) -> Optional[SandwichPair]:
+def _written_pair(
+    line: str, log: Callable[[str], SwapLog], owns: dict[tuple[str, str], SandwichPair]
+) -> Optional[SandwichPair]:
     """The pair of a line that _pair_line rebuilds byte for byte from
     what was read, each swap-log text through log; None for any other
-    line, and for a line that any decoder rejects."""
-    if not line.startswith(_BEFORE_BACK):
+    line, and for a line that any decoder rejects.
+
+    The finds below fix every byte of the line outside its three log
+    texts and its two runs of own fields, so the line rebuilds exactly
+    when each log text is canonical (log checks it) and _own_segments
+    gives back both runs. A JSON string cannot hold ', "' without a
+    backslash before the quote, so no find stops inside a string of a
+    row that rebuilds. owns maps the runs of the last row that rebuilt
+    to its pair: a later row with the same two runs rebuilds as well, and
+    takes its own fields from that pair without json.loads. detect
+    writes the pairs of one record hop together, so rows with equal runs
+    are adjacent (busy-2pool: 74,750 rows, 3,389 runs, each run's rows
+    consecutive), and one entry finds every repeat."""
+    if not (line.startswith(_BEFORE_BACK) and line.endswith("}")):
         return None
-    a = line.find(_AFTER_BACK)
+    a = line.find(_BEFORE_HEAD)
     b = line.find(_BEFORE_FRONT, a)
-    c = line.find(_AFTER_FRONT, b)
+    c = line.find(_BEFORE_TAIL, b)
     d = line.find(_BEFORE_VICTIM, c)
     if -1 in (a, b, c, d):
         return None
     back = line[len(_BEFORE_BACK) : a]
     front = line[b + len(_BEFORE_FRONT) : c]
     victim = line[d + len(_BEFORE_VICTIM) : -1]
+    runs = (line[a + 2 : b], line[c + 2 : d])
     try:
-        # the row's own fields: everything but the three logs
-        own = json.loads(f"{{{line[a + 2 : b]}, {line[c + 2 : d]}}}")
-        own["back"], own["front"], own["victim"] = back, front, victim
-        pair = _pair(own, log)
-        return pair if _pair_line(pair, back, front, victim) == line else None
+        seen = owns.get(runs)
+        if seen is None:
+            own = json.loads(f"{{{runs[0]}, {runs[1]}}}")
+            own["back"], own["front"], own["victim"] = back, front, victim
+            pair = _pair(own, log)
+            if _own_segments(pair) != runs:
+                return None
+            # keep one entry, so memory does not grow with the rows
+            owns.clear()
+            owns[runs] = pair
+            return pair
+        return SandwichPair(
+            seen.record_id,
+            seen.pool_address,
+            log(front),
+            log(victim),
+            log(back),
+            seen.classification,
+            seen.token_in,
+            seen.front_window_start_block,
+            seen.profit_token,
+            seen.profit_rate,
+            seen.profit_usd,
+        )
     except _DECODE_ERRORS:
         # the caller decodes the line again in full and raises its error
         return None
@@ -484,28 +571,33 @@ def _written_pair(line: str, log: Callable[[str], SwapLog]) -> Optional[Sandwich
 
 def iter_pairs(path: str) -> Iterator[SandwichPair]:
     """iter_decoded(path, pair_from_dict), the same pairs and the same
-    MalformedData errors, with each distinct swap-log text decoded once.
+    MalformedData errors, with each distinct swap-log text decoded once,
+    and the own fields of a row decoded only when they differ from the
+    row before.
 
     A row that write_pairs_jsonl could have written (_written_pair) is
     read from its three log texts, looked up by their exact text, and
-    its own fields; only then is it rebuilt and compared. A text is
-    decoded on its first sight, and kept only when swap_log_from_dict
-    accepts it and swap_log_to_dict encodes the log back to the same
-    text. Every other row (other spacing or key order, 15 for 15.0,
-    duplicate keys, a bad value) goes through json.loads and
-    pair_from_dict. Equal texts give one shared SwapLog, so memory
-    follows the distinct log texts, not the number of pairs."""
+    its own fields, looked up by the exact text of their two runs. A
+    log text is decoded on its first sight, and kept only when
+    swap_log_from_dict accepts it and swap_log_text encodes the log back
+    to the same text; the runs are decoded when they are not those of
+    the last row kept, and kept only when _own_segments encodes the
+    fields back to the same runs. Every other row (other spacing or key
+    order, 15 for 15.0, duplicate keys, a bad value) goes through
+    json.loads and pair_from_dict. Equal texts give one shared SwapLog,
+    so memory follows the distinct log texts, not the number of pairs."""
     logs: dict[str, SwapLog] = {}
+    owns: dict[tuple[str, str], SandwichPair] = {}
 
     def log(text: str) -> SwapLog:
         found = logs.get(text)
         if found is None:
             found = swap_log_from_dict(json.loads(text))
-            if json.dumps(swap_log_to_dict(found), sort_keys=True) != text:
+            if swap_log_text(found) != text:
                 raise ValueError("not a canonical swap-log text")
             logs[text] = found
         return found
 
     for number, line in _numbered_lines(path):
-        pair = _written_pair(line, log)
+        pair = _written_pair(line, log, owns)
         yield pair if pair is not None else _decoded(path, number, line, pair_from_dict)

@@ -17,7 +17,13 @@ from sandwichlab import attack
 from sandwichlab.amm import MAX_AMOUNT, Direction, Pool, SwapRequest
 from sandwichlab.attack import PoolTimeline
 from sandwichlab.bridge import extract_corpus, run
-from sandwichlab.cli import ValidationFailure, build_parser, detection_config_from_dict, main
+from sandwichlab.cli import (
+    ValidationFailure,
+    build_parser,
+    detection_config_from_dict,
+    main,
+    sim_config_from_dict,
+)
 from sandwichlab.detector import (
     DetectionConfig,
     PriceTable,
@@ -110,6 +116,14 @@ class TestSimulate:
         for name in ("swap_logs.jsonl", "records.jsonl", "timelines.jsonl"):
             assert file_digest(str(out / name)) == file_digest(str(again / name))
 
+    def test_swap_logs_are_write_jsonl_of_swap_log_to_dict(self, sim_outputs, tmp_path):
+        config, out = sim_outputs
+        trace, _ = run(sim_config_from_dict(yaml.safe_load(config.read_text())))
+        manifest = RunManifest(**json.loads((out / "manifest.json").read_text()))
+        expected = tmp_path / "expected.jsonl"
+        write_jsonl(str(expected), map(swap_log_to_dict, extract_corpus(trace).swap_logs), manifest)
+        assert (out / "swap_logs.jsonl").read_bytes() == expected.read_bytes()
+
     def test_missing_config_is_validation_error(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path / "x")]) == 1
 
@@ -151,6 +165,19 @@ class TestSimulate:
         out = tmp_path / "x"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: bad simulation config: bad fraction '3/0'")
+        assert not out.exists()
+
+    # int() took a sign or spaces around either part of "n/d"
+    @pytest.mark.parametrize("theta", ["9/-10", " 9/10", "9/ 10", "9 /10", "9/+10", "+9/10"])
+    def test_loose_theta_is_validation_error(self, tmp_path, capsys, theta):
+        data = yaml.safe_load(CONFIG_YAML)
+        data["attacker"]["theta"] = theta
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(data))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad simulation config: bad fraction {theta!r}: not \"n/d\"")
         assert not out.exists()
 
     def test_malformed_yaml_is_validation_error(self, tmp_path, capsys):
@@ -348,6 +375,15 @@ class TestDetect:
         assert capsys.readouterr().err.startswith("error: bad detection config: bad fraction '1/0'")
         assert not det.exists()
 
+    @pytest.mark.parametrize("band", ["9/-10", "' 9/10'", "9/ 10", "+9/10"])
+    def test_loose_band_is_validation_error(self, sim_outputs, tmp_path, capsys, band):
+        rc, det = self.detect_with_config(sim_outputs, tmp_path, f"band_low: {band}\n")
+        assert rc == 1
+        value = band.strip("'")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad detection config: bad fraction {value!r}: not \"n/d\"")
+        assert not det.exists()
+
     def test_full_config_is_applied(self, sim_outputs, tmp_path):
         text = (
             "num_blocks: 150\n"
@@ -505,6 +541,25 @@ class TestParams:
         extra = [item for pair in rates.items() for item in pair]
         assert main(["params", *argv, *extra]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    # r- read as -3.0000% from "3/-100"
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--r-minus", "3/-100"), ("--r-plus", " 1/100"), ("--q", "1/2 "), ("--p", "1 /2")],
+    )
+    def test_loose_fraction_flag_is_validation_error(self, capsys, flag, value):
+        flags = {"--q": "1/2", "--p": "1/2", "--r-plus": "1/100", "--r-minus": "-3/100"}
+        flags[flag] = value
+        # --flag=value: argparse takes "-3/100" after a space for an option
+        assert main(["params", *[f"{name}={text}" for name, text in flags.items()]]) == 1
+        reason = 'not "n/d" in ASCII digits, a minus sign allowed before n'
+        assert capsys.readouterr().err == f"error: bad fraction {value!r}: {reason}\n"
+
+    def test_documented_fraction_forms_are_read(self, capsys):
+        argv = ["params", "--q", "1/2", "--p", "0.5", "--r-plus", "1", "--r-minus=-3/100"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "r+        = 100.0000%" in out and "r-        = -3.0000%" in out
 
     def test_zero_noise_amount_is_validation_error(self, sim_outputs, tmp_path, capsys):
         _, out = sim_outputs

@@ -1,8 +1,10 @@
 """Frozen sha256 digests of every file ``sandwichlab simulate`` writes,
 for two small zero-fee configs in which the cross-chain attacker and
-the mempool bot both act. A refactor of the simulator must leave every
-digest unchanged; a change that alters simulator output on purpose
-updates the digests here and says so in CHANGES.md."""
+the mempool bot both act, and of the ``pairs.jsonl`` and ``report.json``
+that ``detect`` and ``analyze`` write from them. A refactor of the
+simulator or of a codec must leave every digest unchanged; a change that
+alters an output on purpose updates the digests here and says so in
+CHANGES.md."""
 
 import hashlib
 
@@ -115,14 +117,56 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(DIGESTS))
-def test_simulate_artifacts_are_frozen(name, tmp_path):
-    config_yaml, expected = DIGESTS[name]
+# pairs.jsonl and report.json of detect and analyze (default detection
+# config) on each config's simulate output
+DETECT_DIGESTS = {
+    "capped": {
+        "pairs.jsonl": "d48654d13e49b34d4feebd8d10eb04a09ca6476d4db08cd956c1af0b54066fd6",
+        "report.json": "c4ab9f21ac59e9a8d525a760fac34d79290d3e5c0577dc6eacfff6f5ed9c875f",
+    },
+    "mempool": {
+        "pairs.jsonl": "b53ff59818171d0976cde45ab4c5ef4d96acb8dd8d14f92cf857eab1e77577a4",
+        "report.json": "a3447e5cbc0546d63ede2cffb326a3bd2ed7484298ffac1cdf4e26c8e35791e0",
+    },
+}
+
+PRICES_CSV = (
+    "token_id,usd_price,decimals,snapshot_date\n"
+    "WETH,3000,18,2025-10-31\n"
+    "USDT,1,18,2025-10-31\n"
+    "WBNB,600,18,2025-10-31\n"
+    "BUSD,1,18,2025-10-31\n"
+)
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _simulate(name, tmp_path):
     config = tmp_path / "config.yaml"
-    config.write_text(config_yaml)
+    config.write_text(DIGESTS[name][0])
     out = tmp_path / "sim"
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-    written = {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()
-    }
-    assert written == expected
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_simulate_artifacts_are_frozen(name, tmp_path):
+    out = _simulate(name, tmp_path)
+    assert {path.name: _sha256(path) for path in out.iterdir()} == DIGESTS[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(DETECT_DIGESTS))
+def test_detect_and_analyze_artifacts_are_frozen(name, tmp_path):
+    sim = _simulate(name, tmp_path)
+    det, rep = tmp_path / "det", tmp_path / "rep"
+    prices = tmp_path / "prices.csv"
+    prices.write_text(PRICES_CSV)
+    records, logs = str(sim / "records.jsonl"), str(sim / "swap_logs.jsonl")
+    assert main(["detect", "--records", records, "--logs", logs, "--out", str(det)]) == 0
+    pairs = det / "pairs.jsonl"
+    argv = ["analyze", "--pairs", str(pairs), "--prices", str(prices), "--records", records]
+    assert main([*argv, "--out", str(rep)]) == 0
+    written = {"pairs.jsonl": _sha256(pairs), "report.json": _sha256(rep / "report.json")}
+    assert written == DETECT_DIGESTS[name]

@@ -3,6 +3,7 @@ import math
 import re
 import tempfile
 from dataclasses import asdict, replace
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from sandwichlab.ingest import (
     record_from_dict,
     record_to_dict,
     swap_log_from_dict,
+    swap_log_text,
     swap_log_to_dict,
     timeline_from_dict,
     timeline_to_dict,
@@ -270,10 +272,6 @@ class TestCodecRoundTrips:
                 _fraction_from_str(value)
 
     def test_pair_round_trip(self):
-        from decimal import Decimal
-
-        from sandwichlab.detector import Classification, SandwichPair
-
         log = SwapLog(
             tx_hash="0x01",
             block_number=5,
@@ -465,6 +463,28 @@ class TestPairsWriter:
         texts = _log_texts(shared)
         assert len(set(texts.values())) == len(texts)
 
+    def test_equal_profits_written_apart_are_not_shared(self, tmp_path):
+        # Decimal("1") == Decimal("1.0"), but each writes its own text
+        pair = SandwichPair(
+            record_id="r1",
+            pool_address=SWAP_LOG.pool_address,
+            front=SWAP_LOG,
+            victim=SWAP_LOG,
+            back=SWAP_LOG,
+            classification=Classification.CROSS_CHAIN,
+            token_in="WETH",
+            front_window_start_block=3,
+            profit_token=1,
+            profit_rate=Fraction(1, 2),
+            profit_usd=Decimal("1"),
+        )
+        pairs = [pair, replace(pair, profit_usd=Decimal("1.0")), pair]
+        new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
+        write_pairs_jsonl(str(new), pairs)
+        write_jsonl(str(old), map(pair_to_dict, pairs))
+        assert new.read_bytes() == old.read_bytes()
+        assert '"profit_usd": "1.0"' in new.read_text().splitlines()[1]
+
 
 def _canonical(log: SwapLog) -> dict:
     return json.loads(json.dumps(swap_log_to_dict(log)))
@@ -632,6 +652,49 @@ class TestPairsReader:
         else:
             assert fast.startswith(f"{tmp_path / 'pairs.jsonl'}:3: "), fast
 
+    # rows of one record whose own fields differ from an earlier row's,
+    # which iter_pairs has kept, in one of the two runs between the logs
+    _BASE = _row_with(front_window_start_block=15)
+    _POOL = json.dumps(_LOG.pool_address)
+    _OWN_VARIANTS = {
+        "15.0 for 15": _BASE.replace('block": 15,', 'block": 15.0,'),
+        "true for 15": _BASE.replace('block": 15,', 'block": true,'),
+        "extra space in the tail": _BASE.replace('block": 15,', 'block":  15,'),
+        "extra space in the head": _BASE.replace('"classification": ', '"classification":  '),
+        "swapped key order": _BASE.replace(
+            f'"pool_address": {_POOL}, "profit_rate": null',
+            f'"profit_rate": null, "pool_address": {_POOL}',
+        ),
+        "profit_usd 1 for null": _BASE.replace('"profit_usd": null', '"profit_usd": "1"'),
+        "other classification": _BASE.replace('"cross_chain"', '"single_chain"'),
+        "classification one byte off": _BASE.replace('"cross_chain"', '"cross_chaim"'),
+        # json.loads keeps the last of two keys: this row's back is the
+        # second log
+        "second back in the tail": _BASE.replace(
+            '"token_in": "WETH"',
+            f'"token_in": "WETH", "back": {json.dumps(_canonical(replace(_LOG, chain_id=1)))}',
+        ),
+        "trailing character after }": _BASE + "x",
+        "closing } replaced": _BASE[:-1] + "x",
+    }
+
+    @pytest.mark.parametrize("name", list(_OWN_VARIANTS))
+    def test_own_field_memo_reads_as_the_general_path(self, tmp_path, name):
+        variant = self._OWN_VARIANTS[name]
+        # the variant twice, so that a second sight of its runs is read too
+        lines = [self._BASE + "\n", variant + "\n", variant + "\n", self._BASE + "\n"]
+        fast, general = _read_both(tmp_path / "pairs.jsonl", lines)
+        assert fast == general
+        if isinstance(fast, list):
+            # only a row in the writer's layout shares the kept logs
+            written = variant == _written(tmp_path / "written.jsonl", fast[1])
+            assert written == (name in ("profit_usd 1 for null", "other classification"))
+            around = _log_ids(fast[::3])
+            for log in _logs(fast[1:3]):
+                assert (id(log) in around) == written
+        else:
+            assert fast.startswith(f"{tmp_path / 'pairs.jsonl'}:3: "), fast
+
 
 # token amounts at the edges of the 256-bit range as well as in between
 _token_amounts = st.one_of(
@@ -656,6 +719,40 @@ _wide_swap_logs = st.builds(
     gas_price=_token_amounts,
     timestamp=_timestamps,
 )
+# any string, surrogate pairs and lone surrogates included: the text
+# need only equal what json.dumps writes, not read back
+_any_texts = st.lists(st.one_of(_ESCAPED, st.characters(), st.just("\udc00")), max_size=5).map(
+    "".join
+)
+_edge_floats = st.sampled_from([1e16, 5e-324, -0.0, 0.0, 1e-7, 2.0**53 + 2, 1.7976931348623157e308])
+
+
+_text_swap_logs = st.builds(
+    SwapLog,
+    tx_hash=_any_texts,
+    block_number=st.integers(0, 2**64),
+    log_index=st.integers(0, 2**32),
+    pool_address=_any_texts,
+    chain_id=st.integers(0, 2**64),
+    direction=st.sampled_from(Direction),
+    token_in_amount=_positive_amounts,
+    token_out_amount=_token_amounts,
+    sender=_any_texts,
+    recipient=_any_texts,
+    gas_price=_token_amounts,
+    timestamp=st.one_of(
+        st.integers(-(2**63), 2**63), _edge_floats, st.floats(allow_nan=False, allow_infinity=False)
+    ),
+)
+
+
+class TestSwapLogText:
+    @settings(max_examples=300, deadline=None)
+    @given(log=_text_swap_logs)
+    def test_is_json_dumps_of_swap_log_to_dict(self, log):
+        assert swap_log_text(log) == json.dumps(swap_log_to_dict(log), sort_keys=True)
+
+
 _hops = st.builds(
     VictimHop,
     pool_address=_texts,
