@@ -183,8 +183,7 @@ def quote_output(pool: Pool, direction: Direction, amount_in: int) -> int:
         raise ZeroInput("swap amount_in is zero")
     _check_amount("amount_in", amount_in, minimum=1)
     reserve_in, reserve_out = pool.reserves(direction)
-    fd = pool.fee.denominator  # fee_terms, inlined on the simulator's hot path
-    return swap_output(reserve_in, reserve_out, fd - pool.fee.numerator, fd, amount_in)
+    return swap_output(reserve_in, reserve_out, *fee_terms(pool), amount_in)
 
 
 def execute_swap(pool: Pool, req: SwapRequest) -> SwapOutcome:

@@ -19,16 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .amm import (
-    AmmError,
-    Direction,
-    Pool,
-    SwapOutcome,
-    SwapRequest,
-    execute_swap,
-    min_out_from_tolerance,
-    quote_output,
-)
+from .amm import MAX_AMOUNT, AmmError, Direction, Pool, SwapRequest, fee_terms, swap_output
 from .attack import (
     PoolTimeline,
     TxLabel,
@@ -44,6 +35,14 @@ GWEI = 10**9
 
 class InvalidConfig(ValueError):
     pass
+
+
+def _check_uint(name: str, value: object) -> None:
+    """A token amount or gas price from the config: an int (not a bool)
+    in [0, 2**256 - 1]. The run does integer work on it unchecked, and
+    writes gas prices into the swap logs."""
+    if type(value) is not int or not 0 <= value <= MAX_AMOUNT:
+        raise InvalidConfig(f"{name} must be an int in [0, 2**256 - 1], not {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,6 +102,9 @@ class AttackerConfig:
     def __post_init__(self) -> None:
         if not 0 < self.theta <= 1:
             raise InvalidConfig("theta must be in (0, 1]")
+        if self.capital_limit is not None:
+            _check_uint("capital_limit", self.capital_limit)
+        _check_uint("gas_price", self.gas_price)
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,6 +112,9 @@ class BotConfig:
     enabled: bool = False
     gas_premium: int = GWEI
     min_profit: int = 0
+
+    def __post_init__(self) -> None:
+        _check_uint("gas_premium", self.gas_premium)
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,11 +200,15 @@ class PendingTx:
     sandwich: Optional[Sandwich] = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TraceEvent:
     """One trace entry. A "swap" is a destination-chain execution; a
     "commit" is the public source-chain commit log, whose amount_out is
-    the min_return frozen at commit, so it leaks the destination swap."""
+    the min_return frozen at commit, so it leaks the destination swap.
+
+    Nothing changes an event once it is in the trace. It is not a frozen
+    dataclass only because the run makes one per swap, and a frozen
+    __init__ costs about eight times a plain one."""
 
     time: float
     kind: str
@@ -255,6 +264,8 @@ class SimTrace:
     events: list[TraceEvent] = field(default_factory=list)
     victims: dict[int, VictimRecord] = field(default_factory=dict)
     final_pools: dict[str, Pool] = field(default_factory=dict)
+    # built on first use by compute_metrics or extract_corpus, then shared
+    index: Optional[_TraceIndex] = field(default=None, repr=False, compare=False)
 
 
 @dataclass(slots=True)
@@ -295,6 +306,58 @@ _AGENT_ACCOUNT = {
 }
 
 
+@dataclass(slots=True)
+class _LivePool:
+    """One pool's state during a run: plain integer reserves and the fee
+    terms (g, fd) of amm.swap_output. Every swap input is checked where
+    it enters the run (the config, the samplers, the solver), so a swap
+    is one swap_output call, whose 256-bit guard stays. A Pool is built
+    only where one is read, and kept until the next swap."""
+
+    reserve_x: int
+    reserve_y: int
+    g: int
+    fd: int
+    config: Pool
+    snapshot: Optional[Pool]
+
+    @classmethod
+    def of(cls, pool: Pool) -> "_LivePool":
+        return cls(pool.reserve_x, pool.reserve_y, *fee_terms(pool), pool, pool)
+
+    def pool(self) -> Pool:
+        """The live state as a Pool: the commit snapshot, the pool the
+        agents size on and final_pools."""
+        if self.snapshot is None:
+            config = self.config
+            # the reserves come from swap_output, so they stay valid
+            self.snapshot = config._derived(
+                config.token_x, config.token_y, self.reserve_x, self.reserve_y
+            )
+        return self.snapshot
+
+    def quote(self, direction: Direction, amount_in: int) -> int:
+        """The output of a swap of amount_in >= 1, not applied."""
+        if direction is Direction.X_FOR_Y:
+            return swap_output(self.reserve_x, self.reserve_y, self.g, self.fd, amount_in)
+        return swap_output(self.reserve_y, self.reserve_x, self.g, self.fd, amount_in)
+
+    def swap(self, direction: Direction, amount_in: int, min_out: int) -> Optional[int]:
+        """Apply a swap of amount_in >= 1 and return its output; None, with
+        the state unchanged, when it reverts (output below min_out)."""
+        out = self.quote(direction, amount_in)
+        if out < min_out:
+            return None
+        if direction is Direction.X_FOR_Y:
+            self.reserve_x += amount_in
+            self.reserve_y -= out
+        else:
+            self.reserve_y += amount_in
+            self.reserve_x -= out
+        self.snapshot = None
+        return out
+
+
 def _by_gas_price(txs: list) -> list:
     """Block order: highest gas price first, ties in submission order
     (mempools are appended in submission order and the sort is stable)."""
@@ -308,7 +371,7 @@ class Simulation:
         self.config = config
         self.rng = random.Random(config.seed)
         self.trace = SimTrace(config=config)
-        self.pools: dict[str, Pool] = {p.address: p for p in config.pools}
+        self.pools: dict[str, _LivePool] = {p.address: _LivePool.of(p) for p in config.pools}
         if len(self.pools) != len(config.pools):
             raise InvalidConfig("duplicate pool addresses")
         # (time, seq, handler, args): handler(time, *args) runs at time;
@@ -329,7 +392,7 @@ class Simulation:
 
     def _hash(self, *parts: object) -> str:
         digest = hashlib.sha256(
-            ":".join(str(p) for p in (self.config.seed, *parts)).encode()
+            ":".join(map(str, (self.config.seed, *parts))).encode()
         ).hexdigest()
         return "0x" + digest
 
@@ -350,30 +413,22 @@ class Simulation:
         destination pool state, append the public commit event to the
         trace and return it. The event leaks the destination swap: its
         amount_out is the frozen min_return."""
-        pool = self.pools[victim.pool_address]
-        quote = quote_output(pool, victim.direction, victim.amount_in)
-        min_return = min_out_from_tolerance(quote, victim.tolerance)
+        live = self.pools[victim.pool_address]
+        quote = live.quote(victim.direction, victim.amount_in)
+        # amm.min_out_from_tolerance's ceil((1 - s) * quote) on the integer
+        # terms of s = n/d, unchecked: _tolerance keeps s in (0, 1)
+        s = victim.tolerance
+        min_return = -(-quote * (s.denominator - s.numerator) // s.denominator)
         victim.min_return = min_return
         victim.quote_at_commit = quote
-        victim.pool_snapshot = pool
+        victim.pool_snapshot = live.pool()
         victim.src_block = src_block
         victim.emit_time = now
         commit = TraceEvent(
-            time=now,
-            kind="commit",
-            chain_id=self.config.src_chain_id,
-            tx_hash=victim.src_tx_hash,
-            label=TxLabel.TS.value,
-            pool_address=victim.pool_address,
-            direction=victim.direction,
-            amount_in=victim.amount_in,
-            amount_out=min_return,
-            gas_price=victim.gas_price,
-            block_number=src_block,
-            log_index=log_index,
-            sender=victim.sender,
-            recipient=victim.recipient,
-            victim_id=victim.victim_id,
+            now, "commit", self.config.src_chain_id, victim.src_tx_hash, TxLabel.TS.value,
+            victim.pool_address, victim.direction, victim.amount_in, min_return,
+            victim.gas_price, src_block, log_index, victim.sender, victim.recipient,
+            victim.victim_id,
         )
         self.trace.events.append(commit)
         return commit
@@ -419,7 +474,7 @@ class Simulation:
         cfg = self.config.attacker
         try:
             amount = frontrun_size(
-                self.pools[commit.pool_address],
+                self.pools[commit.pool_address].pool(),
                 commit.direction,
                 commit.amount_in,
                 commit.amount_out,
@@ -451,7 +506,7 @@ class Simulation:
         live pool, replayed with an empty noise window, clears min_profit."""
         cfg = self.config.bot
         bracket = PoolTimeline(
-            pool=self.pools[victim.pool_address],
+            pool=self.pools[victim.pool_address].pool(),
             noisy_swaps=(),
             victim=SwapRequest(victim.direction, victim.amount_in, victim.min_return),
             victim_tolerance=victim.tolerance,
@@ -554,6 +609,8 @@ class Simulation:
         block = self.dst_height
         txs = _by_gas_price(self.dst_mempool)
         self.dst_mempool = []
+        chain_id = self.config.dst_chain_id
+        events = self.trace.events
         log_index = 0
         for tx in txs:
             amount = tx.amount_in
@@ -561,59 +618,42 @@ class Simulation:
                 amount = tx.sandwich.front_out
             if amount <= 0:
                 continue
-            pool = self.pools[tx.pool_address]
-            outcome = execute_swap(
-                pool, SwapRequest(tx.direction, amount, tx.min_out, tx.account, tx.account)
+            out = self.pools[tx.pool_address].swap(tx.direction, amount, tx.min_out)
+            reverted = out is None
+            event = TraceEvent(
+                now, "swap", chain_id, tx.tx_hash, tx.label.value, tx.pool_address,
+                tx.direction, amount, 0 if reverted else out, tx.gas_price, block,
+                None if reverted else log_index, tx.account, tx.account, tx.victim_id, reverted,
             )
-            self.pools[tx.pool_address] = outcome.pool_after
-            event_index: Optional[int] = None
-            if not outcome.reverted:
-                event_index = log_index
+            if not reverted:
                 log_index += 1
-            self.trace.events.append(
-                TraceEvent(
-                    time=now,
-                    kind="swap",
-                    chain_id=self.config.dst_chain_id,
-                    tx_hash=tx.tx_hash,
-                    label=tx.label.value,
-                    pool_address=tx.pool_address,
-                    direction=tx.direction,
-                    amount_in=amount,
-                    amount_out=outcome.amount_out,
-                    gas_price=tx.gas_price,
-                    block_number=block,
-                    log_index=event_index,
-                    sender=tx.account,
-                    recipient=tx.account,
-                    victim_id=tx.victim_id,
-                    reverted=outcome.reverted,
-                )
-            )
-            self._post_execute(tx, outcome, block, now)
+            events.append(event)
+            self._post_execute(tx, event)
         next_time = now + self.config.dst_block_interval
         if next_time <= self.config.horizon:
             self._push(next_time, self._on_dst_block)
 
-    def _post_execute(self, tx: PendingTx, outcome: SwapOutcome, block: int, now: float) -> None:
+    def _post_execute(self, tx: PendingTx, swap: TraceEvent) -> None:
+        """Record the trace event ``swap`` of ``tx`` on its victim, or on
+        its sandwich if it did not revert."""
         if tx.label is TxLabel.TV:
             victim = self.trace.victims[tx.victim_id]
-            victim.exec_block = block
-            victim.exec_time = now
-            victim.reverted = outcome.reverted
-            victim.amount_out = outcome.amount_out
+            victim.exec_block = swap.block_number
+            victim.exec_time = swap.time
+            victim.reverted = swap.reverted
+            victim.amount_out = swap.amount_out
             if self.config.attacker.enabled and not self.config.attacker.backrun_on_mempool:
                 self._attacker_backrun(victim, self.config.attacker.gas_price)
             return
         sandwich = tx.sandwich
-        if sandwich is None or outcome.reverted:
+        if sandwich is None or swap.reverted:
             return
         if tx.amount_in is None:
-            sandwich.back_block = block
-            sandwich.back_out = outcome.amount_out
+            sandwich.back_block = swap.block_number
+            sandwich.back_out = swap.amount_out
         else:
-            sandwich.front_block = block
-            sandwich.front_out = outcome.amount_out
+            sandwich.front_block = swap.block_number
+            sandwich.front_out = swap.amount_out
 
     # -- driver ------------------------------------------------------------
 
@@ -633,7 +673,7 @@ class Simulation:
         while self.queue:
             time, _, handler, args = heapq.heappop(self.queue)
             handler(time, *args)
-        self.trace.final_pools = dict(self.pools)
+        self.trace.final_pools = {address: live.pool() for address, live in self.pools.items()}
         return self.trace
 
 
@@ -681,10 +721,16 @@ class _TraceIndex:
         return out
 
 
+def _index(trace: SimTrace) -> _TraceIndex:
+    if trace.index is None:
+        trace.index = _TraceIndex(trace)
+    return trace.index
+
+
 def compute_metrics(trace: SimTrace) -> SimMetrics:
     metrics = SimMetrics()
     metrics.victims_total = len(trace.victims)
-    index = _TraceIndex(trace)
+    index = _index(trace)
     pools = {p.address: p for p in trace.config.pools}
     empty_windows = 0
     for victim in trace.victims.values():
@@ -757,25 +803,16 @@ def extract_corpus(trace: SimTrace) -> Corpus:
     for event in trace.events:
         if event.kind != "swap" or event.reverted:
             continue
+        # a swap happens at its destination block's time
         swap_logs.append(
             SwapLog(
-                tx_hash=event.tx_hash,
-                block_number=event.block_number,
-                log_index=event.log_index or 0,
-                pool_address=event.pool_address,
-                chain_id=event.chain_id,
-                direction=event.direction,
-                token_in_amount=event.amount_in,
-                token_out_amount=event.amount_out,
-                sender=event.sender,
-                recipient=event.recipient,
-                gas_price=event.gas_price,
-                # a swap happens at its destination block's time
-                timestamp=event.time,
+                event.tx_hash, event.block_number, event.log_index, event.pool_address,
+                event.chain_id, event.direction, event.amount_in, event.amount_out,
+                event.sender, event.recipient, event.gas_price, event.time,
             )
         )
 
-    index = _TraceIndex(trace)
+    index = _index(trace)
     timelines: list[PoolTimeline] = []
     records: list[CrossChainTx] = []
     labels: list[dict] = []

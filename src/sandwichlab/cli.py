@@ -33,22 +33,30 @@ class ValidationFailure(ValueError):
     pass
 
 
-# int() alone would also take " 3", "+3", "3_0" and non-ASCII digits
+# int() and Fraction() alone would also take " 3", "+3", "3_0" and
+# non-ASCII digits
 _RATIO = re.compile(r"-?[0-9]+/[0-9]+")
+_DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]+)?")
 
 
 def _fraction(value) -> Fraction:
-    """A Fraction from a config value or flag: "n/d" in ASCII digits with
-    a minus sign allowed before n, an int, a float or a decimal string. A
-    zero denominator or a bad literal is a ValidationFailure."""
+    """A Fraction from a config value or flag: a string "n/d" or a
+    decimal string "d" or "d.d", in ASCII digits with a minus sign
+    allowed in front, or an int or a float (a YAML number, read through
+    str(), so 1e-05 is 1/100000). A zero denominator or a bad literal is
+    a ValidationFailure."""
     if isinstance(value, Fraction):
         return value
     try:
-        if isinstance(value, str) and "/" in value:
-            if not _RATIO.fullmatch(value):
-                raise ValueError('not "n/d" in ASCII digits, a minus sign allowed before n')
-            num, _, den = value.partition("/")
-            return Fraction(int(num), int(den))
+        if isinstance(value, str):
+            if "/" in value:
+                if not _RATIO.fullmatch(value):
+                    raise ValueError('not "n/d" in ASCII digits, a minus sign allowed before n')
+                num, _, den = value.partition("/")
+                return Fraction(int(num), int(den))
+            if not _DECIMAL.fullmatch(value):
+                raise ValueError("not a decimal in ASCII digits, a minus sign allowed in front")
+            return Fraction(value)
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError) as exc:
         reason = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
@@ -195,18 +203,15 @@ def cmd_simulate(args) -> int:
         "swap_logs.jsonl",
         "timelines.jsonl",
     ]
-    ingest.write_swap_logs_jsonl(str(out / "swap_logs.jsonl"), corpus.swap_logs, manifest)
-    ingest.write_jsonl(
-        str(out / "records.jsonl"),
-        (ingest.record_to_dict(record) for record in corpus.records),
-        manifest,
-    )
-    ingest.write_jsonl(
-        str(out / "timelines.jsonl"),
-        (ingest.timeline_to_dict(timeline) for timeline in corpus.timelines),
-        manifest,
-    )
-    ingest.write_jsonl(str(out / "labels.jsonl"), corpus.labels, manifest)
+    # each row is json.dumps(<kind>_to_dict(row), sort_keys=True), through
+    # the one text encoder of its kind
+    for name, encode, rows in (
+        ("swap_logs", ingest.swap_log_text, corpus.swap_logs),
+        ("records", ingest.record_text, corpus.records),
+        ("timelines", ingest.timeline_text, corpus.timelines),
+        ("labels", ingest.label_text, corpus.labels),
+    ):
+        ingest.write_lines(str(out / f"{name}.jsonl"), map(encode, rows), manifest)
 
     metrics_dict = asdict(metrics)
     if metrics.measured_q is not None:
@@ -424,9 +429,26 @@ def build_parser() -> argparse.ArgumentParser:
 _INPUT_ERRORS = (ValidationFailure, bridge.InvalidConfig, ingest.MalformedData, attack.EmptyInput)
 
 
+# argparse reads "-3/100" after a space as an option, not as a value
+_NEGATIVE_RATIO = re.compile(r"-[0-9]+/[0-9]+")
+
+
+def _join_negative_ratios(argv: list[str]) -> list[str]:
+    """argv with each "--flag" followed by a "-n/d" value joined into
+    "--flag=-n/d", which argparse reads as the flag's value."""
+    joined: list[str] = []
+    for token in argv:
+        flag = joined[-1] if joined else ""
+        if _NEGATIVE_RATIO.fullmatch(token) and flag.startswith("--") and "=" not in flag[2:]:
+            joined[-1] = f"{flag}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_ratios(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:

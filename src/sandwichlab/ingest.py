@@ -336,7 +336,9 @@ def file_digest(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_lines(path: str, lines: Iterable[str], manifest: Optional[RunManifest]) -> None:
+def write_lines(path: str, lines: Iterable[str], manifest: Optional[RunManifest] = None) -> None:
+    """One line per text, after the manifest-digest header if there is a
+    manifest."""
     with open(path, "w") as handle:
         if manifest is not None:
             handle.write(f"# manifest-digest {manifest.digest()}\n")
@@ -345,20 +347,23 @@ def _write_lines(path: str, lines: Iterable[str], manifest: Optional[RunManifest
 
 
 def write_jsonl(path: str, rows: Iterable[dict], manifest: Optional[RunManifest] = None) -> None:
-    _write_lines(path, (json.dumps(row, sort_keys=True) for row in rows), manifest)
+    write_lines(path, (json.dumps(row, sort_keys=True) for row in rows), manifest)
 
 
 # what json.dumps writes for a str, ensure_ascii escapes included
 _json_str = json.encoder.encode_basestring_ascii
 
+# The row encoders below each give json.dumps(<spec>, sort_keys=True),
+# byte for byte, with each dict's keys written in sorted order. As
+# json.dumps does, they write strings with encode_basestring_ascii and
+# numbers with int.__repr__ or float.__repr__; a timestamp is finite,
+# from the simulator or through a decoder, so the NaN and infinity
+# spellings never arise.
+
 
 def swap_log_text(log: SwapLog) -> str:
-    """json.dumps(swap_log_to_dict(log), sort_keys=True), byte for byte:
-    the one text of a swap log in swap_logs.jsonl and pairs.jsonl. As
-    json.dumps does, it writes strings with encode_basestring_ascii and
-    numbers with int.__repr__ or float.__repr__; a decoded timestamp is
-    finite, so the NaN and infinity spellings never arise."""
-    # the keys of swap_log_to_dict in sorted order
+    """json.dumps(swap_log_to_dict(log), sort_keys=True): the one text of
+    a swap log in swap_logs.jsonl and pairs.jsonl."""
     return (
         f'{{"block_number": {log.block_number!r}, "chain_id": {log.chain_id!r}, '
         f'"direction": {_json_str(log.direction.value)}, "gas_price": {log.gas_price!r}, '
@@ -369,16 +374,74 @@ def swap_log_text(log: SwapLog) -> str:
     )
 
 
-def write_swap_logs_jsonl(
-    path: str, logs: Iterable[SwapLog], manifest: Optional[RunManifest] = None
-) -> None:
-    """write_jsonl(path, map(swap_log_to_dict, logs), manifest), byte for
-    byte."""
-    _write_lines(path, map(swap_log_text, logs), manifest)
+def _hop_text(hop: VictimHop) -> str:
+    return (
+        f'{{"amount_in": {hop.amount_in!r}, "amount_out": {hop.amount_out!r}, '
+        f'"direction": {_json_str(hop.direction.value)}, "min_return": {hop.min_return!r}, '
+        f'"pool_address": {_json_str(hop.pool_address)}, "token_in": {_json_str(hop.token_in)}, '
+        f'"token_out": {_json_str(hop.token_out)}}}'
+    )
+
+
+def record_text(record: CrossChainTx) -> str:
+    """json.dumps(record_to_dict(record), sort_keys=True)."""
+    return (
+        f'{{"dst_block_number": {record.dst_block_number!r}, '
+        f'"dst_chain_id": {record.dst_chain_id!r}, "dst_gas_price": {record.dst_gas_price!r}, '
+        f'"dst_timestamp": {record.dst_timestamp!r}, "dst_tx_hash": {_json_str(record.dst_tx_hash)}, '
+        f'"hops": [{", ".join(map(_hop_text, record.hops))}], '
+        f'"record_id": {_json_str(record.record_id)}, '
+        f'"src_block_number": {record.src_block_number!r}, "src_chain_id": {record.src_chain_id!r}, '
+        f'"src_timestamp": {record.src_timestamp!r}, "src_tx_hash": {_json_str(record.src_tx_hash)}}}'
+    )
+
+
+# '["x_for_y", "' and '["y_for_x", "': a noisy_swaps entry up to its amount
+_NOISY_HEAD = {direction: f'[{_json_str(direction.value)}, "' for direction in Direction}
+
+
+def timeline_text(timeline: PoolTimeline) -> str:
+    """json.dumps(timeline_to_dict(timeline), sort_keys=True). Amounts
+    are ints, so their decimal strings need no escapes."""
+    pool, victim = timeline.pool, timeline.victim
+    noisy = ", ".join(
+        f'{_NOISY_HEAD[direction]}{amount}"]' for direction, amount in timeline.noisy_swaps
+    )
+    return (
+        f'{{"noisy_swaps": [{noisy}], '
+        f'"pool": {{"address": {_json_str(pool.address)}, '
+        f'"fee": "{_fraction_to_str(pool.fee)}", "protocol": {_json_str(pool.protocol.value)}, '
+        f'"reserve_x": "{pool.reserve_x}", "reserve_y": "{pool.reserve_y}", '
+        f'"token_x": {_json_str(pool.token_x)}, "token_y": {_json_str(pool.token_y)}}}, '
+        f'"victim": {{"amount_in": "{victim.amount_in}", '
+        f'"direction": {_json_str(victim.direction.value)}, "min_out": "{victim.min_out}", '
+        f'"recipient": {_json_str(victim.recipient)}, "sender": {_json_str(victim.sender)}}}, '
+        f'"victim_tolerance": "{_fraction_to_str(timeline.victim_tolerance)}"}}'
+    )
 
 
 def _json_optional(value, to_str: Callable[..., str]) -> str:
     return "null" if value is None else _json_str(to_str(value))
+
+
+def _json_optional_int(value: Optional[int]) -> str:
+    return "null" if value is None else repr(value)
+
+
+def label_text(label: dict) -> str:
+    """json.dumps(label, sort_keys=True) for a labels.jsonl row as
+    bridge.extract_corpus builds it: these nine keys, each block an int
+    or None, each transaction hash a str or None."""
+    return (
+        f'{{"attacker_back_block": {_json_optional_int(label["attacker_back_block"])}, '
+        f'"attacker_back_tx": {_json_optional(label["attacker_back_tx"], str)}, '
+        f'"attacker_front_block": {_json_optional_int(label["attacker_front_block"])}, '
+        f'"attacker_front_tx": {_json_optional(label["attacker_front_tx"], str)}, '
+        f'"bot_back_tx": {_json_optional(label["bot_back_tx"], str)}, '
+        f'"bot_front_tx": {_json_optional(label["bot_front_tx"], str)}, '
+        f'"record_id": {_json_str(label["record_id"])}, "victim_id": {label["victim_id"]!r}, '
+        f'"victim_tx": {_json_str(label["victim_tx"])}}}'
+    )
 
 
 def _own_segments(pair: SandwichPair) -> tuple[str, str]:
@@ -447,7 +510,7 @@ def write_pairs_jsonl(
         _pair_line(log_text(pair.back), log_text(pair.front), log_text(pair.victim), own_text(pair))
         for pair in pairs
     )
-    _write_lines(path, lines, manifest)
+    write_lines(path, lines, manifest)
 
 
 def _numbered_lines(path: str) -> Iterator[tuple[int, str]]:

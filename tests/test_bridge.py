@@ -79,6 +79,21 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             AttackerConfig(theta=Fraction(0))
 
+    # the run swaps and logs these amounts as ints, unchecked: a float
+    # capital_limit made float front-runs, a float gas price float logs
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda v: AttackerConfig(capital_limit=v), "capital_limit"),
+            (lambda v: AttackerConfig(gas_price=v), "gas_price"),
+            (lambda v: BotConfig(gas_premium=v), "gas_premium"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [5e18, True, -1, 2**256, "7"])
+    def test_agent_amounts_must_be_uint256(self, make, name, value):
+        with pytest.raises(InvalidConfig, match=f"{name} must be an int in"):
+            make(value)
+
     def test_unknown_distribution_family(self):
         rng_config = base_config(relay_delay=DistSpec("cauchy", {"x0": 1}))
         with pytest.raises(InvalidConfig):

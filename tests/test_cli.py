@@ -561,6 +561,34 @@ class TestParams:
         out = capsys.readouterr().out
         assert "r+        = 100.0000%" in out and "r-        = -3.0000%" in out
 
+    # Fraction() read " 1.5 " as 3/2, "1_0.5" as 21/2, "+2" as 2 and the
+    # Arabic-Indic digit three as 3
+    @pytest.mark.parametrize("value", [" 1.5 ", "1_0.5", "+2", "\u0663", ".5", "1.", "1e-5", ""])
+    def test_loose_decimal_flag_is_validation_error(self, capsys, value):
+        argv = ["params", "--q", "1/2", "--p", "1/2", "--r-plus", value, "--r-minus=-3/100"]
+        assert main(argv) == 1
+        reason = "not a decimal in ASCII digits, a minus sign allowed in front"
+        assert capsys.readouterr().err == f"error: bad fraction {value!r}: {reason}\n"
+
+    def test_yaml_float_reads_through_its_repr(self):
+        # YAML reads 1.0e-5 as a float, whose str() is "1e-05"
+        config = sim_config_from_dict({**yaml.safe_load(CONFIG_YAML), "attacker": {"theta": 1.0e-5}})
+        assert config.attacker.theta == Fraction(1, 100_000)
+
+    @pytest.mark.parametrize("flag", ["--r-minus", "--q"])
+    def test_negative_ratio_after_a_space_is_a_value(self, capsys, flag):
+        # argparse took "-3/100" for an option and exited 2, the I/O code
+        flags = {"--q": "1/2", "--p": "1/2", "--r-plus": "1/100", "--r-minus": "-3/100"}
+        flags[flag] = "-3/100"
+        code = main(["params", *[item for pair in flags.items() for item in pair]])
+        captured = capsys.readouterr()
+        if flag == "--r-minus":
+            assert code == 0
+            assert "r-        = -3.0000%" in captured.out
+        else:
+            assert code == 1
+            assert captured.err == "error: bad model parameters: q out of [0,1]: -3/100\n"
+
     def test_zero_noise_amount_is_validation_error(self, sim_outputs, tmp_path, capsys):
         _, out = sim_outputs
         rows = [

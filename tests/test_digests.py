@@ -1,16 +1,19 @@
 """Frozen sha256 digests of every file ``sandwichlab simulate`` writes,
-for two small zero-fee configs in which the cross-chain attacker and
-the mempool bot both act, and of the ``pairs.jsonl`` and ``report.json``
-that ``detect`` and ``analyze`` write from them. A refactor of the
-simulator or of a codec must leave every digest unchanged; a change that
-alters an output on purpose updates the digests here and says so in
-CHANGES.md."""
+for three small configs in which the cross-chain attacker and the
+mempool bot both act (two on zero-fee pools, one on 30 and 25 bp
+pools), and of the ``pairs.jsonl`` and ``report.json`` that ``detect``
+and ``analyze`` write from them. A refactor of the simulator or of a
+codec must leave every digest unchanged; a change that alters an output
+on purpose updates the digests here and says so in CHANGES.md."""
 
 import hashlib
 
 import pytest
+import yaml
 
-from sandwichlab.cli import main
+from sandwichlab.amm import SwapRequest, execute_swap
+from sandwichlab.bridge import run
+from sandwichlab.cli import main, sim_config_from_dict
 
 # attacker at theta=1/2 with a binding capital_limit, plus the bot;
 # victims execute, revert and are dropped
@@ -97,6 +100,49 @@ pools:
     address: "0x2222222222222222222222222222222222222222"
 """
 
+# the busy-2pool pools' fees, with victims large enough against the
+# reserves that the bot's same-block bracket clears both fees; victims
+# execute, revert and are dropped
+FEES_YAML = """\
+seed: 5
+horizon: 240
+relay_delay:
+  family: uniform
+  low: 10
+  high: 60
+victim_arrival_rate: 0.2
+victim_size:
+  family: lognormal
+  mu: 43
+  sigma: 1.0
+victim_tolerance:
+  family: uniform
+  low: 0.005
+  high: 0.03
+noise_arrival_rate: 0.03
+noise_size:
+  family: fixed
+  value: 1.0e16
+attacker:
+  enabled: true
+  theta: "1/2"
+bot:
+  enabled: true
+pools:
+  - token_x: WETH
+    token_y: USDT
+    reserve_x: "1000000000000000000000"
+    reserve_y: "3000000000000000000000"
+    fee: "30/10000"
+    address: "0x1111111111111111111111111111111111111111"
+  - token_x: WBNB
+    token_y: BUSD
+    reserve_x: "100000000000000000000"
+    reserve_y: "600000000000000000000"
+    fee: "25/10000"
+    address: "0x2222222222222222222222222222222222222222"
+"""
+
 DIGESTS = {
     "capped": (CAPPED_YAML, {
         "labels.jsonl": "8a8c0495c2518b4abc191247a74dcbdcdd59d33bff01a0c9010d83439657eb87",
@@ -114,6 +160,14 @@ DIGESTS = {
         "swap_logs.jsonl": "e279539622d597dd6876c92904a19c2a73483b823dff9787c37263c63b6ccdf5",
         "timelines.jsonl": "ba0752c5ec6e0ec5e7fbb54494dae03fd1c85013bd9ba992e4141f143f389f1c",
     }),
+    "fees": (FEES_YAML, {
+        "labels.jsonl": "121cc14359969ef4e6e0cd956fa03eb0276903f9488ca21acdf5430438a1ca7a",
+        "manifest.json": "823a855d620ae5c6e3e4fef4fcb69b39ce9b1050b0a4842aeac72a9528be998f",
+        "metrics.json": "81710982b6ec8d5887f21b7c84b688ffc11ad2d7962afaa5e6b200cca05cab7f",
+        "records.jsonl": "d8db981cd196c41ad361ddbf49cffa695803440f7773bfdd49f0d19f4dd66d4b",
+        "swap_logs.jsonl": "cd969e8f8fab0ed7221cdce6fee0e57d1547f3fa85a3f5c09cfc4727a719c1cf",
+        "timelines.jsonl": "553f43b0f922fe8d40c856fa4532235da46c180c7167440f421ef3a8b67b055e",
+    }),
 }
 
 
@@ -127,6 +181,10 @@ DETECT_DIGESTS = {
     "mempool": {
         "pairs.jsonl": "b53ff59818171d0976cde45ab4c5ef4d96acb8dd8d14f92cf857eab1e77577a4",
         "report.json": "a3447e5cbc0546d63ede2cffb326a3bd2ed7484298ffac1cdf4e26c8e35791e0",
+    },
+    "fees": {
+        "pairs.jsonl": "2c1a4d00d35f9401e45054c5f39135e46d283e982e02964eda6b8e5028f9ecfe",
+        "report.json": "dc2b69ef634a9ac66df1718f7415a8e06ab1fc4b927e792cdeabbf76f4137806",
     },
 }
 
@@ -170,3 +228,23 @@ def test_detect_and_analyze_artifacts_are_frozen(name, tmp_path):
     assert main([*argv, "--out", str(rep)]) == 0
     written = {"pairs.jsonl": _sha256(pairs), "report.json": _sha256(rep / "report.json")}
     assert written == DETECT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_every_swap_replays_through_execute_swap(name):
+    # the benchmark's replay check sees only the logged (executed) swaps;
+    # this replays every destination swap, reverts included, in trace
+    # order from the config pools, through the checked swap path
+    config = sim_config_from_dict(yaml.safe_load(DIGESTS[name][0]))
+    trace, _ = run(config)
+    pools = {pool.address: pool for pool in config.pools}
+    swaps = [event for event in trace.events if event.kind == "swap"]
+    assert any(event.reverted for event in swaps)
+    for event in swaps:
+        # only a victim's swap carries a floor: its frozen min_return
+        min_out = trace.victims[event.victim_id].min_return if event.label == "Tv" else 0
+        request = SwapRequest(event.direction, event.amount_in, min_out)
+        outcome = execute_swap(pools[event.pool_address], request)
+        assert (outcome.amount_out, outcome.reverted) == (event.amount_out, event.reverted)
+        pools[event.pool_address] = outcome.pool_after
+    assert pools == trace.final_pools

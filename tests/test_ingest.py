@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sandwichlab.amm import MAX_AMOUNT, Direction, Overflow, Pool, PoolProtocol, SwapRequest
@@ -23,17 +23,20 @@ from sandwichlab.ingest import (
     file_digest,
     iter_decoded,
     iter_pairs,
+    label_text,
     pair_from_dict,
     pair_to_dict,
     pool_from_dict,
     pool_to_dict,
     read_jsonl,
     record_from_dict,
+    record_text,
     record_to_dict,
     swap_log_from_dict,
     swap_log_text,
     swap_log_to_dict,
     timeline_from_dict,
+    timeline_text,
     timeline_to_dict,
     write_jsonl,
     write_pairs_jsonl,
@@ -753,6 +756,7 @@ class TestSwapLogText:
         assert swap_log_text(log) == json.dumps(swap_log_to_dict(log), sort_keys=True)
 
 
+
 _hops = st.builds(
     VictimHop,
     pool_address=_texts,
@@ -811,6 +815,129 @@ _timelines = st.builds(
     # the decoder takes a tolerance in (0, 1) only
     victim_tolerance=st.fractions(0, 1, max_denominator=10**6).filter(lambda s: 0 < s < 1),
 )
+
+
+_text_timestamps = st.one_of(
+    st.integers(-(2**63), 2**63), _edge_floats, st.floats(allow_nan=False, allow_infinity=False)
+)
+_text_hops = st.builds(
+    VictimHop,
+    pool_address=_any_texts,
+    token_in=_any_texts,
+    token_out=_any_texts,
+    direction=st.sampled_from(Direction),
+    amount_in=_token_amounts,
+    amount_out=_token_amounts,
+    min_return=_token_amounts,
+)
+
+
+@st.composite
+def _text_records(draw):
+    # CrossChainTx takes a destination no earlier than the source; each
+    # timestamp keeps its own type, int or float
+    src_timestamp, dst_timestamp = sorted([draw(_text_timestamps), draw(_text_timestamps)])
+    return CrossChainTx(
+        record_id=draw(_any_texts),
+        src_tx_hash=draw(_any_texts),
+        src_chain_id=draw(st.integers(0, 2**64)),
+        src_block_number=draw(st.integers(0, 2**64)),
+        src_timestamp=src_timestamp,
+        dst_tx_hash=draw(_any_texts),
+        dst_chain_id=draw(st.integers(0, 2**64)),
+        dst_block_number=draw(st.integers(0, 2**64)),
+        dst_timestamp=dst_timestamp,
+        dst_gas_price=draw(_token_amounts),
+        hops=tuple(draw(st.lists(_text_hops, min_size=1, max_size=3))),
+    )
+
+
+_text_timelines = st.builds(
+    PoolTimeline,
+    pool=st.builds(
+        Pool,
+        token_x=_any_texts,
+        token_y=_any_texts,
+        reserve_x=_positive_amounts,
+        reserve_y=_positive_amounts,
+        fee=_fees,
+        address=_any_texts,
+        protocol=st.sampled_from(PoolProtocol),
+    ),
+    noisy_swaps=st.lists(
+        st.tuples(st.sampled_from(Direction), _positive_amounts), max_size=6
+    ).map(tuple),
+    victim=st.builds(
+        SwapRequest,
+        direction=st.sampled_from(Direction),
+        amount_in=_positive_amounts,
+        min_out=_token_amounts,
+        sender=_any_texts,
+        recipient=_any_texts,
+    ),
+    victim_tolerance=st.fractions(),
+)
+_optional_blocks = st.none() | st.integers(0, 2**64)
+_optional_hashes = st.none() | _any_texts
+_text_labels = st.fixed_dictionaries(
+    {
+        "victim_id": st.integers(0, 2**64),
+        "record_id": _any_texts,
+        "victim_tx": _any_texts,
+        "attacker_front_tx": _optional_hashes,
+        "attacker_back_tx": _optional_hashes,
+        "attacker_front_block": _optional_blocks,
+        "attacker_back_block": _optional_blocks,
+        "bot_front_tx": _optional_hashes,
+        "bot_back_tx": _optional_hashes,
+    }
+)
+# estimate-50pool's whole-second block times make int timestamps
+_INT_TIME_RECORD = CrossChainTx(
+    record_id="rec-1",
+    src_tx_hash="0x01",
+    src_chain_id=1,
+    src_block_number=5,
+    src_timestamp=60,
+    dst_tx_hash="0x02",
+    dst_chain_id=56,
+    dst_block_number=24,
+    dst_timestamp=72,
+    dst_gas_price=3 * 10**9,
+    hops=(VictimHop("0x" + "11" * 20, "P0X", "P0Y", Direction.X_FOR_Y, 10**15, 2, 1),) * 2,
+)
+
+
+class TestRowTexts:
+    """Each simulate row encoder against json.dumps of its spec."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(record=_text_records())
+    @example(record=_INT_TIME_RECORD)
+    def test_record_text_is_json_dumps_of_record_to_dict(self, record):
+        assert record_text(record) == json.dumps(record_to_dict(record), sort_keys=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(timeline=_text_timelines)
+    def test_timeline_text_is_json_dumps_of_timeline_to_dict(self, timeline):
+        assert timeline_text(timeline) == json.dumps(timeline_to_dict(timeline), sort_keys=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(label=_text_labels)
+    def test_label_text_is_json_dumps_of_the_label(self, label):
+        assert label_text(label) == json.dumps(label, sort_keys=True)
+
+    def test_simulated_rows(self):
+        corpus = extract_corpus(run(small_sim_config())[0])
+        assert corpus.records and corpus.timelines and corpus.labels
+        for encode, spec, rows in (
+            (record_text, record_to_dict, corpus.records),
+            (timeline_text, timeline_to_dict, corpus.timelines),
+            (label_text, dict, corpus.labels),
+        ):
+            for row in rows:
+                assert encode(row) == json.dumps(spec(row), sort_keys=True)
+
 
 
 def _through_file(rows, decode):
