@@ -15,12 +15,15 @@ import hashlib
 import heapq
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .amm import MAX_AMOUNT, AmmError, Direction, Pool, SwapRequest, fee_terms, swap_output
 from .attack import (
+    OrderingScenario,
     PoolTimeline,
     TxLabel,
     classify_ordering,
@@ -85,9 +88,6 @@ class DistSpec:
         data = dict(data)
         family = data.pop("family")
         return cls(family=family, params=data)
-
-    def to_dict(self) -> dict:
-        return {"family": self.family, **self.params}
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,7 +233,16 @@ class VictimRecord:
     """One bridged swap. Never executed (``exec_block`` None) means
     dropped: its relay delivery fell past the horizon, or it was still
     in a mempool when the run ended. ``attacker`` and ``bot`` stay None
-    until that agent acts on this victim."""
+    until that agent acts on this victim.
+
+    ``noisy_swaps`` and ``order`` are recorded as the run executes.
+    ``noisy_swaps`` is the noise window of an executed victim:
+    (direction, amount_in) of each swap on its pool timestamped after
+    ``emit_time`` and executed before its own, oldest first, except its
+    own attacker front-run (the hypothesis, not noise); other victims'
+    attack traffic counts as noise. ``order`` holds the labels of its
+    legs (its own swap, TA1/TA2, TB1/TB2) that did not revert, in
+    execution order."""
 
     victim_id: int
     pool_address: str
@@ -256,6 +265,8 @@ class VictimRecord:
     amount_out: int = 0
     attacker: Optional[Sandwich] = None
     bot: Optional[Sandwich] = None
+    noisy_swaps: tuple[tuple[Direction, int], ...] = ()
+    order: tuple[TxLabel, ...] = ()
 
 
 @dataclass(slots=True)
@@ -264,8 +275,6 @@ class SimTrace:
     events: list[TraceEvent] = field(default_factory=list)
     victims: dict[int, VictimRecord] = field(default_factory=dict)
     final_pools: dict[str, Pool] = field(default_factory=dict)
-    # built on first use by compute_metrics or extract_corpus, then shared
-    index: Optional[_TraceIndex] = field(default=None, repr=False, compare=False)
 
 
 @dataclass(slots=True)
@@ -312,7 +321,8 @@ class _LivePool:
     terms (g, fd) of amm.swap_output. Every swap input is checked where
     it enters the run (the config, the samplers, the solver), so a swap
     is one swap_output call, whose 256-bit guard stays. A Pool is built
-    only where one is read, and kept until the next swap."""
+    only where one is read, and kept until the next swap. ``swaps`` are
+    the trace events of the swaps executed here, in execution order."""
 
     reserve_x: int
     reserve_y: int
@@ -320,10 +330,11 @@ class _LivePool:
     fd: int
     config: Pool
     snapshot: Optional[Pool]
+    swaps: list[TraceEvent]
 
     @classmethod
     def of(cls, pool: Pool) -> "_LivePool":
-        return cls(pool.reserve_x, pool.reserve_y, *fee_terms(pool), pool, pool)
+        return cls(pool.reserve_x, pool.reserve_y, *fee_terms(pool), pool, pool, [])
 
     def pool(self) -> Pool:
         """The live state as a Pool: the commit snapshot, the pool the
@@ -356,6 +367,20 @@ class _LivePool:
             self.reserve_x -= out
         self.snapshot = None
         return out
+
+    def window(self, after: float, skip: Optional[str]) -> tuple[tuple[Direction, int], ...]:
+        """(direction, amount_in) of the swaps executed here so far that
+        are timestamped after ``after``, oldest first, except ``skip``."""
+        swaps = self.swaps
+        start = bisect_right(swaps, after, key=_event_time)
+        return tuple(
+            (event.direction, event.amount_in)
+            for event in swaps[start:]
+            if event.tx_hash != skip
+        )
+
+
+_event_time = attrgetter("time")
 
 
 def _by_gas_price(txs: list) -> list:
@@ -618,36 +643,45 @@ class Simulation:
                 amount = tx.sandwich.front_out
             if amount <= 0:
                 continue
-            out = self.pools[tx.pool_address].swap(tx.direction, amount, tx.min_out)
+            live = self.pools[tx.pool_address]
+            out = live.swap(tx.direction, amount, tx.min_out)
             reverted = out is None
             event = TraceEvent(
                 now, "swap", chain_id, tx.tx_hash, tx.label.value, tx.pool_address,
                 tx.direction, amount, 0 if reverted else out, tx.gas_price, block,
                 None if reverted else log_index, tx.account, tx.account, tx.victim_id, reverted,
             )
+            events.append(event)
+            if tx.victim_id is not None:
+                self._post_execute(tx, event, live)
             if not reverted:
                 log_index += 1
-            events.append(event)
-            self._post_execute(tx, event)
+                live.swaps.append(event)
         next_time = now + self.config.dst_block_interval
         if next_time <= self.config.horizon:
             self._push(next_time, self._on_dst_block)
 
-    def _post_execute(self, tx: PendingTx, swap: TraceEvent) -> None:
-        """Record the trace event ``swap`` of ``tx`` on its victim, or on
-        its sandwich if it did not revert."""
+    def _post_execute(self, tx: PendingTx, swap: TraceEvent, live: _LivePool) -> None:
+        """Record the trace event ``swap`` of ``tx``, one of a victim's
+        legs, on the victim and, if it did not revert, on its sandwich.
+        ``live`` is the pool it ran on; its swaps do not hold it yet."""
+        victim = self.trace.victims[tx.victim_id]
+        if not swap.reverted:
+            victim.order += (tx.label,)
         if tx.label is TxLabel.TV:
-            victim = self.trace.victims[tx.victim_id]
             victim.exec_block = swap.block_number
             victim.exec_time = swap.time
             victim.reverted = swap.reverted
             victim.amount_out = swap.amount_out
+            if not swap.reverted:
+                own_front = victim.attacker.front_hash if victim.attacker else None
+                victim.noisy_swaps = live.window(victim.emit_time, own_front)
             if self.config.attacker.enabled and not self.config.attacker.backrun_on_mempool:
                 self._attacker_backrun(victim, self.config.attacker.gas_price)
             return
-        sandwich = tx.sandwich
-        if sandwich is None or swap.reverted:
+        if swap.reverted:
             return
+        sandwich = tx.sandwich
         if tx.amount_in is None:
             sandwich.back_block = swap.block_number
             sandwich.back_out = swap.amount_out
@@ -683,54 +717,9 @@ def run(config: SimConfig) -> tuple[SimTrace, SimMetrics]:
     return trace, compute_metrics(trace)
 
 
-class _TraceIndex:
-    """Per-pool executed-swap order plus tx positions, built in one pass."""
-
-    def __init__(self, trace: SimTrace):
-        self.events_by_pool: dict[str, list[TraceEvent]] = {}
-        self.index_in_pool: dict[str, int] = {}
-        self.position_of: dict[str, tuple[int, int]] = {}
-        for event in trace.events:
-            if event.kind != "swap" or event.reverted:
-                continue
-            bucket = self.events_by_pool.setdefault(event.pool_address, [])
-            self.index_in_pool[event.tx_hash] = len(bucket)
-            bucket.append(event)
-            self.position_of[event.tx_hash] = (event.block_number, event.log_index or 0)
-
-    def window(self, victim: VictimRecord) -> list[TraceEvent]:
-        """Executed swaps on the victim's pool strictly between its
-        source commit and its own execution, excluding the attacker's
-        front-run for this victim (the hypothesis, not noise). Other
-        victims' attack traffic does count as noise."""
-        where = self.index_in_pool.get(victim.dst_tx_hash)
-        if where is None:
-            return []
-        events = self.events_by_pool[victim.pool_address]
-        own_front = victim.attacker.front_hash if victim.attacker else None
-        out: list[TraceEvent] = []
-        i = where - 1
-        while i >= 0:
-            event = events[i]
-            if event.time <= victim.emit_time:
-                break
-            if event.tx_hash != own_front:
-                out.append(event)
-            i -= 1
-        out.reverse()
-        return out
-
-
-def _index(trace: SimTrace) -> _TraceIndex:
-    if trace.index is None:
-        trace.index = _TraceIndex(trace)
-    return trace.index
-
-
 def compute_metrics(trace: SimTrace) -> SimMetrics:
     metrics = SimMetrics()
     metrics.victims_total = len(trace.victims)
-    index = _index(trace)
     pools = {p.address: p for p in trace.config.pools}
     empty_windows = 0
     for victim in trace.victims.values():
@@ -741,9 +730,13 @@ def compute_metrics(trace: SimTrace) -> SimMetrics:
             metrics.victims_reverted += 1
         else:
             metrics.victims_executed += 1
-        if not index.window(victim):
+        # a reverted victim has no window: it counts as an empty one
+        if not victim.noisy_swaps:
             empty_windows += 1
-        scenario = classify_ordering(_label_sequence(index, victim)).value
+        if victim.attacker is None and victim.bot is None:
+            scenario = OrderingScenario.NO_ATTACK.value
+        else:
+            scenario = classify_ordering(victim.order).value
         metrics.scenario_counts[scenario] = metrics.scenario_counts.get(scenario, 0) + 1
 
         attacker_front = victim.attacker.front_block if victim.attacker else None
@@ -776,24 +769,6 @@ def compute_metrics(trace: SimTrace) -> SimMetrics:
     return metrics
 
 
-def _label_sequence(index: _TraceIndex, victim: VictimRecord) -> list[TxLabel]:
-    """Execution-ordered labels of this victim's own attack transactions."""
-    own = [(victim.dst_tx_hash, TxLabel.TV)]
-    for sandwich, front, back in (
-        (victim.attacker, TxLabel.TA1, TxLabel.TA2),
-        (victim.bot, TxLabel.TB1, TxLabel.TB2),
-    ):
-        if sandwich is not None:
-            own += [(sandwich.front_hash, front), (sandwich.back_hash, back)]
-    tagged = [
-        (index.position_of[tx_hash], label)
-        for tx_hash, label in own
-        if tx_hash in index.position_of
-    ]
-    tagged.sort(key=lambda item: item[0])
-    return [label for _, label in tagged]
-
-
 def extract_corpus(trace: SimTrace) -> Corpus:
     """Bridge the trace into the analysis input formats: per-victim pool
     timelines, decoded swap logs, cross-chain records, and ground-truth
@@ -812,20 +787,16 @@ def extract_corpus(trace: SimTrace) -> Corpus:
             )
         )
 
-    index = _index(trace)
     timelines: list[PoolTimeline] = []
     records: list[CrossChainTx] = []
     labels: list[dict] = []
     for victim in trace.victims.values():
         if victim.exec_block is None or victim.reverted:
             continue
-        window = index.window(victim)
         timelines.append(
             PoolTimeline(
                 pool=victim.pool_snapshot,
-                noisy_swaps=tuple(
-                    (event.direction, event.amount_in) for event in window
-                ),
+                noisy_swaps=victim.noisy_swaps,
                 victim=SwapRequest(
                     direction=victim.direction,
                     amount_in=victim.amount_in,

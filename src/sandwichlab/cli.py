@@ -188,7 +188,12 @@ def cmd_simulate(args) -> int:
         raise ValidationFailure("simulate requires --config")
     raw = _load_yaml(args.config)
     config = sim_config_from_dict(raw)
-    trace, metrics = bridge.run(config)
+    try:
+        trace, metrics = bridge.run(config)
+    except amm.Overflow as exc:
+        # a sampled swap amount past 256 bits: the config's distributions
+        # are checked only by sampling them once
+        raise ValidationFailure(f"{args.config}: a simulated swap overflows: {exc}") from None
     corpus = bridge.extract_corpus(trace)
 
     out = Path(args.out)

@@ -2,9 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+import yaml
 
 from sandwichlab.amm import AmmError, Direction, Pool
-from sandwichlab.attack import frontrun_size, optimal_frontrun_for_timeline
+from sandwichlab.attack import TxLabel, frontrun_size, optimal_frontrun_for_timeline
 from sandwichlab.bridge import (
     AttackerConfig,
     BotConfig,
@@ -14,6 +15,8 @@ from sandwichlab.bridge import (
     extract_corpus,
     run,
 )
+from sandwichlab.cli import sim_config_from_dict
+from test_digests import CAPPED_YAML, MEMPOOL_YAML
 
 
 def make_pools(fee=Fraction(30, 10_000)):
@@ -98,10 +101,6 @@ class TestConfigValidation:
         rng_config = base_config(relay_delay=DistSpec("cauchy", {"x0": 1}))
         with pytest.raises(InvalidConfig):
             run(rng_config)
-
-    def test_dist_spec_round_trip(self):
-        spec = DistSpec("lognormal", {"sigma": 0.6, "p95": 100.0, "min": 5.0})
-        assert DistSpec.from_dict(spec.to_dict()) == spec
 
 
 class TestDeterminism:
@@ -320,8 +319,12 @@ class TestExtractCorpus:
     def test_timeline_excludes_own_frontrun(self):
         # No noise traffic and a sparse victim stream: attacked victims
         # with no overlapping cross-traffic must show an EMPTY noise
-        # window even though their own TA1 executed inside it.
-        trace, _ = run(base_config(noise_arrival_rate=0.0, victim_arrival_rate=0.02))
+        # window even though their own TA1 executed inside it. With 3 s
+        # destination blocks a TA1 lands in the block at its commit's own
+        # timestamp, outside the window; 5 s blocks put it inside.
+        trace, _ = run(
+            base_config(noise_arrival_rate=0.0, victim_arrival_rate=0.02, dst_block_interval=5.0)
+        )
         corpus = extract_corpus(trace)
         labels_by_record = {label["record_id"]: label for label in corpus.labels}
         attacked_empty = 0
@@ -360,6 +363,56 @@ class TestExtractCorpus:
             per_pool.setdefault(log.pool_address, []).append(log.position())
         for positions in per_pool.values():
             assert len(set(positions)) == len(positions)
+
+
+def windows_and_orders(trace):
+    """Each victim's noise window and the labels of its executed legs,
+    derived from ``trace.events`` alone after the run. The window walks
+    back from the victim's own swap over the executed swaps on its pool
+    while they are timestamped after its commit, skipping its own
+    attacker front-run; the legs are sorted by (block, log_index)."""
+    commit_time = {}
+    pool_swaps = {}  # pool -> executed swaps in trace order
+    windows, legs = {}, {}
+    for event in trace.events:
+        if event.kind == "commit":
+            commit_time[event.victim_id] = event.time
+            continue
+        if event.reverted:
+            continue
+        swaps = pool_swaps.setdefault(event.pool_address, [])
+        if event.label == TxLabel.TV.value:
+            window = []
+            for earlier in reversed(swaps):
+                if earlier.time <= commit_time[event.victim_id]:
+                    break
+                if not (earlier.label == TxLabel.TA1.value and earlier.victim_id == event.victim_id):
+                    window.append((earlier.direction, earlier.amount_in))
+            windows[event.victim_id] = tuple(reversed(window))
+        swaps.append(event)
+        if event.victim_id is not None:
+            legs.setdefault(event.victim_id, []).append(
+                ((event.block_number, event.log_index), TxLabel(event.label))
+            )
+    orders = {vid: tuple(label for _, label in sorted(tagged)) for vid, tagged in legs.items()}
+    return windows, orders
+
+
+class TestRecordedWhileRunning:
+    @pytest.mark.parametrize("text", [CAPPED_YAML, MEMPOOL_YAML], ids=["capped", "mempool"])
+    def test_windows_and_orders_match_the_trace(self, text):
+        trace, _ = run(sim_config_from_dict(yaml.safe_load(text)))
+        windows, orders = windows_and_orders(trace)
+        victims = trace.victims.values()
+        # the config exercises every outcome and both agents
+        assert any(v.exec_block is None for v in victims)
+        assert any(v.reverted for v in victims)
+        assert any(v.noisy_swaps for v in victims)
+        assert any(TxLabel.TA1 in v.order for v in victims)
+        assert any(TxLabel.TB1 in v.order for v in victims)
+        for victim in victims:
+            assert victim.noisy_swaps == windows.get(victim.victim_id, ())
+            assert victim.order == orders.get(victim.victim_id, ())
 
 
 class TestMetrics:

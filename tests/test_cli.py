@@ -43,6 +43,7 @@ from sandwichlab.ingest import (
     timeline_to_dict,
     write_jsonl,
 )
+from test_digests import FEES_YAML
 from test_ingest import small_sim_config
 
 CONFIG_YAML = """\
@@ -250,6 +251,19 @@ class TestSimulate:
         config.write_text(yaml.safe_dump(data))
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err == "error: bad simulation config: reserve_x exceeds 256 bits\n"
+
+    def test_swap_past_256_bits_is_validation_error(self, tmp_path, capsys):
+        # a victim_size sample past 2**256 ended in a raw Overflow traceback
+        data = yaml.safe_load(FEES_YAML)
+        data["victim_size"] = {"family": "lognormal", "mu": 190, "sigma": 1.0}
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(data))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: a simulated swap overflows: updated reserve exceeds 256 bits\n"
+        )
+        assert not out.exists()
 
     # an int fee ended in a raw AttributeError; " 3/100" and "+3/100" were read
     @pytest.mark.parametrize("fee", [0, " 3/100", "3/100 ", "+3/100"])
