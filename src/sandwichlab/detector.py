@@ -40,10 +40,14 @@ class Classification(enum.Enum):
     SINGLE_CHAIN = "single_chain"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SwapLog:
     """One decoded swap event; (block_number, log_index) totally orders
-    logs within a chain."""
+    logs within a chain. Logs compare and hash by value.
+
+    Nothing assigns to a log after construction. It is not a frozen
+    dataclass only because a corpus has one per swap, and a frozen
+    __init__ costs about eight times a plain one."""
 
     tx_hash: str
     block_number: int
@@ -62,8 +66,12 @@ class SwapLog:
         return (self.block_number, self.log_index)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class VictimHop:
+    """One pool hop of a record. Nothing assigns to a hop after
+    construction; it is not frozen only for the cost of a frozen
+    __init__, one per record decoded."""
+
     pool_address: str
     token_in: str
     token_out: str
@@ -73,9 +81,11 @@ class VictimHop:
     min_return: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CrossChainTx:
-    """One bridged swap: the source commit and the destination execution."""
+    """One bridged swap: the source commit and the destination execution.
+    Nothing assigns to a record after construction; it is not frozen
+    only for the cost of a frozen __init__, one per record decoded."""
 
     record_id: str
     src_tx_hash: str
@@ -123,8 +133,13 @@ class DetectionConfig:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SandwichPair:
+    """One detected (front, victim, back) triple. Nothing assigns to a
+    pair after construction (price_pair builds a new one); it is not
+    frozen only for the cost of a frozen __init__, one per pair that
+    detect finds and analyze reads."""
+
     record_id: str
     pool_address: str
     front: SwapLog
@@ -162,12 +177,18 @@ class PriceTable:
     prices: Mapping[str, Decimal]
     decimals: Mapping[str, int]
     snapshot_date: str = ""
+    # 10**decimals of each priced token, computed once: analyze prices
+    # every pair
+    scales: Mapping[str, Decimal] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        scales = {token: Decimal(10) ** self.decimals.get(token, 18) for token in self.prices}
+        object.__setattr__(self, "scales", scales)
 
     def usd(self, token: str, amount: int) -> Decimal:
         if token not in self.prices:
             raise MissingPrice(token)
-        scale = Decimal(10) ** self.decimals.get(token, 18)
-        return Decimal(amount) / scale * self.prices[token]
+        return Decimal(amount) / self.scales[token] * self.prices[token]
 
     @classmethod
     def from_csv(cls, path: str) -> "PriceTable":
@@ -232,14 +253,17 @@ def _find_victim(
 
 def group_logs(logs: Iterable[SwapLog]) -> dict[str, list[SwapLog]]:
     """The logs_by_pool that detect_pairs takes: each pool's logs sorted
-    by position. A timestamp that decreases along that order raises
-    MalformedData, since detect_pairs bisects on timestamps."""
+    by position. Two logs at one position, or a timestamp that decreases
+    along that order, raise MalformedData: detect_pairs places fronts
+    and backs by position and bisects on timestamps."""
     logs_by_pool: dict[str, list[SwapLog]] = {}
     for log in logs:
         logs_by_pool.setdefault(log.pool_address, []).append(log)
     for pool, pool_logs in logs_by_pool.items():
         pool_logs.sort(key=SwapLog.position)
         for earlier, later in zip(pool_logs, pool_logs[1:]):
+            if later.log_index == earlier.log_index and later.block_number == earlier.block_number:
+                raise MalformedData(f"pool {pool}: two logs at {later.position()}")
             if later.timestamp < earlier.timestamp:
                 raise MalformedData(
                     f"pool {pool}: timestamp decreases from "

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import __version__
-from .amm import AmmError, Direction, Pool, SwapRequest, _check_amount, _check_rate
+from .amm import MAX_AMOUNT, AmmError, Direction, Pool, SwapRequest, _check_amount, _check_rate
 from .attack import PoolTimeline
 from .detector import (
     Classification,
@@ -69,45 +69,87 @@ def swap_log_to_dict(log: SwapLog) -> dict:
 _JSON_NAMES = {int: "int", str: "string"}
 
 
+def _typed(data: dict, key: str, kind: type):
+    """data[key], which must be of exactly type kind: a bool is an int
+    to Python, but not a JSON int."""
+    value = data[key]
+    if type(value) is not kind:
+        raise TypeError(f"{key} must be a JSON {_JSON_NAMES[kind]}, not {value!r}")
+    return value
+
+
 def _require(data: dict, keys: tuple, kind: type) -> None:
-    """Each key of data holds a value of exactly type kind: a bool is an
-    int to Python, but not a JSON int."""
     for key in keys:
-        if type(data[key]) is not kind:
-            raise TypeError(f"{key} must be a JSON {_JSON_NAMES[kind]}, not {data[key]!r}")
+        _typed(data, key, kind)
 
 
-def _require_finite(data: dict, keys: tuple) -> None:
-    """Each key of data holds a finite JSON number. NaN fails every
-    comparison, so it would pass the order checks and switch the time
-    windows off."""
-    for key in keys:
-        value = data[key]
-        if type(value) is float:
-            if not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, not {value!r}")
-        elif type(value) is not int:
-            raise TypeError(f"{key} must be a JSON number, not {value!r}")
+def _finite(data: dict, key: str):
+    """data[key], a finite JSON number. NaN fails every comparison, so
+    it would pass the order checks and switch the time windows off."""
+    value = data[key]
+    if type(value) is float:
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, not {value!r}")
+    elif type(value) is not int:
+        raise TypeError(f"{key} must be a JSON number, not {value!r}")
+    return value
 
 
-_SWAP_LOG_INTS = ("block_number", "log_index", "chain_id")
-_SWAP_LOG_STRINGS = ("tx_hash", "pool_address", "sender", "recipient")
-# uint256 amounts, each with its least value: analyze divides by the
-# front's token_in_amount
-_SWAP_LOG_AMOUNTS = (("token_in_amount", 1), ("token_out_amount", 0), ("gas_price", 0))
+def _uint256(data: dict, key: str, least: int = 0) -> int:
+    """data[key], an int in [least, 2**256 - 1]; _check_amount raises
+    the error for any other value."""
+    value = data[key]
+    if type(value) is not int or not least <= value <= MAX_AMOUNT:
+        _check_amount(key, value, least)
+    return value
+
+
+_DIRECTIONS = {direction.value: direction for direction in Direction}
+
+
+def _direction(value) -> Direction:
+    """Direction(value), its ValueError included, without the enum's
+    call on the two valid names (it costs twenty times a dict lookup)."""
+    direction = _DIRECTIONS.get(value) if type(value) is str else None
+    return Direction(value) if direction is None else direction
+
+
+def _unknown_key(data: dict, cls: type) -> TypeError:
+    """The error for a row object that holds every field of cls and
+    more: it names the first key that is not a field."""
+    fields = cls.__match_args__
+    key = next(key for key in data if key not in fields)
+    return TypeError(f"{cls.__name__} has no field {key!r}")
+
+
+# Each decoder below checks each field as it reads it, in a fixed
+# order, builds the row by position, and then rejects a row object
+# with more keys than the row has fields: every field was found, so
+# the rest are unknown keys.
 
 
 def swap_log_from_dict(data: dict) -> SwapLog:
-    data = dict(data)
     # detect sorts on the position and bisects on the timestamp, which a
     # string or a bool would break or silently mis-order
-    _require(data, _SWAP_LOG_INTS, int)
-    _require_finite(data, ("timestamp",))
-    _require(data, _SWAP_LOG_STRINGS, str)
-    for key, least in _SWAP_LOG_AMOUNTS:
-        _check_amount(key, data[key], least)
-    data["direction"] = Direction(data["direction"])
-    return SwapLog(**data)
+    block_number = _typed(data, "block_number", int)
+    log_index = _typed(data, "log_index", int)
+    chain_id = _typed(data, "chain_id", int)
+    timestamp = _finite(data, "timestamp")
+    tx_hash = _typed(data, "tx_hash", str)
+    pool_address = _typed(data, "pool_address", str)
+    sender = _typed(data, "sender", str)
+    recipient = _typed(data, "recipient", str)
+    # analyze divides by the front's token_in_amount
+    token_in_amount = _uint256(data, "token_in_amount", 1)
+    token_out_amount = _uint256(data, "token_out_amount")
+    gas_price = _uint256(data, "gas_price")
+    direction = _direction(data["direction"])
+    if len(data) > len(SwapLog.__match_args__):
+        raise _unknown_key(data, SwapLog)
+    return SwapLog(
+        tx_hash, block_number, log_index, pool_address, chain_id, direction,
+        token_in_amount, token_out_amount, sender, recipient, gas_price, timestamp,
+    )
 
 
 def record_to_dict(record: CrossChainTx) -> dict:
@@ -137,27 +179,39 @@ def record_to_dict(record: CrossChainTx) -> dict:
     }
 
 
-_RECORD_INTS = ("src_chain_id", "src_block_number", "dst_chain_id", "dst_block_number")
-_RECORD_STRINGS = ("record_id", "src_tx_hash", "dst_tx_hash")
-_HOP_STRINGS = ("pool_address", "token_in", "token_out")
+def _hop_from_dict(data: dict) -> VictimHop:
+    pool_address = _typed(data, "pool_address", str)
+    token_in = _typed(data, "token_in", str)
+    token_out = _typed(data, "token_out", str)
+    direction = _direction(data["direction"])
+    amount_in = _uint256(data, "amount_in")
+    amount_out = _uint256(data, "amount_out")
+    min_return = _uint256(data, "min_return")
+    if len(data) > len(VictimHop.__match_args__):
+        raise _unknown_key(data, VictimHop)
+    return VictimHop(
+        pool_address, token_in, token_out, direction, amount_in, amount_out, min_return
+    )
 
 
 def record_from_dict(data: dict) -> CrossChainTx:
-    data = dict(data)
-    _require(data, _RECORD_INTS, int)
-    _require_finite(data, ("src_timestamp", "dst_timestamp"))
-    _require(data, _RECORD_STRINGS, str)
-    _check_amount("dst_gas_price", data["dst_gas_price"])
-    hops = []
-    for hop in data["hops"]:
-        hop = dict(hop)
-        _require(hop, _HOP_STRINGS, str)
-        hop["direction"] = Direction(hop["direction"])
-        for key in ("amount_in", "amount_out", "min_return"):
-            _check_amount(key, hop[key])
-        hops.append(VictimHop(**hop))
-    data["hops"] = tuple(hops)
-    return CrossChainTx(**data)
+    src_chain_id = _typed(data, "src_chain_id", int)
+    src_block_number = _typed(data, "src_block_number", int)
+    dst_chain_id = _typed(data, "dst_chain_id", int)
+    dst_block_number = _typed(data, "dst_block_number", int)
+    src_timestamp = _finite(data, "src_timestamp")
+    dst_timestamp = _finite(data, "dst_timestamp")
+    record_id = _typed(data, "record_id", str)
+    src_tx_hash = _typed(data, "src_tx_hash", str)
+    dst_tx_hash = _typed(data, "dst_tx_hash", str)
+    dst_gas_price = _uint256(data, "dst_gas_price")
+    hops = tuple(map(_hop_from_dict, data["hops"]))
+    if len(data) > len(CrossChainTx.__match_args__):
+        raise _unknown_key(data, CrossChainTx)
+    return CrossChainTx(
+        record_id, src_tx_hash, src_chain_id, src_block_number, src_timestamp,
+        dst_tx_hash, dst_chain_id, dst_block_number, dst_timestamp, dst_gas_price, hops,
+    )
 
 
 def _amount(key: str, value) -> int:
@@ -215,9 +269,6 @@ def timeline_to_dict(timeline: PoolTimeline) -> dict:
         },
         "victim_tolerance": _fraction_to_str(timeline.victim_tolerance),
     }
-
-
-_DIRECTIONS = {direction.value: direction for direction in Direction}
 
 
 def _noisy_swap(entry) -> tuple[Direction, int]:

@@ -473,6 +473,22 @@ class TestDetect:
         assert "timestamp" in err and first["pool_address"] in err
         assert not det.exists()
 
+    def test_duplicate_position_is_validation_error(self, sim_outputs, tmp_path, capsys):
+        _, out = sim_outputs
+        lines = (out / "swap_logs.jsonl").read_text().splitlines(keepends=True)
+        first = json.loads(lines[1])
+        twin = {**first, "tx_hash": "0x" + "ee" * 32, "direction": "y_for_x"}
+        logs = tmp_path / "swap_logs.jsonl"
+        logs.write_text("".join(lines) + json.dumps(twin) + "\n")
+        det = tmp_path / "det"
+        argv = ["detect", "--records", str(out / "records.jsonl"), "--logs", str(logs)]
+        assert main([*argv, "--out", str(det)]) == 1
+        position = (first["block_number"], first["log_index"])
+        assert capsys.readouterr().err == (
+            f"error: {logs}: pool {first['pool_address']}: two logs at {position}\n"
+        )
+        assert not det.exists()
+
 
 class TestParams:
     def test_direct_mode_prints_headline_numbers(self, capsys):

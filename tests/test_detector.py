@@ -10,6 +10,8 @@ from sandwichlab.detector import (
     Classification,
     CrossChainTx,
     DetectionConfig,
+    MalformedData,
+    MissingPrice,
     PriceTable,
     SandwichPair,
     SwapLog,
@@ -17,6 +19,7 @@ from sandwichlab.detector import (
     aggregate,
     classify_and_price,
     detect_pairs,
+    group_logs,
     prefilter,
     reference_detect_pairs,
 )
@@ -292,6 +295,26 @@ class TestDetectPairs:
         assert pairs[0].token_in == "WBNB"
 
 
+class TestGroupLogs:
+    def test_duplicate_position_is_malformed(self):
+        # The two matchers read a second log at the victim's position
+        # differently: detect_pairs takes it as a back, the reference
+        # does not, since it is not positioned after the victim.
+        front = make_log(9, 0, tx_hash="0xf")
+        victim = make_log(10, 1, tx_hash="0xv")
+        twin = make_log(10, 1, direction=Direction.Y_FOR_X, tx_hash="0xb")
+        logs = {POOL: [front, victim, twin]}
+        record, cfg = make_record(victim), DetectionConfig()
+        assert [(p.front.tx_hash, p.back.tx_hash) for p in detect_pairs(record, logs, cfg)] == [
+            ("0xf", "0xb")
+        ]
+        assert reference_detect_pairs(record, logs, cfg) == []
+        with pytest.raises(MalformedData, match=rf"pool {POOL}: two logs at \(10, 1\)"):
+            group_logs([front, victim, twin])
+        # a shared block or log index alone is no duplicate
+        assert len(group_logs([front, victim, make_log(10, 2), make_log(11, 1)])[POOL]) == 4
+
+
 class TestGreedyMatchesReference:
     def test_randomized_equivalence(self):
         assert check_detector(random.Random(1234), 300)
@@ -392,6 +415,16 @@ class TestClassifyAndPrice:
         assert table.usd("WETH", 10**18) == Decimal(3000)
         assert table.usd("USDT", 2 * 10**6) == Decimal(2)
         assert table.snapshot_date == "2025-10-31"
+
+    def test_usd_scale_per_token(self):
+        prices = {"A": Decimal("2.5"), "B": Decimal(7), "C": Decimal(1)}
+        table = PriceTable(prices=prices, decimals={"A": 0, "B": 255})
+        for token, decimals in (("A", 0), ("B", 255), ("C", 18)):
+            for amount in (-3, 0, 12345):
+                expected = Decimal(amount) / Decimal(10) ** decimals * prices[token]
+                assert table.usd(token, amount) == expected
+        with pytest.raises(MissingPrice):
+            table.usd("D", 1)
 
 
 class TestAggregate:

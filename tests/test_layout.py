@@ -153,3 +153,30 @@ class TestMemory:
             tracemalloc.stop()
         assert len(trace.victims) == 1019
         assert peak / len(trace.victims) <= self.BYTES_PER_VICTIM
+
+
+class TestDetectorRows:
+    """SwapLog, VictimHop, CrossChainTx and SandwichPair are not frozen,
+    but compare by value, and a SwapLog hashes by value: callers put logs
+    in sets. TestSlots covers that none of them has a __dict__."""
+
+    ROWS = ("SwapLog", "VictimHop", "CrossChainTx", "SandwichPair")
+
+    def rows(self) -> list:
+        rows = [row for row in row_instances() if type(row).__name__ in self.ROWS]
+        assert sorted(type(row).__name__ for row in rows) == sorted(self.ROWS)
+        return rows
+
+    def test_rows_compare_by_value(self):
+        for row in self.rows():
+            first = dataclasses.fields(row)[0].name
+            assert dataclasses.replace(row) == row
+            assert dataclasses.replace(row) is not row
+            assert dataclasses.replace(row, **{first: getattr(row, first) + "x"}) != row
+
+    def test_swap_log_hashes_by_value(self):
+        log = next(row for row in self.rows() if type(row).__name__ == "SwapLog")
+        twin = dataclasses.replace(log)
+        other = dataclasses.replace(log, gas_price=log.gas_price + 1)
+        assert hash(twin) == hash(log)
+        assert {log, twin, other} == {log, other}
