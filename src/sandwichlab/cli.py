@@ -246,9 +246,6 @@ def cmd_detect(args) -> int:
         raise ValidationFailure(f"{args.logs}: {exc}") from None
 
     kept = detector.prefilter(records, cfg)
-    pairs: list[detector.SandwichPair] = []
-    for record in kept:
-        pairs.extend(detector.detect_pairs(record, logs_by_pool, cfg))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -257,11 +254,16 @@ def cmd_detect(args) -> int:
         {"num_blocks": cfg.num_blocks, "max_interval": cfg.max_interval},
         {"records": args.records, "logs": args.logs, "config": args.config},
     )
-    ingest.write_pairs_jsonl(str(out / "pairs.jsonl"), pairs, manifest)
+    # Each record's pairs are written as they are found, so no stage
+    # holds the pair list; pairs.jsonl appears only once it is complete.
+    pairs = (
+        pair for record in kept for pair in detector.detect_pairs(record, logs_by_pool, cfg)
+    )
+    count = ingest.write_pairs_jsonl(str(out / "pairs.jsonl"), pairs, manifest)
     _write_json(out / "manifest.json", asdict(manifest))
     print(
         f"{len(records)} records in, {len(kept)} past prefilter, "
-        f"{len(pairs)} sandwich pairs -> {out / 'pairs.jsonl'}"
+        f"{count} sandwich pairs -> {out / 'pairs.jsonl'}"
     )
     return 0
 

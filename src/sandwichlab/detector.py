@@ -236,19 +236,23 @@ def prefilter(
     return kept
 
 
-def _find_victim(
-    logs: Sequence[SwapLog], tx_hash: str, block_hint: int
-) -> Optional[SwapLog]:
-    lo = bisect_left(logs, block_hint, key=lambda log: log.block_number)
-    hi = bisect_right(logs, block_hint, key=lambda log: log.block_number)
-    for log in logs[lo:hi]:
-        if log.tx_hash == tx_hash:
-            return log
+_block_number = attrgetter("block_number")
+_timestamp = attrgetter("timestamp")
+
+
+def _victim_index(logs: Sequence[SwapLog], tx_hash: str, block_hint: int) -> int:
+    """The index in logs of the log of tx_hash, looked for in block
+    block_hint first; -1 when there is none."""
+    lo = bisect_left(logs, block_hint, key=_block_number)
+    hi = bisect_right(logs, block_hint, lo, key=_block_number)
+    for index in range(lo, hi):
+        if logs[index].tx_hash == tx_hash:
+            return index
     # Hinted block missed (foreign export): fall back to a full scan.
-    for log in logs:
+    for index, log in enumerate(logs):
         if log.tx_hash == tx_hash:
-            return log
-    return None
+            return index
+    return -1
 
 
 def group_logs(logs: Iterable[SwapLog]) -> dict[str, list[SwapLog]]:
@@ -282,59 +286,64 @@ def detect_pairs(
     Per pool hop: fronts are same-direction swaps timestamped at or
     after the source commit and positioned before the victim's log;
     backs are opposite-direction swaps positioned after the victim,
-    within num_blocks blocks. Fronts are scanned in chain order; each
-    takes the earliest amount-band back candidate, with candidates
-    whose receive address matches the front taking priority. Every back
-    is consumed at most once.
+    within num_blocks blocks. Fronts are taken in chain order. Each
+    takes the earliest free back, by chain position, whose input amount
+    lies in cfg.back_band of the front's output, a back that pays the
+    front's recipient first; a back is taken at most once per record.
 
     Requires logs sorted by (block_number, log_index) with timestamps
-    nondecreasing along that order; candidate windows are then located
-    by bisection so large corpora stay cheap.
+    nondecreasing along that order. The victim and the window ends are
+    found by bisection; a hop with no front stops there. The hop's free
+    backs are then kept sorted by input amount (ties in chain order):
+    each front bisects its band into that order, reads only the k backs
+    inside it and deletes the one it takes. A hop of w window logs and
+    b backs costs O(w + b log b) once, then per front O(log b) for the
+    band, O(k log k) for the choice and one O(b) memmove for the delete,
+    instead of a scan of all b backs. Nothing is indexed beyond the
+    call, so a caller may pass plain lists.
     """
     pairs: list[SandwichPair] = []
     for hop in record.hops:
         logs = logs_by_pool.get(hop.pool_address, ())
-        victim = _find_victim(logs, record.dst_tx_hash, record.dst_block_number)
-        if victim is None:
+        victim_index = _victim_index(logs, record.dst_tx_hash, record.dst_block_number)
+        if victim_index < 0:
             continue
+        victim = logs[victim_index]
         direction = victim.direction
-        opposite = direction.opposite()
-        start = bisect_left(logs, record.src_timestamp, key=lambda log: log.timestamp)
+        start = bisect_left(logs, record.src_timestamp, key=_timestamp)
+        fronts = [log for log in logs[start:victim_index] if log.direction is direction]
+        if not fronts:
+            continue
         # Earliest block eligible to hold a front-run: that of the first
         # log timestamped at or after the source commit.
-        window_start = logs[start].block_number if start < len(logs) else 0
-        victim_index = bisect_left(logs, victim.position(), key=SwapLog.position)
+        window_start = logs[start].block_number
         back_end = bisect_right(
-            logs,
-            victim.block_number + cfg.num_blocks,
-            key=lambda log: log.block_number,
+            logs, victim.block_number + cfg.num_blocks, victim_index + 1, key=_block_number
         )
-        fronts = [
-            log for log in logs[start:victim_index] if log.direction is direction
-        ]
-        backs = [
-            log
-            for log in logs[victim_index + 1 : back_end]
-            if log.direction is opposite
-        ]
-        back_ins = [back.token_in_amount for back in backs]
-        back_recipients = [back.recipient for back in backs]
-        free = [True] * len(backs)
+        opposite = direction.opposite()
+        backs = [log for log in logs[victim_index + 1 : back_end] if log.direction is opposite]
+        # The free backs in (input amount, chain index) order, as three
+        # parallel lists: input amounts, indices into backs, recipients.
+        ins = [back.token_in_amount for back in backs]
+        chain = sorted(range(len(backs)), key=ins.__getitem__)
+        amounts = [ins[i] for i in chain]
+        recipients = [backs[i].recipient for i in chain]
         for front in fronts:
             lo, hi = cfg.back_band(front.token_out_amount)
-            recipient = front.recipient
-            index = -1
-            for i, back_in in enumerate(back_ins):
-                if lo <= back_in <= hi and free[i]:
-                    if back_recipients[i] == recipient:
-                        index = i
-                        break
-                    if index < 0:
-                        index = i
-            if index < 0:
+            a = bisect_left(amounts, lo)
+            b = bisect_right(amounts, hi, a)
+            if a >= b:
                 continue
-            free[index] = False
-            chosen = backs[index]
+            band, recipient = chain[a:b], front.recipient
+            if recipient in recipients[a:b]:
+                # the earliest in-band back that pays the front's recipient
+                for index in sorted(band):
+                    if backs[index].recipient == recipient:
+                        break
+            else:
+                index = min(band)
+            taken = chain.index(index, a, b)
+            del chain[taken], amounts[taken], recipients[taken]
             classification = (
                 Classification.SINGLE_CHAIN
                 if front.block_number == victim.block_number
@@ -346,13 +355,15 @@ def detect_pairs(
                     pool_address=hop.pool_address,
                     front=front,
                     victim=victim,
-                    back=chosen,
+                    back=backs[index],
                     classification=classification,
                     token_in=hop.token_in,
                     front_window_start_block=window_start,
                 )
             )
-    pairs.sort(key=lambda p: (p.victim.position(), p.front.position()))
+    if len(record.hops) > 1:
+        # each hop's pairs are in front order already
+        pairs.sort(key=lambda p: (p.victim.position(), p.front.position()))
     return pairs
 
 

@@ -7,9 +7,11 @@ that ties each CLI run's outputs to its inputs.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
 import re
 from dataclasses import asdict, dataclass, field
 from decimal import Decimal
@@ -387,18 +389,31 @@ def file_digest(path: str) -> str:
     return digest.hexdigest()
 
 
-def write_lines(path: str, lines: Iterable[str], manifest: Optional[RunManifest] = None) -> None:
+def write_lines(path: str, lines: Iterable[str], manifest: Optional[RunManifest] = None) -> int:
     """One line per text, after the manifest-digest header if there is a
-    manifest."""
-    with open(path, "w") as handle:
-        if manifest is not None:
-            handle.write(f"# manifest-digest {manifest.digest()}\n")
-        for line in lines:
-            handle.write(line + "\n")
+    manifest; returns the number of texts. The lines go to a temporary
+    file beside path, which replaces path only after the last one: if
+    lines or a write raises, the temporary file is deleted and path is
+    left as it was, so a reader never sees a partial file."""
+    partial = f"{path}.{os.getpid()}.partial"
+    count = 0
+    try:
+        with open(partial, "w") as handle:
+            if manifest is not None:
+                handle.write(f"# manifest-digest {manifest.digest()}\n")
+            for line in lines:
+                handle.write(line + "\n")
+                count += 1
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
+    return count
 
 
-def write_jsonl(path: str, rows: Iterable[dict], manifest: Optional[RunManifest] = None) -> None:
-    write_lines(path, (json.dumps(row, sort_keys=True) for row in rows), manifest)
+def write_jsonl(path: str, rows: Iterable[dict], manifest: Optional[RunManifest] = None) -> int:
+    return write_lines(path, (json.dumps(row, sort_keys=True) for row in rows), manifest)
 
 
 # what json.dumps writes for a str, ensure_ascii escapes included
@@ -521,12 +536,13 @@ def _pair_line(back: str, front: str, victim: str, own: tuple[str, str]) -> str:
 
 def write_pairs_jsonl(
     path: str, pairs: Iterable[SandwichPair], manifest: Optional[RunManifest] = None
-) -> None:
+) -> int:
     """write_jsonl(path, map(pair_to_dict, pairs), manifest), byte for
     byte, with each distinct swap log encoded once (a victim sits in many
     pairs, and a front or back in several), and the own fields encoded
     only when they differ from the pair before (the pairs of one record
-    hop share them, and detect finds them together)."""
+    hop share them, and detect finds them together). pairs is read once,
+    in order, so it may be a generator; returns the number of pairs."""
     # id(log) -> (log, its text); holding the log keeps its id unique
     texts: dict[int, tuple[SwapLog, str]] = {}
     # the own fields of the pair before -> their runs
@@ -561,7 +577,7 @@ def write_pairs_jsonl(
         _pair_line(log_text(pair.back), log_text(pair.front), log_text(pair.victim), own_text(pair))
         for pair in pairs
     )
-    write_lines(path, lines, manifest)
+    return write_lines(path, lines, manifest)
 
 
 def _numbered_lines(path: str) -> Iterator[tuple[int, str]]:

@@ -82,13 +82,17 @@ def frontrun_case(rng: random.Random) -> FrontrunCase:
     return FrontrunCase(make_timeline(pool, victim_in, tolerance, noise, direction), theta)
 
 
-def detection_case(rng: random.Random, n_logs: int):
+def detection_case(rng: random.Random, n_logs: int, dense: bool = False):
     """A one-pool record and its logs_by_pool: the victim at (block 50,
     log 199) and n_logs swaps in blocks 46-57 at distinct positions below
     log 199, with block-aligned timestamps, one of three recipients and
     amounts of 80-129 units, so that most fronts have a back in the
-    default band. The source commit is at block 46's timestamp."""
+    default band. The source commit is at block 46's timestamp. With
+    dense, for hundreds of logs: amounts of 95-105 units and two
+    recipients, so that the bands overlap, many fronts compete for each
+    back and most backs are taken out of the middle of the band."""
     pool = "0x" + "11" * 20
+    amount_range, recipients = ((95, 106), 2) if dense else ((80, 130), 3)
 
     def log(tx_hash, block, log_index, direction, amounts, recipient, gas_price):
         timestamp = float(block * 3)
@@ -103,11 +107,11 @@ def detection_case(rng: random.Random, n_logs: int):
             pass
         positions.add(position)
         direction = rng.choice(DIRECTIONS)
-        amounts = rng.randrange(80, 130), rng.randrange(80, 130)
-        recipient = "0x" + f"{rng.randrange(3):02x}" * 20
+        amounts = rng.randrange(*amount_range), rng.randrange(*amount_range)
+        recipient = "0x" + f"{rng.randrange(recipients):02x}" * 20
         gas_price = rng.randrange(10**10)
         logs.append(log(f"0x{i:064x}", *position, direction, amounts, recipient, gas_price))
-    amounts = rng.randrange(80, 130), rng.randrange(80, 130)
+    amounts = rng.randrange(*amount_range), rng.randrange(*amount_range)
     victim = log("0x" + "ff" * 32, 50, 199, Direction.X_FOR_Y, amounts, "0x" + "22" * 20, 10**9)
     logs.append(victim)
     logs.sort(key=detector.SwapLog.position)
@@ -147,9 +151,13 @@ def check_frontrun(rng: random.Random, trials: int) -> bool:
 
 
 def check_detector(rng: random.Random, trials: int) -> bool:
+    """One trial in 30 is a dense corpus of 200-399 logs."""
     cfg, found = detector.DetectionConfig(), 0
-    for _ in range(trials):
-        record, logs = detection_case(rng, rng.randrange(2, 40))
+    for trial in range(trials):
+        if trial % 30:
+            record, logs = detection_case(rng, rng.randrange(2, 40))
+        else:
+            record, logs = detection_case(rng, rng.randrange(200, 400), dense=True)
         pairs = detector.detect_pairs(record, logs, cfg)
         if pairs != detector.reference_detect_pairs(record, logs, cfg):
             return False

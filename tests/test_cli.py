@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -803,6 +803,92 @@ class TestAnalyze:
         assert main([*analyze, "--out", str(tmp_path / "default")]) == 0
         report = json.loads((tmp_path / "default" / "report.json").read_text())
         assert report["back_position_hist"] == [0] * 9 + [1]  # 150/100, clamped
+
+
+class TestDetectStreams:
+    """detect writes each record's pairs as it finds them and publishes
+    pairs.jsonl only once the last record is matched."""
+
+    def test_failure_midway_leaves_no_pairs_file(self, sim_outputs, tmp_path, monkeypatch):
+        _, out = sim_outputs
+        found = []
+
+        def fails_on_second_record(record, logs_by_pool, cfg):
+            if found:
+                raise RuntimeError("matcher failed")
+            found.append(detect_pairs(record, logs_by_pool, cfg))
+            return found[0]
+
+        from sandwichlab import detector
+
+        monkeypatch.setattr(detector, "detect_pairs", fails_on_second_record)
+        det = tmp_path / "det"
+        argv = ["detect", "--records", str(out / "records.jsonl"), "--logs"]
+        with pytest.raises(RuntimeError, match="matcher failed"):
+            main([*argv, str(out / "swap_logs.jsonl"), "--out", str(det)])
+        assert found[0]  # the first record's pairs went to the writer
+        assert list(det.iterdir()) == []
+
+    def test_peak_heap_does_not_grow_with_pairs(self, tmp_path):
+        """R and 4R records that share one victim and its window of 20
+        fronts and 20 backs, so each record has 20 pairs and the logs
+        stay the same. The traced peak of an in-process detect may grow
+        from R to 4R records only by what the records themselves cost,
+        measured on the same records with no front in their window.
+        Calibration, R = 250 (5,000 against 20,000 pairs): the records
+        alone grow the peak by 1.08 MB; a detect that held every pair
+        grew it by 3.00 MB, a streaming one by 1.08 MB."""
+        import tracemalloc
+
+        from sandwichlab.detector import CrossChainTx, VictimHop
+
+        def log(block, index, direction):
+            return SwapLog(
+                tx_hash=f"0x{block:032x}{index:032x}",
+                block_number=block,
+                log_index=index,
+                pool_address="0x" + "11" * 20,
+                chain_id=56,
+                direction=direction,
+                token_in_amount=10**18,
+                token_out_amount=10**18,
+                sender="0x" + "aa" * 20,
+                recipient="0x" + "aa" * 20,
+                gas_price=10**9,
+                timestamp=3.0 * block,
+            )
+
+        fronts = [log(99, index, Direction.X_FOR_Y) for index in range(20)]
+        victim = log(100, 0, Direction.X_FOR_Y)
+        backs = [log(101, index, Direction.Y_FOR_X) for index in range(20)]
+        logs = tmp_path / "logs.jsonl"
+        write_jsonl(str(logs), map(swap_log_to_dict, [*fronts, victim, *backs]))
+        hop = VictimHop(victim.pool_address, "WETH", "USDT", Direction.X_FOR_Y, 1000, 1000, 0)
+
+        def peak(count: int, src_timestamp: float, run: str) -> int:
+            record = CrossChainTx(
+                "r", "0x" + "01" * 32, 1, 1, src_timestamp,
+                victim.tx_hash, 56, 100, victim.timestamp, 10**9, (hop,),
+            )
+            records = tmp_path / f"{run}.jsonl"
+            rows = (record_to_dict(replace(record, record_id=f"r{i}")) for i in range(count))
+            write_jsonl(str(records), rows)
+            argv = ["detect", "--records", str(records), "--logs", str(logs)]
+            tracemalloc.start()
+            try:
+                assert main([*argv, "--out", str(tmp_path / run)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        records = 250
+        with_pairs, without = 3.0 * 99 - 1, 3.0 * 100  # before and after the fronts
+        peak(records, with_pairs, "warm-up")  # one-time imports and caches
+        pairs_growth = peak(4 * records, with_pairs, "large") - peak(records, with_pairs, "small")
+        records_growth = peak(4 * records, without, "large-bare") - peak(records, without, "small-bare")
+        lines = (tmp_path / "large" / "pairs.jsonl").read_text().splitlines()
+        assert len(lines) == 1 + 4 * records * 20
+        assert pairs_growth <= 1.25 * records_growth, (records_growth, pairs_growth)
 
 
 class TestAnalyzeStreams:

@@ -319,6 +319,65 @@ class TestGreedyMatchesReference:
     def test_randomized_equivalence(self):
         assert check_detector(random.Random(1234), 300)
 
+    @pytest.mark.parametrize("num_blocks", [1, 100])
+    def test_dense_corpora(self, num_blocks):
+        """Hundreds of logs of 95-105 units and two recipients: nearly
+        every back is in every front's band, so the fronts compete for
+        the same backs, and a take deletes from inside the amount-sorted
+        backs. With one block of backs the fronts outnumber them and
+        many go without."""
+        rng = random.Random(num_blocks)
+        cfg = DetectionConfig(num_blocks=num_blocks)
+        found = unmatched = 0
+        for _ in range(8):
+            record, logs = detection_case(rng, rng.randrange(200, 400), dense=True)
+            pairs = detect_pairs(record, logs, cfg)
+            assert pairs == reference_detect_pairs(record, logs, cfg)
+            victim = record.dst_tx_hash
+            fronts = [log for log in logs[POOL] if log.block_number <= 50 and log.tx_hash != victim]
+            found += len(pairs)
+            unmatched += sum(log.direction is Direction.X_FOR_Y for log in fronts) - len(pairs)
+        assert found > 50
+        assert (unmatched > 100) is (num_blocks == 1)
+
+    def test_two_hop_record(self):
+        """Two pools whose hops both pair: the pairs of the two hops are
+        merged in (victim, front) position order, as the reference has
+        them."""
+        other = "0x" + "44" * 20
+        rng = random.Random(8)
+        cfg = DetectionConfig()
+        for _ in range(10):
+            record, first = detection_case(rng, 60)
+            _, second = detection_case(rng, 60)
+            logs = {POOL: first[POOL], other: [replace(log, pool_address=other) for log in second[POOL]]}
+            hop = replace(record.hops[0], pool_address=other, token_in="WBNB")
+            record = replace(record, hops=(record.hops[0], hop))
+            pairs = detect_pairs(record, logs, cfg)
+            assert pairs == reference_detect_pairs(record, logs, cfg)
+            assert {pair.pool_address for pair in pairs} == {POOL, other}
+
+    def test_every_record_of_a_simulated_corpus(self):
+        """Every record past the prefilter of the 30/25 bp config of
+        tests/test_digests.py, where the attacker and the bot both act."""
+        import yaml
+        from test_digests import FEES_YAML
+
+        from sandwichlab.bridge import extract_corpus, run
+        from sandwichlab.cli import sim_config_from_dict
+
+        trace, metrics = run(sim_config_from_dict(yaml.safe_load(FEES_YAML)))
+        assert metrics.attacker_attacked > 0 and metrics.bot_attacked > 0
+        corpus = extract_corpus(trace)
+        logs, cfg = group_logs(corpus.swap_logs), DetectionConfig()
+        kept = prefilter(corpus.records, cfg)
+        found = 0
+        for record in kept:
+            pairs = detect_pairs(record, logs, cfg)
+            assert pairs == reference_detect_pairs(record, logs, cfg), record.record_id
+            found += len(pairs)
+        assert len(kept) > 20 and found > len(kept)
+
     @pytest.mark.parametrize("num_blocks", [1, 3, 100])
     @pytest.mark.parametrize(
         "band_low, band_high",

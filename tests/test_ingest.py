@@ -39,6 +39,7 @@ from sandwichlab.ingest import (
     timeline_text,
     timeline_to_dict,
     write_jsonl,
+    write_lines,
     write_pairs_jsonl,
 )
 
@@ -487,6 +488,58 @@ class TestPairsWriter:
         write_jsonl(str(old), map(pair_to_dict, pairs))
         assert new.read_bytes() == old.read_bytes()
         assert '"profit_usd": "1.0"' in new.read_text().splitlines()[1]
+
+
+class TestWritesAreAllOrNothing:
+    """A writer publishes its file only after the last row: a row
+    source or a write that raises leaves neither the file nor a
+    temporary one, and an older file at the path stays as it was."""
+
+    @staticmethod
+    def rows_then_fail(rows):
+        yield from rows[:2]
+        raise RuntimeError("row source failed")
+
+    def pair(self, index: int) -> SandwichPair:
+        return SandwichPair(
+            record_id=f"r{index}",
+            pool_address=SWAP_LOG.pool_address,
+            front=SWAP_LOG,
+            victim=SWAP_LOG,
+            back=SWAP_LOG,
+            classification=Classification.CROSS_CHAIN,
+            token_in="WETH",
+            front_window_start_block=3,
+        )
+
+    def test_write_lines_failing_midway(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        with pytest.raises(RuntimeError, match="row source failed"):
+            write_lines(str(path), self.rows_then_fail(["1", "2", "3"]), RunManifest(command="t"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_pairs_jsonl_failing_midway(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        pairs = [self.pair(index) for index in range(3)]
+        with pytest.raises(RuntimeError, match="row source failed"):
+            write_pairs_jsonl(str(path), self.rows_then_fail(pairs), RunManifest(command="detect"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_keeps_the_older_file(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        assert write_jsonl(str(path), [{"a": 1}]) == 1
+        with pytest.raises(RuntimeError):
+            write_jsonl(str(path), self.rows_then_fail([{"b": 2}, {"c": 3}, {"d": 4}]))
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text() == '{"a": 1}\n'
+
+    def test_counts_rows_and_replaces(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text("stale\n")
+        pairs = [self.pair(index) for index in range(3)]
+        assert write_pairs_jsonl(str(path), iter(pairs)) == 3
+        assert list(tmp_path.iterdir()) == [path]
+        assert list(iter_pairs(str(path))) == pairs
 
 
 def _canonical(log: SwapLog) -> dict:
