@@ -270,15 +270,24 @@ def cmd_detect(args) -> int:
 
 def cmd_params(args) -> int:
     if args.timelines:
-        timelines = ingest.decode_jsonl(args.timelines, ingest.timeline_from_dict)
-        if not timelines:
-            raise ValidationFailure(f"no timelines in {args.timelines}")
+        direct = [
+            "--" + name.replace("_", "-")
+            for name in ("q", "p", "r_plus", "r_minus")
+            if getattr(args, name) is not None
+        ]
+        if direct:
+            raise ValidationFailure(
+                f"{', '.join(direct)} cannot be combined with --timelines, which estimates them"
+            )
         theta = _fraction(args.theta)
         if not 0 < theta <= 1:
             raise ValidationFailure(f"--theta must be in (0, 1], got {args.theta}")
         percentile = _fraction(args.percentile)
         if not 0 < percentile <= 100:
             raise ValidationFailure(f"--percentile must be in (0, 100], got {args.percentile}")
+        timelines = ingest.decode_jsonl(args.timelines, ingest.timeline_from_dict)
+        if not timelines:
+            raise ValidationFailure(f"no timelines in {args.timelines}")
         try:
             params, rate_samples = attack.noise_params_and_rates(timelines, theta)
         except amm.Overflow as exc:

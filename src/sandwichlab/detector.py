@@ -136,8 +136,8 @@ class DetectionConfig:
 @dataclass(slots=True)
 class SandwichPair:
     """One detected (front, victim, back) triple. Nothing assigns to a
-    pair after construction (price_pair builds a new one); it is not
-    frozen only for the cost of a frozen __init__, one per pair that
+    pair after construction (classify_and_price builds new ones); it is
+    not frozen only for the cost of a frozen __init__, one per pair that
     detect finds and analyze reads."""
 
     record_id: str
@@ -194,8 +194,9 @@ class PriceTable:
     def from_csv(cls, path: str) -> "PriceTable":
         """Read a token_id,usd_price[,decimals][,snapshot_date] CSV. A row
         without token_id or usd_price, a usd_price that is not a finite
-        decimal or a decimals that is not an integer in [0, 255] raises
-        MalformedData naming the file and line."""
+        decimal, a decimals that is not an integer in [0, 255] or a
+        token_id that an earlier row priced raises MalformedData naming
+        the file and line."""
         prices: dict[str, Decimal] = {}
         decimals: dict[str, int] = {}
         snapshot = ""
@@ -204,6 +205,8 @@ class PriceTable:
             for row in reader:
                 try:
                     token = row["token_id"]
+                    if token in prices:
+                        raise ValueError(f"token_id {token!r} is priced twice")
                     prices[token] = _finite_decimal(row["usd_price"])
                     decimals[token] = _token_decimals(row.get("decimals") or "18")
                 except (KeyError, TypeError, ValueError) as exc:
@@ -293,14 +296,16 @@ def detect_pairs(
 
     Requires logs sorted by (block_number, log_index) with timestamps
     nondecreasing along that order. The victim and the window ends are
-    found by bisection; a hop with no front stops there. The hop's free
-    backs are then kept sorted by input amount (ties in chain order):
-    each front bisects its band into that order, reads only the k backs
-    inside it and deletes the one it takes. A hop of w window logs and
-    b backs costs O(w + b log b) once, then per front O(log b) for the
-    band, O(k log k) for the choice and one O(b) memmove for the delete,
-    instead of a scan of all b backs. Nothing is indexed beyond the
-    call, so a caller may pass plain lists.
+    found by bisection; a hop with no front stops there. Each front then
+    makes one pass over the hop's untaken backs in chain order, and the
+    back it takes leaves that list: O(fronts x backs) per hop. An
+    amount-sorted index of the backs (bisect the band, read only the
+    backs inside it) gives the same pairs but did not pay: on busy-2pool
+    seeds 11 and 12, about 190 backs per front, the detect_pairs loop
+    over the kept records took 0.46-0.64 s of CPU with the scan and
+    0.53-0.73 s with the index (min-median, 21 alternating runs).
+    Nothing is indexed beyond the call, so a caller may pass plain
+    lists.
     """
     pairs: list[SandwichPair] = []
     for hop in record.hops:
@@ -321,29 +326,21 @@ def detect_pairs(
             logs, victim.block_number + cfg.num_blocks, victim_index + 1, key=_block_number
         )
         opposite = direction.opposite()
-        backs = [log for log in logs[victim_index + 1 : back_end] if log.direction is opposite]
-        # The free backs in (input amount, chain index) order, as three
-        # parallel lists: input amounts, indices into backs, recipients.
-        ins = [back.token_in_amount for back in backs]
-        chain = sorted(range(len(backs)), key=ins.__getitem__)
-        amounts = [ins[i] for i in chain]
-        recipients = [backs[i].recipient for i in chain]
+        # the hop's backs not yet taken, in chain order
+        free = [log for log in logs[victim_index + 1 : back_end] if log.direction is opposite]
         for front in fronts:
             lo, hi = cfg.back_band(front.token_out_amount)
-            a = bisect_left(amounts, lo)
-            b = bisect_right(amounts, hi, a)
-            if a >= b:
-                continue
-            band, recipient = chain[a:b], front.recipient
-            if recipient in recipients[a:b]:
-                # the earliest in-band back that pays the front's recipient
-                for index in sorted(band):
-                    if backs[index].recipient == recipient:
+            recipient, first = front.recipient, -1
+            for index, back in enumerate(free):
+                if lo <= back.token_in_amount <= hi:
+                    if back.recipient == recipient:
                         break
+                    if first < 0:
+                        first = index
             else:
-                index = min(band)
-            taken = chain.index(index, a, b)
-            del chain[taken], amounts[taken], recipients[taken]
+                if first < 0:
+                    continue
+                index = first
             classification = (
                 Classification.SINGLE_CHAIN
                 if front.block_number == victim.block_number
@@ -355,7 +352,7 @@ def detect_pairs(
                     pool_address=hop.pool_address,
                     front=front,
                     victim=victim,
-                    back=backs[index],
+                    back=free.pop(index),
                     classification=classification,
                     token_in=hop.token_in,
                     front_window_start_block=window_start,
@@ -458,32 +455,31 @@ def pair_profit(
         return profit, None
 
 
-def price_pair(pair: SandwichPair, prices: PriceTable, missing: set[str]) -> SandwichPair:
-    """The pair with token profit, profit rate and USD profit filled in
-    from pair_profit."""
-    profit, usd = pair_profit(pair, prices, missing)
-    return SandwichPair(
-        record_id=pair.record_id,
-        pool_address=pair.pool_address,
-        front=pair.front,
-        victim=pair.victim,
-        back=pair.back,
-        classification=pair.classification,
-        token_in=pair.token_in,
-        front_window_start_block=pair.front_window_start_block,
-        profit_token=profit,
-        profit_rate=Fraction(profit, pair.front.token_in_amount),
-        profit_usd=usd,
-    )
-
-
 def classify_and_price(
     pairs: Iterable[SandwichPair], prices: PriceTable
 ) -> tuple[list[SandwichPair], set[str]]:
-    """Every pair through price_pair, and the set of tokens with no
-    price."""
+    """Every pair with token profit, profit rate and USD profit filled
+    in from pair_profit, and the set of tokens with no price."""
     missing: set[str] = set()
-    return [price_pair(pair, prices, missing) for pair in pairs], missing
+    priced = []
+    for pair in pairs:
+        profit, usd = pair_profit(pair, prices, missing)
+        priced.append(
+            SandwichPair(
+                record_id=pair.record_id,
+                pool_address=pair.pool_address,
+                front=pair.front,
+                victim=pair.victim,
+                back=pair.back,
+                classification=pair.classification,
+                token_in=pair.token_in,
+                front_window_start_block=pair.front_window_start_block,
+                profit_token=profit,
+                profit_rate=Fraction(profit, pair.front.token_in_amount),
+                profit_usd=usd,
+            )
+        )
+    return priced, missing
 
 
 def _bin(value: float, bins: int) -> int:
@@ -523,8 +519,8 @@ def aggregate(
     single- vs cross-chain split. Cross-chain profit totals exclude
     same-block (single-chain-classified) pairs. pairs is read once, in
     order, so it may be an iterator. usd gives a pair's USD profit
-    (None when unknown); by default its profit_usd, as price_pair sets
-    it."""
+    (None when unknown); by default its profit_usd, as classify_and_price
+    sets it."""
     report = Report()
     chain_keys = {
         record.record_id: f"{record.src_chain_id}->{record.dst_chain_id}"

@@ -539,14 +539,10 @@ def write_pairs_jsonl(
 ) -> int:
     """write_jsonl(path, map(pair_to_dict, pairs), manifest), byte for
     byte, with each distinct swap log encoded once (a victim sits in many
-    pairs, and a front or back in several), and the own fields encoded
-    only when they differ from the pair before (the pairs of one record
-    hop share them, and detect finds them together). pairs is read once,
-    in order, so it may be a generator; returns the number of pairs."""
+    pairs, and a front or back in several). pairs is read once, in
+    order, so it may be a generator; returns the number of pairs."""
     # id(log) -> (log, its text); holding the log keeps its id unique
     texts: dict[int, tuple[SwapLog, str]] = {}
-    # the own fields of the pair before -> their runs
-    owns: dict[tuple, tuple[str, str]] = {}
 
     def log_text(log: SwapLog) -> str:
         entry = texts.get(id(log))
@@ -554,27 +550,10 @@ def write_pairs_jsonl(
             entry = texts[id(log)] = (log, swap_log_text(log))
         return entry[1]
 
-    def own_text(pair: SandwichPair) -> tuple[str, str]:
-        # fields of their declared types that compare equal write the
-        # same text, but for Decimal("1") and Decimal("1.0")
-        key = (
-            pair.classification,
-            pair.front_window_start_block,
-            pair.pool_address,
-            pair.profit_rate,
-            pair.profit_token,
-            str(pair.profit_usd),
-            pair.record_id,
-            pair.token_in,
-        )
-        found = owns.get(key)
-        if found is None:
-            owns.clear()
-            found = owns[key] = _own_segments(pair)
-        return found
-
     lines = (
-        _pair_line(log_text(pair.back), log_text(pair.front), log_text(pair.victim), own_text(pair))
+        _pair_line(
+            log_text(pair.back), log_text(pair.front), log_text(pair.victim), _own_segments(pair)
+        )
         for pair in pairs
     )
     return write_lines(path, lines, manifest)

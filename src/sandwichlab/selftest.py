@@ -90,7 +90,8 @@ def detection_case(rng: random.Random, n_logs: int, dense: bool = False):
     default band. The source commit is at block 46's timestamp. With
     dense, for hundreds of logs: amounts of 95-105 units and two
     recipients, so that the bands overlap, many fronts compete for each
-    back and most backs are taken out of the middle of the band."""
+    back and many fronts pass over free in-band backs for a later one
+    that pays their recipient."""
     pool = "0x" + "11" * 20
     amount_range, recipients = ((95, 106), 2) if dense else ((80, 130), 3)
 

@@ -555,6 +555,34 @@ class TestParams:
         assert main(["params", "--timelines", str(out / "timelines.jsonl"), flag, value]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    # each was ignored, and q, p and the rates came from the timelines
+    @pytest.mark.parametrize(
+        "argv", [["--q", "1/2"], ["--p", "1/2"], ["--r-plus", "1/100"], ["--r-minus=-1/100"]]
+    )
+    def test_direct_flag_with_timelines_is_validation_error(self, sim_outputs, capsys, argv):
+        _, out = sim_outputs
+        assert main(["params", "--timelines", str(out / "timelines.jsonl"), *argv]) == 1
+        flag = argv[0].split("=")[0]
+        assert capsys.readouterr().err == (
+            f"error: {flag} cannot be combined with --timelines, which estimates them\n"
+        )
+
+    # the timelines file was decoded first, and its error was the one reported
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--theta", "2", "--theta must be in (0, 1]"),
+            ("--percentile", "1/0", "bad fraction '1/0'"),
+        ],
+    )
+    def test_flags_are_checked_before_timelines_are_read(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        bad = tmp_path / "timelines.jsonl"
+        bad.write_text("not json\n")
+        assert main(["params", "--timelines", str(bad), flag, value]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -703,6 +731,8 @@ class TestAnalyze:
             (PRICES_CSV.replace("USDT,1,18,", "USDT,1,six,"), 3, "ValueError: invalid literal"),
             (PRICES_CSV.replace("WETH,3000,18,", "WETH,3000,1000000000,"), 2, "ValueError: decimals"),
             (PRICES_CSV + "DAI\n", 4, "TypeError: "),
+            # the later row won
+            (PRICES_CSV + "WETH,2900,18,\n", 4, "ValueError: token_id 'WETH' is priced twice"),
         ],
     )
     def test_bad_price_row_names_file_and_line(

@@ -323,8 +323,9 @@ class TestGreedyMatchesReference:
     def test_dense_corpora(self, num_blocks):
         """Hundreds of logs of 95-105 units and two recipients: nearly
         every back is in every front's band, so the fronts compete for
-        the same backs, and a take deletes from inside the amount-sorted
-        backs. With one block of backs the fronts outnumber them and
+        the same backs, and a third to a half of the takes pass over
+        free in-band backs for a later one that pays the front's
+        recipient. With one block of backs the fronts outnumber them and
         many go without."""
         rng = random.Random(num_blocks)
         cfg = DetectionConfig(num_blocks=num_blocks)

@@ -1,11 +1,17 @@
 """The memory layout of sandwichlab's records: every dataclass has fixed
-slots, so no per-row or per-event instance carries a __dict__."""
+slots, so no per-row or per-event instance carries a __dict__. And the
+layout of the package as the benchmark sees it: every sandwichlab name
+that perfbench/ uses exists."""
 
+import ast
 import dataclasses
 import importlib
 import pkgutil
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 import sandwichlab
 from sandwichlab.amm import Direction, Pool, execute_swap
@@ -180,3 +186,86 @@ class TestDetectorRows:
         other = dataclasses.replace(log, gas_price=log.gas_price + 1)
         assert hash(twin) == hash(log)
         assert {log, twin, other} == {log, other}
+
+
+def benchmark_lookups(source: str) -> set[str]:
+    """The dotted sandwichlab names a perfbench module reads: each name
+    it imports from the package, and each attribute chain on one of the
+    names it binds, such as sandwichlab.detector.PriceTable.from_csv.
+    The source is parsed, not run."""
+    tree = ast.parse(source)
+    bound: dict[str, str] = {}
+    lookups = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "sandwichlab":
+                    lookups.add(alias.name)
+                    if alias.asname:
+                        bound[alias.asname] = alias.name
+                    else:
+                        bound["sandwichlab"] = "sandwichlab"
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if (node.module or "").split(".")[0] == "sandwichlab":
+                for alias in node.names:
+                    name = f"{node.module}.{alias.name}"
+                    lookups.add(name)
+                    bound[alias.asname or alias.name] = name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id in bound:
+                lookups.add(".".join([bound[node.id], *reversed(chain)]))
+    return lookups
+
+
+def resolve(dotted: str):
+    """The object a dotted name reads: the longest importable module
+    prefix, then getattr for each remaining part."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            value = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for part in parts[cut:]:
+            value = getattr(value, part)
+        return value
+    raise ImportError(dotted)
+
+
+class TestBenchmarkImports:
+    """perfbench/ imports the package and calls into it by name; a name
+    deleted or renamed in src/ would break the benchmark, not a test."""
+
+    BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+    def test_every_name_the_benchmark_reads_exists(self):
+        lookups = {
+            (path.name, name)
+            for path in sorted(self.BENCH.glob("*.py"))
+            for name in benchmark_lookups(path.read_text())
+        }
+        assert len({name for _, name in lookups}) >= 40
+        missing = []
+        for file, name in sorted(lookups):
+            try:
+                resolve(name)
+            except (ImportError, AttributeError) as exc:
+                missing.append(f"{file}: {name}: {exc}")
+        assert missing == []
+
+    def test_a_missing_name_is_reported(self):
+        source = "from sandwichlab import detector as d\nd.PriceTable.no_such_name(1)\n"
+        assert benchmark_lookups(source) == {
+            "sandwichlab.detector",
+            "sandwichlab.detector.PriceTable",
+            "sandwichlab.detector.PriceTable.no_such_name",
+        }
+        with pytest.raises(AttributeError):
+            resolve("sandwichlab.detector.PriceTable.no_such_name")
+        with pytest.raises(AttributeError):
+            resolve("sandwichlab.nowhere")
