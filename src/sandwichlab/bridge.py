@@ -16,10 +16,10 @@ import heapq
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .amm import MAX_AMOUNT, AmmError, Direction, Pool, SwapRequest, fee_terms, swap_output
 from .attack import (
@@ -235,14 +235,15 @@ class VictimRecord:
     in a mempool when the run ended. ``attacker`` and ``bot`` stay None
     until that agent acts on this victim.
 
-    ``noisy_swaps`` and ``order`` are recorded as the run executes.
-    ``noisy_swaps`` is the noise window of an executed victim:
-    (direction, amount_in) of each swap on its pool timestamped after
+    ``window`` and ``order`` are recorded as the run executes.
+    ``window`` is the noise window of an executed victim: the trace
+    events (not copies) of the swaps on its pool timestamped after
     ``emit_time`` and executed before its own, oldest first, except its
     own attacker front-run (the hypothesis, not noise); other victims'
-    attack traffic counts as noise. ``order`` holds the labels of its
-    legs (its own swap, TA1/TA2, TB1/TB2) that did not revert, in
-    execution order."""
+    attack traffic counts as noise. Its timeline's noisy_swaps are their
+    (direction, amount_in). ``order`` holds the labels of its legs (its
+    own swap, TA1/TA2, TB1/TB2) that did not revert, in execution
+    order."""
 
     victim_id: int
     pool_address: str
@@ -265,7 +266,7 @@ class VictimRecord:
     amount_out: int = 0
     attacker: Optional[Sandwich] = None
     bot: Optional[Sandwich] = None
-    noisy_swaps: tuple[tuple[Direction, int], ...] = ()
+    window: tuple[TraceEvent, ...] = ()
     order: tuple[TxLabel, ...] = ()
 
 
@@ -296,10 +297,13 @@ class SimMetrics:
 
 @dataclass(slots=True)
 class Corpus:
-    timelines: list[PoolTimeline]
-    swap_logs: list[SwapLog]
-    records: list[CrossChainTx]
-    labels: list[dict]
+    """The analysis inputs of a run: lists from extract_corpus, one-pass
+    iterators from corpus_streams."""
+
+    timelines: Iterable[PoolTimeline]
+    swap_logs: Iterable[SwapLog]
+    records: Iterable[CrossChainTx]
+    labels: Iterable[dict]
 
 
 ATTACKER_ADDR = "0x" + "aa" * 20
@@ -368,16 +372,13 @@ class _LivePool:
         self.snapshot = None
         return out
 
-    def window(self, after: float, skip: Optional[str]) -> tuple[tuple[Direction, int], ...]:
-        """(direction, amount_in) of the swaps executed here so far that
-        are timestamped after ``after``, oldest first, except ``skip``."""
+    def window(self, after: float, skip: Optional[str]) -> tuple[TraceEvent, ...]:
+        """The events of the swaps executed here so far that are
+        timestamped after ``after``, oldest first, except ``skip``: a
+        slice of ``swaps``, so the trace's own events, not copies."""
         swaps = self.swaps
         start = bisect_right(swaps, after, key=_event_time)
-        return tuple(
-            (event.direction, event.amount_in)
-            for event in swaps[start:]
-            if event.tx_hash != skip
-        )
+        return tuple(event for event in swaps[start:] if event.tx_hash != skip)
 
 
 _event_time = attrgetter("time")
@@ -675,7 +676,7 @@ class Simulation:
             victim.amount_out = swap.amount_out
             if not swap.reverted:
                 own_front = victim.attacker.front_hash if victim.attacker else None
-                victim.noisy_swaps = live.window(victim.emit_time, own_front)
+                victim.window = live.window(victim.emit_time, own_front)
             if self.config.attacker.enabled and not self.config.attacker.backrun_on_mempool:
                 self._attacker_backrun(victim, self.config.attacker.gas_price)
             return
@@ -731,7 +732,7 @@ def compute_metrics(trace: SimTrace) -> SimMetrics:
         else:
             metrics.victims_executed += 1
         # a reverted victim has no window: it counts as an empty one
-        if not victim.noisy_swaps:
+        if not victim.window:
             empty_windows += 1
         if victim.attacker is None and victim.bot is None:
             scenario = OrderingScenario.NO_ATTACK.value
@@ -769,87 +770,86 @@ def compute_metrics(trace: SimTrace) -> SimMetrics:
     return metrics
 
 
-def extract_corpus(trace: SimTrace) -> Corpus:
-    """Bridge the trace into the analysis input formats: per-victim pool
-    timelines, decoded swap logs, cross-chain records, and ground-truth
-    labels kept separately for detector evaluation."""
-    pool_meta = {p.address: p for p in trace.config.pools}
-    swap_logs: list[SwapLog] = []
-    for event in trace.events:
-        if event.kind != "swap" or event.reverted:
-            continue
+def corpus_streams(trace: SimTrace) -> Corpus:
+    """Bridge the trace into the analysis input formats: decoded swap
+    logs, per-victim pool timelines, cross-chain records, and
+    ground-truth labels kept separately for detector evaluation. Each
+    is a generator that builds one row at a time, so a writer holds only
+    the row it is writing; extract_corpus gives them as lists."""
+    config = trace.config
+    pool_meta = {p.address: p for p in config.pools}
+    # one row of each kind per executed victim whose swap did not revert
+    completed = [v for v in trace.victims.values() if v.exec_block is not None and not v.reverted]
+
+    def timeline(victim: VictimRecord) -> PoolTimeline:
+        return PoolTimeline(
+            pool=victim.pool_snapshot,
+            noisy_swaps=tuple((event.direction, event.amount_in) for event in victim.window),
+            victim=SwapRequest(
+                direction=victim.direction,
+                amount_in=victim.amount_in,
+                min_out=victim.min_return,
+                sender=victim.sender,
+                recipient=victim.recipient,
+            ),
+            victim_tolerance=victim.tolerance,
+        )
+
+    def record(victim: VictimRecord) -> CrossChainTx:
+        pool = pool_meta[victim.pool_address]
+        tokens = (pool.token_x, pool.token_y)
+        token_in, token_out = tokens if victim.direction is Direction.X_FOR_Y else tokens[::-1]
+        return CrossChainTx(
+            record_id=f"rec-{victim.victim_id}",
+            src_tx_hash=victim.src_tx_hash,
+            src_chain_id=config.src_chain_id,
+            src_block_number=victim.src_block,
+            src_timestamp=victim.emit_time,
+            dst_tx_hash=victim.dst_tx_hash,
+            dst_chain_id=config.dst_chain_id,
+            dst_block_number=victim.exec_block or 0,
+            dst_timestamp=victim.exec_time or 0.0,
+            dst_gas_price=victim.gas_price,
+            hops=(
+                VictimHop(
+                    victim.pool_address, token_in, token_out, victim.direction,
+                    victim.amount_in, victim.amount_out, victim.min_return,
+                ),
+            ),
+        )
+
+    def label(victim: VictimRecord) -> dict:
+        attacker, bot = victim.attacker, victim.bot
+        return {
+            "victim_id": victim.victim_id,
+            "record_id": f"rec-{victim.victim_id}",
+            "victim_tx": victim.dst_tx_hash,
+            "attacker_front_tx": attacker.front_hash if attacker else None,
+            "attacker_back_tx": (attacker.back_hash or None) if attacker else None,
+            "attacker_front_block": attacker.front_block if attacker else None,
+            "attacker_back_block": attacker.back_block if attacker else None,
+            "bot_front_tx": bot.front_hash if bot else None,
+            "bot_back_tx": bot.back_hash if bot else None,
+        }
+
+    return Corpus(
         # a swap happens at its destination block's time
-        swap_logs.append(
+        swap_logs=(
             SwapLog(
                 event.tx_hash, event.block_number, event.log_index, event.pool_address,
                 event.chain_id, event.direction, event.amount_in, event.amount_out,
                 event.sender, event.recipient, event.gas_price, event.time,
             )
-        )
+            for event in trace.events
+            if event.kind == "swap" and not event.reverted
+        ),
+        timelines=map(timeline, completed),
+        records=map(record, completed),
+        labels=map(label, completed),
+    )
 
-    timelines: list[PoolTimeline] = []
-    records: list[CrossChainTx] = []
-    labels: list[dict] = []
-    for victim in trace.victims.values():
-        if victim.exec_block is None or victim.reverted:
-            continue
-        timelines.append(
-            PoolTimeline(
-                pool=victim.pool_snapshot,
-                noisy_swaps=victim.noisy_swaps,
-                victim=SwapRequest(
-                    direction=victim.direction,
-                    amount_in=victim.amount_in,
-                    min_out=victim.min_return,
-                    sender=victim.sender,
-                    recipient=victim.recipient,
-                ),
-                victim_tolerance=victim.tolerance,
-            )
-        )
-        pool = pool_meta[victim.pool_address]
-        token_in, token_out = (
-            (pool.token_x, pool.token_y)
-            if victim.direction is Direction.X_FOR_Y
-            else (pool.token_y, pool.token_x)
-        )
-        records.append(
-            CrossChainTx(
-                record_id=f"rec-{victim.victim_id}",
-                src_tx_hash=victim.src_tx_hash,
-                src_chain_id=trace.config.src_chain_id,
-                src_block_number=victim.src_block,
-                src_timestamp=victim.emit_time,
-                dst_tx_hash=victim.dst_tx_hash,
-                dst_chain_id=trace.config.dst_chain_id,
-                dst_block_number=victim.exec_block or 0,
-                dst_timestamp=victim.exec_time or 0.0,
-                dst_gas_price=victim.gas_price,
-                hops=(
-                    VictimHop(
-                        pool_address=victim.pool_address,
-                        token_in=token_in,
-                        token_out=token_out,
-                        direction=victim.direction,
-                        amount_in=victim.amount_in,
-                        amount_out=victim.amount_out,
-                        min_return=victim.min_return,
-                    ),
-                ),
-            )
-        )
-        attacker, bot = victim.attacker, victim.bot
-        labels.append(
-            {
-                "victim_id": victim.victim_id,
-                "record_id": f"rec-{victim.victim_id}",
-                "victim_tx": victim.dst_tx_hash,
-                "attacker_front_tx": attacker.front_hash if attacker else None,
-                "attacker_back_tx": (attacker.back_hash or None) if attacker else None,
-                "attacker_front_block": attacker.front_block if attacker else None,
-                "attacker_back_block": attacker.back_block if attacker else None,
-                "bot_front_tx": bot.front_hash if bot else None,
-                "bot_back_tx": bot.back_hash if bot else None,
-            }
-        )
-    return Corpus(timelines=timelines, swap_logs=swap_logs, records=records, labels=labels)
+
+def extract_corpus(trace: SimTrace) -> Corpus:
+    """corpus_streams(trace) with every row built, as lists."""
+    streams = corpus_streams(trace)
+    return Corpus(*(list(getattr(streams, kind.name)) for kind in fields(Corpus)))

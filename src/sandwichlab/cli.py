@@ -194,7 +194,6 @@ def cmd_simulate(args) -> int:
         # a sampled swap amount past 256 bits: the config's distributions
         # are checked only by sampling them once
         raise ValidationFailure(f"{args.config}: a simulated swap overflows: {exc}") from None
-    corpus = bridge.extract_corpus(trace)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -209,7 +208,8 @@ def cmd_simulate(args) -> int:
         "timelines.jsonl",
     ]
     # each row is json.dumps(<kind>_to_dict(row), sort_keys=True), through
-    # the one text encoder of its kind
+    # the one text encoder of its kind; rows are built as they are written
+    corpus = bridge.corpus_streams(trace)
     for name, encode, rows in (
         ("swap_logs", ingest.swap_log_text, corpus.swap_logs),
         ("records", ingest.record_text, corpus.records),
@@ -279,12 +279,14 @@ def cmd_params(args) -> int:
             raise ValidationFailure(
                 f"{', '.join(direct)} cannot be combined with --timelines, which estimates them"
             )
-        theta = _fraction(args.theta)
+        theta_text = "1" if args.theta is None else args.theta
+        theta = _fraction(theta_text)
         if not 0 < theta <= 1:
-            raise ValidationFailure(f"--theta must be in (0, 1], got {args.theta}")
-        percentile = _fraction(args.percentile)
+            raise ValidationFailure(f"--theta must be in (0, 1], got {theta_text}")
+        percentile_text = "95" if args.percentile is None else args.percentile
+        percentile = _fraction(percentile_text)
         if not 0 < percentile <= 100:
-            raise ValidationFailure(f"--percentile must be in (0, 100], got {args.percentile}")
+            raise ValidationFailure(f"--percentile must be in (0, 100], got {percentile_text}")
         timelines = ingest.decode_jsonl(args.timelines, ingest.timeline_from_dict)
         if not timelines:
             raise ValidationFailure(f"no timelines in {args.timelines}")
@@ -298,6 +300,9 @@ def cmd_params(args) -> int:
             raise ValidationFailure("no attackable timelines; cannot estimate rates")
         rates = attack.estimate_return_rates(rate_samples, percentile)
     else:
+        given = [f"--{name}" for name in ("theta", "percentile") if getattr(args, name) is not None]
+        if given:
+            raise ValidationFailure(f"{', '.join(given)} can only be used with --timelines")
         if args.q is None or args.r_plus is None or args.r_minus is None:
             raise ValidationFailure(
                 "params needs either --timelines or all of --q/--r-plus/--r-minus"
@@ -419,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("params", help="estimate or evaluate model parameters")
     p.add_argument("--timelines", help="pool timelines JSONL")
-    p.add_argument("--theta", default="1", help="extraction fraction (default 1)")
-    p.add_argument("--percentile", default="95", help="outlier-trim percentile")
+    p.add_argument("--theta", help="extraction fraction, --timelines only (default 1)")
+    p.add_argument("--percentile", help="outlier-trim percentile, --timelines only (default 95)")
     p.add_argument("--q", help="empty-window probability (direct mode)")
     p.add_argument("--p", help="non-loss probability given noise (direct mode)")
     p.add_argument("--r-plus", dest="r_plus", help="non-loss return rate")

@@ -193,10 +193,10 @@ class PriceTable:
     @classmethod
     def from_csv(cls, path: str) -> "PriceTable":
         """Read a token_id,usd_price[,decimals][,snapshot_date] CSV. A row
-        without token_id or usd_price, a usd_price that is not a finite
-        decimal, a decimals that is not an integer in [0, 255] or a
-        token_id that an earlier row priced raises MalformedData naming
-        the file and line."""
+        without token_id or usd_price, an empty token_id, a usd_price that
+        is not a finite decimal, a decimals that is not an integer in
+        [0, 255] or a token_id that an earlier row priced raises
+        MalformedData naming the file and line."""
         prices: dict[str, Decimal] = {}
         decimals: dict[str, int] = {}
         snapshot = ""
@@ -205,6 +205,8 @@ class PriceTable:
             for row in reader:
                 try:
                     token = row["token_id"]
+                    if not token:
+                        raise ValueError("empty token_id")
                     if token in prices:
                         raise ValueError(f"token_id {token!r} is priced twice")
                     prices[token] = _finite_decimal(row["usd_price"])

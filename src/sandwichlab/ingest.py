@@ -496,7 +496,7 @@ def _json_optional_int(value: Optional[int]) -> str:
 
 def label_text(label: dict) -> str:
     """json.dumps(label, sort_keys=True) for a labels.jsonl row as
-    bridge.extract_corpus builds it: these nine keys, each block an int
+    bridge.corpus_streams builds it: these nine keys, each block an int
     or None, each transaction hash a str or None."""
     return (
         f'{{"attacker_back_block": {_json_optional_int(label["attacker_back_block"])}, '

@@ -407,11 +407,15 @@ class TestRecordedWhileRunning:
         # the config exercises every outcome and both agents
         assert any(v.exec_block is None for v in victims)
         assert any(v.reverted for v in victims)
-        assert any(v.noisy_swaps for v in victims)
+        assert any(v.window for v in victims)
         assert any(TxLabel.TA1 in v.order for v in victims)
         assert any(TxLabel.TB1 in v.order for v in victims)
+        # a window holds the trace's own events, not copies
+        in_trace = {id(event) for event in trace.events}
         for victim in victims:
-            assert victim.noisy_swaps == windows.get(victim.victim_id, ())
+            assert all(id(event) in in_trace for event in victim.window)
+            window = tuple((e.direction, e.amount_in) for e in victim.window)
+            assert window == windows.get(victim.victim_id, ())
             assert victim.order == orders.get(victim.victim_id, ())
 
 

@@ -117,13 +117,24 @@ class TestSimulate:
         for name in ("swap_logs.jsonl", "records.jsonl", "timelines.jsonl"):
             assert file_digest(str(out / name)) == file_digest(str(again / name))
 
-    def test_swap_logs_are_write_jsonl_of_swap_log_to_dict(self, sim_outputs, tmp_path):
+    # simulate streams its rows through the text encoders; each file is
+    # the plain dict encoding of extract_corpus's lists, labels as they are
+    def test_jsonl_files_are_write_jsonl_of_to_dict(self, sim_outputs, tmp_path):
         config, out = sim_outputs
         trace, _ = run(sim_config_from_dict(yaml.safe_load(config.read_text())))
+        corpus = extract_corpus(trace)
+        assert corpus.swap_logs and corpus.timelines
+        assert any(timeline.noisy_swaps for timeline in corpus.timelines)
         manifest = RunManifest(**json.loads((out / "manifest.json").read_text()))
-        expected = tmp_path / "expected.jsonl"
-        write_jsonl(str(expected), map(swap_log_to_dict, extract_corpus(trace).swap_logs), manifest)
-        assert (out / "swap_logs.jsonl").read_bytes() == expected.read_bytes()
+        for name, rows in (
+            ("swap_logs", map(swap_log_to_dict, corpus.swap_logs)),
+            ("records", map(record_to_dict, corpus.records)),
+            ("timelines", map(timeline_to_dict, corpus.timelines)),
+            ("labels", corpus.labels),
+        ):
+            expected = tmp_path / f"{name}.jsonl"
+            write_jsonl(str(expected), rows, manifest)
+            assert (out / f"{name}.jsonl").read_bytes() == expected.read_bytes(), name
 
     def test_missing_config_is_validation_error(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path / "x")]) == 1
@@ -600,6 +611,23 @@ class TestParams:
         assert main(["params", *argv, *extra]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    # each was ignored, even out of range, and the direct numbers printed
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["--theta", "5"], "--theta"),
+            (["--percentile", "500"], "--percentile"),
+            (["--theta", "1", "--percentile", "95"], "--theta, --percentile"),
+        ],
+        ids=["theta", "percentile", "both"],
+    )
+    def test_estimation_flag_in_direct_mode_is_validation_error(self, capsys, argv, flags):
+        direct = ["--q", "0.5", "--p", "0.5", "--r-plus", "1/100", "--r-minus=-1/100"]
+        assert main(["params", *direct, *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flags} can only be used with --timelines\n"
+
     # r- read as -3.0000% from "3/-100"
     @pytest.mark.parametrize(
         "flag, value",
@@ -733,6 +761,8 @@ class TestAnalyze:
             (PRICES_CSV + "DAI\n", 4, "TypeError: "),
             # the later row won
             (PRICES_CSV + "WETH,2900,18,\n", 4, "ValueError: token_id 'WETH' is priced twice"),
+            # a token named '' was priced
+            (PRICES_CSV + ",5,18,2024-01-01\n", 4, "ValueError: empty token_id"),
         ],
     )
     def test_bad_price_row_names_file_and_line(

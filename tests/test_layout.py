@@ -6,6 +6,7 @@ that perfbench/ uses exists."""
 import ast
 import dataclasses
 import importlib
+import json
 import pkgutil
 import tracemalloc
 from fractions import Fraction
@@ -25,6 +26,7 @@ from sandwichlab.bridge import (
     extract_corpus,
     run,
 )
+from sandwichlab.cli import main
 from sandwichlab.detector import Classification, SandwichPair
 from test_ingest import small_sim_config
 
@@ -141,6 +143,35 @@ def estimate_grid_config() -> SimConfig:
     )
 
 
+def busy_like_config() -> dict:
+    """The busy-2pool benchmark shape cut to 1,200 s: two fee-bearing
+    pools, one victim per second, the attacker on (1,249 victims, whose
+    windows hold 53 swaps on average)."""
+
+    def pool(token_x: str, token_y: str, fee: str, byte: str) -> dict:
+        return {
+            "token_x": token_x,
+            "token_y": token_y,
+            "reserve_x": str(10**21),
+            "reserve_y": str(3 * 10**21),
+            "fee": fee,
+            "address": "0x" + byte * 20,
+        }
+
+    return {
+        "seed": 11,
+        "horizon": 1200,
+        "victim_arrival_rate": 1.0,
+        "victim_size": {"family": "lognormal", "mu": 34.5, "sigma": 1.0},
+        "noise_arrival_rate": 0.01,
+        "attacker": {"enabled": True, "theta": "3/4"},
+        "pools": [
+            pool("WETH", "USDT", "30/10000", "11"),
+            pool("WBNB", "USDC", "25/10000", "22"),
+        ],
+    }
+
+
 class TestMemory:
     # Traced peak of run + extract_corpus per simulated victim. Slotted
     # records measured 4,144-4,432 B on CPython 3.10-3.13; records with an
@@ -159,6 +190,28 @@ class TestMemory:
             tracemalloc.stop()
         assert len(trace.victims) == 1019
         assert peak / len(trace.victims) <= self.BYTES_PER_VICTIM
+
+    # Traced peak of the CLI's simulate per victim on dense windows, where
+    # windows overlap: run, then every row built and written. Windows of
+    # copied (direction, amount) pairs, with the whole corpus listed
+    # before the writes, measured 5,178-5,458 B over four seeds on CPython
+    # 3.11 (5,395 in this test); windows of references to the trace's
+    # events, with rows streamed into the files, 3,082-3,144 B (3,585 as
+    # the first run in an interpreter).
+    DENSE_BYTES_PER_VICTIM = 4_400
+
+    def test_dense_window_simulate_peak_per_victim(self, tmp_path):
+        config, out = tmp_path / "config.yaml", tmp_path / "sim"
+        config.write_text(json.dumps(busy_like_config()))  # JSON is YAML
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        victims = json.loads((out / "metrics.json").read_text())["victims_total"]
+        assert victims == 1249
+        assert peak / victims <= self.DENSE_BYTES_PER_VICTIM
 
 
 class TestDetectorRows:
