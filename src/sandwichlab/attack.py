@@ -247,10 +247,12 @@ def optimal_frontrun_for_timeline(
 
 
 def noise_params_and_rates(
-    timelines: Sequence[PoolTimeline], theta: Fraction = Fraction(1)
+    timelines: Iterable[PoolTimeline], theta: Fraction = Fraction(1)
 ) -> tuple[NoiseParams, list[Fraction]]:
     """Empirical (q, p) and the profit-rate samples of a corpus of pool
     timelines, sizing and replaying each timeline at most once.
+    timelines is read once, in order, so it may be a stream: only the
+    counts and the samples are kept. No timelines raise EmptyInput.
 
     q is the fraction of empty noise windows. p is measured over the
     non-empty windows by replaying the attacker's optimal front-run:
@@ -259,11 +261,10 @@ def noise_params_and_rates(
     the attacker front-runs at theta yields one rate sample,
     (back-run out - front-run in) / front-run in, in corpus order.
     """
-    if not timelines:
-        raise EmptyInput("no timelines")
-    noisy = non_loss = 0
+    count = noisy = non_loss = 0
     rates = []
     for timeline in timelines:
+        count += 1
         frontrun_in = optimal_frontrun_for_timeline(timeline, theta)
         if not (timeline.noisy_swaps or frontrun_in):
             continue
@@ -274,7 +275,9 @@ def noise_params_and_rates(
                 non_loss += 1
         if frontrun_in:
             rates.append(Fraction(recovered - frontrun_in, frontrun_in))
-    q = Fraction(len(timelines) - noisy, len(timelines))
+    if not count:
+        raise EmptyInput("no timelines")
+    q = Fraction(count - noisy, count)
     p = Fraction(non_loss, noisy) if noisy else None
     return NoiseParams(q=q, p=p), rates
 

@@ -238,12 +238,9 @@ def cmd_detect(args) -> int:
         if args.config
         else detector.DetectionConfig()
     )
-    records = ingest.decode_jsonl(args.records, ingest.record_from_dict)
-    logs = ingest.decode_jsonl(args.logs, ingest.swap_log_from_dict)
-    try:
-        logs_by_pool = detector.group_logs(logs)
-    except detector.MalformedData as exc:
-        raise ValidationFailure(f"{args.logs}: {exc}") from None
+    # every record is read, and checked, before --out is made
+    records = list(ingest.iter_records(args.records))
+    logs_by_pool = detector.group_logs(ingest.iter_swap_logs(args.logs), f"{args.logs}: ")
 
     kept = detector.prefilter(records, cfg)
 
@@ -287,11 +284,13 @@ def cmd_params(args) -> int:
         percentile = _fraction(percentile_text)
         if not 0 < percentile <= 100:
             raise ValidationFailure(f"--percentile must be in (0, 100], got {percentile_text}")
-        timelines = ingest.decode_jsonl(args.timelines, ingest.timeline_from_dict)
-        if not timelines:
-            raise ValidationFailure(f"no timelines in {args.timelines}")
+        # one timeline at a time: each is decoded, replayed and dropped
+        # before the next is read
+        timelines = ingest.iter_decoded(args.timelines, ingest.timeline_from_dict)
         try:
             params, rate_samples = attack.noise_params_and_rates(timelines, theta)
+        except attack.EmptyInput:
+            raise ValidationFailure(f"no timelines in {args.timelines}") from None
         except amm.Overflow as exc:
             raise ValidationFailure(
                 f"{args.timelines}: replaying a timeline overflows: {exc}"
@@ -350,18 +349,16 @@ def _detect_horizon(pairs_path: str) -> int:
 
 def cmd_analyze(args) -> int:
     num_blocks = _detect_horizon(args.pairs)
-    records = (
-        ingest.decode_jsonl(args.records, ingest.record_from_dict) if args.records else []
-    )
     prices = detector.PriceTable.from_csv(args.prices)
-    # One row at a time: each pair is decoded, priced and folded into the
-    # report before the next is read, so memory follows the distinct swap
-    # logs (iter_pairs decodes each text once) and the records, not the
-    # number of pairs.
+    # One row at a time: aggregate reads the records first and keeps
+    # each one's id and chain pair; then each pair is decoded, priced and
+    # folded into the report before the next is read. Memory follows the
+    # distinct swap logs (iter_pairs decodes each text once) and the
+    # record ids, not the number of pairs.
     missing: set[str] = set()
     report = detector.aggregate(
         ingest.iter_pairs(args.pairs),
-        records,
+        ingest.iter_records(args.records) if args.records else (),
         num_blocks,
         usd=lambda pair: detector.pair_profit(pair, prices, missing)[1],
     )

@@ -260,10 +260,11 @@ def _victim_index(logs: Sequence[SwapLog], tx_hash: str, block_hint: int) -> int
     return -1
 
 
-def group_logs(logs: Iterable[SwapLog]) -> dict[str, list[SwapLog]]:
+def group_logs(logs: Iterable[SwapLog], where: str = "") -> dict[str, list[SwapLog]]:
     """The logs_by_pool that detect_pairs takes: each pool's logs sorted
-    by position. Two logs at one position, or a timestamp that decreases
-    along that order, raise MalformedData: detect_pairs places fronts
+    by position. logs is read once, so it may be a stream. Two logs at
+    one position, or a timestamp that decreases along that order, raise
+    MalformedData, its message led by where: detect_pairs places fronts
     and backs by position and bisects on timestamps."""
     logs_by_pool: dict[str, list[SwapLog]] = {}
     for log in logs:
@@ -272,10 +273,10 @@ def group_logs(logs: Iterable[SwapLog]) -> dict[str, list[SwapLog]]:
         pool_logs.sort(key=SwapLog.position)
         for earlier, later in zip(pool_logs, pool_logs[1:]):
             if later.log_index == earlier.log_index and later.block_number == earlier.block_number:
-                raise MalformedData(f"pool {pool}: two logs at {later.position()}")
+                raise MalformedData(f"{where}pool {pool}: two logs at {later.position()}")
             if later.timestamp < earlier.timestamp:
                 raise MalformedData(
-                    f"pool {pool}: timestamp decreases from "
+                    f"{where}pool {pool}: timestamp decreases from "
                     f"{earlier.position()} to {later.position()}"
                 )
     return logs_by_pool
@@ -512,17 +513,18 @@ class Report:
 
 def aggregate(
     pairs: Iterable[SandwichPair],
-    records: Sequence[CrossChainTx],
+    records: Iterable[CrossChainTx],
     num_blocks: int = 100,
     usd: Callable[[SandwichPair], Optional[Decimal]] = attrgetter("profit_usd"),
 ) -> Report:
     """Corpus-level rollup: per chain-pair profit, per-pool attack
     counts, relative-position histograms, gas-price statistics, and the
     single- vs cross-chain split. Cross-chain profit totals exclude
-    same-block (single-chain-classified) pairs. pairs is read once, in
-    order, so it may be an iterator. usd gives a pair's USD profit
-    (None when unknown); by default its profit_usd, as classify_and_price
-    sets it."""
+    same-block (single-chain-classified) pairs. records is read once,
+    in full, before the first pair, and pairs is read once, in order, so
+    either may be an iterator: only each record's id and its chain pair
+    are kept. usd gives a pair's USD profit (None when unknown); by
+    default its profit_usd, as classify_and_price sets it."""
     report = Report()
     chain_keys = {
         record.record_id: f"{record.src_chain_id}->{record.dst_chain_id}"

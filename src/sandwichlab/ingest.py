@@ -16,6 +16,7 @@ import re
 from dataclasses import asdict, dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import __version__
@@ -130,7 +131,10 @@ def _unknown_key(data: dict, cls: type) -> TypeError:
 # the rest are unknown keys.
 
 
-def swap_log_from_dict(data: dict) -> SwapLog:
+def swap_log_from_dict(data: dict, strings: Optional[dict[str, str]] = None) -> SwapLog:
+    """One swap_logs.jsonl row. Given strings, the memo of one read, the
+    pool address, sender and recipient are taken from it when an equal
+    string is there, and put in it when not."""
     # detect sorts on the position and bisects on the timestamp, which a
     # string or a bool would break or silently mis-order
     block_number = _typed(data, "block_number", int)
@@ -141,6 +145,10 @@ def swap_log_from_dict(data: dict) -> SwapLog:
     pool_address = _typed(data, "pool_address", str)
     sender = _typed(data, "sender", str)
     recipient = _typed(data, "recipient", str)
+    if strings is not None:
+        pool_address = strings.setdefault(pool_address, pool_address)
+        sender = strings.setdefault(sender, sender)
+        recipient = strings.setdefault(recipient, recipient)
     # analyze divides by the front's token_in_amount
     token_in_amount = _uint256(data, "token_in_amount", 1)
     token_out_amount = _uint256(data, "token_out_amount")
@@ -181,10 +189,14 @@ def record_to_dict(record: CrossChainTx) -> dict:
     }
 
 
-def _hop_from_dict(data: dict) -> VictimHop:
+def _hop_from_dict(data: dict, strings: Optional[dict[str, str]]) -> VictimHop:
     pool_address = _typed(data, "pool_address", str)
     token_in = _typed(data, "token_in", str)
     token_out = _typed(data, "token_out", str)
+    if strings is not None:
+        pool_address = strings.setdefault(pool_address, pool_address)
+        token_in = strings.setdefault(token_in, token_in)
+        token_out = strings.setdefault(token_out, token_out)
     direction = _direction(data["direction"])
     amount_in = _uint256(data, "amount_in")
     amount_out = _uint256(data, "amount_out")
@@ -196,7 +208,9 @@ def _hop_from_dict(data: dict) -> VictimHop:
     )
 
 
-def record_from_dict(data: dict) -> CrossChainTx:
+def record_from_dict(data: dict, strings: Optional[dict[str, str]] = None) -> CrossChainTx:
+    """One records.jsonl row; each hop's pool address and tokens are
+    shared through strings as swap_log_from_dict shares its own."""
     src_chain_id = _typed(data, "src_chain_id", int)
     src_block_number = _typed(data, "src_block_number", int)
     dst_chain_id = _typed(data, "dst_chain_id", int)
@@ -207,7 +221,7 @@ def record_from_dict(data: dict) -> CrossChainTx:
     src_tx_hash = _typed(data, "src_tx_hash", str)
     dst_tx_hash = _typed(data, "dst_tx_hash", str)
     dst_gas_price = _uint256(data, "dst_gas_price")
-    hops = tuple(map(_hop_from_dict, data["hops"]))
+    hops = tuple([_hop_from_dict(hop, strings) for hop in data["hops"]])
     if len(data) > len(CrossChainTx.__match_args__):
         raise _unknown_key(data, CrossChainTx)
     return CrossChainTx(
@@ -604,9 +618,32 @@ def iter_decoded(path: str, decode: Callable[[dict], object]) -> Iterator:
         yield _decoded(path, number, line, decode)
 
 
-def decode_jsonl(path: str, decode: Callable[[dict], object]) -> list:
-    """Every row of a JSONL file, decoded: list(iter_decoded(...))."""
-    return list(iter_decoded(path, decode))
+# Each reader below, and iter_pairs, owns one memo of strings for its
+# read, and the decoders share equal addresses and tokens through it: a
+# few hundred distinct strings stand for every row's copies, and the
+# memo goes with the read. sys.intern would keep them for the life of
+# the process.
+
+
+def iter_swap_logs(path: str) -> Iterator[SwapLog]:
+    """iter_decoded(path, swap_log_from_dict), the rows' equal strings
+    shared."""
+    return iter_decoded(path, partial(swap_log_from_dict, strings={}))
+
+
+def iter_records(path: str) -> Iterator[CrossChainTx]:
+    """iter_decoded(path, record_from_dict), the rows' equal strings
+    shared. A record_id that an earlier row holds raises MalformedData
+    naming the file, the line and the id: detect would write the
+    record's pairs twice, and analyze count them twice."""
+    decode = partial(record_from_dict, strings={})
+    seen: set[str] = set()
+    for number, line in _numbered_lines(path):
+        record = _decoded(path, number, line, decode)
+        if record.record_id in seen:
+            raise MalformedData(f"{path}:{number}: duplicate record_id {record.record_id!r}")
+        seen.add(record.record_id)
+        yield record
 
 
 # the text of _pair_line around its three swap-log texts and its two
@@ -694,14 +731,16 @@ def iter_pairs(path: str) -> Iterator[SandwichPair]:
     fields back to the same runs. Every other row (other spacing or key
     order, 15 for 15.0, duplicate keys, a bad value) goes through
     json.loads and pair_from_dict. Equal texts give one shared SwapLog,
-    so memory follows the distinct log texts, not the number of pairs."""
+    so memory follows the distinct log texts, not the number of pairs,
+    and those logs share equal strings as in iter_swap_logs."""
     logs: dict[str, SwapLog] = {}
     owns: dict[tuple[str, str], SandwichPair] = {}
+    strings: dict[str, str] = {}
 
     def log(text: str) -> SwapLog:
         found = logs.get(text)
         if found is None:
-            found = swap_log_from_dict(json.loads(text))
+            found = swap_log_from_dict(json.loads(text), strings)
             if swap_log_text(found) != text:
                 raise ValueError("not a canonical swap-log text")
             logs[text] = found

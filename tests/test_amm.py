@@ -26,6 +26,7 @@ from sandwichlab.amm import (
     largest_frontrun_for_min_out,
     min_out_from_tolerance,
     quote_output,
+    swap_output,
 )
 from sandwichlab.attack import frontrun_size, optimal_frontrun_for_timeline, replay_timeline
 from sandwichlab.selftest import FrontrunCase, make_timeline
@@ -107,6 +108,35 @@ class TestQuote:
     def test_input_past_256_bits_raises(self):
         with pytest.raises(Overflow):
             quote_output(make_pool(10, 10), Direction.X_FOR_Y, MAX_AMOUNT + 1)
+
+
+class TestBoundaries:
+    """Each 256-bit and rate bound at its edge: the largest value it
+    admits passes, and the next one fails."""
+
+    def test_largest_amount_is_two_to_the_256_less_one(self):
+        assert make_pool(MAX_AMOUNT, MAX_AMOUNT).reserve_x == 2**256 - 1
+        with pytest.raises(Overflow):
+            make_pool(2**256, 10)
+        with pytest.raises(Overflow):
+            SwapRequest(Direction.X_FOR_Y, 1, min_out=2**256)
+
+    def test_amount_of_max_amount_passes(self):
+        request = SwapRequest(Direction.X_FOR_Y, MAX_AMOUNT, min_out=MAX_AMOUNT)
+        assert (request.amount_in, request.min_out) == (MAX_AMOUNT, MAX_AMOUNT)
+
+    def test_updated_reserve_of_max_amount_passes(self):
+        assert swap_output(MAX_AMOUNT - 5, 10, 1, 1, 5) == 0
+        assert quote_output(make_pool(MAX_AMOUNT - 5, 10), Direction.X_FOR_Y, 5) == 0
+        with pytest.raises(Overflow):
+            swap_output(MAX_AMOUNT - 5, 10, 1, 1, 6)
+
+    def test_open_lower_rate_bound_rejects_zero(self):
+        with pytest.raises(ValueError, match="tolerance out of range: 0"):
+            min_out_from_tolerance(100, Fraction(0))
+        assert min_out_from_tolerance(100, Fraction(1, 10**18)) == 100
+        # the fee's lower bound is closed
+        assert make_pool(10, 10, Fraction(0)).fee == 0
 
 
 def validated(pool):

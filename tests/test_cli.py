@@ -952,8 +952,8 @@ class TestDetectStreams:
 
 
 class TestAnalyzeStreams:
-    """analyze reads pairs.jsonl one row at a time after the records and
-    the price table, and writes nothing until the last row is read."""
+    """analyze reads the price table, then the records, then pairs.jsonl
+    one row at a time, and writes nothing until the last row is read."""
 
     @pytest.fixture()
     def detected(self, sim_outputs, tmp_path):
@@ -1011,6 +1011,24 @@ class TestAnalyzeStreams:
         argv = ["analyze", "--pairs", str(pairs), "--prices", str(prices)]
         assert main([*argv, "--out", str(tmp_path / "rep")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {prices}:3: ValueError: usd_price")
+
+    def test_records_are_read_between_price_table_and_pairs(
+        self, detected, sim_outputs, tmp_path, capsys
+    ):
+        pairs, prices = detected
+        _, sim = sim_outputs
+        self.break_last_row(pairs)
+        header, *rows = (sim / "records.jsonl").read_text().splitlines()
+        records = tmp_path / "records.jsonl"
+        records.write_text("\n".join([header, "not json", *rows]) + "\n")
+        argv = ["analyze", "--pairs", str(pairs), "--prices", str(prices), "--records", str(records)]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "rep")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {records}:2: invalid JSON")
+        prices.write_text(PRICES_CSV.replace("USDT,1,", "USDT,one,"))
+        assert main([*argv, "--out", str(tmp_path / "rep")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {prices}:3: ValueError: usd_price")
+        assert not (tmp_path / "rep").exists()
 
     def test_peak_heap_does_not_grow_with_pairs(self, tmp_path):
         """N and 4N rows that embed the same six swap logs: the traced
@@ -1075,6 +1093,50 @@ class TestAnalyzeStreams:
         rows = 1_000
         peak(rows, "warm-up")  # one-time imports and caches
         small, large = peak(rows, "small"), peak(4 * rows, "large")
+        assert large <= 1.25 * small, (small, large)
+
+
+class TestParamsStreams:
+    """params replays each timeline as it is read and keeps only the
+    counts and the rate samples."""
+
+    def test_peak_heap_does_not_grow_with_timelines(self, tmp_path):
+        """N and 4N timelines, each with a window of 50 noise swaps. Only
+        the first is attackable, so one rate sample is kept whatever N
+        is. The traced peak of an in-process params may grow by at most a
+        quarter from N to 4N. Calibration, N = 200: a params that decoded
+        every timeline first grew it 4.2-fold (1.09 MB to 4.52 MB), a
+        streaming one by 6% (67 KB to 71 KB)."""
+        import tracemalloc
+
+        from sandwichlab.amm import min_out_from_tolerance, quote_output
+
+        pool = Pool("WETH", "USDT", 10**21, 3 * 10**21, Fraction(30, 10_000), "0x" + "11" * 20)
+        amount = 10**18
+        quote = quote_output(pool, Direction.X_FOR_Y, amount)
+        noise = tuple((Direction(("x_for_y", "y_for_x")[i % 2]), 10**16 + i) for i in range(50))
+
+        def timeline(min_out: int) -> PoolTimeline:
+            victim = SwapRequest(Direction.X_FOR_Y, amount, min_out, "0x" + "aa" * 20, "0x" + "aa" * 20)
+            return PoolTimeline(pool, noise, victim, Fraction(1, 100))
+
+        attackable = timeline(min_out_from_tolerance(quote, Fraction(1, 100)))
+        no_room = timeline(quote)  # no buffer above min_out: no front-run
+        assert attack.optimal_frontrun_for_timeline(no_room) == 0
+
+        def peak(count: int, run: str) -> int:
+            path = tmp_path / f"{run}.jsonl"
+            write_jsonl(str(path), map(timeline_to_dict, [attackable, *[no_room] * (count - 1)]))
+            tracemalloc.start()
+            try:
+                assert main(["params", "--timelines", str(path)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        count = 200
+        peak(count, "warm-up")  # one-time imports and caches
+        small, large = peak(count, "small"), peak(4 * count, "large")
         assert large <= 1.25 * small, (small, large)
 
 
@@ -1192,6 +1254,32 @@ class TestMalformedRows:
         with pytest.raises(MalformedData, match=re.escape(f"{bad}:3: ")):
             args.func(args)
         assert not (tmp_path / "out").exists()
+
+    # detect wrote a repeated record's pairs twice, and analyze counted
+    # them twice, both with exit 0
+    @pytest.mark.parametrize("command", ["detect", "analyze"])
+    def test_repeated_record_id_names_file_line_and_id(self, sim_outputs, tmp_path, capsys, command):
+        _, sim = sim_outputs
+        logs = ["--logs", str(sim / "swap_logs.jsonl")]
+        det = tmp_path / "det"
+        assert main(["detect", "--records", str(sim / "records.jsonl"), *logs, "--out", str(det)]) == 0
+        lines = (sim / "records.jsonl").read_text().splitlines()
+        bad = tmp_path / "records.jsonl"
+        bad.write_text("\n".join([*lines, lines[-1]]) + "\n")
+        prices = tmp_path / "prices.csv"
+        prices.write_text(PRICES_CSV)
+        argv = {
+            "detect": ["detect", *logs],
+            "analyze": ["analyze", "--pairs", str(det / "pairs.jsonl"), "--prices", str(prices)],
+        }[command]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([*argv, "--records", str(bad), "--out", str(out)]) == 1
+        record_id = json.loads(lines[-1])["record_id"]
+        assert capsys.readouterr().err == (
+            f"error: {bad}:{len(lines) + 1}: duplicate record_id {record_id!r}\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key",

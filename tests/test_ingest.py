@@ -19,10 +19,11 @@ from sandwichlab.ingest import (
     MalformedData,
     RunManifest,
     _fraction_from_str,
-    decode_jsonl,
     file_digest,
     iter_decoded,
     iter_pairs,
+    iter_records,
+    iter_swap_logs,
     label_text,
     pair_from_dict,
     pair_to_dict,
@@ -163,7 +164,7 @@ class TestCodecRoundTrips:
         path = str(tmp_path / "timelines.jsonl")
         write_jsonl(path, [timeline_to_dict(timeline), row], RunManifest(command="simulate"))
         with pytest.raises(MalformedData, match=rf"^{re.escape(path)}:3: \w+: .*{key}"):
-            decode_jsonl(path, timeline_from_dict)
+            list(iter_decoded(path, timeline_from_dict))
 
     @pytest.mark.parametrize(
         "entry, error",
@@ -997,7 +998,56 @@ def _through_file(rows, decode):
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp, "rows.jsonl"))
         write_jsonl(path, rows, RunManifest(command="simulate"))
-        return decode_jsonl(path, decode)
+        return list(iter_decoded(path, decode))
+
+
+class TestReadersShareStrings:
+    """iter_swap_logs and iter_records give equal addresses and tokens
+    one str object within a read, and share nothing else: a memo keyed
+    by value would turn 15 into 15.0, or true into 1."""
+
+    def test_equal_log_strings_are_one_object_within_a_read(self, tmp_path):
+        path = tmp_path / "logs.jsonl"
+        logs = [replace(SWAP_LOG, log_index=i, timestamp=t) for i, t in enumerate([15, 15.0])]
+        write_lines(str(path), map(swap_log_text, logs))
+        first, second = iter_swap_logs(str(path))
+        assert (first, second) == tuple(logs)
+        assert first.pool_address is second.pool_address
+        assert first.sender is first.recipient is second.sender is second.recipient
+        assert (type(first.timestamp), type(second.timestamp)) == (int, float)
+        assert list(map(swap_log_text, (first, second))) == path.read_text().splitlines()
+        # each read has its own memo, and a plain decode shares nothing
+        assert next(iter_swap_logs(str(path))).pool_address is not first.pool_address
+        plain = list(iter_decoded(str(path), swap_log_from_dict))
+        assert plain[0].pool_address is not plain[1].pool_address
+
+    def test_equal_hop_strings_are_one_object_within_a_read(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        records = [_INT_TIME_RECORD, replace(_INT_TIME_RECORD, record_id="rec-2", dst_timestamp=72.0)]
+        write_lines(str(path), map(record_text, records))
+        first, second = iter_records(str(path))
+        assert [first, second] == records
+        hops = [*first.hops, *second.hops]
+        for name in ("pool_address", "token_in", "token_out"):
+            assert len({id(getattr(hop, name)) for hop in hops}) == 1
+        assert (type(first.dst_timestamp), type(second.dst_timestamp)) == (int, float)
+        assert list(map(record_text, (first, second))) == path.read_text().splitlines()
+
+    def test_true_after_one_is_still_rejected(self, tmp_path):
+        path = tmp_path / "logs.jsonl"
+        row = swap_log_to_dict(replace(SWAP_LOG, gas_price=1))
+        lines = [json.dumps(row), json.dumps({**row, "log_index": 2, "gas_price": True})]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedData, match=rf"{re.escape(str(path))}:2: TypeError: gas_price"):
+            list(iter_swap_logs(str(path)))
+
+    def test_repeated_record_id_names_file_line_and_id(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        other = replace(_INT_TIME_RECORD, record_id="rec-2")
+        write_lines(str(path), map(record_text, [_INT_TIME_RECORD, other, _INT_TIME_RECORD]))
+        with pytest.raises(MalformedData) as raised:
+            list(iter_records(str(path)))
+        assert str(raised.value) == f"{path}:3: duplicate record_id 'rec-1'"
 
 
 class TestCodecProperties:
@@ -1160,7 +1210,7 @@ _CHECKED_FIELDS = {
 
 
 def _read_all(decode):
-    return lambda path: decode_jsonl(path, decode)
+    return lambda path: list(iter_decoded(path, decode))
 
 
 _CODECS = {
