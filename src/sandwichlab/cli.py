@@ -6,6 +6,10 @@ and logs), params (estimate or evaluate the attack-model parameters),
 analyze (aggregate detected pairs into a report), selftest (cross-check
 the fast implementations against their reference oracles).
 
+Only simulate loads the simulator (sandwichlab.bridge), and only
+simulate and detect --config load PyYAML: detect, params and analyze
+start without either.
+
 Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
 
@@ -16,7 +20,6 @@ import csv
 import json
 import math
 import os
-import random
 import re
 import sys
 from dataclasses import asdict
@@ -24,9 +27,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-import yaml
-
-from . import __version__, amm, attack, bridge, detector, ingest
+# bridge, random and yaml are imported in the functions that use them
+from . import __version__, amm, attack, detector, ingest
 
 
 class ValidationFailure(ValueError):
@@ -64,6 +66,10 @@ def _fraction(value) -> Fraction:
 
 
 def _dist(data) -> bridge.DistSpec:
+    import random
+
+    from . import bridge
+
     if isinstance(data, (int, float)):
         return bridge.DistSpec("fixed", {"value": float(data)})
     spec = bridge.DistSpec.from_dict(data)
@@ -84,8 +90,10 @@ _DIST_KEYS = (
 
 def sim_config_from_dict(data: dict) -> bridge.SimConfig:
     """Build a SimConfig from a parsed YAML document. A key that is not
-    a SimConfig field (or an AttackerConfig/BotConfig field inside
-    ``attacker``/``bot``) is a validation error."""
+    a SimConfig field (or an AttackerConfig/BotConfig/Pool field inside
+    ``attacker``/``bot``/a ``pools`` entry) is a validation error."""
+    from . import bridge
+
     kwargs: dict = {}
     try:
         for key, value in data.items():
@@ -155,6 +163,8 @@ def detection_config_from_dict(data: dict) -> detector.DetectionConfig:
 
 
 def _load_yaml(path: str) -> dict:
+    import yaml
+
     with open(path) as handle:
         try:
             data = yaml.safe_load(handle)
@@ -186,10 +196,15 @@ def _write_json(path: Path, data: dict) -> None:
 def cmd_simulate(args) -> int:
     if not args.config:
         raise ValidationFailure("simulate requires --config")
+    from . import bridge
+
     raw = _load_yaml(args.config)
     config = sim_config_from_dict(raw)
     try:
         trace, metrics = bridge.run(config)
+    except bridge.InvalidConfig as exc:
+        # a config that builds but cannot run: two pools at one address
+        raise ValidationFailure(str(exc)) from None
     except amm.Overflow as exc:
         # a sampled swap amount past 256 bits: the config's distributions
         # are checked only by sampling them once
@@ -444,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # bad input, reported as "error: ..." with exit 1; any other exception
 # is a bug and keeps its traceback
-_INPUT_ERRORS = (ValidationFailure, bridge.InvalidConfig, ingest.MalformedData, attack.EmptyInput)
+_INPUT_ERRORS = (ValidationFailure, ingest.MalformedData, attack.EmptyInput)
 
 
 # argparse reads "-3/100" after a space as an option, not as a value

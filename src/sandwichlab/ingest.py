@@ -20,7 +20,16 @@ from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import __version__
-from .amm import MAX_AMOUNT, AmmError, Direction, Pool, SwapRequest, _check_amount, _check_rate
+from .amm import (
+    MAX_AMOUNT,
+    AmmError,
+    Direction,
+    Pool,
+    PoolProtocol,
+    SwapRequest,
+    _check_amount,
+    _check_rate,
+)
 from .attack import PoolTimeline
 from .detector import (
     Classification,
@@ -254,10 +263,15 @@ def pool_to_dict(pool: Pool) -> dict:
     }
 
 
-def pool_from_dict(data: dict) -> Pool:
-    from .amm import PoolProtocol
+_POOL_KEYS = frozenset(Pool.__match_args__)
 
+
+def pool_from_dict(data: dict) -> Pool:
+    """A timeline's pool, or a pool of a simulate config; protocol may
+    be left out, and any key that is not a Pool field is an error."""
     _require(data, ("token_x", "token_y", "address"), str)
+    if not _POOL_KEYS.issuperset(data):
+        raise _unknown_key(data, Pool)
     return Pool(
         token_x=data["token_x"],
         token_y=data["token_y"],
@@ -300,6 +314,8 @@ def _noisy_swap(entry) -> tuple[Direction, int]:
 def timeline_from_dict(data: dict) -> PoolTimeline:
     victim = data["victim"]
     _require(victim, ("sender", "recipient"), str)
+    if len(victim) > len(SwapRequest.__match_args__):
+        raise _unknown_key(victim, SwapRequest)
     request = SwapRequest(
         direction=Direction(victim["direction"]),
         amount_in=_amount("amount_in", victim["amount_in"]),
@@ -311,6 +327,8 @@ def timeline_from_dict(data: dict) -> PoolTimeline:
     noisy_swaps = tuple(map(_noisy_swap, data["noisy_swaps"]))
     tolerance = _fraction_from_str(data["victim_tolerance"])
     _check_rate("victim_tolerance", tolerance)
+    if len(data) > len(PoolTimeline.__match_args__):
+        raise _unknown_key(data, PoolTimeline)
     try:
         return PoolTimeline(pool, noisy_swaps, request, tolerance)
     except (TypeError, ValueError, AmmError) as exc:

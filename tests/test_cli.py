@@ -159,15 +159,28 @@ class TestSimulate:
             (None, "victim_arival_rate", 5),  # misspelt key, silently ignored before
             (None, "relayer_count", 3),  # removed key
             ("attacker", "thetaa", 1),  # misspelt nested key, a TypeError before
+            ("pools", "fees", "25/10000"),  # misspelt pool key, silently ignored before
         ],
     )
     def test_unknown_key_is_validation_error(self, tmp_path, capsys, section, key, value):
         data = yaml.safe_load(CONFIG_YAML)
-        (data if section is None else data[section])[key] = value
+        target = data if section is None else data[section]
+        (target[0] if section == "pools" else target)[key] = value
         config = tmp_path / "config.yaml"
         config.write_text(yaml.safe_dump(data))
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
         assert key in capsys.readouterr().err
+
+    # the config builds, and bridge.run rejects it
+    def test_duplicate_pool_addresses_is_validation_error(self, tmp_path, capsys):
+        data = yaml.safe_load(CONFIG_YAML)
+        data["pools"].append({**data["pools"][0], "token_y": "USDC"})
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(data))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: duplicate pool addresses\n"
+        assert not out.exists()
 
     def test_zero_denominator_theta_is_validation_error(self, tmp_path, capsys):
         data = yaml.safe_load(CONFIG_YAML)
@@ -543,6 +556,22 @@ class TestParams:
         bad.write_text("\n".join([header, json.dumps(row), *rest]) + "\n")
         assert main(["params", "--timelines", str(bad)]) == 1
         assert re.match(rf"error: {re.escape(str(bad))}:2: ValueError: ", capsys.readouterr().err)
+
+    # each extra key was ignored, and params exited 0
+    @pytest.mark.parametrize(
+        "where, cls", [(None, "PoolTimeline"), ("victim", "SwapRequest"), ("pool", "Pool")]
+    )
+    def test_unknown_timeline_key_names_file_and_line(
+        self, sim_outputs, tmp_path, capsys, where, cls
+    ):
+        _, sim = sim_outputs
+        header, first, *rest = (sim / "timelines.jsonl").read_text().splitlines()
+        row = json.loads(first)
+        (row if where is None else row[where])["extra"] = 1
+        bad = tmp_path / "timelines.jsonl"
+        bad.write_text("\n".join([header, json.dumps(row), *rest]) + "\n")
+        assert main(["params", "--timelines", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}:2: TypeError: {cls} has no field 'extra'\n"
 
     @pytest.mark.parametrize("flag, value", [("--theta", "3/0"), ("--percentile", "1/0"), ("--theta", "x")])
     def test_bad_fraction_flag_is_validation_error(self, sim_outputs, capsys, flag, value):
@@ -1218,6 +1247,49 @@ class TestSelftest:
         done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         assert done.stdout.count("PASS  ") == 3
+
+
+# One stage run as python -m runs it, in a fresh interpreter that cannot
+# import PyYAML. The last stderr line is [exit code, the simulate and
+# selftest modules loaded].
+_FRESH_STAGE = """\
+import json, runpy, sys
+sys.modules["yaml"] = None
+sys.argv = ["sandwichlab", *json.loads(sys.argv[1])]
+try:
+    runpy.run_module("sandwichlab.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+names = ("sandwichlab.bridge", "yaml", "sandwichlab.selftest")
+loaded = [name for name in names if sys.modules.get(name) is not None]
+print(json.dumps([code, loaded]), file=sys.stderr)
+"""
+
+
+class TestStageImports:
+    # detect, analyze and params loaded the simulator and PyYAML
+    def test_reading_stages_load_neither_simulator_nor_yaml(self, sim_outputs, tmp_path, capsys):
+        _, sim = sim_outputs
+        prices = tmp_path / "prices.csv"
+        prices.write_text(PRICES_CSV)
+        det = tmp_path / "det"
+        records, logs = str(sim / "records.jsonl"), str(sim / "swap_logs.jsonl")
+        stages = [
+            ["detect", "--records", records, "--logs", logs, "--out", str(det)],
+            ["analyze", "--pairs", str(det / "pairs.jsonl"), "--prices", str(prices),
+             "--records", records, "--out", str(tmp_path / "rep")],
+            ["params", "--timelines", str(sim / "timelines.jsonl")],
+            ["params", "--q", "1/2", "--p", "1/2", "--r-plus", "1/100", "--r-minus", "-1/100"],
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        for argv in stages:
+            fresh = [sys.executable, "-c", _FRESH_STAGE, json.dumps(argv)]
+            done = subprocess.run(fresh, cwd=tmp_path, env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            assert json.loads(done.stderr.splitlines()[-1]) == [0, []], argv
+            capsys.readouterr()
+            assert main(argv) == 0
+            assert done.stdout == capsys.readouterr().out, argv
 
 
 class TestMalformedRows:

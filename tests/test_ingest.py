@@ -1250,17 +1250,17 @@ class TestDecodeFuzz:
                         replacement is not _DELETE and accepts(replacement)
                     ), f"{key_path}: {replacement!r} was read"
 
-    # timelines.jsonl rows ignore keys they do not have; that codec is
-    # left as it is, since ROADMAP item 3 deletes it
-    @pytest.mark.parametrize("name", ["records", "swap_logs"])
+    @pytest.mark.parametrize("name", ["records", "swap_logs", "timelines"])
     @settings(max_examples=5, deadline=None)
     @given(data=st.data())
     def test_extra_key_fails_as_malformed_data(self, name, data):
         objects, encode, read = _CODECS[name]
         good = json.loads(json.dumps(encode(data.draw(objects))))
-        # the row and each object inside it: a records row's hops
+        # the row and each object inside it: a records row's hops, a
+        # timeline's pool and victim
         key_paths = [(), *(path for path in _paths(good) if isinstance(_at(good, path), dict))]
-        assert len(key_paths) == (1 if name == "swap_logs" else 1 + len(good["hops"]))
+        nested = len(good["hops"]) if name == "records" else {"swap_logs": 0, "timelines": 2}[name]
+        assert len(key_paths) == 1 + nested
         with tempfile.TemporaryDirectory() as tmp:
             path = str(Path(tmp, f"{name}.jsonl"))
             for key_path in key_paths:
