@@ -48,6 +48,13 @@ def _check_uint(name: str, value: object) -> None:
         raise InvalidConfig(f"{name} must be an int in [0, 2**256 - 1], not {value!r}")
 
 
+def _check_bool(name: str, value: object) -> None:
+    """A switch from the config: a bool, so that the string "false" does
+    not switch an agent on."""
+    if type(value) is not bool:
+        raise InvalidConfig(f"{name} must be a bool, not {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class DistSpec:
     """A sampleable distribution: family plus parameters.
@@ -100,6 +107,9 @@ class AttackerConfig:
     gas_price: int = GWEI
 
     def __post_init__(self) -> None:
+        _check_bool("attacker.enabled", self.enabled)
+        _check_bool("uses_private_submission", self.uses_private_submission)
+        _check_bool("backrun_on_mempool", self.backrun_on_mempool)
         if not 0 < self.theta <= 1:
             raise InvalidConfig("theta must be in (0, 1]")
         if self.capital_limit is not None:
@@ -114,7 +124,9 @@ class BotConfig:
     min_profit: int = 0
 
     def __post_init__(self) -> None:
+        _check_bool("bot.enabled", self.enabled)
         _check_uint("gas_premium", self.gas_premium)
+        _check_uint("min_profit", self.min_profit)
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,6 +164,12 @@ class SimConfig:
     pools: tuple[Pool, ...] = ()
 
     def __post_init__(self) -> None:
+        # random.Random also takes a str or a float seed, and the chain
+        # ids are written into every log and record as they are
+        for name in ("seed", "src_chain_id", "dst_chain_id"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise InvalidConfig(f"{name} must be an int, not {value!r}")
         # a bool is an int to Python but not a duration or a rate; NaN
         # fails every comparison, and an infinite horizon never ends
         for name in ("horizon", "src_block_interval", "dst_block_interval"):
@@ -235,15 +253,16 @@ class VictimRecord:
     in a mempool when the run ended. ``attacker`` and ``bot`` stay None
     until that agent acts on this victim.
 
-    ``window`` and ``order`` are recorded as the run executes.
-    ``window`` is the noise window of an executed victim: the trace
-    events (not copies) of the swaps on its pool timestamped after
-    ``emit_time`` and executed before its own, oldest first, except its
-    own attacker front-run (the hypothesis, not noise); other victims'
-    attack traffic counts as noise. Its timeline's noisy_swaps are their
-    (direction, amount_in). ``order`` holds the labels of its legs (its
-    own swap, TA1/TA2, TB1/TB2) that did not revert, in execution
-    order."""
+    The window and ``order`` are recorded as the run executes.
+    ``window_start`` and ``window_stop`` place the noise window of an
+    executed victim as the range [start, stop) of positions in its
+    pool's list of executed swaps (``SimTrace.pool_swaps``): the swaps
+    timestamped after ``emit_time`` and executed before its own. Both
+    stay 0 when there are none, and for a victim that reverted or never
+    executed, so an empty window holds no object of its own.
+    ``SimTrace.noise_window`` reads it. ``order`` holds the labels of
+    its legs (its own swap, TA1/TA2, TB1/TB2) that did not revert, in
+    execution order."""
 
     victim_id: int
     pool_address: str
@@ -266,16 +285,32 @@ class VictimRecord:
     amount_out: int = 0
     attacker: Optional[Sandwich] = None
     bot: Optional[Sandwich] = None
-    window: tuple[TraceEvent, ...] = ()
+    window_start: int = 0
+    window_stop: int = 0
     order: tuple[TxLabel, ...] = ()
 
 
 @dataclass(slots=True)
 class SimTrace:
+    """A run's events, victims and final pools. ``pool_swaps`` holds
+    each pool's executed swaps (trace events, not copies) in execution
+    order, which the victims' windows index."""
+
     config: SimConfig
     events: list[TraceEvent] = field(default_factory=list)
     victims: dict[int, VictimRecord] = field(default_factory=dict)
     final_pools: dict[str, Pool] = field(default_factory=dict)
+    pool_swaps: dict[str, list[TraceEvent]] = field(default_factory=dict)
+
+    def noise_window(self, victim: VictimRecord) -> list[TraceEvent]:
+        """The noise window of ``victim``, oldest first: the swaps of its
+        pool in its window range, except its own attacker front-run (the
+        hypothesis, not noise); other victims' attack traffic counts as
+        noise. Its timeline's noisy_swaps are their (direction,
+        amount_in)."""
+        own_front = victim.attacker.front_hash if victim.attacker else None
+        swaps = self.pool_swaps[victim.pool_address][victim.window_start : victim.window_stop]
+        return [event for event in swaps if event.tx_hash != own_front]
 
 
 @dataclass(slots=True)
@@ -371,14 +406,6 @@ class _LivePool:
             self.reserve_x -= out
         self.snapshot = None
         return out
-
-    def window(self, after: float, skip: Optional[str]) -> tuple[TraceEvent, ...]:
-        """The events of the swaps executed here so far that are
-        timestamped after ``after``, oldest first, except ``skip``: a
-        slice of ``swaps``, so the trace's own events, not copies."""
-        swaps = self.swaps
-        start = bisect_right(swaps, after, key=_event_time)
-        return tuple(event for event in swaps[start:] if event.tx_hash != skip)
 
 
 _event_time = attrgetter("time")
@@ -675,8 +702,11 @@ class Simulation:
             victim.reverted = swap.reverted
             victim.amount_out = swap.amount_out
             if not swap.reverted:
-                own_front = victim.attacker.front_hash if victim.attacker else None
-                victim.window = live.window(victim.emit_time, own_front)
+                # the window: the swaps here so far timestamped after the commit
+                swaps = live.swaps
+                start = bisect_right(swaps, victim.emit_time, key=_event_time)
+                if start < len(swaps):
+                    victim.window_start, victim.window_stop = start, len(swaps)
             if self.config.attacker.enabled and not self.config.attacker.backrun_on_mempool:
                 self._attacker_backrun(victim, self.config.attacker.gas_price)
             return
@@ -709,6 +739,7 @@ class Simulation:
             time, _, handler, args = heapq.heappop(self.queue)
             handler(time, *args)
         self.trace.final_pools = {address: live.pool() for address, live in self.pools.items()}
+        self.trace.pool_swaps = {address: live.swaps for address, live in self.pools.items()}
         return self.trace
 
 
@@ -732,7 +763,7 @@ def compute_metrics(trace: SimTrace) -> SimMetrics:
         else:
             metrics.victims_executed += 1
         # a reverted victim has no window: it counts as an empty one
-        if not victim.window:
+        if not trace.noise_window(victim):
             empty_windows += 1
         if victim.attacker is None and victim.bot is None:
             scenario = OrderingScenario.NO_ATTACK.value
@@ -784,7 +815,9 @@ def corpus_streams(trace: SimTrace) -> Corpus:
     def timeline(victim: VictimRecord) -> PoolTimeline:
         return PoolTimeline(
             pool=victim.pool_snapshot,
-            noisy_swaps=tuple((event.direction, event.amount_in) for event in victim.window),
+            noisy_swaps=tuple(
+                (event.direction, event.amount_in) for event in trace.noise_window(victim)
+            ),
             victim=SwapRequest(
                 direction=victim.direction,
                 amount_in=victim.amount_in,

@@ -368,8 +368,9 @@ def cmd_analyze(args) -> int:
     # One row at a time: aggregate reads the records first and keeps
     # each one's id and chain pair; then each pair is decoded, priced and
     # folded into the report before the next is read. Memory follows the
-    # distinct swap logs (iter_pairs decodes each text once) and the
-    # record ids, not the number of pairs.
+    # swap logs of each pool's current front window (iter_pairs decodes
+    # each text once while the window holds it) and the record ids, not
+    # the number of pairs or of logs.
     missing: set[str] = set()
     report = detector.aggregate(
         ingest.iter_pairs(args.pairs),

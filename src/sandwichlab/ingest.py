@@ -16,6 +16,7 @@ import re
 from dataclasses import asdict, dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from bisect import bisect_left, insort
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -566,29 +567,71 @@ def _pair_line(back: str, front: str, victim: str, own: tuple[str, str]) -> str:
     return f'{{"back": {back}, {own[0]}, "front": {front}, {own[1]}, "victim": {victim}}}'
 
 
+class _WindowMemo:
+    """What the pairs writer or reader keeps of each swap log it has
+    met, for the logs of each pool's current front window only.
+
+    detect pairs a record only with logs at or after its
+    front_window_start_block and writes records in commit order, so on
+    its own output a pool's window start never falls, and a log below it
+    never comes back. follow(pair) drops the entries of the logs of the
+    pair's pool that lie below its window start when that start is above
+    the one of the pool's pair before. A dropped log that comes back in
+    a file written otherwise (window starts that go back) is only
+    encoded or decoded again: no byte and no value changes."""
+
+    __slots__ = ("entries", "_below", "_starts")
+
+    def __init__(self) -> None:
+        self.entries: dict = {}
+        # pool -> (block_number, key) of its logs in entries, sorted
+        self._below: dict[str, list] = {}
+        # pool -> front_window_start_block of its last pair
+        self._starts: dict[str, int] = {}
+
+    def add(self, key, log: SwapLog, entry) -> None:
+        self.entries[key] = entry
+        insort(self._below.setdefault(log.pool_address, []), (log.block_number, key))
+
+    def follow(self, pair: SandwichPair) -> None:
+        pool, start = pair.pool_address, pair.front_window_start_block
+        last = self._starts.get(pool, start)
+        self._starts[pool] = start
+        if start > last and pool in self._below:
+            below = self._below[pool]
+            cut = bisect_left(below, (start,))
+            for _, key in below[:cut]:
+                del self.entries[key]
+            del below[:cut]
+
+
 def write_pairs_jsonl(
     path: str, pairs: Iterable[SandwichPair], manifest: Optional[RunManifest] = None
 ) -> int:
     """write_jsonl(path, map(pair_to_dict, pairs), manifest), byte for
-    byte, with each distinct swap log encoded once (a victim sits in many
-    pairs, and a front or back in several). pairs is read once, in
-    order, so it may be a generator; returns the number of pairs."""
+    byte, with each distinct swap log encoded once while its pool's front
+    window holds it (_WindowMemo): a victim sits in many pairs, and a
+    front or back in several, all of records whose windows hold it.
+    pairs is read once, in order, so it may be a generator; returns the
+    number of pairs."""
+    memo = _WindowMemo()
     # id(log) -> (log, its text); holding the log keeps its id unique
-    texts: dict[int, tuple[SwapLog, str]] = {}
+    texts: dict[int, tuple[SwapLog, str]] = memo.entries
 
     def log_text(log: SwapLog) -> str:
         entry = texts.get(id(log))
         if entry is None:
-            entry = texts[id(log)] = (log, swap_log_text(log))
+            entry = (log, swap_log_text(log))
+            memo.add(id(log), log, entry)
         return entry[1]
 
-    lines = (
-        _pair_line(
+    def line(pair: SandwichPair) -> str:
+        memo.follow(pair)
+        return _pair_line(
             log_text(pair.back), log_text(pair.front), log_text(pair.victim), _own_segments(pair)
         )
-        for pair in pairs
-    )
-    return write_lines(path, lines, manifest)
+
+    return write_lines(path, map(line, pairs), manifest)
 
 
 def _numbered_lines(path: str) -> Iterator[tuple[int, str]]:
@@ -735,9 +778,9 @@ def _written_pair(
 
 def iter_pairs(path: str) -> Iterator[SandwichPair]:
     """iter_decoded(path, pair_from_dict), the same pairs and the same
-    MalformedData errors, with each distinct swap-log text decoded once,
-    and the own fields of a row decoded only when they differ from the
-    row before.
+    MalformedData errors, with each distinct swap-log text decoded once
+    while its pool's front window holds it (_WindowMemo), and the own
+    fields of a row decoded only when they differ from the row before.
 
     A row that write_pairs_jsonl could have written (_written_pair) is
     read from its three log texts, looked up by their exact text, and
@@ -748,10 +791,12 @@ def iter_pairs(path: str) -> Iterator[SandwichPair]:
     the last row kept, and kept only when _own_segments encodes the
     fields back to the same runs. Every other row (other spacing or key
     order, 15 for 15.0, duplicate keys, a bad value) goes through
-    json.loads and pair_from_dict. Equal texts give one shared SwapLog,
-    so memory follows the distinct log texts, not the number of pairs,
-    and those logs share equal strings as in iter_swap_logs."""
-    logs: dict[str, SwapLog] = {}
+    json.loads and pair_from_dict. Equal texts within a window give one
+    shared SwapLog, so memory follows the logs of each pool's current
+    window, not the number of pairs or of logs, and those logs share
+    equal strings as in iter_swap_logs."""
+    memo = _WindowMemo()
+    logs: dict[str, SwapLog] = memo.entries
     owns: dict[tuple[str, str], SandwichPair] = {}
     strings: dict[str, str] = {}
 
@@ -761,9 +806,12 @@ def iter_pairs(path: str) -> Iterator[SandwichPair]:
             found = swap_log_from_dict(json.loads(text), strings)
             if swap_log_text(found) != text:
                 raise ValueError("not a canonical swap-log text")
-            logs[text] = found
+            memo.add(text, found, found)
         return found
 
     for number, line in _numbered_lines(path):
         pair = _written_pair(line, log, owns)
-        yield pair if pair is not None else _decoded(path, number, line, pair_from_dict)
+        if pair is None:
+            pair = _decoded(path, number, line, pair_from_dict)
+        memo.follow(pair)
+        yield pair

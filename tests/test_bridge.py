@@ -16,7 +16,7 @@ from sandwichlab.bridge import (
     run,
 )
 from sandwichlab.cli import sim_config_from_dict
-from test_digests import CAPPED_YAML, MEMPOOL_YAML
+from test_digests import CAPPED_YAML, FEES_YAML, MEMPOOL_YAML
 
 
 def make_pools(fee=Fraction(30, 10_000)):
@@ -90,12 +90,39 @@ class TestConfigValidation:
             (lambda v: AttackerConfig(capital_limit=v), "capital_limit"),
             (lambda v: AttackerConfig(gas_price=v), "gas_price"),
             (lambda v: BotConfig(gas_premium=v), "gas_premium"),
+            # "300" ended the run in a raw TypeError, 3.5e14 put a float
+            # on a value path
+            (lambda v: BotConfig(min_profit=v), "min_profit"),
         ],
     )
     @pytest.mark.parametrize("value", [5e18, True, -1, 2**256, "7"])
     def test_agent_amounts_must_be_uint256(self, make, name, value):
         with pytest.raises(InvalidConfig, match=f"{name} must be an int in"):
             make(value)
+
+    # "false" switched the attacker on
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda v: AttackerConfig(enabled=v), "attacker.enabled"),
+            (lambda v: AttackerConfig(uses_private_submission=v), "uses_private_submission"),
+            (lambda v: AttackerConfig(backrun_on_mempool=v), "backrun_on_mempool"),
+            (lambda v: BotConfig(enabled=v), "bot.enabled"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_agent_switches_must_be_bools(self, make, name, value):
+        with pytest.raises(InvalidConfig, match=f"{name} must be a bool"):
+            make(value)
+
+    # "56" wrote logs that are not JSON, 56.0 logs that detect rejects;
+    # the seed "11" ran another random stream than 11, and [1] ended in
+    # a raw TypeError
+    @pytest.mark.parametrize("key", ["seed", "src_chain_id", "dst_chain_id"])
+    @pytest.mark.parametrize("value", ["56", 56.0, True, [1]])
+    def test_seed_and_chain_ids_must_be_ints(self, key, value):
+        with pytest.raises(InvalidConfig, match=f"{key} must be an int, not"):
+            base_config(**{key: value})
 
     def test_unknown_distribution_family(self):
         rng_config = base_config(relay_delay=DistSpec("cauchy", {"x0": 1}))
@@ -399,24 +426,53 @@ def windows_and_orders(trace):
 
 
 class TestRecordedWhileRunning:
-    @pytest.mark.parametrize("text", [CAPPED_YAML, MEMPOOL_YAML], ids=["capped", "mempool"])
-    def test_windows_and_orders_match_the_trace(self, text):
-        trace, _ = run(sim_config_from_dict(yaml.safe_load(text)))
+    @pytest.mark.parametrize(
+        "text, overrides",
+        [
+            (CAPPED_YAML, {}),
+            (MEMPOOL_YAML, {}),
+            (FEES_YAML, {}),
+            (FEES_YAML, {"dst_block_interval": 5}),
+        ],
+        ids=["capped", "mempool", "fees", "fees-5s-blocks"],
+    )
+    def test_windows_and_orders_match_the_trace(self, text, overrides):
+        trace, _ = run(sim_config_from_dict({**yaml.safe_load(text), **overrides}))
         windows, orders = windows_and_orders(trace)
         victims = trace.victims.values()
         # the config exercises every outcome and both agents
         assert any(v.exec_block is None for v in victims)
         assert any(v.reverted for v in victims)
-        assert any(v.window for v in victims)
+        assert any(v.window_stop for v in victims)
         assert any(TxLabel.TA1 in v.order for v in victims)
         assert any(TxLabel.TB1 in v.order for v in victims)
-        # a window holds the trace's own events, not copies
+        # a window is read from the trace's own events, not copies
         in_trace = {id(event) for event in trace.events}
+        own_fronts_skipped = 0
         for victim in victims:
-            assert all(id(event) in in_trace for event in victim.window)
-            window = tuple((e.direction, e.amount_in) for e in victim.window)
-            assert window == windows.get(victim.victim_id, ())
+            window = trace.noise_window(victim)
+            assert all(id(event) in in_trace for event in window)
+            noisy = tuple((e.direction, e.amount_in) for e in window)
+            assert noisy == windows.get(victim.victim_id, ())
             assert victim.order == orders.get(victim.victim_id, ())
+            own_fronts_skipped += victim.window_stop - victim.window_start - len(window)
+        # On 3 s destination blocks a front-run lands in the block at its
+        # commit's own time, outside the window; 5 s blocks put some of
+        # them inside, where the read skips them.
+        assert (own_fronts_skipped > 0) == ("dst_block_interval" in overrides)
+
+    def test_empty_window_stores_nothing(self):
+        # no noise and sparse victims: most windows are empty; on these
+        # 12 s / 3 s clocks no own front-run falls inside a window
+        trace, _ = run(base_config(noise_arrival_rate=0.0, victim_arrival_rate=0.02))
+        victims = trace.victims.values()
+        executed = [v for v in victims if v.exec_block is not None and not v.reverted]
+        assert any(trace.noise_window(v) for v in executed)
+        assert any(not trace.noise_window(v) for v in executed)
+        for victim in victims:
+            if not trace.noise_window(victim):
+                # the defaults, shared by every victim
+                assert (victim.window_start, victim.window_stop) == (0, 0)
 
 
 class TestMetrics:

@@ -171,6 +171,38 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "dst_chain_id", "56"),  # wrote logs that are not JSON, exit 0
+            (None, "dst_chain_id", 56.0),  # wrote logs that detect rejects
+            (None, "src_chain_id", True),
+            (None, "seed", "11"),  # ran another random stream than 11
+            (None, "seed", [1]),  # a raw TypeError traceback
+            ("attacker", "enabled", "false"),  # ran the attacker
+            ("attacker", "uses_private_submission", "no"),
+            ("attacker", "backrun_on_mempool", 1),
+            ("bot", "enabled", "true"),
+            ("bot", "min_profit", "300"),  # a raw TypeError mid-run
+            ("bot", "min_profit", 3.5e14),  # a float on a value path
+            ("bot", "min_profit", -1),
+        ],
+    )
+    def test_bad_seed_chain_id_or_agent_setting_is_validation_error(
+        self, tmp_path, capsys, section, key, value
+    ):
+        data = yaml.safe_load(CONFIG_YAML)
+        (data if section is None else data[section])[key] = value
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(data))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        name = f"{section}.{key}" if key == "enabled" else key  # both agents have one
+        assert err.startswith(f"error: bad simulation config: {name} must be ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     # the config builds, and bridge.run rejects it
     def test_duplicate_pool_addresses_is_validation_error(self, tmp_path, capsys):
         data = yaml.safe_load(CONFIG_YAML)

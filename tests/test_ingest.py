@@ -445,6 +445,18 @@ def _log_ids(pairs):
     return {id(log) for log in _logs(pairs)}
 
 
+def _window_rises(pairs):
+    """Whether some pair's front_window_start_block is above that of the
+    pair of its pool before it."""
+    starts = {}
+    for pair in pairs:
+        last = starts.setdefault(pair.pool_address, pair.front_window_start_block)
+        if pair.front_window_start_block > last:
+            return True
+        starts[pair.pool_address] = pair.front_window_start_block
+    return False
+
+
 def _log_texts(pairs):
     """Each decoded log's id -> the text json.dumps writes for it."""
     return {id(log): json.dumps(swap_log_to_dict(log), sort_keys=True) for log in _logs(pairs)}
@@ -464,9 +476,11 @@ class TestPairsWriter:
             plain = [pair_from_dict(row) for row in read_jsonl(str(new))]
         assert shared == plain == pairs
         assert _timestamp_types(shared) == _timestamp_types(plain) == _timestamp_types(pairs)
-        # one shared object per distinct log text, and no more
-        texts = _log_texts(shared)
-        assert len(set(texts.values())) == len(texts)
+        # one shared object per distinct log text, and no more, while no
+        # pool's window start rises (a rise forgets the logs below it)
+        if not _window_rises(pairs):
+            texts = _log_texts(shared)
+            assert len(set(texts.values())) == len(texts)
 
     def test_equal_profits_written_apart_are_not_shared(self, tmp_path):
         # Decimal("1") == Decimal("1.0"), but each writes its own text
@@ -489,6 +503,131 @@ class TestPairsWriter:
         write_jsonl(str(old), map(pair_to_dict, pairs))
         assert new.read_bytes() == old.read_bytes()
         assert '"profit_usd": "1.0"' in new.read_text().splitlines()[1]
+
+
+def _window_log(pool: str, block: int, index: int, direction: Direction) -> SwapLog:
+    return SwapLog(
+        tx_hash=f"0x{pool[-2:]}{block:08x}{index:04x}",
+        block_number=block,
+        log_index=index,
+        pool_address=pool,
+        chain_id=56,
+        direction=direction,
+        token_in_amount=10**18 + index,
+        token_out_amount=10**18 - index,
+        sender="0x" + "aa" * 20,
+        recipient="0x" + "aa" * 20,
+        gas_price=10**9,
+        timestamp=3.0 * block,
+    )
+
+
+def _record_pairs(pool: str, record: int, width: int = 3):
+    """The pairs of record on pool: its window starts at block 10 *
+    record, with width fronts there, its victim one block later and
+    width backs one block after that; front i pairs with back i."""
+    start = 10 * record
+    victim = _window_log(pool, start + 1, 0, Direction.X_FOR_Y)
+    for index in range(width):
+        yield SandwichPair(
+            record_id=f"{pool[-2:]}-{record}",
+            pool_address=pool,
+            front=_window_log(pool, start, index, Direction.X_FOR_Y),
+            victim=victim,
+            back=_window_log(pool, start + 2, index, Direction.Y_FOR_X),
+            classification=Classification.CROSS_CHAIN,
+            token_in="WETH",
+            front_window_start_block=start,
+        )
+
+
+class TestPairsMemoFollowsWindows:
+    """The pairs writer and reader forget each pool's logs below its
+    current front window. That changes no byte written and no value
+    read, and their memory does not grow with the records."""
+
+    POOL_A, POOL_B = "0x" + "11" * 20, "0x" + "22" * 20
+
+    def test_window_starts_going_back_change_nothing(self, tmp_path, monkeypatch):
+        from sandwichlab import ingest
+
+        a1, a2 = list(_record_pairs(self.POOL_A, 1)), list(_record_pairs(self.POOL_A, 2))
+        b1, b2 = list(_record_pairs(self.POOL_B, 1)), list(_record_pairs(self.POOL_B, 2))
+        # the two pools interleaved, and A's record 1 again after its
+        # record 2: A's window start rises, falls back and rises again
+        pairs = [*a1[:2], *b1, *a1[2:], *a2, *b2, *a1, *a2]
+        encoded = []
+
+        def counted(log):
+            encoded.append(log)
+            return swap_log_text(log)
+
+        monkeypatch.setattr(ingest, "swap_log_text", counted)
+        new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
+        manifest = RunManifest(command="detect")
+        assert write_pairs_jsonl(str(new), pairs, manifest) == len(pairs)
+        monkeypatch.undo()
+        write_jsonl(str(old), map(pair_to_dict, pairs), manifest)
+        assert new.read_bytes() == old.read_bytes()
+        # 28 distinct logs (7 per record); A's record 1 was forgotten
+        # when A's window rose past it, so its 7 logs are encoded again
+        assert len(set(map(id, encoded))) == 28
+        assert len(encoded) == 28 + 7
+
+        read = list(iter_pairs(str(new)))
+        assert read == list(iter_decoded(str(new), pair_from_dict)) == pairs
+        first_a1, later_a1 = read[0], read[-len(a2) - 1]
+        assert first_a1.victim is read[1].victim  # shared within a window
+        assert later_a1.victim == first_a1.victim
+        assert later_a1.victim is not first_a1.victim  # decoded again
+
+    @staticmethod
+    def forward(records: int):
+        """records records, one pool, each window past the one before and
+        over logs of its own; each log is made when its record is."""
+        for record in range(records):
+            yield from _record_pairs(TestPairsMemoFollowsWindows.POOL_A, record)
+
+    @staticmethod
+    def peak(run) -> int:
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_writer_peak_heap_does_not_grow_with_records(self, tmp_path):
+        """Calibration, R = 300: a writer that kept every log's text grew
+        its traced peak 4.2-fold from R to 4R records (1.78 MB to
+        7.41 MB); this one by under 1% (31 KB)."""
+        path = str(tmp_path / "pairs.jsonl")
+
+        def peak(records: int) -> int:
+            return self.peak(lambda: write_pairs_jsonl(path, self.forward(records)))
+
+        records = 300
+        peak(records)  # one-time caches
+        small, large = peak(records), peak(4 * records)
+        assert large <= 1.25 * small, (small, large)
+
+    def test_reader_peak_heap_does_not_grow_with_records(self, tmp_path):
+        """Calibration, R = 300: a reader that kept every decoded log grew
+        its traced peak 4.0-fold from R to 4R records (1.76 MB to
+        7.02 MB); this one by under 1% (35 KB)."""
+        from collections import deque
+
+        def peak(records: int) -> int:
+            path = str(tmp_path / f"pairs-{records}.jsonl")
+            write_pairs_jsonl(path, self.forward(records))
+            return self.peak(lambda: deque(iter_pairs(path), maxlen=0))
+
+        records = 300
+        peak(records)  # one-time caches
+        small, large = peak(records), peak(4 * records)
+        assert large <= 1.25 * small, (small, large)
 
 
 class TestWritesAreAllOrNothing:
