@@ -97,6 +97,12 @@ class Pool:
             return self.reserve_x, self.reserve_y
         return self.reserve_y, self.reserve_x
 
+    def tokens(self, direction: Direction) -> tuple[str, str]:
+        """(token_in, token_out) for the given swap direction."""
+        if direction is Direction.X_FOR_Y:
+            return self.token_x, self.token_y
+        return self.token_y, self.token_x
+
     def _derived(self, token_x: str, token_y: str, reserve_x: int, reserve_y: int) -> "Pool":
         """This pool with new tokens and reserves, built without
         __post_init__: callers pass values already known to be valid.

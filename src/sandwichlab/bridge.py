@@ -443,6 +443,12 @@ class Simulation:
         self.seq += 1
         heapq.heappush(self.queue, (time, self.seq, handler, args))
 
+    def _schedule(self, time: float, handler: Callable[..., None], *args: object) -> None:
+        """_push, for an event at or before the horizon; a later one is
+        dropped."""
+        if time <= self.config.horizon:
+            self._push(time, handler, *args)
+
     def _hash(self, *parts: object) -> str:
         digest = hashlib.sha256(
             ":".join(map(str, (self.config.seed, *parts))).encode()
@@ -451,6 +457,12 @@ class Simulation:
 
     def _gwei(self, spec: DistSpec) -> int:
         return max(0, int(round(spec.sample(self.rng) * GWEI)))
+
+    def _draw_swap(self, size: DistSpec) -> tuple[Direction, int]:
+        """A swap's direction, each with probability 1/2, then its input
+        amount, a sample of size rounded down and at least 1."""
+        direction = Direction.X_FOR_Y if self.rng.random() < 0.5 else Direction.Y_FOR_X
+        return direction, max(1, int(size.sample(self.rng)))
 
     def _tolerance(self) -> Fraction:
         value = self.config.victim_tolerance.sample(self.rng)
@@ -485,13 +497,6 @@ class Simulation:
         )
         self.trace.events.append(commit)
         return commit
-
-    def _relay(self, victim: VictimRecord, now: float) -> None:
-        """Deliver the committed swap to the destination mempool after a
-        sampled relay delay; a delivery past the horizon is dropped."""
-        delivery = now + self.config.relay_delay.sample(self.rng)
-        if delivery <= self.config.horizon:
-            self._push(delivery, self._on_deliver_victim, victim)
 
     # -- agents ------------------------------------------------------------
 
@@ -583,8 +588,7 @@ class Simulation:
         self.victim_counter += 1
         vid = self.victim_counter
         pool = self.config.pools[self.rng.randrange(len(self.config.pools))]
-        direction = Direction.X_FOR_Y if self.rng.random() < 0.5 else Direction.Y_FOR_X
-        size = max(1, int(self.config.victim_size.sample(self.rng)))
+        direction, size = self._draw_swap(self.config.victim_size)
         account = f"0xuser{vid:036x}"
         victim = VictimRecord(
             victim_id=vid,
@@ -601,12 +605,10 @@ class Simulation:
         self.trace.victims[vid] = victim
         self.src_mempool.append(victim)
         interval = self.rng.expovariate(self.config.victim_arrival_rate)
-        if now + interval <= self.config.horizon:
-            self._push(now + interval, self._on_victim_arrival)
+        self._schedule(now + interval, self._on_victim_arrival)
 
     def _on_noise_arrival(self, now: float, pool_address: str) -> None:
-        direction = Direction.X_FOR_Y if self.rng.random() < 0.5 else Direction.Y_FOR_X
-        size = max(1, int(self.config.noise_size.sample(self.rng)))
+        direction, size = self._draw_swap(self.config.noise_size)
         self.dst_mempool.append(
             PendingTx(
                 tx_hash=self._hash("noise", pool_address, now, self.seq),
@@ -620,8 +622,7 @@ class Simulation:
             )
         )
         interval = self.rng.expovariate(self.config.noise_arrival_rate)
-        if now + interval <= self.config.horizon:
-            self._push(now + interval, self._on_noise_arrival, pool_address)
+        self._schedule(now + interval, self._on_noise_arrival, pool_address)
 
     def _on_src_block(self, now: float) -> None:
         self.src_height += 1
@@ -631,10 +632,11 @@ class Simulation:
             commit = self.ccmp_commit(victim, self.src_height, index, now)
             if self.config.attacker.enabled:
                 self._attacker_react(commit)
-            self._relay(victim, now)
-        next_time = now + self.config.src_block_interval
-        if next_time <= self.config.horizon:
-            self._push(next_time, self._on_src_block)
+            # the relay delivers the committed swap to the destination
+            # mempool after a sampled delay
+            delivery = now + self.config.relay_delay.sample(self.rng)
+            self._schedule(delivery, self._on_deliver_victim, victim)
+        self._schedule(now + self.config.src_block_interval, self._on_src_block)
 
     def _on_deliver_victim(self, now: float, victim: VictimRecord) -> None:
         self.dst_mempool.append(
@@ -685,9 +687,7 @@ class Simulation:
             if not reverted:
                 log_index += 1
                 live.swaps.append(event)
-        next_time = now + self.config.dst_block_interval
-        if next_time <= self.config.horizon:
-            self._push(next_time, self._on_dst_block)
+        self._schedule(now + self.config.dst_block_interval, self._on_dst_block)
 
     def _post_execute(self, tx: PendingTx, swap: TraceEvent, live: _LivePool) -> None:
         """Record the trace event ``swap`` of ``tx``, one of a victim's
@@ -728,13 +728,11 @@ class Simulation:
         self._push(config.dst_block_interval, self._on_dst_block)
         if config.victim_arrival_rate > 0:
             first = self.rng.expovariate(config.victim_arrival_rate)
-            if first <= config.horizon:
-                self._push(first, self._on_victim_arrival)
+            self._schedule(first, self._on_victim_arrival)
         if config.noise_arrival_rate > 0:
             for pool in config.pools:
                 first = self.rng.expovariate(config.noise_arrival_rate)
-                if first <= config.horizon:
-                    self._push(first, self._on_noise_arrival, pool.address)
+                self._schedule(first, self._on_noise_arrival, pool.address)
         while self.queue:
             time, _, handler, args = heapq.heappop(self.queue)
             handler(time, *args)
@@ -784,8 +782,7 @@ def compute_metrics(trace: SimTrace) -> SimMetrics:
         if bot_front is not None:
             metrics.bot_attacked += 1
 
-        pool = pools[victim.pool_address]
-        token_in = pool.token_x if victim.direction is Direction.X_FOR_Y else pool.token_y
+        token_in = pools[victim.pool_address].tokens(victim.direction)[0]
         for sandwich, profits in (
             (victim.attacker, metrics.attacker_profit_by_token),
             (victim.bot, metrics.bot_profit_by_token),
@@ -829,9 +826,7 @@ def corpus_streams(trace: SimTrace) -> Corpus:
         )
 
     def record(victim: VictimRecord) -> CrossChainTx:
-        pool = pool_meta[victim.pool_address]
-        tokens = (pool.token_x, pool.token_y)
-        token_in, token_out = tokens if victim.direction is Direction.X_FOR_Y else tokens[::-1]
+        token_in, token_out = pool_meta[victim.pool_address].tokens(victim.direction)
         return CrossChainTx(
             record_id=f"rec-{victim.victim_id}",
             src_tx_hash=victim.src_tx_hash,

@@ -65,14 +65,34 @@ def _fraction(value) -> Fraction:
         raise ValidationFailure(f"bad fraction {value!r}: {reason}") from None
 
 
-def _dist(data) -> bridge.DistSpec:
+_DIST_PARAMS = frozenset({"value", "low", "high", "rate", "mu", "sigma", "p95", "min", "max"})
+# A number with an exponent. PyYAML reads YAML 1.1, whose floats need a
+# dot and a signed exponent, so it leaves 1.0e15 and 1e5 as strings,
+# which YAML 1.2 reads as numbers.
+_EXPONENT_NUMBER = re.compile(r"[-+]?([0-9]+(\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+")
+
+
+def _dist(name: str, data) -> bridge.DistSpec:
+    """The distribution at key name of a simulate config: a mapping with
+    a family and its parameters, or a number for a fixed value. Each
+    parameter must be a finite number: DistSpec.sample passes it through
+    float(), which takes "5" and true, and a NaN delay drops every
+    victim."""
     import random
 
     from . import bridge
 
-    if isinstance(data, (int, float)):
-        return bridge.DistSpec("fixed", {"value": float(data)})
+    if not isinstance(data, dict):
+        data = {"family": "fixed", "value": data}
     spec = bridge.DistSpec.from_dict(data)
+    for key, value in spec.params.items():
+        if key not in _DIST_PARAMS:
+            raise ValueError(f"{name} has no parameter {key!r}")
+        if type(value) is str and _EXPONENT_NUMBER.fullmatch(value):
+            value = float(value)
+        # an int compares exactly with infinity, however large
+        if type(value) not in (int, float) or not -math.inf < value < math.inf:
+            raise ValueError(f"{name}.{key} must be a finite number, not {value!r}")
     # a bad family or parameter fails here, not in the middle of the run
     spec.sample(random.Random(0))
     return spec
@@ -98,7 +118,7 @@ def sim_config_from_dict(data: dict) -> bridge.SimConfig:
     try:
         for key, value in data.items():
             if key in _DIST_KEYS:
-                kwargs[key] = _dist(value)
+                kwargs[key] = _dist(key, value)
             elif key == "attacker":
                 attacker = dict(value)
                 if "theta" in attacker:
@@ -107,13 +127,11 @@ def sim_config_from_dict(data: dict) -> bridge.SimConfig:
             elif key == "bot":
                 kwargs[key] = bridge.BotConfig(**value)
             elif key == "pools":
-                kwargs[key] = tuple(
-                    ingest.pool_from_dict({"protocol": "other", **entry}) for entry in value
-                )
+                kwargs[key] = tuple(map(ingest.pool_from_dict, value))
             else:
                 kwargs[key] = value
         return bridge.SimConfig(**kwargs)
-    except (TypeError, KeyError, ValueError, ZeroDivisionError, amm.AmmError) as exc:
+    except (TypeError, KeyError, ValueError, ArithmeticError, amm.AmmError) as exc:
         raise ValidationFailure(f"bad simulation config: {exc}") from exc
 
 

@@ -172,6 +172,9 @@ def _token_decimals(text: str) -> int:
     return value
 
 
+_PRICE_COLUMNS = ("token_id", "usd_price", "decimals", "snapshot_date")
+
+
 @dataclass(frozen=True, slots=True)
 class PriceTable:
     prices: Mapping[str, Decimal]
@@ -192,16 +195,25 @@ class PriceTable:
 
     @classmethod
     def from_csv(cls, path: str) -> "PriceTable":
-        """Read a token_id,usd_price[,decimals][,snapshot_date] CSV. A row
-        without token_id or usd_price, an empty token_id, a usd_price that
-        is not a finite decimal, a decimals that is not an integer in
-        [0, 255] or a token_id that an earlier row priced raises
-        MalformedData naming the file and line."""
+        """Read a token_id,usd_price[,decimals][,snapshot_date] CSV. A
+        header column outside those four or named twice, a row without
+        token_id or usd_price, an empty token_id, a usd_price that is not
+        a finite decimal, a decimals that is not an integer in [0, 255]
+        or a token_id that an earlier row priced raises MalformedData
+        naming the file and line."""
         prices: dict[str, Decimal] = {}
         decimals: dict[str, int] = {}
         snapshot = ""
         with open(path, newline="") as handle:
             reader = csv.DictReader(handle)
+            # a misspelt decimals column would price every token at 18
+            # decimals, and of two columns of one name the last would win
+            columns = reader.fieldnames or []
+            for index, column in enumerate(columns):
+                if column not in _PRICE_COLUMNS or column in columns[:index]:
+                    problem = "repeated" if column in _PRICE_COLUMNS else "unknown"
+                    line = reader.line_num
+                    raise MalformedData(f"{path}:{line}: ValueError: {problem} column {column!r}")
             for row in reader:
                 try:
                     token = row["token_id"]

@@ -18,7 +18,7 @@ from decimal import Decimal
 from fractions import Fraction
 from bisect import bisect_left, insort
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Collection, Iterable, Iterator, Optional
 
 from . import __version__
 from .amm import (
@@ -127,10 +127,11 @@ def _direction(value) -> Direction:
     return Direction(value) if direction is None else direction
 
 
-def _unknown_key(data: dict, cls: type) -> TypeError:
-    """The error for a row object that holds every field of cls and
-    more: it names the first key that is not a field."""
-    fields = cls.__match_args__
+def _unknown_key(data: dict, cls: type, fields: Collection[str] = ()) -> TypeError:
+    """The error for a row object that holds every field of cls (or
+    each of fields, if given) and more: it names the first key that is
+    not one."""
+    fields = fields or cls.__match_args__
     key = next(key for key in data if key not in fields)
     return TypeError(f"{cls.__name__} has no field {key!r}")
 
@@ -373,29 +374,40 @@ def _decimal_int(text: str) -> int:
     return int(text)
 
 
-def _pair(data: dict, log: Callable[..., SwapLog]) -> SandwichPair:
-    """A pairs.jsonl row's fields as a SandwichPair, each embedded swap
-    log through log."""
-    _require(data, ("record_id", "pool_address", "token_in"), str)
-    _require(data, ("front_window_start_block",), int)
-    return SandwichPair(
-        record_id=data["record_id"],
-        pool_address=data["pool_address"],
-        front=log(data["front"]),
-        victim=log(data["victim"]),
-        back=log(data["back"]),
-        classification=Classification(data["classification"]),
-        token_in=data["token_in"],
-        front_window_start_block=data["front_window_start_block"],
-        profit_token=_optional_str("profit_token", data["profit_token"], _decimal_int),
-        profit_rate=_optional_str("profit_rate", data["profit_rate"], _fraction_from_str),
-        profit_usd=_optional_str("profit_usd", data["profit_usd"], Decimal),
+_PAIR_KEYS = frozenset(SandwichPair.__match_args__)
+# a pair's own fields: all but its three swap logs
+_OWN_KEYS = _PAIR_KEYS - {"front", "victim", "back"}
+
+
+def _own_fields(data: dict, keys: frozenset[str]) -> tuple:
+    """A pairs.jsonl row's own fields, in SandwichPair's order, for
+    _joined. Any key of data outside keys is an error: keys is
+    _PAIR_KEYS for a whole row, _OWN_KEYS for the runs of own fields
+    that iter_pairs parses apart from the logs."""
+    record_id = _typed(data, "record_id", str)
+    pool_address = _typed(data, "pool_address", str)
+    classification = Classification(data["classification"])
+    token_in = _typed(data, "token_in", str)
+    front_window_start_block = _typed(data, "front_window_start_block", int)
+    profit_token = _optional_str("profit_token", data["profit_token"], _decimal_int)
+    profit_rate = _optional_str("profit_rate", data["profit_rate"], _fraction_from_str)
+    profit_usd = _optional_str("profit_usd", data["profit_usd"], Decimal)
+    if len(data) > len(keys):
+        raise _unknown_key(data, SandwichPair, keys)
+    return (
+        record_id, pool_address, classification, token_in, front_window_start_block,
+        profit_token, profit_rate, profit_usd,
     )
+
+
+def _joined(own: tuple, front: SwapLog, victim: SwapLog, back: SwapLog) -> SandwichPair:
+    return SandwichPair(own[0], own[1], front, victim, back, *own[2:])
 
 
 def pair_from_dict(data: dict) -> SandwichPair:
     """Decode one pairs.jsonl row."""
-    return _pair(data, swap_log_from_dict)
+    logs = map(swap_log_from_dict, (data["front"], data["victim"], data["back"]))
+    return _joined(_own_fields(data, _PAIR_KEYS), *logs)
 
 
 @dataclass(slots=True)
@@ -560,11 +572,21 @@ def _own_segments(pair: SandwichPair) -> tuple[str, str]:
     )
 
 
+# the text of a pairs.jsonl row around its three swap-log texts and its
+# two runs of own fields
+_BEFORE_BACK = '{"back": '
+_BEFORE_HEAD = ', "classification": '
+_BEFORE_FRONT = ', "front": '
+_BEFORE_TAIL = ', "front_window_start_block": '
+_BEFORE_VICTIM = ', "victim": '
+
+
 def _pair_line(back: str, front: str, victim: str, own: tuple[str, str]) -> str:
     """json.dumps(pair_to_dict(pair), sort_keys=True), given the text of
     each of its swap logs and _own_segments(pair): the one row layout of
-    pairs.jsonl, shared by write_pairs_jsonl and iter_pairs."""
-    return f'{{"back": {back}, {own[0]}, "front": {front}, {own[1]}, "victim": {victim}}}'
+    pairs.jsonl, which iter_pairs takes apart."""
+    head, tail = own
+    return f"{_BEFORE_BACK}{back}, {head}{_BEFORE_FRONT}{front}, {tail}{_BEFORE_VICTIM}{victim}}}"
 
 
 class _WindowMemo:
@@ -679,11 +701,10 @@ def iter_decoded(path: str, decode: Callable[[dict], object]) -> Iterator:
         yield _decoded(path, number, line, decode)
 
 
-# Each reader below, and iter_pairs, owns one memo of strings for its
-# read, and the decoders share equal addresses and tokens through it: a
-# few hundred distinct strings stand for every row's copies, and the
-# memo goes with the read. sys.intern would keep them for the life of
-# the process.
+# Each reader below owns one memo of strings for its read, and the
+# decoders share equal addresses and tokens through it: a few hundred
+# distinct strings stand for every row's copies, and the memo goes with
+# the read. sys.intern would keep them for the life of the process.
 
 
 def iter_swap_logs(path: str) -> Iterator[SwapLog]:
@@ -707,110 +728,77 @@ def iter_records(path: str) -> Iterator[CrossChainTx]:
         yield record
 
 
-# the text of _pair_line around its three swap-log texts and its two
-# runs of own fields
-_BEFORE_BACK = '{"back": '
-_BEFORE_HEAD = ', "classification": '
-_BEFORE_FRONT = ', "front": '
-_BEFORE_TAIL = ', "front_window_start_block": '
-_BEFORE_VICTIM = ', "victim": '
-
-
-def _written_pair(
-    line: str, log: Callable[[str], SwapLog], owns: dict[tuple[str, str], SandwichPair]
-) -> Optional[SandwichPair]:
-    """The pair of a line that _pair_line rebuilds byte for byte from
-    what was read, each swap-log text through log; None for any other
-    line, and for a line that any decoder rejects.
-
-    The finds below fix every byte of the line outside its three log
-    texts and its two runs of own fields, so the line rebuilds exactly
-    when each log text is canonical (log checks it) and _own_segments
-    gives back both runs. A JSON string cannot hold ', "' without a
-    backslash before the quote, so no find stops inside a string of a
-    row that rebuilds. owns maps the runs of the last row that rebuilt
-    to its pair: a later row with the same two runs rebuilds as well, and
-    takes its own fields from that pair without json.loads. detect
-    writes the pairs of one record hop together, so rows with equal runs
-    are adjacent (busy-2pool: 74,750 rows, 3,389 runs, each run's rows
-    consecutive), and one entry finds every repeat."""
-    if not (line.startswith(_BEFORE_BACK) and line.endswith("}")):
-        return None
-    a = line.find(_BEFORE_HEAD)
-    b = line.find(_BEFORE_FRONT, a)
-    c = line.find(_BEFORE_TAIL, b)
-    d = line.find(_BEFORE_VICTIM, c)
-    if -1 in (a, b, c, d):
-        return None
-    back = line[len(_BEFORE_BACK) : a]
-    front = line[b + len(_BEFORE_FRONT) : c]
-    victim = line[d + len(_BEFORE_VICTIM) : -1]
-    runs = (line[a + 2 : b], line[c + 2 : d])
-    try:
-        seen = owns.get(runs)
-        if seen is None:
-            own = json.loads(f"{{{runs[0]}, {runs[1]}}}")
-            own["back"], own["front"], own["victim"] = back, front, victim
-            pair = _pair(own, log)
-            if _own_segments(pair) != runs:
-                return None
-            # keep one entry, so memory does not grow with the rows
-            owns.clear()
-            owns[runs] = pair
-            return pair
-        return SandwichPair(
-            seen.record_id,
-            seen.pool_address,
-            log(front),
-            log(victim),
-            log(back),
-            seen.classification,
-            seen.token_in,
-            seen.front_window_start_block,
-            seen.profit_token,
-            seen.profit_rate,
-            seen.profit_usd,
-        )
-    except _DECODE_ERRORS:
-        # the caller decodes the line again in full and raises its error
-        return None
-
-
 def iter_pairs(path: str) -> Iterator[SandwichPair]:
     """iter_decoded(path, pair_from_dict), the same pairs and the same
     MalformedData errors, with each distinct swap-log text decoded once
     while its pool's front window holds it (_WindowMemo), and the own
     fields of a row decoded only when they differ from the row before.
 
-    A row that write_pairs_jsonl could have written (_written_pair) is
-    read from its three log texts, looked up by their exact text, and
-    its own fields, looked up by the exact text of their two runs. A
-    log text is decoded on its first sight, and kept only when
-    swap_log_from_dict accepts it and swap_log_text encodes the log back
-    to the same text; the runs are decoded when they are not those of
-    the last row kept, and kept only when _own_segments encodes the
-    fields back to the same runs. Every other row (other spacing or key
+    A row that write_pairs_jsonl could have written is read from its
+    three log texts, looked up by their exact text, and its two runs of
+    own fields. A log text is decoded on its first sight, and kept only
+    when swap_log_from_dict accepts it and swap_log_text encodes the log
+    back to the same text. The runs are decoded by _own_fields when they
+    are not those of the last row kept, and kept, with their fields,
+    only when _own_segments encodes the pair back to the same runs.
+    detect writes the pairs of one record hop together, so rows with
+    equal runs are adjacent (busy-2pool: 74,750 rows, 3,389 runs, each
+    run's rows consecutive). Every other row (other spacing or key
     order, 15 for 15.0, duplicate keys, a bad value) goes through
     json.loads and pair_from_dict. Equal texts within a window give one
     shared SwapLog, so memory follows the logs of each pool's current
-    window, not the number of pairs or of logs, and those logs share
-    equal strings as in iter_swap_logs."""
+    window, not the number of pairs or of logs."""
     memo = _WindowMemo()
     logs: dict[str, SwapLog] = memo.entries
-    owns: dict[tuple[str, str], SandwichPair] = {}
-    strings: dict[str, str] = {}
+    # the runs of the last row that rebuilt, and its own fields
+    runs: Optional[tuple[str, str]] = None
+    own: tuple = ()
 
     def log(text: str) -> SwapLog:
         found = logs.get(text)
         if found is None:
-            found = swap_log_from_dict(json.loads(text), strings)
+            found = swap_log_from_dict(json.loads(text))
             if swap_log_text(found) != text:
                 raise ValueError("not a canonical swap-log text")
             memo.add(text, found, found)
         return found
 
+    def written_pair(line: str) -> Optional[SandwichPair]:
+        """The pair of a line that _pair_line rebuilds byte for byte from
+        what was read; None for any other line, and for a line that any
+        decoder rejects. The finds fix every byte of the line outside its
+        three log texts and two runs, so the line rebuilds exactly when
+        each log text and both runs are canonical. A JSON string cannot
+        hold ', "' without a backslash before the quote, so no find stops
+        inside a string of a row that rebuilds."""
+        nonlocal runs, own
+        if not (line.startswith(_BEFORE_BACK) and line.endswith("}")):
+            return None
+        a = line.find(_BEFORE_HEAD)
+        b = line.find(_BEFORE_FRONT, a)
+        c = line.find(_BEFORE_TAIL, b)
+        d = line.find(_BEFORE_VICTIM, c)
+        if -1 in (a, b, c, d):
+            return None
+        back = line[len(_BEFORE_BACK) : a]
+        front = line[b + len(_BEFORE_FRONT) : c]
+        victim = line[d + len(_BEFORE_VICTIM) : -1]
+        line_runs = (line[a + 2 : b], line[c + 2 : d])
+        try:
+            if line_runs == runs:
+                return _joined(own, log(front), log(victim), log(back))
+            fields = _own_fields(json.loads(f"{{{line_runs[0]}, {line_runs[1]}}}"), _OWN_KEYS)
+            pair = _joined(fields, log(front), log(victim), log(back))
+        except _DECODE_ERRORS:
+            # the caller decodes the line again in full and raises its error
+            return None
+        if _own_segments(pair) != line_runs:
+            return None
+        runs, own = line_runs, fields
+        return pair
+
     for number, line in _numbered_lines(path):
-        pair = _written_pair(line, log, owns)
+        pair = written_pair(line)
         if pair is None:
             pair = _decoded(path, number, line, pair_from_dict)
         memo.follow(pair)

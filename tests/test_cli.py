@@ -246,23 +246,48 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "spec",
+        "key, spec, message",
         [
-            {"family": "uniform", "low": "abc", "high": 1},  # not a number
-            {"family": "uniform", "low": 1},  # no high
-            {"family": "lognormal", "sigma": 1, "p95": -1},  # log of a negative
-            {"family": "exponential", "rate": 0},  # division by zero
-            {"family": "cauchy", "x0": 1},  # unknown family
+            # not a number, no high, log of a negative, division by zero and
+            # an unknown family
+            pytest.param(
+                "victim_size", {"family": "uniform", "low": "abc", "high": 1}, "", id="spec0"
+            ),
+            pytest.param("victim_size", {"family": "uniform", "low": 1}, "", id="spec1"),
+            pytest.param(
+                "victim_size", {"family": "lognormal", "sigma": 1, "p95": -1}, "", id="spec2"
+            ),
+            pytest.param("victim_size", {"family": "exponential", "rate": 0}, "", id="spec3"),
+            pytest.param("victim_size", {"family": "cauchy", "x0": 1}, "", id="spec4"),
+            # exited 0 with every victim dropped
+            ("relay_delay", {"family": "fixed", "value": math.nan}, "relay_delay.value"),
+            ("relay_delay", math.nan, "relay_delay.value"),
+            # a raw ValueError and OverflowError in the middle of the run
+            ("victim_size", {"family": "fixed", "value": math.nan}, "victim_size.value"),
+            ("noise_size", {"family": "fixed", "value": 1, "min": math.inf}, "noise_size.min"),
+            ("victim_size", {"family": "uniform", "low": 1, "high": -math.inf}, "victim_size.high"),
+            # a raw OverflowError from float() and from math.exp
+            ("victim_size", {"family": "fixed", "value": 10**400}, ""),
+            ("victim_size", {"family": "lognormal", "mu": 1000, "sigma": 1}, ""),
+            # ran as 5.0 and as 1.0
+            ("victim_size", {"family": "fixed", "value": "5"}, "victim_size.value"),
+            ("victim_tolerance", {"family": "fixed", "value": True}, "victim_tolerance.value"),
+            ("victim_gas", True, "victim_gas.value"),
+            ("victim_size", {"family": "cauchy", "value": 1}, "unknown distribution family"),
+            # a misspelt clamp was ignored
+            ("victim_size", {"family": "fixed", "value": 5, "mx": 1}, "victim_size has no parameter"),
         ],
     )
-    def test_bad_distribution_is_validation_error(self, tmp_path, capsys, spec):
+    def test_bad_distribution_is_validation_error(self, tmp_path, capsys, key, spec, message):
         data = yaml.safe_load(CONFIG_YAML)
-        data["victim_size"] = spec
+        data[key] = spec
         config = tmp_path / "config.yaml"
         config.write_text(yaml.safe_dump(data))
         out = tmp_path / "x"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: bad simulation config:")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad simulation config: {message}"), err
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["victim_arrival_rate", "noise_arrival_rate"])
@@ -816,7 +841,15 @@ class TestAnalyze:
         [
             (PRICES_CSV.replace("USDT,1,", "USDT,one,"), 3, "ValueError: usd_price must be"),
             (PRICES_CSV.replace("WETH,3000,", "WETH,sNaN,"), 2, "ValueError: usd_price must be"),
-            (PRICES_CSV.replace("token_id", "token"), 2, "KeyError: 'token_id'"),
+            (PRICES_CSV.replace("token_id", "token"), 1, "ValueError: unknown column 'token'"),
+            # every token was priced at the default 18 decimals
+            (PRICES_CSV.replace("decimals", "decimal"), 1, "ValueError: unknown column 'decimal'"),
+            # the last of the two columns won
+            (
+                PRICES_CSV.replace("decimals,", "decimals,decimals,").replace(",18,", ",18,6,"),
+                1,
+                "ValueError: repeated column 'decimals'",
+            ),
             (PRICES_CSV.replace("USDT,1,18,", "USDT,1,six,"), 3, "ValueError: invalid literal"),
             (PRICES_CSV.replace("WETH,3000,18,", "WETH,3000,1000000000,"), 2, "ValueError: decimals"),
             (PRICES_CSV + "DAI\n", 4, "TypeError: "),
