@@ -255,9 +255,17 @@ def largest_frontrun_for_min_out(
     pool: Pool, direction: Direction, victim_in: int, min_out: int
 ) -> int:
     """Largest a >= 0 such that the victim still clears min_out after a
-    same-direction front-run of a. Analytic root plus integer local
-    search; galloping fallback keeps maximality exact even when integer
-    flooring shifts the boundary away from the real-valued root.
+    same-direction front-run of a. Integer local search up from the
+    analytic root; galloping fallback keeps maximality exact even when
+    integer flooring moves the boundary far above the real-valued root.
+
+    The search only walks up, because the root is never above the
+    answer. The root is where the victim's real output, before either
+    floor, falls to m, rounded down by isqrt. Flooring the front-run's
+    output leaves more in the pool for the victim, so at the root the
+    victim's output before its own floor is still >= m, and as m is an
+    integer the floored output is too. When not even a = 0 fits, the
+    real output at 0 is below m and the root is 0, the answer.
     """
     _check_amount("victim_in", victim_in, minimum=1)
     _check_amount("min_out", min_out)
@@ -265,39 +273,31 @@ def largest_frontrun_for_min_out(
         min_out = 1  # a zero floor gives unbounded room; treat as one base unit
 
     # victim_output_after_frontrun on plain reserves; a comes from the
-    # root and the search below, so it is a non-negative int
+    # search below, so it is a positive int
     reserve_in, reserve_out = pool.reserves(direction)
     g, fd = fee_terms(pool)
 
     def fits(a: int) -> bool:
-        if not a:
-            return swap_output(reserve_in, reserve_out, g, fd, victim_in) >= min_out
         front_out = swap_output(reserve_in, reserve_out, g, fd, a)
         victim_out = swap_output(reserve_in + a, reserve_out - front_out, g, fd, victim_in)
         return victim_out >= min_out
 
-    if not fits(0):
-        return 0
     a = _analytic_frontrun_root(pool, direction, victim_in, min_out)
-    if fits(a):
-        steps = 0
-        while fits(a + 1):
-            a += 1
-            steps += 1
-            if steps >= 64:  # analytic start was far off; gallop instead
-                lo, step = a, 64
-                while fits(lo + step):
-                    lo += step
-                    step *= 2
-                hi = lo + step
-                while lo + 1 < hi:
-                    mid = (lo + hi) // 2
-                    if fits(mid):
-                        lo = mid
-                    else:
-                        hi = mid
-                return lo
-        return a
-    while a > 0 and not fits(a):
-        a -= 1
+    steps = 0
+    while fits(a + 1):
+        a += 1
+        steps += 1
+        if steps >= 64:  # analytic start was far off; gallop instead
+            lo, step = a, 64
+            while fits(lo + step):
+                lo += step
+                step *= 2
+            hi = lo + step
+            while lo + 1 < hi:
+                mid = (lo + hi) // 2
+                if fits(mid):
+                    lo = mid
+                else:
+                    hi = mid
+            return lo
     return a

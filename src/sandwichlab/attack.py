@@ -283,16 +283,10 @@ def noise_params_and_rates(
 
 
 def estimate_noise_params(
-    timelines: Sequence[PoolTimeline], theta: Fraction = Fraction(1)
+    timelines: Iterable[PoolTimeline], theta: Fraction = Fraction(1)
 ) -> NoiseParams:
-    """The (q, p) of noise_params_and_rates, replaying only the
-    non-empty windows."""
-    if not timelines:
-        raise EmptyInput("no timelines")
-    noisy = [t for t in timelines if t.noisy_swaps]
-    q = Fraction(len(timelines) - len(noisy), len(timelines))
-    p = noise_params_and_rates(noisy, theta)[0].p if noisy else None
-    return NoiseParams(q=q, p=p)
+    """The (q, p) of noise_params_and_rates, the estimator params runs."""
+    return noise_params_and_rates(timelines, theta)[0]
 
 
 def exact_sum(values: Iterable[Fraction]) -> Fraction:

@@ -31,9 +31,7 @@ from .attack import (
     optimal_frontrun_for_timeline,
     replay_timeline,
 )
-from .detector import CrossChainTx, SwapLog, VictimHop
-
-GWEI = 10**9
+from .detector import GWEI, CrossChainTx, SwapLog, VictimHop
 
 
 class InvalidConfig(ValueError):

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import csv
 import enum
+import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
+from dataclasses import dataclass, field, replace
+from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -153,23 +154,26 @@ class SandwichPair:
     profit_usd: Optional[Decimal] = None
 
 
-def _finite_decimal(text: str) -> Decimal:
-    try:
-        value = Decimal(text)
-        if value.is_finite():
-            return value
-    except InvalidOperation:
-        pass
-    raise ValueError(f"usd_price must be a finite decimal number, not {text!r}")
+# Decimal() alone would also take " 1", "3_000", "NaN" and non-ASCII
+# digits; this is the shape str() gives a finite Decimal
+_FINITE_DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+
+
+def finite_decimal(name: str, text: str) -> Decimal:
+    """text as a Decimal: ASCII digits with an optional leading minus,
+    fraction and exponent, as in 3000, 0.9998 or 1.5e-05."""
+    if not _FINITE_DECIMAL.fullmatch(text):
+        raise ValueError(f"{name} must be a finite decimal number, not {text!r}")
+    return Decimal(text)
 
 
 def _token_decimals(text: str) -> int:
     # an ERC-20 decimals() is a uint8; 10**decimals must stay inside the
-    # exponent range of the Decimal context
-    value = int(text)
-    if not 0 <= value <= 255:
-        raise ValueError(f"decimals must be in [0, 255], not {value}")
-    return value
+    # exponent range of the Decimal context; int() alone would also take
+    # "+6", "1_8" and non-ASCII digits
+    if not (text.isascii() and text.isdigit() and int(text) <= 255):
+        raise ValueError(f"decimals must be an integer in [0, 255], not {text!r}")
+    return int(text)
 
 
 _PRICE_COLUMNS = ("token_id", "usd_price", "decimals", "snapshot_date")
@@ -196,34 +200,44 @@ class PriceTable:
     @classmethod
     def from_csv(cls, path: str) -> "PriceTable":
         """Read a token_id,usd_price[,decimals][,snapshot_date] CSV. A
-        header column outside those four or named twice, a row without
-        token_id or usd_price, an empty token_id, a usd_price that is not
-        a finite decimal, a decimals that is not an integer in [0, 255]
-        or a token_id that an earlier row priced raises MalformedData
-        naming the file and line."""
+        header column outside those four or named twice, a row with more
+        or fewer fields than the header, a row without token_id or
+        usd_price, an empty token_id, a usd_price that is not a finite
+        decimal (finite_decimal), a decimals that is not ASCII digits in
+        [0, 255] or a token_id that an earlier row priced raises
+        MalformedData naming the file and line. Blank lines are skipped."""
         prices: dict[str, Decimal] = {}
         decimals: dict[str, int] = {}
         snapshot = ""
         with open(path, newline="") as handle:
-            reader = csv.DictReader(handle)
+            reader = csv.reader(handle)
             # a misspelt decimals column would price every token at 18
             # decimals, and of two columns of one name the last would win
-            columns = reader.fieldnames or []
+            columns = next(reader, [])
             for index, column in enumerate(columns):
                 if column not in _PRICE_COLUMNS or column in columns[:index]:
                     problem = "repeated" if column in _PRICE_COLUMNS else "unknown"
                     line = reader.line_num
                     raise MalformedData(f"{path}:{line}: ValueError: {problem} column {column!r}")
-            for row in reader:
+            for fields in reader:
+                if not fields:
+                    continue
                 try:
+                    # a thousands separator in a price shifts every later
+                    # field of its row
+                    if len(fields) != len(columns):
+                        raise ValueError(
+                            f"the header names {len(columns)} fields, the row has {len(fields)}"
+                        )
+                    row = dict(zip(columns, fields))
                     token = row["token_id"]
                     if not token:
                         raise ValueError("empty token_id")
                     if token in prices:
                         raise ValueError(f"token_id {token!r} is priced twice")
-                    prices[token] = _finite_decimal(row["usd_price"])
+                    prices[token] = finite_decimal("usd_price", row["usd_price"])
                     decimals[token] = _token_decimals(row.get("decimals") or "18")
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, ValueError) as exc:
                     raise MalformedData(
                         f"{path}:{reader.line_num}: {type(exc).__name__}: {exc}"
                     ) from exc
@@ -479,21 +493,8 @@ def classify_and_price(
     priced = []
     for pair in pairs:
         profit, usd = pair_profit(pair, prices, missing)
-        priced.append(
-            SandwichPair(
-                record_id=pair.record_id,
-                pool_address=pair.pool_address,
-                front=pair.front,
-                victim=pair.victim,
-                back=pair.back,
-                classification=pair.classification,
-                token_in=pair.token_in,
-                front_window_start_block=pair.front_window_start_block,
-                profit_token=profit,
-                profit_rate=Fraction(profit, pair.front.token_in_amount),
-                profit_usd=usd,
-            )
-        )
+        rate = Fraction(profit, pair.front.token_in_amount)
+        priced.append(replace(pair, profit_token=profit, profit_rate=rate, profit_usd=usd))
     return priced, missing
 
 
@@ -501,6 +502,18 @@ def _bin(value: float, bins: int) -> int:
     """The histogram bin of a relative position; values below 0 fall in
     the first bin and values of 1 or more in the last."""
     return min(int(max(value, 0.0) * bins), bins - 1)
+
+
+_BINS = 10
+GWEI = 10**9
+# the back-run gas-price deltas (victim - back) in gwei: below 0, then
+# from each edge up to the next
+_GAS_DELTA_EDGES = (0, GWEI, 10 * GWEI)
+_GAS_DELTA_BUCKETS = ("<0", "[0,1)", "[1,10)", ">=10")
+
+
+def _zeros() -> list:
+    return [0] * _BINS
 
 
 @dataclass(slots=True)
@@ -514,13 +527,15 @@ class Report:
     max_single_profit_usd: Decimal = Decimal(0)
     chain_pairs: dict = field(default_factory=dict)
     pool_counts: dict = field(default_factory=dict)
-    front_position_hist: list = field(default_factory=list)
-    back_position_hist: list = field(default_factory=list)
-    front_position_hist_profitable: list = field(default_factory=list)
-    back_position_hist_profitable: list = field(default_factory=list)
+    front_position_hist: list = field(default_factory=_zeros)
+    back_position_hist: list = field(default_factory=_zeros)
+    front_position_hist_profitable: list = field(default_factory=_zeros)
+    back_position_hist_profitable: list = field(default_factory=_zeros)
     front_gas_ratio_lt_1: float = 0.0
     zero_gas_front_runs: int = 0
-    back_gas_delta_buckets: dict = field(default_factory=dict)
+    back_gas_delta_buckets: dict = field(
+        default_factory=lambda: dict.fromkeys(_GAS_DELTA_BUCKETS, 0)
+    )
 
 
 def aggregate(
@@ -542,15 +557,7 @@ def aggregate(
         record.record_id: f"{record.src_chain_id}->{record.dst_chain_id}"
         for record in records
     }
-
-    bins = 10
-    front_hist = [0] * bins
-    back_hist = [0] * bins
-    front_hist_profit = [0] * bins
-    back_hist_profit = [0] * bins
     gas_lt_1 = 0
-    delta_buckets = {"<0": 0, "[0,1)": 0, "[1,10)": 0, ">=10": 0}
-    gwei = 10**9
 
     for pair in pairs:
         report.total_pairs += 1
@@ -584,35 +591,25 @@ def aggregate(
 
         span = pair.victim.block_number - pair.front_window_start_block
         if span > 0:
-            index = _bin((pair.front.block_number - pair.front_window_start_block) / span, bins)
-            front_hist[index] += 1
+            index = _bin((pair.front.block_number - pair.front_window_start_block) / span, _BINS)
+            report.front_position_hist[index] += 1
             if profitable:
-                front_hist_profit[index] += 1
-        index = _bin((pair.back.block_number - pair.victim.block_number) / num_blocks, bins)
-        back_hist[index] += 1
+                report.front_position_hist_profitable[index] += 1
+        index = _bin((pair.back.block_number - pair.victim.block_number) / num_blocks, _BINS)
+        report.back_position_hist[index] += 1
         if profitable:
-            back_hist_profit[index] += 1
+            report.back_position_hist_profitable[index] += 1
 
         if pair.front.gas_price < pair.victim.gas_price:
             gas_lt_1 += 1
         if pair.front.gas_price == 0:
             report.zero_gas_front_runs += 1
         delta = pair.victim.gas_price - pair.back.gas_price
-        if delta < 0:
-            delta_buckets["<0"] += 1
-        elif delta < gwei:
-            delta_buckets["[0,1)"] += 1
-        elif delta < 10 * gwei:
-            delta_buckets["[1,10)"] += 1
-        else:
-            delta_buckets[">=10"] += 1
+        report.back_gas_delta_buckets[
+            _GAS_DELTA_BUCKETS[bisect_right(_GAS_DELTA_EDGES, delta)]
+        ] += 1
 
-    report.front_position_hist = front_hist
-    report.back_position_hist = back_hist
-    report.front_position_hist_profitable = front_hist_profit
-    report.back_position_hist_profitable = back_hist_profit
     report.front_gas_ratio_lt_1 = gas_lt_1 / report.total_pairs if report.total_pairs else 0.0
-    report.back_gas_delta_buckets = delta_buckets
     report.pool_counts = dict(
         sorted(report.pool_counts.items(), key=lambda kv: -kv[1])
     )

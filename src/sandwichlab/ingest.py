@@ -14,7 +14,6 @@ import math
 import os
 import re
 from dataclasses import asdict, dataclass, field
-from decimal import Decimal
 from fractions import Fraction
 from bisect import bisect_left, insort
 from functools import partial
@@ -39,6 +38,7 @@ from .detector import (
     SandwichPair,
     SwapLog,
     VictimHop,
+    finite_decimal,
 )
 
 
@@ -374,6 +374,7 @@ def _decimal_int(text: str) -> int:
     return int(text)
 
 
+_profit_usd = partial(finite_decimal, "profit_usd")
 _PAIR_KEYS = frozenset(SandwichPair.__match_args__)
 # a pair's own fields: all but its three swap logs
 _OWN_KEYS = _PAIR_KEYS - {"front", "victim", "back"}
@@ -391,7 +392,7 @@ def _own_fields(data: dict, keys: frozenset[str]) -> tuple:
     front_window_start_block = _typed(data, "front_window_start_block", int)
     profit_token = _optional_str("profit_token", data["profit_token"], _decimal_int)
     profit_rate = _optional_str("profit_rate", data["profit_rate"], _fraction_from_str)
-    profit_usd = _optional_str("profit_usd", data["profit_usd"], Decimal)
+    profit_usd = _optional_str("profit_usd", data["profit_usd"], _profit_usd)
     if len(data) > len(keys):
         raise _unknown_key(data, SandwichPair, keys)
     return (

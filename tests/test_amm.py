@@ -131,6 +131,15 @@ class TestBoundaries:
         with pytest.raises(Overflow):
             swap_output(MAX_AMOUNT - 5, 10, 1, 1, 6)
 
+    def test_solver_overflows_when_one_unit_of_front_run_passes_256_bits(self):
+        # the victim's own swap takes the input reserve to MAX_AMOUNT; the
+        # victim clears a floor of 5 alone, and not one of 6
+        pool = make_pool(MAX_AMOUNT - 5, MAX_AMOUNT)
+        assert quote_output(pool, Direction.X_FOR_Y, 5) == 5
+        for min_out in (5, 6):
+            with pytest.raises(Overflow):
+                largest_frontrun_for_min_out(pool, Direction.X_FOR_Y, 5, min_out)
+
     def test_open_lower_rate_bound_rejects_zero(self):
         with pytest.raises(ValueError, match="tolerance out of range: 0"):
             min_out_from_tolerance(100, Fraction(0))
@@ -382,6 +391,28 @@ class TestFrontrunSolver:
         slow = fraction_frontrun_root(pool, Direction.X_FOR_Y, victim_in, min_out)
         slack = 1 / (2 * g * (b * b - 4 * g * c).denominator)
         assert slow <= fast <= slow + 1 + slack
+
+    @given(
+        x=st.one_of(st.integers(1, 49), st.integers(1, 10**30)),
+        y=st.one_of(st.integers(1, 49), st.integers(1, 10**30)),
+        fee_bp=st.integers(0, 9_999),
+        victim_in=st.integers(1, 10**30),
+        direction=st.sampled_from(Direction),
+        data=st.data(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_root_is_a_lower_bound_and_search_is_exact(
+        self, x, y, fee_bp, victim_in, direction, data
+    ):
+        """The solver walks only up from the analytic root: the root is
+        never above the bisection answer (and is 0 when nothing fits),
+        and the search lands on that answer exactly."""
+        pool = make_pool(x, y, Fraction(fee_bp, 10_000))
+        quote = quote_output(pool, direction, victim_in)
+        min_out = data.draw(st.integers(0, quote + 3), label="min_out")
+        expected = bisect_frontrun(pool, direction, victim_in, min_out)
+        assert _analytic_frontrun_root(pool, direction, victim_in, max(min_out, 1)) <= expected
+        assert largest_frontrun_for_min_out(pool, direction, victim_in, min_out) == expected
 
 
 class TestBackrun:

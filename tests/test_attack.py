@@ -353,34 +353,72 @@ class TestEstimators:
         with pytest.raises(EmptyInput):
             noise_params_and_rates([])
 
+    @staticmethod
+    def _corpus(windows, seed=7):
+        """60 timelines on one fee-bearing pool, each window drawn from
+        windows: "empty", "dust" (opposite-direction noise, non-loss) or
+        "wall" (same-direction noise that reverts the victim). The victim
+        sizes include one too small to front-run (no rate sample)."""
+        pool = make_pool(10**12, 10**12, Fraction(3, 1000))
+        rng = random.Random(seed)
+        noises = {
+            "empty": lambda: [],
+            "dust": lambda: [(Direction.Y_FOR_X, rng.randrange(1, 10**9))],
+            "wall": lambda: [(Direction.X_FOR_Y, 10**11)],
+        }
+        timelines = []
+        for _ in range(60):
+            noise = noises[rng.choice(windows)]()
+            size = rng.choice([10, 10**9, 5 * 10**9])
+            timelines.append(make_timeline(pool, size, Fraction(1, 100), noise))
+        return timelines
+
+    @staticmethod
+    def _separate_estimates(timelines, theta):
+        """(q, p) and the rate samples, each counted on its own pass: q
+        over every window, p over the non-empty ones, a rate for every
+        timeline the attacker fronts."""
+        noisy = [t for t in timelines if t.noisy_swaps]
+        non_loss = 0
+        for timeline in noisy:
+            frontrun_in = optimal_frontrun_for_timeline(timeline, theta)
+            executed, recovered = replay_timeline(timeline, frontrun_in)
+            non_loss += executed and recovered >= frontrun_in
+        q = Fraction(len(timelines) - len(noisy), len(timelines))
+        p = Fraction(non_loss, len(noisy)) if noisy else None
+        rates = []
+        for timeline in timelines:
+            frontrun_in = optimal_frontrun_for_timeline(timeline, theta)
+            if frontrun_in:
+                _, recovered = replay_timeline(timeline, frontrun_in)
+                rates.append(Fraction(recovered - frontrun_in, frontrun_in))
+        return NoiseParams(q=q, p=p), rates
+
     def test_one_pass_matches_separate_estimates(self):
         # Mixed corpus: empty and noisy windows, winning and losing
         # replays, and a victim too small to front-run (no rate sample).
-        pool = make_pool(10**12, 10**12, Fraction(3, 1000))
-        rng = random.Random(7)
-        timelines = []
-        for _ in range(60):
-            noise = rng.choice(
-                [
-                    [],
-                    [(Direction.Y_FOR_X, rng.randrange(1, 10**9))],
-                    [(Direction.X_FOR_Y, 10**11)],
-                ]
-            )
-            size = rng.choice([10, 10**9, 5 * 10**9])
-            timelines.append(make_timeline(pool, size, Fraction(1, 100), noise))
+        timelines = self._corpus(["empty", "dust", "wall"])
         for theta in (Fraction(1), Fraction(1, 2)):
             params, rates = noise_params_and_rates(timelines, theta)
-            assert params == estimate_noise_params(timelines, theta)
-            expected = []
-            for timeline in timelines:
-                frontrun_in = optimal_frontrun_for_timeline(timeline, theta)
-                if frontrun_in:
-                    _, recovered = replay_timeline(timeline, frontrun_in)
-                    expected.append(Fraction(recovered - frontrun_in, frontrun_in))
-            assert rates == expected
+            assert (params, rates) == self._separate_estimates(timelines, theta)
+            assert estimate_noise_params(timelines, theta) == params
             assert 0 < len(rates) < len(timelines)
             assert any(r < 0 for r in rates) and any(r >= 0 for r in rates)
+
+    @pytest.mark.parametrize(
+        "windows", [["empty"], ["dust", "wall"]], ids=["all empty", "all noisy"]
+    )
+    def test_one_sided_corpus_matches_separate_estimates(self, windows):
+        timelines = self._corpus(windows)
+        for theta in (Fraction(1), Fraction(1, 2)):
+            params, rates = noise_params_and_rates(timelines, theta)
+            assert (params, rates) == self._separate_estimates(timelines, theta)
+            assert estimate_noise_params(timelines, theta) == params
+            assert rates
+        if windows == ["empty"]:
+            assert (params.q, params.p) == (1, None)  # p is unobservable
+        else:
+            assert params.q == 0 and 0 < params.p < 1
 
     def test_exact_sum_equals_linear_sum(self):
         rng = random.Random(3)

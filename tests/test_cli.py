@@ -850,9 +850,25 @@ class TestAnalyze:
                 1,
                 "ValueError: repeated column 'decimals'",
             ),
-            (PRICES_CSV.replace("USDT,1,18,", "USDT,1,six,"), 3, "ValueError: invalid literal"),
+            (PRICES_CSV.replace("USDT,1,18,", "USDT,1,six,"), 3, "ValueError: decimals must be"),
             (PRICES_CSV.replace("WETH,3000,18,", "WETH,3000,1000000000,"), 2, "ValueError: decimals"),
-            (PRICES_CSV + "DAI\n", 4, "TypeError: "),
+            # int() took each of these
+            (PRICES_CSV.replace("USDT,1,18,", "USDT,1,+6,"), 3, "ValueError: decimals must be"),
+            (PRICES_CSV.replace("USDT,1,18,", "USDT,1,1_8,"), 3, "ValueError: decimals must be"),
+            (PRICES_CSV.replace("USDT,1,18,", "USDT,1,\uff11\uff18,"), 3, "ValueError: decimals must be"),
+            # Decimal() took each of these
+            (PRICES_CSV.replace("WETH,3000,", "WETH,3_000,"), 2, "ValueError: usd_price must be"),
+            (PRICES_CSV.replace("USDT,1,", "USDT, 1 ,"), 3, "ValueError: usd_price must be"),
+            (PRICES_CSV.replace("WETH,3000,", "WETH,\u0663\u0660\u0660,"), 2, "ValueError: usd_price must be"),
+            # usd_price 3, decimals 0 and snapshot date '18'
+            (
+                PRICES_CSV.replace("WETH,3000,", "WETH,3,000,"),
+                2,
+                "ValueError: the header names 4 fields, the row has 5",
+            ),
+            # decimals took the default 18
+            (PRICES_CSV.replace("WETH,3000,18,2025-10-31", "WETH,3000"), 2, "ValueError: the header"),
+            (PRICES_CSV + "DAI\n", 4, "ValueError: the header names 4 fields, the row has 1"),
             # the later row won
             (PRICES_CSV + "WETH,2900,18,\n", 4, "ValueError: token_id 'WETH' is priced twice"),
             # a token named '' was priced
@@ -1096,6 +1112,24 @@ class TestAnalyzeStreams:
             f"error: {pairs}:2: ValueError: token_in_amount must be >= 1, got {amount}"
         )
         assert not (rep / "report.json").exists()
+
+    # Decimal() took both, and analyze exited 0
+    @pytest.mark.parametrize("profit_usd", ["NaN", " 1_0"])
+    def test_bad_profit_usd_names_file_and_line(self, detected, tmp_path, capsys, profit_usd):
+        pairs, prices = detected
+        header, first, *rest = pairs.read_text().splitlines()
+        row = json.loads(first)
+        row["profit_usd"] = profit_usd
+        pairs.write_text("\n".join([header, json.dumps(row), *rest]) + "\n")
+        rep = tmp_path / "rep"
+        capsys.readouterr()
+        argv = ["analyze", "--pairs", str(pairs), "--prices", str(prices), "--out", str(rep)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {pairs}:2: ValueError: profit_usd must be a finite decimal number, "
+            f"not {profit_usd!r}\n"
+        )
+        assert not rep.exists()
 
     def test_price_table_error_comes_first(self, detected, tmp_path, capsys):
         pairs, prices = detected

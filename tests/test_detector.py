@@ -518,6 +518,30 @@ class TestAggregate:
         assert report.chain_pairs["1->56"]["pairs"] == 1
         assert report.pool_counts == {POOL: 1}
 
+    def test_gas_delta_bucket_edges(self):
+        """Each back-run gas delta (victim - back) at an edge of its
+        bucket lands in the bucket that starts there."""
+        victim = make_log(50, 10, gas_price=10 * GWEI)
+        deltas = [-1, 0, GWEI - 1, GWEI, 10 * GWEI - 1, 10 * GWEI]
+        pairs = [
+            SandwichPair(
+                record_id="r0",
+                pool_address=POOL,
+                front=make_log(49, 0),
+                victim=victim,
+                back=make_log(51, 0, Direction.Y_FOR_X, gas_price=10 * GWEI - delta),
+                classification=Classification.CROSS_CHAIN,
+                token_in="WETH",
+                front_window_start_block=40,
+            )
+            for delta in deltas
+        ]
+        buckets = ["<0", "[0,1)", "[0,1)", "[1,10)", "[1,10)", ">=10"]
+        for delta, pair, bucket in zip(deltas, pairs, buckets):
+            assert aggregate([pair], []).back_gas_delta_buckets[bucket] == 1, delta
+        report = aggregate(pairs, [])
+        assert report.back_gas_delta_buckets == {"<0": 1, "[0,1)": 2, "[1,10)": 2, ">=10": 1}
+
     @staticmethod
     def _binned_pairs():
         """Five priced pairs of one record at the edges of the position

@@ -760,6 +760,11 @@ _OTHER_LINES = {
     "1.5 for front_window_start_block": _row_with(front_window_start_block=1.5),
     "true for profit_token": _row_with(profit_token=True),
     "padded profit_token": _row_with(profit_token=" 7"),
+    "NaN profit_usd": _row_with(profit_usd="NaN"),
+    "padded profit_usd": _row_with(profit_usd=" 1_0"),
+    "profit_usd 3_000": _row_with(profit_usd="3_000"),
+    "Arabic-Indic profit_usd": _row_with(profit_usd="\u0663\u0660\u0660"),
+    "profit_usd -1.5E-7": _row_with(profit_usd="-1.5E-7"),
     "int record_id": _row_with(record_id=5),
     "bad classification": _row_with(classification="x"),
     "zero front input": _row_with(front={**_canonical(_LOG), "token_in_amount": 0}),
@@ -858,6 +863,16 @@ class TestPairsReader:
                 assert (id(log) in around) == (written and same_text)
         else:
             assert fast.startswith(f"{tmp_path / 'pairs.jsonl'}:3: "), fast
+
+    @pytest.mark.parametrize(
+        "name", ["NaN profit_usd", "padded profit_usd", "profit_usd 3_000", "Arabic-Indic profit_usd"]
+    )
+    def test_profit_usd_outside_the_number_rule_fails(self, tmp_path, name):
+        # Decimal() read each of these on both paths
+        fast, _ = _read_both(tmp_path / "pairs.jsonl", [_ROW + "\n", _OTHER_LINES[name] + "\n"])
+        assert fast.startswith(
+            f"{tmp_path / 'pairs.jsonl'}:3: ValueError: profit_usd must be a finite decimal number"
+        ), fast
 
     # rows of one record whose own fields differ from an earlier row's,
     # which iter_pairs has kept, in one of the two runs between the logs
