@@ -315,6 +315,31 @@ def _magnitude_key(value: Fraction) -> tuple[int, Fraction]:
     return (value.numerator << 64) // value.denominator, value
 
 
+def _trimmed_classes(rates: Iterable[Fraction], percentile: Fraction) -> tuple[list, list]:
+    """The non-loss (>= 0) and the loss (< 0) rates that the trim keeps:
+    within each class, values whose magnitude exceeds the given
+    percentile of |rate| (nearest rank) are discarded."""
+    rates = [Fraction(r) for r in rates]
+    if not rates:
+        raise EmptyInput("no profit rates")
+    if not 0 < percentile <= 100:
+        raise ValueError("percentile must be in (0, 100]")
+
+    def kept(values: list[Fraction]) -> list[Fraction]:
+        if not values:
+            return values
+        magnitudes = sorted(map(abs, values), key=_magnitude_key)
+        rank = -(-percentile.numerator * len(values) // (percentile.denominator * 100))
+        threshold = magnitudes[max(rank, 1) - 1]
+        return [v for v in values if abs(v) <= threshold]
+
+    return kept([r for r in rates if r >= 0]), kept([r for r in rates if r < 0])
+
+
+def _mean(values: list[Fraction]) -> Fraction:
+    return exact_sum(values) / len(values) if values else Fraction(0)
+
+
 def estimate_return_rates(
     rates: Iterable[Fraction], percentile: Fraction = Fraction(95)
 ) -> ReturnRates:
@@ -325,22 +350,54 @@ def estimate_return_rates(
     |rate| (nearest rank) are discarded before averaging, excluding
     black-swan outliers. An empty class contributes a zero rate.
     """
-    rates = [Fraction(r) for r in rates]
-    if not rates:
-        raise EmptyInput("no profit rates")
-    if not 0 < percentile <= 100:
-        raise ValueError("percentile must be in (0, 100]")
+    r_plus, r_minus = map(_mean, _trimmed_classes(rates, percentile))
+    return ReturnRates(r_plus=r_plus, r_minus=r_minus)
 
-    def trimmed_mean(values: list[Fraction]) -> Fraction:
-        if not values:
-            return Fraction(0)
-        magnitudes = sorted(map(abs, values), key=_magnitude_key)
-        rank = -(-percentile.numerator * len(values) // (percentile.denominator * 100))
-        threshold = magnitudes[max(rank, 1) - 1]
-        kept = [v for v in values if abs(v) <= threshold]
-        return exact_sum(kept) / len(kept)
 
-    return ReturnRates(
-        r_plus=trimmed_mean([r for r in rates if r >= 0]),
-        r_minus=trimmed_mean([r for r in rates if r < 0]),
-    )
+def percent_text(value: Fraction) -> str:
+    """value in percent to four decimals, as params prints a rate.
+    float() of a Fraction is correctly rounded, and the product and the
+    formatting are monotone, so every value between two values of one
+    text has that text too."""
+    return f"{float(value) * 100:.4f}"
+
+
+# the fixed-point grid, in bits, on which return_rate_texts bounds a mean
+BOUND_BITS = 160
+
+
+def _mean_bounds(values: list[Fraction]) -> list[Fraction]:
+    """[lo, hi] around the mean of values. Each value is floored onto the
+    2**-BOUND_BITS grid, so the exact sum lies within count grid steps
+    above the sum of the floors. No values give [0, 0]."""
+    total = sum((v.numerator << BOUND_BITS) // v.denominator for v in values)
+    scale = max(len(values), 1) << BOUND_BITS
+    return [Fraction(total, scale), Fraction(total + len(values), scale)]
+
+
+def return_rate_texts(
+    rates: Iterable[Fraction], percentile: Fraction, params: NoiseParams
+) -> tuple[str, str, str]:
+    """percent_text of r+ and r- of estimate_return_rates(rates,
+    percentile), and of expected_profit(1, params, those rates).
+
+    Each is read from the ends of integer bounds on the trimmed means.
+    E(r) is monotone in r+ and r-, since its weights are non-negative,
+    so its bounds come from theirs. Where both ends print one text, the
+    exact value prints it too. A class whose ends print two texts takes
+    its exact mean (exact_sum); if E(r)'s ends still do, both classes do.
+    """
+    win = success_probability(params)
+    classes = _trimmed_classes(rates, percentile)
+    bounds = [_mean_bounds(kept) for kept in classes]
+
+    def texts(end: int) -> tuple[str, ...]:
+        r_plus, r_minus = bounds[0][end], bounds[1][end]
+        return tuple(map(percent_text, (r_plus, r_minus, win * r_plus + (1 - win) * r_minus)))
+
+    for k in (0, 1):
+        if texts(0)[k] != texts(1)[k]:
+            bounds[k] = [_mean(classes[k])] * 2
+    if texts(0) != texts(1):  # E(r) alone: the other class takes its exact mean too
+        bounds = [b if b[0] == b[1] else [_mean(kept)] * 2 for b, kept in zip(bounds, classes)]
+    return texts(0)

@@ -330,7 +330,11 @@ def cmd_params(args) -> int:
             ) from None
         if not rate_samples:
             raise ValidationFailure("no attackable timelines; cannot estimate rates")
-        rates = attack.estimate_return_rates(rate_samples, percentile)
+        # the printed digits of the exact trimmed means, certified by
+        # integer bounds, with no exact sum unless the bounds print apart
+        r_plus_text, r_minus_text, expected_text = attack.return_rate_texts(
+            rate_samples, percentile, params
+        )
     else:
         given = [f"--{name}" for name in ("theta", "percentile") if getattr(args, name) is not None]
         if given:
@@ -346,14 +350,15 @@ def cmd_params(args) -> int:
             rates = attack.ReturnRates(r_plus=r_plus, r_minus=r_minus)
         except ValueError as exc:
             raise ValidationFailure(f"bad model parameters: {exc}") from None
+        figures = rates.r_plus, rates.r_minus, attack.expected_profit(1, params, rates)
+        r_plus_text, r_minus_text, expected_text = map(attack.percent_text, figures)
 
     win = attack.success_probability(params)
-    expected_rate = attack.expected_profit(1, params, rates)
     print(f"q         = {float(params.q):.4f}")
     print(f"p         = {'n/a' if params.p is None else f'{float(params.p):.4f}'}")
-    print(f"r+        = {float(rates.r_plus) * 100:.4f}%")
-    print(f"r-        = {float(rates.r_minus) * 100:.4f}%")
-    print(f"E(r)      = {float(expected_rate) * 100:.4f}%")
+    print(f"r+        = {r_plus_text}%")
+    print(f"r-        = {r_minus_text}%")
+    print(f"E(r)      = {expected_text}%")
     print(f"success   = {float(win) * 100:.2f}%")
     return 0
 

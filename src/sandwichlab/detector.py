@@ -16,7 +16,7 @@ import enum
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -159,12 +159,30 @@ class SandwichPair:
 _FINITE_DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
 
 
+# a USD amount's exponent in scientific notation is kept within this
+# bound, so that PriceTable.usd's products (token amounts below 2**256
+# over up to 10**255) and aggregate's sums of them stay far inside the
+# +-999999 exponents of the default Decimal context, which raises
+# Overflow past its top
+USD_EXPONENT_LIMIT = 100_000
+
+
 def finite_decimal(name: str, text: str) -> Decimal:
     """text as a Decimal: ASCII digits with an optional leading minus,
-    fraction and exponent, as in 3000, 0.9998 or 1.5e-05."""
+    fraction and exponent, as in 3000, 0.9998 or 1.5e-05, whose exponent
+    in scientific notation (Decimal.adjusted) is within
+    +-USD_EXPONENT_LIMIT."""
     if not _FINITE_DECIMAL.fullmatch(text):
         raise ValueError(f"{name} must be a finite decimal number, not {text!r}")
-    return Decimal(text)
+    try:
+        value = Decimal(text)
+    except InvalidOperation:  # an exponent past what a Decimal can hold
+        value = None
+    if value is None or not -USD_EXPONENT_LIMIT <= value.adjusted() <= USD_EXPONENT_LIMIT:
+        raise ValueError(
+            f"{name} must have an exponent within +-{USD_EXPONENT_LIMIT}, not {text!r}"
+        )
+    return value
 
 
 def _token_decimals(text: str) -> int:

@@ -1,9 +1,11 @@
 """The oracle cross-checks that ``sandwichlab selftest`` runs, and the
 case generators the tests share with them: ``frontrun_case`` with its
 one maximality predicate, ``detection_case`` for the greedy matcher
-against the exhaustive one, and ``replay_by_swaps``, the reference of
-``replay_timeline``. Only the package and the standard library are
-used, so an installed package checks itself without the tests."""
+against the exhaustive one, ``replay_by_swaps``, the reference of
+``replay_timeline``, and ``rate_case`` with ``printing_step`` for the
+certified ``params`` digits against the exact ones. Only the package
+and the standard library are used, so an installed package checks
+itself without the tests."""
 
 from __future__ import annotations
 
@@ -180,6 +182,73 @@ def check_replay(rng: random.Random, trials: int) -> bool:
     return True
 
 
+def printing_step(j: int) -> Fraction:
+    """The exact rate at which attack.percent_text steps from one text
+    to the next near (j + 1/2) / 10**6: the midpoint of the two adjacent
+    floats that print apart there. Rates just above it print the upper
+    text and rates just below it the lower one; the midpoint itself
+    prints the text of the float it rounds to (ties to even)."""
+    low = float(Fraction(2 * j + 1, 2 * 10**6))
+    for _ in range(4):  # the text steps within a few floats of the start
+        low = math.nextafter(low, -math.inf)
+    while attack.percent_text(low) == attack.percent_text(high := math.nextafter(low, math.inf)):
+        low = high
+    return (Fraction(low) + Fraction(high)) / 2
+
+
+def rate_case(rng: random.Random) -> tuple[list[Fraction], Fraction, attack.NoiseParams]:
+    """Profit rates, a percentile and (q, p) for return_rate_texts; p is
+    None (with q = 1) in one case in four. In one case in eight the
+    rates are copies of one value that puts E(r) on a printing_step
+    while the bounds of r+ and r- each print one text. Otherwise they
+    are one to three groups, each one of: random fractions of either
+    sign; copies of a printing_step, or of a value 2**-200 to either
+    side of it, whose bounds print two texts; copies of the midpoint of
+    two adjacent floats; copies of a tiny negative rate, which prints
+    -0.0000 where its upper bound prints 0.0000; zeros."""
+    params = attack.NoiseParams(Fraction(1), None)
+    if rng.randrange(4):
+        params = attack.NoiseParams(*(Fraction(rng.randrange(101), 100) for _ in range(2)))
+    percentile = rng.choice((Fraction(50), Fraction(95), Fraction(333, 4), Fraction(100)))
+    win, j = attack.success_probability(params), rng.randrange(-10**6, 10**6)
+    # E(r) is win * r+ with no losses, (1 - win) * r- with no gains
+    weight = win if j >= 0 else 1 - win
+    if weight and not rng.randrange(8):
+        return [printing_step(j) / weight] * rng.randrange(1, 6), percentile, params
+    rates = []
+    for _ in range(rng.randrange(1, 4)):
+        kind, copies = rng.randrange(5), rng.randrange(1, 6)
+        if kind == 0:
+            rates += [Fraction(rng.randrange(-10**12, 10**12), 10**12) for _ in range(copies)]
+        elif kind == 1:
+            offset = Fraction(rng.choice((-1, 0, 1)), 2**200)
+            rates += [printing_step(rng.randrange(-10**6, 10**6)) + offset] * copies
+        elif kind == 2:
+            low = rng.uniform(-1, 1)
+            rates += [(Fraction(low) + Fraction(math.nextafter(low, math.inf))) / 2] * copies
+        elif kind == 3:
+            rates += [-Fraction(1, 2 ** rng.randrange(1000, 1100))] * copies
+        else:
+            rates += [Fraction(0)] * copies
+    return rates, percentile, params
+
+
+def check_rate_texts(rng: random.Random, trials: int) -> bool:
+    """Some class's bounds must print two texts in at least one trial,
+    so that the exact fallback is compared too."""
+    straddled = 0
+    for _ in range(trials):
+        rates, percentile, params = rate_case(rng)
+        exact = attack.estimate_return_rates(rates, percentile)
+        figures = exact.r_plus, exact.r_minus, attack.expected_profit(1, params, exact)
+        expected = tuple(map(attack.percent_text, figures))
+        if attack.return_rate_texts(rates, percentile, params) != expected:
+            return False
+        for kept in attack._trimmed_classes(rates, percentile):
+            straddled += len(set(map(attack.percent_text, attack._mean_bounds(kept)))) > 1
+    return straddled > 0
+
+
 def main() -> int:
     """Run each check on one seeded generator, print PASS or FAIL for
     each, and return 1 if any failed."""
@@ -189,6 +258,7 @@ def main() -> int:
         ("front-run solver maximality", check_frontrun, 60),
         ("detector fast == reference", check_detector, 120),
         ("timeline replay == swap-by-swap execution", check_replay, 60),
+        ("certified params digits == exact", check_rate_texts, 200),
     ):
         ok = check(rng, trials)
         print(f"{'PASS' if ok else 'FAIL'}  {name}")

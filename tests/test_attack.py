@@ -1,12 +1,14 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import replay_timeline_oracle
+from sandwichlab import attack
 from sandwichlab.amm import (
     MAX_AMOUNT,
     Direction,
@@ -33,10 +35,12 @@ from sandwichlab.attack import (
     expected_profit,
     noise_params_and_rates,
     optimal_frontrun_for_timeline,
+    percent_text,
     replay_timeline,
+    return_rate_texts,
     success_probability,
 )
-from sandwichlab.selftest import make_timeline, replay_by_swaps
+from sandwichlab.selftest import make_timeline, printing_step, replay_by_swaps
 
 
 def _trimmed_means_oracle(rates, percentile):
@@ -473,6 +477,85 @@ class TestEstimators:
             assert estimate_return_rates(rates, percentile) == _trimmed_means_oracle(
                 rates, percentile
             )
+
+    @pytest.mark.parametrize("bits", [attack.BOUND_BITS, 20, 3])
+    def test_certified_rate_texts_equal_exact_ones(self, bits):
+        # each rate group is copies of one value or a few random rates:
+        # a printing step or 2**-200 to either side of it, the midpoint of
+        # two adjacent floats, a tiny negative rate (-0.0000 against the
+        # 0.0000 of its upper bound) or zero. With e_step, the rates are
+        # copies of one value that puts E(r) alone on a printing step.
+        copies = lambda values: st.tuples(values, st.integers(1, 5)).map(lambda c: [c[0]] * c[1])
+        tiny = Fraction(1, 2**200)
+        groups = st.one_of(
+            st.lists(st.fractions(-1, 1, max_denominator=10**12), min_size=1, max_size=8),
+            copies(st.builds(
+                lambda j, offset: printing_step(j) + offset,
+                st.integers(-10**6, 10**6),
+                st.sampled_from([-tiny, 0, tiny]),
+            )),
+            copies(st.floats(-1, 1).map(
+                lambda x: (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+            )),
+            copies(st.integers(1000, 1100).map(lambda k: -Fraction(1, 2**k))),
+            copies(st.just(Fraction(0))),
+        )
+        unit = st.fractions(0, 1, max_denominator=100)
+        fell_back = []
+
+        @given(
+            groups=st.lists(groups, min_size=1, max_size=3),
+            percentile=st.sampled_from([Fraction(p) for p in (50, 95, Fraction(333, 4), 100)]),
+            params=st.one_of(
+                st.just(NoiseParams(q=Fraction(1), p=None)), st.builds(NoiseParams, unit, unit)
+            ),
+            e_step=st.one_of(st.none(), st.tuples(st.integers(-10**6, 10**6), st.integers(1, 5))),
+        )
+        @settings(max_examples=300, deadline=None)
+        def check(groups, percentile, params, e_step):
+            rates = [rate for group in groups for rate in group]
+            win = success_probability(params)
+            if e_step and (weight := win if e_step[0] >= 0 else 1 - win):
+                # E(r) is win * r+ with no losses, (1 - win) * r- with no gains
+                rates = [printing_step(e_step[0]) / weight] * e_step[1]
+            sums = []
+            spy = lambda values: sums.append(1) or exact_sum(values)
+            with mock.patch.object(attack, "BOUND_BITS", bits):
+                with mock.patch.object(attack, "exact_sum", spy):
+                    texts = return_rate_texts(rates, percentile, params)
+            fell_back.append(bool(sums))
+            exact = estimate_return_rates(rates, percentile)
+            figures = exact.r_plus, exact.r_minus, expected_profit(1, params, exact)
+            assert texts == tuple(f"{float(x) * 100:.4f}" for x in figures)
+
+        check()
+        assert any(fell_back)  # the exact fallback was compared too
+
+    def test_only_a_class_whose_bounds_print_apart_takes_its_exact_sum(self):
+        step = printing_step(12_345)
+        # the bounds on one of these two means lie on either side of step
+        for gain in (step, step - Fraction(1, 2**200)):
+            low, high = attack._mean_bounds([gain])
+            if percent_text(low) != percent_text(high):
+                break
+        summed = []
+        spy = lambda values: summed.append(values) or exact_sum(values)
+        certain = NoiseParams(q=Fraction(1), p=None)  # E(r) is r+
+        with mock.patch.object(attack, "exact_sum", spy):
+            texts = return_rate_texts([gain] * 3 + [Fraction(-1, 3)] * 2, Fraction(100), certain)
+            assert summed == [[gain] * 3]
+            summed.clear()
+            return_rate_texts([Fraction(1, 3), Fraction(-1, 7)], Fraction(100), certain)
+            assert summed == []
+        assert texts == (percent_text(gain), "-33.3333", percent_text(gain))
+
+    def test_certified_rate_texts_tell_minus_zero_from_zero(self):
+        rates = [Fraction(0), -Fraction(1, 2**1075)]
+        # E(r) is r+ at win 1 and r- at win 0
+        texts = return_rate_texts(rates, Fraction(100), NoiseParams(q=Fraction(1), p=None))
+        assert texts == ("0.0000", "-0.0000", "0.0000")
+        texts = return_rate_texts(rates, Fraction(100), NoiseParams(q=Fraction(0), p=Fraction(0)))
+        assert texts == ("0.0000", "-0.0000", "-0.0000")
 
     def test_rates_empty_raises(self):
         with pytest.raises(EmptyInput):

@@ -860,6 +860,18 @@ class TestAnalyze:
             (PRICES_CSV.replace("WETH,3000,", "WETH,3_000,"), 2, "ValueError: usd_price must be"),
             (PRICES_CSV.replace("USDT,1,", "USDT, 1 ,"), 3, "ValueError: usd_price must be"),
             (PRICES_CSV.replace("WETH,3000,", "WETH,\u0663\u0660\u0660,"), 2, "ValueError: usd_price must be"),
+            # aggregate raised decimal.Overflow on the first of these, and
+            # Decimal() itself raised InvalidOperation on the second
+            (
+                PRICES_CSV.replace("WETH,3000,", "WETH,1e1000000,"),
+                2,
+                "ValueError: usd_price must have an exponent within +-100000, not '1e1000000'",
+            ),
+            (
+                PRICES_CSV.replace("USDT,1,", "USDT,1e-99999999999999999999,"),
+                3,
+                "ValueError: usd_price must have an exponent within +-100000",
+            ),
             # usd_price 3, decimals 0 and snapshot date '18'
             (
                 PRICES_CSV.replace("WETH,3000,", "WETH,3,000,"),
@@ -1113,9 +1125,20 @@ class TestAnalyzeStreams:
         )
         assert not (rep / "report.json").exists()
 
-    # Decimal() took both, and analyze exited 0
-    @pytest.mark.parametrize("profit_usd", ["NaN", " 1_0"])
-    def test_bad_profit_usd_names_file_and_line(self, detected, tmp_path, capsys, profit_usd):
+    # Decimal() took the first two, and analyze exited 0; aggregate
+    # raised decimal.Overflow on the third
+    @pytest.mark.parametrize(
+        "profit_usd, problem",
+        [
+            ("NaN", "must be a finite decimal number"),
+            (" 1_0", "must be a finite decimal number"),
+            ("1e1000000", "must have an exponent within +-100000"),
+        ],
+        ids=["NaN", " 1_0", "1e1000000"],
+    )
+    def test_bad_profit_usd_names_file_and_line(
+        self, detected, tmp_path, capsys, profit_usd, problem
+    ):
         pairs, prices = detected
         header, first, *rest = pairs.read_text().splitlines()
         row = json.loads(first)
@@ -1126,8 +1149,7 @@ class TestAnalyzeStreams:
         argv = ["analyze", "--pairs", str(pairs), "--prices", str(prices), "--out", str(rep)]
         assert main(argv) == 1
         assert capsys.readouterr().err == (
-            f"error: {pairs}:2: ValueError: profit_usd must be a finite decimal number, "
-            f"not {profit_usd!r}\n"
+            f"error: {pairs}:2: ValueError: profit_usd {problem}, not {profit_usd!r}\n"
         )
         assert not rep.exists()
 
@@ -1331,7 +1353,7 @@ class TestSelftest:
     def test_passes(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 3
+        assert out.count("PASS") == 4
         assert "FAIL" not in out
 
     def test_runs_from_src_alone_and_is_not_loaded_by_the_cli(self, tmp_path):
@@ -1345,7 +1367,7 @@ class TestSelftest:
         argv = [sys.executable, "-c", code]
         done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.count("PASS  ") == 3
+        assert done.stdout.count("PASS  ") == 4
 
 
 # One stage run as python -m runs it, in a fresh interpreter that cannot

@@ -2,9 +2,10 @@
 for three small configs in which the cross-chain attacker and the
 mempool bot both act (two on zero-fee pools, one on 30 and 25 bp
 pools), and of the ``pairs.jsonl`` and ``report.json`` that ``detect``
-and ``analyze`` write from them. A refactor of the simulator or of a
-codec must leave every digest unchanged; a change that alters an output
-on purpose updates the digests here and says so in CHANGES.md."""
+and ``analyze`` write from them, and the stdout of ``params`` on them.
+A refactor of the simulator, of a codec or of the estimators must leave
+every digest and text unchanged; a change that alters an output on
+purpose updates them here and says so in CHANGES.md."""
 
 import hashlib
 
@@ -188,6 +189,25 @@ DETECT_DIGESTS = {
     },
 }
 
+# params --timelines stdout on each config's timelines.jsonl, at
+# (theta, percentile) (1/2, 95) and (1, 100): q, p, r+, r-, E(r) and the
+# success probability, each the correctly rounded text of its exact value
+PARAMS_STDOUT = {
+    "capped": {
+        ("1/2", "95"): ("0.0000", "0.3667", "1.1544", "-0.3093", "0.2274", "36.67"),
+        ("1", "100"): ("0.0000", "0.0000", "1.1654", "-0.3508", "-0.3508", "0.00"),
+    },
+    "mempool": {
+        ("1/2", "95"): ("0.0000", "0.3529", "1.4131", "-3.9923", "-2.0845", "35.29"),
+        ("1", "100"): ("0.0000", "0.2941", "1.3300", "-4.0872", "-2.4939", "29.41"),
+    },
+    "fees": {
+        ("1/2", "95"): ("0.0000", "0.4783", "5.1433", "-2.0247", "1.4035", "47.83"),
+        ("1", "100"): ("0.0000", "0.0870", "4.7180", "-1.2841", "-0.7622", "8.70"),
+    },
+}
+
+
 PRICES_CSV = (
     "token_id,usd_price,decimals,snapshot_date\n"
     "WETH,3000,18,2025-10-31\n"
@@ -248,3 +268,21 @@ def test_every_swap_replays_through_execute_swap(name):
         assert (outcome.amount_out, outcome.reverted) == (event.amount_out, event.reverted)
         pools[event.pool_address] = outcome.pool_after
     assert pools == trace.final_pools
+
+
+@pytest.mark.parametrize("name", sorted(PARAMS_STDOUT))
+def test_params_stdout_is_frozen(name, tmp_path, capsys):
+    timelines = str(_simulate(name, tmp_path) / "timelines.jsonl")
+    for (theta, percentile), figures in PARAMS_STDOUT[name].items():
+        capsys.readouterr()
+        argv = ["params", "--timelines", timelines, "--theta", theta, "--percentile", percentile]
+        assert main(argv) == 0
+        q, p, r_plus, r_minus, expected_rate, success = figures
+        assert capsys.readouterr().out == (
+            f"q         = {q}\n"
+            f"p         = {p}\n"
+            f"r+        = {r_plus}%\n"
+            f"r-        = {r_minus}%\n"
+            f"E(r)      = {expected_rate}%\n"
+            f"success   = {success}%\n"
+        )
