@@ -308,32 +308,41 @@ def exact_sum(values: Iterable[Fraction]) -> Fraction:
 
 
 def _magnitude_key(value: Fraction) -> tuple[int, Fraction]:
-    """A sort key for non-negative Fractions that orders them as the
-    Fractions themselves: floor(value * 2**64) is non-decreasing in
-    value and settles almost every comparison as one int comparison;
-    the value itself breaks the ties exactly."""
+    """A sort key that orders Fractions as the Fractions themselves:
+    floor(value * 2**64) is non-decreasing in value and settles almost
+    every comparison as one int comparison; the value itself breaks the
+    ties exactly."""
     return (value.numerator << 64) // value.denominator, value
 
 
 def _trimmed_classes(rates: Iterable[Fraction], percentile: Fraction) -> tuple[list, list]:
     """The non-loss (>= 0) and the loss (< 0) rates that the trim keeps:
     within each class, values whose magnitude exceeds the given
-    percentile of |rate| (nearest rank) are discarded."""
-    rates = [Fraction(r) for r in rates]
-    if not rates:
+    percentile of |rate| (nearest rank) are discarded.
+
+    Each rate's key is computed once, and no rate is copied: a loss's
+    magnitude grows as the rate falls, so the loss class ranks its keys
+    in falling order and keeps the rates at or above the threshold."""
+    gains: list[Fraction] = []
+    losses: list[Fraction] = []
+    for r in rates:
+        (gains if r.numerator >= 0 else losses).append(r)
+    if not (gains or losses):
         raise EmptyInput("no profit rates")
     if not 0 < percentile <= 100:
         raise ValueError("percentile must be in (0, 100]")
 
-    def kept(values: list[Fraction]) -> list[Fraction]:
+    def kept(values: list[Fraction], loss: bool) -> list[Fraction]:
         if not values:
             return values
-        magnitudes = sorted(map(abs, values), key=_magnitude_key)
+        keys = list(map(_magnitude_key, values))
         rank = -(-percentile.numerator * len(values) // (percentile.denominator * 100))
-        threshold = magnitudes[max(rank, 1) - 1]
-        return [v for v in values if abs(v) <= threshold]
+        threshold = sorted(keys, reverse=loss)[max(rank, 1) - 1]
+        if loss:
+            return [v for v, key in zip(values, keys) if key >= threshold]
+        return [v for v, key in zip(values, keys) if key <= threshold]
 
-    return kept([r for r in rates if r >= 0]), kept([r for r in rates if r < 0])
+    return kept(gains, False), kept(losses, True)
 
 
 def _mean(values: list[Fraction]) -> Fraction:

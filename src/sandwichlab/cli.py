@@ -319,7 +319,7 @@ def cmd_params(args) -> int:
             raise ValidationFailure(f"--percentile must be in (0, 100], got {percentile_text}")
         # one timeline at a time: each is decoded, replayed and dropped
         # before the next is read
-        timelines = ingest.iter_decoded(args.timelines, ingest.timeline_from_dict)
+        timelines = ingest.iter_timelines(args.timelines)
         try:
             params, rate_samples = attack.noise_params_and_rates(timelines, theta)
         except attack.EmptyInput:

@@ -314,7 +314,7 @@ def group_logs(logs: Iterable[SwapLog], where: str = "") -> dict[str, list[SwapL
     for log in logs:
         logs_by_pool.setdefault(log.pool_address, []).append(log)
     for pool, pool_logs in logs_by_pool.items():
-        pool_logs.sort(key=SwapLog.position)
+        pool_logs.sort(key=attrgetter("block_number", "log_index"))
         for earlier, later in zip(pool_logs, pool_logs[1:]):
             if later.log_index == earlier.log_index and later.block_number == earlier.block_number:
                 raise MalformedData(f"{where}pool {pool}: two logs at {later.position()}")

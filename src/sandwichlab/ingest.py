@@ -8,6 +8,7 @@ that ties each CLI run's outputs to its inputs.
 from __future__ import annotations
 
 import contextlib
+import enum
 import hashlib
 import json
 import math
@@ -117,14 +118,22 @@ def _uint256(data: dict, key: str, least: int = 0) -> int:
     return value
 
 
+def _member_lookup(cls: type[enum.Enum]) -> Callable[[object], enum.Enum]:
+    """cls(value), its ValueError included, as a dict lookup on the
+    member values: an enum call costs twenty times one, so the call runs
+    only on a miss, to raise its error."""
+    members = {member.value: member for member in cls}
+
+    def member(value):
+        found = members.get(value) if type(value) is str else None
+        return cls(value) if found is None else found
+
+    return member
+
+
 _DIRECTIONS = {direction.value: direction for direction in Direction}
-
-
-def _direction(value) -> Direction:
-    """Direction(value), its ValueError included, without the enum's
-    call on the two valid names (it costs twenty times a dict lookup)."""
-    direction = _DIRECTIONS.get(value) if type(value) is str else None
-    return Direction(value) if direction is None else direction
+_direction = _member_lookup(Direction)
+_protocol = _member_lookup(PoolProtocol)
 
 
 def _unknown_key(data: dict, cls: type, fields: Collection[str] = ()) -> TypeError:
@@ -281,7 +290,7 @@ def pool_from_dict(data: dict) -> Pool:
         reserve_y=_amount("reserve_y", data["reserve_y"]),
         fee=_fraction_from_str(data["fee"]),
         address=data["address"],
-        protocol=PoolProtocol(data.get("protocol", "other")),
+        protocol=_protocol(data.get("protocol", "other")),
     )
 
 
@@ -319,7 +328,7 @@ def timeline_from_dict(data: dict) -> PoolTimeline:
     if len(victim) > len(SwapRequest.__match_args__):
         raise _unknown_key(victim, SwapRequest)
     request = SwapRequest(
-        direction=Direction(victim["direction"]),
+        direction=_direction(victim["direction"]),
         amount_in=_amount("amount_in", victim["amount_in"]),
         min_out=_amount("min_out", victim["min_out"]),
         sender=victim["sender"],
@@ -702,31 +711,193 @@ def iter_decoded(path: str, decode: Callable[[dict], object]) -> Iterator:
         yield _decoded(path, number, line, decode)
 
 
-# Each reader below owns one memo of strings for its read, and the
-# decoders share equal addresses and tokens through it: a few hundred
-# distinct strings stand for every row's copies, and the memo goes with
-# the read. sys.intern would keep them for the life of the process.
+# The readers below read each row in its writer's layout (swap_log_text,
+# record_text with one hop, timeline_text) through one fullmatch of a
+# row pattern, and build the row's object straight from the groups.
+# Each group takes only text that json.loads reads as the value built
+# from it, and only values the row's decoder accepts: a string is
+# printable ASCII with no quote or backslash, so it holds no escape; an
+# amount has no leading zero and at most 77 digits, so it is below
+# 10**77 < 2**256; an int or a timestamp is spelled as int.__repr__ or
+# float.__repr__ spell it. Every other row (escapes, other spacing or
+# key order, "007", 7 for "7", two hops) and every row whose groups the
+# builder rejects go through json.loads and the decoder, which raises
+# every documented error: the same objects and the same errors as
+# iter_decoded. The patterns are compiled on the first read, not at
+# import, and re.compile keeps them in its cache for later reads.
+
+_STR = r'"([ !#-\[\]-~]*)"'
+_INT = r"(0|-?[1-9][0-9]*)"
+_AMOUNT = r"(0|[1-9][0-9]{0,76})"
+_POSITIVE = r"([1-9][0-9]{0,76})"
+_NUMBER = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:e[-+][0-9]+)?)"
+_DIRECTION_NAMES = "|".join(_DIRECTIONS)
+_DIRECTION = f'"({_DIRECTION_NAMES})"'
+
+_SWAP_LOG_ROW = (
+    rf'\{{"block_number": {_INT}, "chain_id": {_INT}, "direction": {_DIRECTION}, '
+    rf'"gas_price": {_AMOUNT}, "log_index": {_INT}, "pool_address": {_STR}, '
+    rf'"recipient": {_STR}, "sender": {_STR}, "timestamp": {_NUMBER}, '
+    rf'"token_in_amount": {_POSITIVE}, "token_out_amount": {_AMOUNT}, "tx_hash": {_STR}\}}'
+)
+_RECORD_ROW = (
+    rf'\{{"dst_block_number": {_INT}, "dst_chain_id": {_INT}, "dst_gas_price": {_AMOUNT}, '
+    rf'"dst_timestamp": {_NUMBER}, "dst_tx_hash": {_STR}, '
+    rf'"hops": \[\{{"amount_in": {_AMOUNT}, "amount_out": {_AMOUNT}, '
+    rf'"direction": {_DIRECTION}, "min_return": {_AMOUNT}, "pool_address": {_STR}, '
+    rf'"token_in": {_STR}, "token_out": {_STR}\}}\], "record_id": {_STR}, '
+    rf'"src_block_number": {_INT}, "src_chain_id": {_INT}, "src_timestamp": {_NUMBER}, '
+    rf'"src_tx_hash": {_STR}\}}'
+)
+_NOISY_SWAP = rf'\["(?:{_DIRECTION_NAMES})", "[1-9][0-9]{{0,76}}"\]'
+_TIMELINE_ROW = (
+    rf'\{{"noisy_swaps": \[((?:{_NOISY_SWAP}(?:, {_NOISY_SWAP})*)?)\], '
+    rf'"pool": \{{"address": {_STR}, "fee": "([0-9]+/[0-9]+)", "protocol": {_STR}, '
+    rf'"reserve_x": "{_POSITIVE}", "reserve_y": "{_POSITIVE}", '
+    rf'"token_x": {_STR}, "token_y": {_STR}\}}, '
+    rf'"victim": \{{"amount_in": "{_POSITIVE}", "direction": {_DIRECTION}, '
+    rf'"min_out": "{_AMOUNT}", "recipient": {_STR}, "sender": {_STR}\}}, '
+    rf'"victim_tolerance": "([0-9]+/[0-9]+)"\}}'
+)
+# the direction and the amount of each entry of a matched noisy_swaps
+_NOISY_FIELDS = f'"({_DIRECTION_NAMES})", "([0-9]+)"'
+
+
+def _number(text: str):
+    """What json.loads reads from a _NUMBER text: a float if it has a
+    fraction or an exponent, else an int. A float past the finite range
+    raises ValueError, as _finite does on the decoder's path."""
+    if "." in text or "e" in text:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"{text} is not finite")
+        return value
+    return int(text)
+
+
+def _read_rows(
+    path: str, row: str, build: Callable[[re.Match], object], decode: Callable[[dict], object]
+) -> Iterator[tuple[int, object]]:
+    """(line number, object) for each row, the objects those of
+    iter_decoded(path, decode): build(match) for a row that fullmatches
+    the pattern row, unless build rejects its groups; decode for every
+    other row."""
+    pattern = re.compile(row)
+    for number, line in _numbered_lines(path):
+        built = None
+        match = pattern.fullmatch(line)
+        if match is not None:
+            try:
+                built = build(match)
+            except _DECODE_ERRORS:
+                pass  # the decoder reads the row again, to its value or its error
+        yield number, _decoded(path, number, line, decode) if built is None else built
+
+
+# Each reader of swap logs or records owns one memo of strings for its
+# read, and both of its paths share equal addresses and tokens through
+# it: a few hundred distinct strings stand for every row's copies, and
+# the memo goes with the read. sys.intern would keep them for the life
+# of the process.
+
+
+def _swap_log_of(strings: dict[str, str], match: re.Match) -> SwapLog:
+    (
+        block_number, chain_id, direction, gas_price, log_index, pool_address,
+        recipient, sender, timestamp, token_in_amount, token_out_amount, tx_hash,
+    ) = match.groups()
+    share = strings.setdefault
+    return SwapLog(
+        tx_hash, int(block_number), int(log_index), share(pool_address, pool_address),
+        int(chain_id), _DIRECTIONS[direction], int(token_in_amount), int(token_out_amount),
+        share(sender, sender), share(recipient, recipient), int(gas_price), _number(timestamp),
+    )
 
 
 def iter_swap_logs(path: str) -> Iterator[SwapLog]:
-    """iter_decoded(path, swap_log_from_dict), the rows' equal strings
+    """iter_decoded(path, swap_log_from_dict), each row in
+    swap_log_text's layout read by pattern, the rows' equal strings
     shared."""
-    return iter_decoded(path, partial(swap_log_from_dict, strings={}))
+    strings: dict[str, str] = {}
+    rows = _read_rows(
+        path, _SWAP_LOG_ROW, partial(_swap_log_of, strings),
+        partial(swap_log_from_dict, strings=strings),
+    )
+    return (log for _, log in rows)
+
+
+def _record_of(strings: dict[str, str], match: re.Match) -> CrossChainTx:
+    (
+        dst_block_number, dst_chain_id, dst_gas_price, dst_timestamp, dst_tx_hash,
+        amount_in, amount_out, direction, min_return, pool_address, token_in, token_out,
+        record_id, src_block_number, src_chain_id, src_timestamp, src_tx_hash,
+    ) = match.groups()
+    share = strings.setdefault
+    hop = VictimHop(
+        share(pool_address, pool_address), share(token_in, token_in), share(token_out, token_out),
+        _DIRECTIONS[direction], int(amount_in), int(amount_out), int(min_return),
+    )
+    return CrossChainTx(
+        record_id, src_tx_hash, int(src_chain_id), int(src_block_number), _number(src_timestamp),
+        dst_tx_hash, int(dst_chain_id), int(dst_block_number), _number(dst_timestamp),
+        int(dst_gas_price), (hop,),
+    )
 
 
 def iter_records(path: str) -> Iterator[CrossChainTx]:
-    """iter_decoded(path, record_from_dict), the rows' equal strings
-    shared. A record_id that an earlier row holds raises MalformedData
-    naming the file, the line and the id: detect would write the
-    record's pairs twice, and analyze count them twice."""
-    decode = partial(record_from_dict, strings={})
+    """iter_decoded(path, record_from_dict), each one-hop row in
+    record_text's layout read by pattern, the rows' equal strings shared.
+    A record_id that an earlier row holds raises MalformedData naming the
+    file, the line and the id: detect would write the record's pairs
+    twice, and analyze count them twice."""
+    strings: dict[str, str] = {}
+    rows = _read_rows(
+        path, _RECORD_ROW, partial(_record_of, strings), partial(record_from_dict, strings=strings)
+    )
     seen: set[str] = set()
-    for number, line in _numbered_lines(path):
-        record = _decoded(path, number, line, decode)
+    for number, record in rows:
         if record.record_id in seen:
             raise MalformedData(f"{path}:{number}: duplicate record_id {record.record_id!r}")
         seen.add(record.record_id)
         yield record
+
+
+def iter_timelines(path: str) -> Iterator[PoolTimeline]:
+    """iter_decoded(path, timeline_from_dict), each row in timeline_text's
+    layout read by pattern. Within the read, each distinct pool address,
+    fee and protocol is checked once, by Pool, and each row's pool is a
+    copy of that first one with the row's tokens and reserves, which the
+    pattern has checked; each distinct tolerance is checked once."""
+    noisy_fields = re.compile(_NOISY_FIELDS)
+    pools: dict[tuple[str, str, str], Pool] = {}
+    tolerances: dict[str, Fraction] = {}
+
+    def built(match: re.Match) -> PoolTimeline:
+        (
+            noisy, address, fee, protocol, reserve_x, reserve_y, token_x, token_y,
+            amount_in, direction, min_out, recipient, sender, tolerance,
+        ) = match.groups()
+        reserve_x, reserve_y = int(reserve_x), int(reserve_y)
+        pool = pools.get((address, fee, protocol))
+        if pool is None:
+            pool = pools[address, fee, protocol] = Pool(
+                token_x, token_y, reserve_x, reserve_y,
+                _fraction_from_str(fee), address, _protocol(protocol),
+            )
+        else:
+            pool = pool._derived(token_x, token_y, reserve_x, reserve_y)
+        rate = tolerances.get(tolerance)
+        if rate is None:
+            rate = _fraction_from_str(tolerance)
+            _check_rate("victim_tolerance", rate)
+            tolerances[tolerance] = rate
+        swaps = tuple(
+            [(_DIRECTIONS[name], int(amount)) for name, amount in noisy_fields.findall(noisy)]
+        )
+        victim = SwapRequest(_DIRECTIONS[direction], int(amount_in), int(min_out), sender, recipient)
+        return PoolTimeline(pool, swaps, victim, rate)
+
+    return (timeline for _, timeline in _read_rows(path, _TIMELINE_ROW, built, timeline_from_dict))
 
 
 def iter_pairs(path: str) -> Iterator[SandwichPair]:

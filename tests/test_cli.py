@@ -1412,6 +1412,29 @@ class TestStageImports:
             assert main(argv) == 0
             assert done.stdout == capsys.readouterr().out, argv
 
+    def test_row_patterns_compile_on_first_read_not_at_import(self, sim_outputs, tmp_path):
+        # each costs about a millisecond to compile, which every stage
+        # would pay at import, whether it reads that row kind or not
+        _, sim = sim_outputs
+        code = (
+            "import re, sys\n"
+            "seen = []\n"
+            "compile = re.compile\n"
+            "re.compile = lambda pattern, flags=0: seen.append(pattern) or compile(pattern, flags)\n"
+            "import sandwichlab.cli\n"
+            "from sandwichlab import ingest\n"
+            "rows = {ingest._SWAP_LOG_ROW, ingest._RECORD_ROW, ingest._TIMELINE_ROW,\n"
+            "        ingest._NOISY_FIELDS}\n"
+            "at_import = len(rows & set(seen))\n"
+            "next(ingest.iter_timelines(sys.argv[1]))\n"
+            "print(at_import, len(rows & set(seen)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        argv = [sys.executable, "-c", code, str(sim / "timelines.jsonl")]
+        done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "2"]
+
 
 class TestMalformedRows:
     @pytest.mark.parametrize("bad_row", ['{"bad": 1}', "not json", "[1]"])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sandwichlab import ingest
 from sandwichlab.amm import MAX_AMOUNT, Direction, Overflow, Pool, PoolProtocol, SwapRequest
 from sandwichlab.attack import PoolTimeline
 from sandwichlab.bridge import AttackerConfig, BotConfig, DistSpec, SimConfig, extract_corpus, run
@@ -24,6 +26,7 @@ from sandwichlab.ingest import (
     iter_pairs,
     iter_records,
     iter_swap_logs,
+    iter_timelines,
     label_text,
     pair_from_dict,
     pair_to_dict,
@@ -1374,20 +1377,24 @@ _CHECKED_FIELDS = {
 }
 
 
-def _read_all(decode):
-    return lambda path: list(iter_decoded(path, decode))
-
-
+# the readers the CLI runs
 _CODECS = {
-    "swap_logs": (_wide_swap_logs, swap_log_to_dict, _read_all(swap_log_from_dict)),
-    "records": (_records(), record_to_dict, _read_all(record_from_dict)),
-    "timelines": (_timelines, timeline_to_dict, _read_all(timeline_from_dict)),
+    "swap_logs": (_wide_swap_logs, swap_log_to_dict, lambda path: list(iter_swap_logs(path))),
+    "records": (_records(), record_to_dict, lambda path: list(iter_records(path))),
+    "timelines": (_timelines, timeline_to_dict, lambda path: list(iter_timelines(path))),
     "pairs": (
         _pair_lists().filter(bool).map(lambda pairs: pairs[0]),
         pair_to_dict,
         lambda path: list(iter_pairs(path)),
     ),
 }
+
+
+def _first_row(name: str, good: dict) -> dict:
+    """good, as the row written before one of its mutants. A records row
+    gets its own record_id, so that iter_records decodes the mutant and
+    does not reject it only for repeating the id."""
+    return {**good, "record_id": f"{good['record_id']}+"} if name == "records" else good
 
 
 class TestDecodeFuzz:
@@ -1401,9 +1408,9 @@ class TestDecodeFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             path = str(Path(tmp, f"{name}.jsonl"))
             for key_path, replacement, mutant in _mutants(json.loads(json.dumps(good))):
-                # rows in the writers' layout, so that the pairs reader
-                # tries its fast path on every mutant
-                write_jsonl(path, [good, mutant], RunManifest(command="simulate"))
+                # rows in the writers' layout, so that each reader tries
+                # its pattern or its fast path on every mutant
+                write_jsonl(path, [_first_row(name, good), mutant], RunManifest(command="simulate"))
                 try:
                     read(path)
                 except MalformedData as exc:
@@ -1435,11 +1442,208 @@ class TestDecodeFuzz:
             for key_path in key_paths:
                 mutant = json.loads(json.dumps(good))
                 _at(mutant, key_path)["extra"] = 1
-                write_jsonl(path, [good, mutant], RunManifest(command="simulate"))
+                write_jsonl(path, [_first_row(name, good), mutant], RunManifest(command="simulate"))
                 with pytest.raises(MalformedData) as error:
                     read(path)
                 assert str(error.value).startswith(f"{path}:3: TypeError: "), key_path
                 assert str(error.value).endswith(" has no field 'extra'"), key_path
+
+
+# printable ASCII, the strings the row patterns read (but for a quote
+# or a backslash, which the writers escape)
+_ascii_texts = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=4)
+
+
+@st.composite
+def _ascii_strings(draw, objects):
+    """An object of objects with each string in it drawn again from
+    _ascii_texts: mostly rows that the readers' patterns read."""
+
+    def redraw(value):
+        if isinstance(value, str):
+            return draw(_ascii_texts)
+        if isinstance(value, tuple):
+            return tuple(map(redraw, value))
+        if dataclasses.is_dataclass(value):
+            names = [field.name for field in dataclasses.fields(value)]
+            return replace(value, **{name: redraw(getattr(value, name)) for name in names})
+        return value
+
+    return redraw(draw(objects))
+
+
+# kind -> (objects, the writer's text, the CLI's reader, the decoder)
+_PATTERN_READERS = {
+    "swap_logs": (_wide_swap_logs, swap_log_text, iter_swap_logs, swap_log_from_dict),
+    "records": (_records(), record_text, iter_records, record_from_dict),
+    "timelines": (_timelines, timeline_text, iter_timelines, timeline_from_dict),
+}
+
+
+def _with_types(value):
+    """value with the type of each field in it, so that a timestamp of
+    15 and one of 15.0 differ."""
+    if isinstance(value, (list, tuple)):
+        return [_with_types(item) for item in value]
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return type(value), [_with_types(getattr(value, field.name)) for field in fields]
+    return type(value), value
+
+
+def _shared_strings(objects) -> list[str]:
+    """The strings of objects that one read shares: each swap log's pool
+    address, sender and recipient, each hop's pool address and tokens."""
+    strings = []
+    for row in objects:
+        if isinstance(row, SwapLog):
+            strings += [row.pool_address, row.sender, row.recipient]
+        elif isinstance(row, CrossChainTx):
+            strings += [text for hop in row.hops for text in (hop.pool_address, hop.token_in, hop.token_out)]
+    return strings
+
+
+def _read_as_decoder(path: str, lines: list[str], read, decode) -> None:
+    """Write lines after a header; read gives the objects, with the types
+    of their numbers, or the MalformedData text that
+    iter_decoded(path, decode) gives, and shares equal strings."""
+    write_lines(path, lines, RunManifest(command="simulate"))
+
+    def outcome(rows):
+        try:
+            return list(rows)
+        except MalformedData as exc:
+            return str(exc)
+
+    read_rows, decoded = outcome(read(path)), outcome(iter_decoded(path, decode))
+    assert _with_types(read_rows) == _with_types(decoded)
+    if isinstance(read_rows, list):
+        strings = _shared_strings(read_rows)
+        assert len({id(text) for text in strings}) == len(set(strings))
+
+
+_TIMELINE = PoolTimeline(
+    pool=Pool("X", "Y", 10**6, 2 * 10**6, Fraction(3, 1000), "0x11", PoolProtocol.UNISWAP_V2),
+    noisy_swaps=((Direction.Y_FOR_X, 7), (Direction.X_FOR_Y, 8)),
+    victim=SwapRequest(Direction.X_FOR_Y, 100, min_out=90, sender="0xbb", recipient="0xcc"),
+    victim_tolerance=Fraction(1, 100),
+)
+_TIMELINE_LINE = timeline_text(_TIMELINE)
+_ONE_HOP_RECORD = replace(_INT_TIME_RECORD, hops=_INT_TIME_RECORD.hops[:1])
+_LOG_LINE = swap_log_text(SWAP_LOG)
+# name -> (kind, line): rows outside their writer's layout, which the
+# decoder reads or rejects
+_OTHER_LAYOUT_LINES = {
+    "reserve_x 7": ("timelines", _TIMELINE_LINE.replace('"reserve_x": "1000000"', '"reserve_x": 7')),
+    "amount_in 007": ("timelines", _TIMELINE_LINE.replace('"amount_in": "100"', '"amount_in": "007"')),
+    "noise amount 007": ("timelines", _TIMELINE_LINE.replace('"7"]', '"007"]')),
+    "two hops": ("records", record_text(_INT_TIME_RECORD)),
+    "escaped quote": ("swap_logs", swap_log_text(replace(SWAP_LOG, sender='0x"bb'))),
+    "escaped non-ASCII": ("records", record_text(replace(_ONE_HOP_RECORD, record_id="réc"))),
+    "escaped newline": (
+        "timelines",
+        timeline_text(replace(_TIMELINE, victim=replace(_TIMELINE.victim, sender="0x\nbb"))),
+    ),
+    "compact separators": (
+        "swap_logs",
+        json.dumps(swap_log_to_dict(SWAP_LOG), sort_keys=True, separators=(",", ":")),
+    ),
+    "unsorted record keys": ("records", json.dumps(record_to_dict(_ONE_HOP_RECORD))),
+    "unsorted timeline keys": ("timelines", json.dumps(timeline_to_dict(_TIMELINE))),
+    "timestamp 1.5e1": ("swap_logs", _LOG_LINE.replace('"timestamp": 15.0', '"timestamp": 1.5e1')),
+    "block_number -0": ("swap_logs", _LOG_LINE.replace('"block_number": 5', '"block_number": -0')),
+    "gas_price of 78 digits": ("swap_logs", swap_log_text(replace(SWAP_LOG, gas_price=MAX_AMOUNT))),
+    "gas_price past 256 bits": ("swap_logs", swap_log_text(replace(SWAP_LOG, gas_price=2**256))),
+}
+# rows in the writer's layout with a field that the builder rejects
+_REJECTED_FIELD_LINES = {
+    "timestamp 1e400": (
+        "records",
+        record_text(_ONE_HOP_RECORD).replace('"dst_timestamp": 72', '"dst_timestamp": 1e+400'),
+    ),
+    "destination before source": (
+        "records",
+        record_text(_ONE_HOP_RECORD).replace('"dst_timestamp": 72', '"dst_timestamp": 59'),
+    ),
+    "tolerance 1/1": ("timelines", _TIMELINE_LINE.replace('"1/100"', '"1/1"')),
+    "fee 1/0": ("timelines", _TIMELINE_LINE.replace('"3/1000"', '"1/0"')),
+    "unknown protocol": ("timelines", _TIMELINE_LINE.replace('"uniswap_v2"', '"uniswap_v9"')),
+}
+
+
+class TestPatternReaders:
+    """iter_swap_logs, iter_records and iter_timelines read each row in
+    its writer's layout by pattern, and every other row through json.loads
+    and the row's decoder: the same objects and the same errors as
+    iter_decoded."""
+
+    @pytest.mark.parametrize("name", sorted(_PATTERN_READERS))
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_rows_and_their_mutants_read_as_the_decoder(self, name, data):
+        objects, text, read, decode = _PATTERN_READERS[name]
+        # records with distinct ids, which iter_records requires
+        distinct = (lambda row: row.record_id) if name == "records" else id
+        rows = data.draw(st.lists(_ascii_strings(objects), min_size=1, max_size=4, unique_by=distinct))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp, f"{name}.jsonl"))
+            lines = list(map(text, rows))
+            _read_as_decoder(path, lines, read, decode)
+            good = json.loads(lines[0])
+            first = json.dumps(_first_row(name, good), sort_keys=True)
+            for _, _, mutant in _mutants(good):
+                _read_as_decoder(path, [first, json.dumps(mutant, sort_keys=True)], read, decode)
+
+    def test_writer_rows_take_no_json_path(self, tmp_path, monkeypatch):
+        corpus = extract_corpus(run(small_sim_config())[0])
+        decoded = []
+        monkeypatch.setattr(ingest, "_decoded", lambda *args: decoded.append(args))
+        for rows, text, read in (
+            (corpus.swap_logs, swap_log_text, iter_swap_logs),
+            (corpus.records, record_text, iter_records),
+            (corpus.timelines, timeline_text, iter_timelines),
+        ):
+            assert rows
+            path = str(tmp_path / "rows.jsonl")
+            write_lines(path, map(text, rows), RunManifest(command="simulate"))
+            assert list(read(path)) == rows
+        assert decoded == []
+
+    @pytest.mark.parametrize("name", [*_OTHER_LAYOUT_LINES, *_REJECTED_FIELD_LINES])
+    def test_other_row_takes_the_json_path(self, tmp_path, monkeypatch, name):
+        kind, line = {**_OTHER_LAYOUT_LINES, **_REJECTED_FIELD_LINES}[name]
+        _, _, read, decode = _PATTERN_READERS[kind]
+        pattern = {
+            "swap_logs": ingest._SWAP_LOG_ROW,
+            "records": ingest._RECORD_ROW,
+            "timelines": ingest._TIMELINE_ROW,
+        }[kind]
+        assert bool(re.fullmatch(pattern, line)) == (name in _REJECTED_FIELD_LINES)
+        decoded = []
+
+        def spy(path, number, line, decode):
+            decoded.append(line)
+            return real(path, number, line, decode)
+
+        real = ingest._decoded
+        monkeypatch.setattr(ingest, "_decoded", spy)
+        _read_as_decoder(str(tmp_path / f"{kind}.jsonl"), [line], read, decode)
+        # once by the reader, once by iter_decoded
+        assert decoded == [line, line]
+
+    def test_enum_lookups_raise_the_enum_error(self, tmp_path):
+        row = timeline_to_dict(_TIMELINE)
+        row["victim"]["direction"] = "sideways"
+        with pytest.raises(ValueError, match=r"^'sideways' is not a valid Direction$"):
+            timeline_from_dict(row)
+        pool = {**pool_to_dict(_TIMELINE.pool), "protocol": "uniswap_v9"}
+        with pytest.raises(ValueError, match=r"^'uniswap_v9' is not a valid PoolProtocol$"):
+            pool_from_dict(pool)
+        path = tmp_path / "timelines.jsonl"
+        write_lines(str(path), [_TIMELINE_LINE.replace('"uniswap_v2"', '"uniswap_v9"')])
+        with pytest.raises(MalformedData) as raised:
+            list(iter_timelines(str(path)))
+        assert str(raised.value) == f"{path}:1: ValueError: 'uniswap_v9' is not a valid PoolProtocol"
 
 
 class TestManifest:
