@@ -87,10 +87,6 @@ class Pool:
             object.__setattr__(self, "fee", Fraction(self.fee))
         _check_rate("fee", self.fee, lo_open=False)
 
-    @property
-    def k(self) -> int:
-        return self.reserve_x * self.reserve_y
-
     def reserves(self, direction: Direction) -> tuple[int, int]:
         """(reserve_in, reserve_out) for the given swap direction."""
         if direction is Direction.X_FOR_Y:

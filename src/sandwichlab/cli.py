@@ -240,8 +240,9 @@ def cmd_simulate(args) -> int:
         "swap_logs.jsonl",
         "timelines.jsonl",
     ]
-    # each row is json.dumps(<kind>_to_dict(row), sort_keys=True), through
-    # the one text encoder of its kind; rows are built as they are written
+    # each row through the one text encoder of its kind, which ingest
+    # makes from the kind's field table (tests/_oracles.py holds the
+    # reference dict forms); rows are built as they are written
     corpus = bridge.corpus_streams(trace)
     for name, encode, rows in (
         ("swap_logs", ingest.swap_log_text, corpus.swap_logs),

@@ -18,7 +18,8 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from bisect import bisect_left, insort
 from functools import partial
-from typing import Callable, Collection, Iterable, Iterator, Optional
+from itertools import groupby
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional
 
 from . import __version__
 from .amm import (
@@ -51,33 +52,16 @@ def _fraction_to_str(value: Fraction) -> str:
 
 
 # int() alone would also take " 3", "+3", "3_0" and non-ASCII digits
-_FRACTION = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+_FRACTION_TEXT = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 def _fraction_from_str(value: str) -> Fraction:
     """A string "n" or "n/d" of ASCII digits, n with an optional minus
     sign, d not zero."""
-    if type(value) is not str or not _FRACTION.fullmatch(value):
+    if type(value) is not str or not _FRACTION_TEXT.fullmatch(value):
         raise ValueError(f'bad fraction {value!r}: not a string "n" or "n/d" of digits, d > 0')
     num, _, den = value.partition("/")
     return Fraction(int(num), int(den or 1))
-
-
-def swap_log_to_dict(log: SwapLog) -> dict:
-    return {
-        "tx_hash": log.tx_hash,
-        "block_number": log.block_number,
-        "log_index": log.log_index,
-        "pool_address": log.pool_address,
-        "chain_id": log.chain_id,
-        "direction": log.direction.value,
-        "token_in_amount": log.token_in_amount,
-        "token_out_amount": log.token_out_amount,
-        "sender": log.sender,
-        "recipient": log.recipient,
-        "gas_price": log.gas_price,
-        "timestamp": log.timestamp,
-    }
 
 
 _JSON_NAMES = {int: "int", str: "string"}
@@ -182,33 +166,6 @@ def swap_log_from_dict(data: dict, strings: Optional[dict[str, str]] = None) -> 
     )
 
 
-def record_to_dict(record: CrossChainTx) -> dict:
-    return {
-        "record_id": record.record_id,
-        "src_tx_hash": record.src_tx_hash,
-        "src_chain_id": record.src_chain_id,
-        "src_block_number": record.src_block_number,
-        "src_timestamp": record.src_timestamp,
-        "dst_tx_hash": record.dst_tx_hash,
-        "dst_chain_id": record.dst_chain_id,
-        "dst_block_number": record.dst_block_number,
-        "dst_timestamp": record.dst_timestamp,
-        "dst_gas_price": record.dst_gas_price,
-        "hops": [
-            {
-                "pool_address": hop.pool_address,
-                "token_in": hop.token_in,
-                "token_out": hop.token_out,
-                "direction": hop.direction.value,
-                "amount_in": hop.amount_in,
-                "amount_out": hop.amount_out,
-                "min_return": hop.min_return,
-            }
-            for hop in record.hops
-        ],
-    }
-
-
 def _hop_from_dict(data: dict, strings: Optional[dict[str, str]]) -> VictimHop:
     pool_address = _typed(data, "pool_address", str)
     token_in = _typed(data, "token_in", str)
@@ -262,18 +219,6 @@ def _amount(key: str, value) -> int:
     raise ValueError(f"{key} must be a decimal string or a JSON int, not {value!r}")
 
 
-def pool_to_dict(pool: Pool) -> dict:
-    return {
-        "token_x": pool.token_x,
-        "token_y": pool.token_y,
-        "reserve_x": str(pool.reserve_x),
-        "reserve_y": str(pool.reserve_y),
-        "fee": _fraction_to_str(pool.fee),
-        "address": pool.address,
-        "protocol": pool.protocol.value,
-    }
-
-
 _POOL_KEYS = frozenset(Pool.__match_args__)
 
 
@@ -292,24 +237,6 @@ def pool_from_dict(data: dict) -> Pool:
         address=data["address"],
         protocol=_protocol(data.get("protocol", "other")),
     )
-
-
-def timeline_to_dict(timeline: PoolTimeline) -> dict:
-    return {
-        "pool": pool_to_dict(timeline.pool),
-        "noisy_swaps": [
-            [direction.value, str(amount)]
-            for direction, amount in timeline.noisy_swaps
-        ],
-        "victim": {
-            "direction": timeline.victim.direction.value,
-            "amount_in": str(timeline.victim.amount_in),
-            "min_out": str(timeline.victim.min_out),
-            "sender": timeline.victim.sender,
-            "recipient": timeline.victim.recipient,
-        },
-        "victim_tolerance": _fraction_to_str(timeline.victim_tolerance),
-    }
 
 
 def _noisy_swap(entry) -> tuple[Direction, int]:
@@ -347,24 +274,6 @@ def timeline_from_dict(data: dict) -> PoolTimeline:
         raise MalformedData(f"bad noisy_swaps: {exc}") from exc
 
 
-def pair_to_dict(pair: SandwichPair) -> dict:
-    return {
-        "record_id": pair.record_id,
-        "pool_address": pair.pool_address,
-        "front": swap_log_to_dict(pair.front),
-        "victim": swap_log_to_dict(pair.victim),
-        "back": swap_log_to_dict(pair.back),
-        "classification": pair.classification.value,
-        "token_in": pair.token_in,
-        "front_window_start_block": pair.front_window_start_block,
-        "profit_token": None if pair.profit_token is None else str(pair.profit_token),
-        "profit_rate": None
-        if pair.profit_rate is None
-        else _fraction_to_str(pair.profit_rate),
-        "profit_usd": None if pair.profit_usd is None else str(pair.profit_usd),
-    }
-
-
 def _optional_str(key: str, value, parse: Callable[[str], object]):
     if value is None:
         return None
@@ -383,10 +292,7 @@ def _decimal_int(text: str) -> int:
     return int(text)
 
 
-_profit_usd = partial(finite_decimal, "profit_usd")
 _PAIR_KEYS = frozenset(SandwichPair.__match_args__)
-# a pair's own fields: all but its three swap logs
-_OWN_KEYS = _PAIR_KEYS - {"front", "victim", "back"}
 
 
 def _own_fields(data: dict, keys: frozenset[str]) -> tuple:
@@ -401,7 +307,9 @@ def _own_fields(data: dict, keys: frozenset[str]) -> tuple:
     front_window_start_block = _typed(data, "front_window_start_block", int)
     profit_token = _optional_str("profit_token", data["profit_token"], _decimal_int)
     profit_rate = _optional_str("profit_rate", data["profit_rate"], _fraction_from_str)
-    profit_usd = _optional_str("profit_usd", data["profit_usd"], _profit_usd)
+    profit_usd = _optional_str(
+        "profit_usd", data["profit_usd"], partial(finite_decimal, "profit_usd")
+    )
     if len(data) > len(keys):
         raise _unknown_key(data, SandwichPair, keys)
     return (
@@ -471,132 +379,249 @@ def write_jsonl(path: str, rows: Iterable[dict], manifest: Optional[RunManifest]
     return write_lines(path, (json.dumps(row, sort_keys=True) for row in rows), manifest)
 
 
+# -- Row tables ------------------------------------------------------------
+
+# Each row kind is one table of (key, shape) entries, in its class's field
+# order. From the table come the row's dict form (<kind>_to_dict), its
+# writer text and, for the rows the CLI reads by pattern, its row pattern
+# and the builder of its object from a match: each is compiled once, at
+# import, into a plain function or pattern string of this module. The
+# decoders above are written by hand: they read every row that misses a
+# pattern, and the tests check each table against them and against the
+# reference dict forms in tests/_oracles.py.
+#
+# A writer text is the bytes json.dumps(..., sort_keys=True) writes for
+# the row's dict form, built as one f-string. As json.dumps does, it
+# writes strings with encode_basestring_ascii and numbers with
+# int.__repr__ or float.__repr__; a timestamp is finite, from the
+# simulator or through a decoder, so the NaN and infinity spellings never
+# arise. A pattern group takes only text that json.loads reads as the
+# value built from it, and only values the row's decoder accepts: a
+# string is printable ASCII with no quote or backslash, so it holds no
+# escape; an amount has no leading zero and at most 77 digits, so it is
+# below 10**77 < 2**256; an int or a timestamp is spelled as int.__repr__
+# or float.__repr__ spell it.
+
 # what json.dumps writes for a str, ensure_ascii escapes included
 _json_str = json.encoder.encode_basestring_ascii
 
-# The row encoders below each give json.dumps(<spec>, sort_keys=True),
-# byte for byte, with each dict's keys written in sorted order. As
-# json.dumps does, they write strings with encode_basestring_ascii and
-# numbers with int.__repr__ or float.__repr__; a timestamp is finite,
-# from the simulator or through a decoder, so the NaN and infinity
-# spellings never arise.
+
+class _Shape(NamedTuple):
+    """How a field is written and read. In each template $ stands for
+    the field: its value in text and value, its pattern group in groups
+    and build. text is the field's JSON text as an f-string piece, value
+    the expression of its dict form, pattern the regex of its text, with
+    one group per name in groups, and build the expression of its value
+    from them. A shape with no build is in no derived builder: it is
+    read only by the decoders."""
+
+    text: str
+    value: str = "$"
+    pattern: str = ""
+    build: str = ""
+    groups: tuple[str, ...] = ("$",)
 
 
-def swap_log_text(log: SwapLog) -> str:
-    """json.dumps(swap_log_to_dict(log), sort_keys=True): the one text of
-    a swap log in swap_logs.jsonl and pairs.jsonl."""
-    return (
-        f'{{"block_number": {log.block_number!r}, "chain_id": {log.chain_id!r}, '
-        f'"direction": {_json_str(log.direction.value)}, "gas_price": {log.gas_price!r}, '
-        f'"log_index": {log.log_index!r}, "pool_address": {_json_str(log.pool_address)}, '
-        f'"recipient": {_json_str(log.recipient)}, "sender": {_json_str(log.sender)}, '
-        f'"timestamp": {log.timestamp!r}, "token_in_amount": {log.token_in_amount!r}, '
-        f'"token_out_amount": {log.token_out_amount!r}, "tx_hash": {_json_str(log.tx_hash)}}}'
+def _fill(template: str, expression: str) -> str:
+    return template.replace("$", expression)
+
+
+def _optional(json: str, value: str = "$") -> _Shape:
+    """null, or a value whose JSON text is json and whose dict form is value."""
+    return _Shape(f'{{"null" if $ is None else {json}}}', f"None if $ is None else {value}")
+
+
+_TEXT = _Shape("{_json_str($)}", pattern=r'"([ !#-\[\]-~]*)"', build="$")
+# a string that many rows repeat: the read's strings memo shares its copies
+_SHARED = _TEXT._replace(build="share($, $)")
+_INT = _Shape("{$!r}", pattern=r"(0|-?[1-9][0-9]*)", build="int($)")
+_AMOUNT = _INT._replace(pattern=r"(0|[1-9][0-9]{0,76})")
+_POSITIVE = _INT._replace(pattern=r"([1-9][0-9]{0,76})")
+_NUMBER = _Shape("{$!r}", "$", r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:e[-+][0-9]+)?)", "_number($)")
+# an amount written as a string of decimal digits
+_DECIMAL = _Shape('"{$}"', "str($)", r'"(0|[1-9][0-9]{0,76})"', "int($)")
+_POSITIVE_DECIMAL = _DECIMAL._replace(pattern=r'"([1-9][0-9]{0,76})"')
+_FRACTION = _Shape('"{_fraction_to_str($)}"', "_fraction_to_str($)", r'"([0-9]+/[0-9]+)"')
+_FEE = _FRACTION._replace(build="_fraction_from_str($)")
+_ENUM = _Shape("{_json_str($.value)}", "$.value", _TEXT.pattern)
+_PROTOCOL = _ENUM._replace(build="_protocol($)")
+_DIRECTION_NAMES = "|".join(_DIRECTIONS)
+_DIRECTION = _ENUM._replace(pattern=f'"({_DIRECTION_NAMES})"', build="_DIRECTIONS[$]")
+_OPTIONAL_TEXT = _optional("_json_str($)")
+_OPTIONAL_INT = _optional("repr($)")
+_OPTIONAL_DECIMAL = _optional("_json_str(str($))", "str($)")
+_OPTIONAL_FRACTION = _optional("_json_str(_fraction_to_str($))", "_fraction_to_str($)")
+
+
+def _items(table: dict, keys: Iterable[str], part: str, access: str) -> str:
+    """'"key": <the part of key's shape>' for each of keys, joined by ', ',
+    with the field (access of key) for $."""
+    return ", ".join(
+        f'"{key}": ' + _fill(getattr(table[key], part), access.format(key)) for key in keys
     )
 
 
-def _hop_text(hop: VictimHop) -> str:
-    return (
-        f'{{"amount_in": {hop.amount_in!r}, "amount_out": {hop.amount_out!r}, '
-        f'"direction": {_json_str(hop.direction.value)}, "min_return": {hop.min_return!r}, '
-        f'"pool_address": {_json_str(hop.pool_address)}, "token_in": {_json_str(hop.token_in)}, '
-        f'"token_out": {_json_str(hop.token_out)}}}'
+def _nested(cls: type, table: dict, access: str = "$.{}") -> _Shape:
+    """The shape of a JSON object that holds a cls, its keys sorted; its
+    value is built by position, in the order of table."""
+    keys = sorted(table)
+    return _Shape(
+        "{{" + _items(table, keys, "text", access) + "}}",
+        "{" + _items(table, table, "value", access) + "}",
+        r"\{" + ", ".join(f'"{key}": {table[key].pattern}' for key in keys) + r"\}",
+        f"{cls.__name__}(" + ", ".join(_fill(table[key].build, f"$_{key}") for key in table) + ")",
+        tuple(_fill(group, f"$_{key}") for key in keys for group in table[key].groups),
     )
 
 
-def record_text(record: CrossChainTx) -> str:
-    """json.dumps(record_to_dict(record), sort_keys=True)."""
-    return (
-        f'{{"dst_block_number": {record.dst_block_number!r}, '
-        f'"dst_chain_id": {record.dst_chain_id!r}, "dst_gas_price": {record.dst_gas_price!r}, '
-        f'"dst_timestamp": {record.dst_timestamp!r}, "dst_tx_hash": {_json_str(record.dst_tx_hash)}, '
-        f'"hops": [{", ".join(map(_hop_text, record.hops))}], '
-        f'"record_id": {_json_str(record.record_id)}, '
-        f'"src_block_number": {record.src_block_number!r}, "src_chain_id": {record.src_chain_id!r}, '
-        f'"src_timestamp": {record.src_timestamp!r}, "src_tx_hash": {_json_str(record.src_tx_hash)}}}'
-    )
+def _many(item: _Shape, writer: str) -> _Shape:
+    """A JSON array of items, writer the name of the function that
+    writes one; the pattern reads an array of exactly one item."""
+    text = '[{", ".join(map(' + writer + ', $))}]'
+    value = f"[{_fill(item.value, 'item')} for item in $]"
+    return _Shape(text, value, rf"\[{item.pattern}\]", f"({item.build},)", item.groups)
+
+
+def _define(name: str, result: str, *lines: str, args: str = "row") -> Callable:
+    """def name(args): *lines; return result, compiled into this module,
+    with the row for $."""
+    body = "".join(f"    {_fill(line, 'row')}\n" for line in (*lines, f"return {result}"))
+    exec(f"def {name}({args}):\n{body}", globals())
+    return globals()[name]
+
+
+def _builder(name: str, shape: _Shape, args: str = "strings") -> Callable[..., object]:
+    """name(*args, match): the object of a match of shape's pattern. The
+    builds of _SHARED strings share them through strings, the memo of one
+    read."""
+    lines = ["(" + "".join(f"{group}, " for group in shape.groups) + ") = match.groups()"]
+    if "share(" in shape.build:
+        lines.append("share = strings.setdefault")
+    return _define(name, shape.build, *lines, args=f"{args}, match")
 
 
 # '["x_for_y", "' and '["y_for_x", "': a noisy_swaps entry up to its amount
 _NOISY_HEAD = {direction: f'[{_json_str(direction.value)}, "' for direction in Direction}
+_NOISY_SWAP = rf'\["(?:{_DIRECTION_NAMES})", "[1-9][0-9]{{0,76}}"\]'
+# the direction and the amount of each entry of a matched noisy_swaps
+_NOISY_FIELDS = f'"({_DIRECTION_NAMES})", "([0-9]+)"'
 
 
-def timeline_text(timeline: PoolTimeline) -> str:
-    """json.dumps(timeline_to_dict(timeline), sort_keys=True). Amounts
-    are ints, so their decimal strings need no escapes."""
-    pool, victim = timeline.pool, timeline.victim
-    noisy = ", ".join(
-        f'{_NOISY_HEAD[direction]}{amount}"]' for direction, amount in timeline.noisy_swaps
-    )
-    return (
-        f'{{"noisy_swaps": [{noisy}], '
-        f'"pool": {{"address": {_json_str(pool.address)}, '
-        f'"fee": "{_fraction_to_str(pool.fee)}", "protocol": {_json_str(pool.protocol.value)}, '
-        f'"reserve_x": "{pool.reserve_x}", "reserve_y": "{pool.reserve_y}", '
-        f'"token_x": {_json_str(pool.token_x)}, "token_y": {_json_str(pool.token_y)}}}, '
-        f'"victim": {{"amount_in": "{victim.amount_in}", '
-        f'"direction": {_json_str(victim.direction.value)}, "min_out": "{victim.min_out}", '
-        f'"recipient": {_json_str(victim.recipient)}, "sender": {_json_str(victim.sender)}}}, '
-        f'"victim_tolerance": "{_fraction_to_str(timeline.victim_tolerance)}"}}'
-    )
+def _noisy_text(swaps: tuple) -> str:
+    return ", ".join([f'{_NOISY_HEAD[direction]}{amount}"]' for direction, amount in swaps])
 
 
-def _json_optional(value, to_str: Callable[..., str]) -> str:
-    return "null" if value is None else _json_str(to_str(value))
+def _tolerance(memo: dict, text: str) -> Fraction:
+    """A victim tolerance, checked, and kept in the memo of the timeline
+    builder's read, so that each distinct text is checked once."""
+    rate = _fraction_from_str(text)
+    _check_rate("tolerance", rate)
+    memo[text] = rate
+    return rate
 
 
-def _json_optional_int(value: Optional[int]) -> str:
-    return "null" if value is None else repr(value)
+_SWAP_LOG = {
+    "tx_hash": _TEXT, "block_number": _INT, "log_index": _INT, "pool_address": _SHARED,
+    "chain_id": _INT, "direction": _DIRECTION, "token_in_amount": _POSITIVE,
+    "token_out_amount": _AMOUNT, "sender": _SHARED, "recipient": _SHARED,
+    "gas_price": _AMOUNT, "timestamp": _NUMBER,
+}
+_SWAP_LOG_SHAPE = _nested(SwapLog, _SWAP_LOG)
+_HOP = {
+    "pool_address": _SHARED, "token_in": _SHARED, "token_out": _SHARED, "direction": _DIRECTION,
+    "amount_in": _AMOUNT, "amount_out": _AMOUNT, "min_return": _AMOUNT,
+}
+_HOP_SHAPE = _nested(VictimHop, _HOP)
+_RECORD = {
+    "record_id": _TEXT, "src_tx_hash": _TEXT, "src_chain_id": _INT, "src_block_number": _INT,
+    "src_timestamp": _NUMBER, "dst_tx_hash": _TEXT, "dst_chain_id": _INT,
+    "dst_block_number": _INT, "dst_timestamp": _NUMBER, "dst_gas_price": _AMOUNT,
+    "hops": _many(_HOP_SHAPE, "_hop_text"),
+}
+_RECORD_SHAPE = _nested(CrossChainTx, _RECORD)
+_POOL = {
+    "token_x": _TEXT, "token_y": _TEXT, "reserve_x": _POSITIVE_DECIMAL,
+    "reserve_y": _POSITIVE_DECIMAL, "fee": _FEE, "address": _TEXT, "protocol": _PROTOCOL,
+}
+_POOL_SHAPE = _nested(Pool, _POOL)
+# The timeline builder's memo, of one read, holds the first Pool of each
+# distinct address, fee and protocol, checked by Pool, and each later pool
+# is a copy of it with the row's tokens and reserves, which the pattern
+# has checked. It also holds the rate of each distinct tolerance text.
+_POOL_KEY = "($_address, $_fee, $_protocol)"
+_POOL_SHAPE = _POOL_SHAPE._replace(
+    build=f"(memo.get({_POOL_KEY}) or memo.setdefault({_POOL_KEY}, {_POOL_SHAPE.build}))"
+    "._derived($_token_x, $_token_y, int($_reserve_x), int($_reserve_y))"
+)
+# a timeline's victim, a SwapRequest
+_VICTIM = {
+    "direction": _DIRECTION, "amount_in": _POSITIVE_DECIMAL, "min_out": _DECIMAL,
+    "sender": _TEXT, "recipient": _TEXT,
+}
+# [direction, decimal amount] entries, read as one group that
+# noisy_fields, the findall of _NOISY_FIELDS, splits
+_NOISY_SWAPS = _Shape(
+    "[{_noisy_text($)}]", "[[direction.value, str(amount)] for direction, amount in $]",
+    rf"\[((?:{_NOISY_SWAP}(?:, {_NOISY_SWAP})*)?)\]",
+    "tuple([(_DIRECTIONS[name], int(amount)) for name, amount in noisy_fields($)])",
+)
+_TOLERANCE = _FRACTION._replace(build="memo[$] if $ in memo else _tolerance(memo, $)")
+_TIMELINE = {
+    "pool": _POOL_SHAPE, "noisy_swaps": _NOISY_SWAPS, "victim": _nested(SwapRequest, _VICTIM),
+    "victim_tolerance": _TOLERANCE,
+}
+_TIMELINE_SHAPE = _nested(PoolTimeline, _TIMELINE)
+# a labels.jsonl row: a dict, as bridge.corpus_streams builds it
+_LABEL = {
+    "victim_id": _INT, "record_id": _TEXT, "victim_tx": _TEXT,
+    "attacker_front_tx": _OPTIONAL_TEXT, "attacker_back_tx": _OPTIONAL_TEXT,
+    "attacker_front_block": _OPTIONAL_INT, "attacker_back_block": _OPTIONAL_INT,
+    "bot_front_tx": _OPTIONAL_TEXT, "bot_back_tx": _OPTIONAL_TEXT,
+}
+_LABEL_SHAPE = _nested(dict, _LABEL, '$["{}"]')
+# a pair's swap log; a pairs.jsonl row holds the text log_text gives it
+_PAIR_LOG = _SWAP_LOG_SHAPE._replace(text="{log_text($)}", value="swap_log_to_dict($)")
+_PAIR = {
+    "record_id": _TEXT, "pool_address": _TEXT, "front": _PAIR_LOG, "victim": _PAIR_LOG,
+    "back": _PAIR_LOG, "classification": _ENUM, "token_in": _TEXT,
+    "front_window_start_block": _INT, "profit_token": _OPTIONAL_DECIMAL,
+    "profit_rate": _OPTIONAL_FRACTION, "profit_usd": _OPTIONAL_DECIMAL,
+}
+_PAIR_SHAPE = _nested(SandwichPair, _PAIR)
+# a pair's own fields: all but its three swap logs
+_OWN_KEYS = frozenset(key for key in _PAIR if _PAIR[key] is not _PAIR_LOG)
 
+swap_log_to_dict = _define("swap_log_to_dict", _SWAP_LOG_SHAPE.value)
+record_to_dict = _define("record_to_dict", _RECORD_SHAPE.value)
+pool_to_dict = _define("pool_to_dict", _POOL_SHAPE.value)
+timeline_to_dict = _define("timeline_to_dict", _TIMELINE_SHAPE.value)
+pair_to_dict = _define("pair_to_dict", _PAIR_SHAPE.value)
 
-def label_text(label: dict) -> str:
-    """json.dumps(label, sort_keys=True) for a labels.jsonl row as
-    bridge.corpus_streams builds it: these nine keys, each block an int
-    or None, each transaction hash a str or None."""
-    return (
-        f'{{"attacker_back_block": {_json_optional_int(label["attacker_back_block"])}, '
-        f'"attacker_back_tx": {_json_optional(label["attacker_back_tx"], str)}, '
-        f'"attacker_front_block": {_json_optional_int(label["attacker_front_block"])}, '
-        f'"attacker_front_tx": {_json_optional(label["attacker_front_tx"], str)}, '
-        f'"bot_back_tx": {_json_optional(label["bot_back_tx"], str)}, '
-        f'"bot_front_tx": {_json_optional(label["bot_front_tx"], str)}, '
-        f'"record_id": {_json_str(label["record_id"])}, "victim_id": {label["victim_id"]!r}, '
-        f'"victim_tx": {_json_str(label["victim_tx"])}}}'
-    )
+# the one text of a swap log in swap_logs.jsonl and pairs.jsonl
+swap_log_text = _define("swap_log_text", f"f'{_SWAP_LOG_SHAPE.text}'")
+_hop_text = _define("_hop_text", f"f'{_HOP_SHAPE.text}'")
+record_text = _define("record_text", f"f'{_RECORD_SHAPE.text}'")
+timeline_text = _define("timeline_text", f"f'{_TIMELINE_SHAPE.text}'")
+label_text = _define("label_text", f"f'{_LABEL_SHAPE.text}'")
+# the one row layout of pairs.jsonl, each log written by log_text
+_pair_text = _define("_pair_text", f"f'{_PAIR_SHAPE.text}'", args="row, log_text")
 
+# A pairs.jsonl row holds the pair's keys sorted: the text of each log,
+# and between the logs runs of the pair's own fields. The _BEFORE_* texts
+# open each log and run, and iter_pairs splits a row at them.
+_PAIR_RUNS = [list(run) for _, run in groupby(sorted(_PAIR), lambda key: _PAIR[key] is _PAIR_LOG)]
+_BEFORE_BACK, _BEFORE_HEAD, _BEFORE_FRONT, _BEFORE_TAIL, _BEFORE_VICTIM = (
+    (", " if index else "{") + f'"{run[0]}": ' for index, run in enumerate(_PAIR_RUNS)
+)
 
-def _own_segments(pair: SandwichPair) -> tuple[str, str]:
-    """The two runs of a pairs.jsonl row that hold the pair's own
-    fields: the classification, which sorts between back and front, and
-    front_window_start_block to token_in, which sort between front and
-    victim."""
-    return (
-        f'"classification": {_json_str(pair.classification.value)}',
-        f'"front_window_start_block": {pair.front_window_start_block}, '
-        f'"pool_address": {_json_str(pair.pool_address)}, '
-        f'"profit_rate": {_json_optional(pair.profit_rate, _fraction_to_str)}, '
-        f'"profit_token": {_json_optional(pair.profit_token, str)}, '
-        f'"profit_usd": {_json_optional(pair.profit_usd, str)}, '
-        f'"record_id": {_json_str(pair.record_id)}, '
-        f'"token_in": {_json_str(pair.token_in)}',
-    )
-
-
-# the text of a pairs.jsonl row around its three swap-log texts and its
-# two runs of own fields
-_BEFORE_BACK = '{"back": '
-_BEFORE_HEAD = ', "classification": '
-_BEFORE_FRONT = ', "front": '
-_BEFORE_TAIL = ', "front_window_start_block": '
-_BEFORE_VICTIM = ', "victim": '
-
-
-def _pair_line(back: str, front: str, victim: str, own: tuple[str, str]) -> str:
-    """json.dumps(pair_to_dict(pair), sort_keys=True), given the text of
-    each of its swap logs and _own_segments(pair): the one row layout of
-    pairs.jsonl, which iter_pairs takes apart."""
-    head, tail = own
-    return f"{_BEFORE_BACK}{back}, {head}{_BEFORE_FRONT}{front}, {tail}{_BEFORE_VICTIM}{victim}}}"
+# the patterns are compiled on the first read, not at import, and
+# re.compile keeps them in its cache for later reads
+_SWAP_LOG_ROW = _SWAP_LOG_SHAPE.pattern
+_RECORD_ROW = _RECORD_SHAPE.pattern
+_TIMELINE_ROW = _TIMELINE_SHAPE.pattern
+_swap_log_of = _builder("_swap_log_of", _SWAP_LOG_SHAPE)
+_record_of = _builder("_record_of", _RECORD_SHAPE)
+_timeline_of = _builder("_timeline_of", _TIMELINE_SHAPE, "memo, noisy_fields")
 
 
 class _WindowMemo:
@@ -641,11 +666,13 @@ def write_pairs_jsonl(
     path: str, pairs: Iterable[SandwichPair], manifest: Optional[RunManifest] = None
 ) -> int:
     """write_jsonl(path, map(pair_to_dict, pairs), manifest), byte for
-    byte, with each distinct swap log encoded once while its pool's front
-    window holds it (_WindowMemo): a victim sits in many pairs, and a
-    front or back in several, all of records whose windows hold it.
-    pairs is read once, in order, so it may be a generator; returns the
-    number of pairs."""
+    byte: each row is _pair_text, the layout the _PAIR table gives (the
+    tests hold it to the reference dict form in tests/_oracles.py), with
+    each distinct swap log encoded once while its pool's front window
+    holds it (_WindowMemo): a victim sits in many pairs, and a front or
+    back in several, all of records whose windows hold it. pairs is read
+    once, in order, so it may be a generator; returns the number of
+    pairs."""
     memo = _WindowMemo()
     # id(log) -> (log, its text); holding the log keeps its id unique
     texts: dict[int, tuple[SwapLog, str]] = memo.entries
@@ -659,9 +686,7 @@ def write_pairs_jsonl(
 
     def line(pair: SandwichPair) -> str:
         memo.follow(pair)
-        return _pair_line(
-            log_text(pair.back), log_text(pair.front), log_text(pair.victim), _own_segments(pair)
-        )
+        return _pair_text(pair, log_text)
 
     return write_lines(path, map(line, pairs), manifest)
 
@@ -712,55 +737,12 @@ def iter_decoded(path: str, decode: Callable[[dict], object]) -> Iterator:
 
 
 # The readers below read each row in its writer's layout (swap_log_text,
-# record_text with one hop, timeline_text) through one fullmatch of a
-# row pattern, and build the row's object straight from the groups.
-# Each group takes only text that json.loads reads as the value built
-# from it, and only values the row's decoder accepts: a string is
-# printable ASCII with no quote or backslash, so it holds no escape; an
-# amount has no leading zero and at most 77 digits, so it is below
-# 10**77 < 2**256; an int or a timestamp is spelled as int.__repr__ or
-# float.__repr__ spell it. Every other row (escapes, other spacing or
-# key order, "007", 7 for "7", two hops) and every row whose groups the
-# builder rejects go through json.loads and the decoder, which raises
-# every documented error: the same objects and the same errors as
-# iter_decoded. The patterns are compiled on the first read, not at
-# import, and re.compile keeps them in its cache for later reads.
-
-_STR = r'"([ !#-\[\]-~]*)"'
-_INT = r"(0|-?[1-9][0-9]*)"
-_AMOUNT = r"(0|[1-9][0-9]{0,76})"
-_POSITIVE = r"([1-9][0-9]{0,76})"
-_NUMBER = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:e[-+][0-9]+)?)"
-_DIRECTION_NAMES = "|".join(_DIRECTIONS)
-_DIRECTION = f'"({_DIRECTION_NAMES})"'
-
-_SWAP_LOG_ROW = (
-    rf'\{{"block_number": {_INT}, "chain_id": {_INT}, "direction": {_DIRECTION}, '
-    rf'"gas_price": {_AMOUNT}, "log_index": {_INT}, "pool_address": {_STR}, '
-    rf'"recipient": {_STR}, "sender": {_STR}, "timestamp": {_NUMBER}, '
-    rf'"token_in_amount": {_POSITIVE}, "token_out_amount": {_AMOUNT}, "tx_hash": {_STR}\}}'
-)
-_RECORD_ROW = (
-    rf'\{{"dst_block_number": {_INT}, "dst_chain_id": {_INT}, "dst_gas_price": {_AMOUNT}, '
-    rf'"dst_timestamp": {_NUMBER}, "dst_tx_hash": {_STR}, '
-    rf'"hops": \[\{{"amount_in": {_AMOUNT}, "amount_out": {_AMOUNT}, '
-    rf'"direction": {_DIRECTION}, "min_return": {_AMOUNT}, "pool_address": {_STR}, '
-    rf'"token_in": {_STR}, "token_out": {_STR}\}}\], "record_id": {_STR}, '
-    rf'"src_block_number": {_INT}, "src_chain_id": {_INT}, "src_timestamp": {_NUMBER}, '
-    rf'"src_tx_hash": {_STR}\}}'
-)
-_NOISY_SWAP = rf'\["(?:{_DIRECTION_NAMES})", "[1-9][0-9]{{0,76}}"\]'
-_TIMELINE_ROW = (
-    rf'\{{"noisy_swaps": \[((?:{_NOISY_SWAP}(?:, {_NOISY_SWAP})*)?)\], '
-    rf'"pool": \{{"address": {_STR}, "fee": "([0-9]+/[0-9]+)", "protocol": {_STR}, '
-    rf'"reserve_x": "{_POSITIVE}", "reserve_y": "{_POSITIVE}", '
-    rf'"token_x": {_STR}, "token_y": {_STR}\}}, '
-    rf'"victim": \{{"amount_in": "{_POSITIVE}", "direction": {_DIRECTION}, '
-    rf'"min_out": "{_AMOUNT}", "recipient": {_STR}, "sender": {_STR}\}}, '
-    rf'"victim_tolerance": "([0-9]+/[0-9]+)"\}}'
-)
-# the direction and the amount of each entry of a matched noisy_swaps
-_NOISY_FIELDS = f'"({_DIRECTION_NAMES})", "([0-9]+)"'
+# record_text with one hop, timeline_text) through one fullmatch of its
+# row pattern, and build the row's object straight from the groups. Every
+# other row (escapes, other spacing or key order, "007", 7 for "7", two
+# hops) and every row whose groups the builder rejects go through
+# json.loads and the decoder, which raises every documented error: the
+# same objects and the same errors as iter_decoded.
 
 
 def _number(text: str):
@@ -801,19 +783,6 @@ def _read_rows(
 # of the process.
 
 
-def _swap_log_of(strings: dict[str, str], match: re.Match) -> SwapLog:
-    (
-        block_number, chain_id, direction, gas_price, log_index, pool_address,
-        recipient, sender, timestamp, token_in_amount, token_out_amount, tx_hash,
-    ) = match.groups()
-    share = strings.setdefault
-    return SwapLog(
-        tx_hash, int(block_number), int(log_index), share(pool_address, pool_address),
-        int(chain_id), _DIRECTIONS[direction], int(token_in_amount), int(token_out_amount),
-        share(sender, sender), share(recipient, recipient), int(gas_price), _number(timestamp),
-    )
-
-
 def iter_swap_logs(path: str) -> Iterator[SwapLog]:
     """iter_decoded(path, swap_log_from_dict), each row in
     swap_log_text's layout read by pattern, the rows' equal strings
@@ -824,24 +793,6 @@ def iter_swap_logs(path: str) -> Iterator[SwapLog]:
         partial(swap_log_from_dict, strings=strings),
     )
     return (log for _, log in rows)
-
-
-def _record_of(strings: dict[str, str], match: re.Match) -> CrossChainTx:
-    (
-        dst_block_number, dst_chain_id, dst_gas_price, dst_timestamp, dst_tx_hash,
-        amount_in, amount_out, direction, min_return, pool_address, token_in, token_out,
-        record_id, src_block_number, src_chain_id, src_timestamp, src_tx_hash,
-    ) = match.groups()
-    share = strings.setdefault
-    hop = VictimHop(
-        share(pool_address, pool_address), share(token_in, token_in), share(token_out, token_out),
-        _DIRECTIONS[direction], int(amount_in), int(amount_out), int(min_return),
-    )
-    return CrossChainTx(
-        record_id, src_tx_hash, int(src_chain_id), int(src_block_number), _number(src_timestamp),
-        dst_tx_hash, int(dst_chain_id), int(dst_block_number), _number(dst_timestamp),
-        int(dst_gas_price), (hop,),
-    )
 
 
 def iter_records(path: str) -> Iterator[CrossChainTx]:
@@ -864,39 +815,9 @@ def iter_records(path: str) -> Iterator[CrossChainTx]:
 
 def iter_timelines(path: str) -> Iterator[PoolTimeline]:
     """iter_decoded(path, timeline_from_dict), each row in timeline_text's
-    layout read by pattern. Within the read, each distinct pool address,
-    fee and protocol is checked once, by Pool, and each row's pool is a
-    copy of that first one with the row's tokens and reserves, which the
-    pattern has checked; each distinct tolerance is checked once."""
-    noisy_fields = re.compile(_NOISY_FIELDS)
-    pools: dict[tuple[str, str, str], Pool] = {}
-    tolerances: dict[str, Fraction] = {}
-
-    def built(match: re.Match) -> PoolTimeline:
-        (
-            noisy, address, fee, protocol, reserve_x, reserve_y, token_x, token_y,
-            amount_in, direction, min_out, recipient, sender, tolerance,
-        ) = match.groups()
-        reserve_x, reserve_y = int(reserve_x), int(reserve_y)
-        pool = pools.get((address, fee, protocol))
-        if pool is None:
-            pool = pools[address, fee, protocol] = Pool(
-                token_x, token_y, reserve_x, reserve_y,
-                _fraction_from_str(fee), address, _protocol(protocol),
-            )
-        else:
-            pool = pool._derived(token_x, token_y, reserve_x, reserve_y)
-        rate = tolerances.get(tolerance)
-        if rate is None:
-            rate = _fraction_from_str(tolerance)
-            _check_rate("victim_tolerance", rate)
-            tolerances[tolerance] = rate
-        swaps = tuple(
-            [(_DIRECTIONS[name], int(amount)) for name, amount in noisy_fields.findall(noisy)]
-        )
-        victim = SwapRequest(_DIRECTIONS[direction], int(amount_in), int(min_out), sender, recipient)
-        return PoolTimeline(pool, swaps, victim, rate)
-
+    layout read by pattern, each distinct pool and tolerance checked once
+    per read (the memo of _POOL_SHAPE and _tolerance)."""
+    built = partial(_timeline_of, {}, re.compile(_NOISY_FIELDS).findall)
     return (timeline for _, timeline in _read_rows(path, _TIMELINE_ROW, built, timeline_from_dict))
 
 
@@ -912,7 +833,7 @@ def iter_pairs(path: str) -> Iterator[SandwichPair]:
     when swap_log_from_dict accepts it and swap_log_text encodes the log
     back to the same text. The runs are decoded by _own_fields when they
     are not those of the last row kept, and kept, with their fields,
-    only when _own_segments encodes the pair back to the same runs.
+    only when _pair_text writes the pair back to the same line.
     detect writes the pairs of one record hop together, so rows with
     equal runs are adjacent (busy-2pool: 74,750 rows, 3,389 runs, each
     run's rows consecutive). Every other row (other spacing or key
@@ -936,13 +857,14 @@ def iter_pairs(path: str) -> Iterator[SandwichPair]:
         return found
 
     def written_pair(line: str) -> Optional[SandwichPair]:
-        """The pair of a line that _pair_line rebuilds byte for byte from
-        what was read; None for any other line, and for a line that any
-        decoder rejects. The finds fix every byte of the line outside its
-        three log texts and two runs, so the line rebuilds exactly when
-        each log text and both runs are canonical. A JSON string cannot
-        hold ', "' without a backslash before the quote, so no find stops
-        inside a string of a row that rebuilds."""
+        """The pair of a line that _pair_text writes back byte for byte
+        from what was read; None for any other line, and for a line that
+        any decoder rejects. The finds fix every byte of the line outside
+        its three log texts and two runs, so a line whose log texts are
+        canonical and whose runs are those of the last line kept rebuilds
+        too. A JSON string cannot hold ', "' without a backslash before
+        the quote, so no find stops inside a string of a row that
+        rebuilds."""
         nonlocal runs, own
         if not (line.startswith(_BEFORE_BACK) and line.endswith("}")):
             return None
@@ -964,7 +886,8 @@ def iter_pairs(path: str) -> Iterator[SandwichPair]:
         except _DECODE_ERRORS:
             # the caller decodes the line again in full and raises its error
             return None
-        if _own_segments(pair) != line_runs:
+        texts = {id(pair.back): back, id(pair.front): front, id(pair.victim): victim}
+        if _pair_text(pair, lambda written: texts[id(written)]) != line:
             return None
         runs, own = line_runs, fields
         return pair

@@ -139,3 +139,102 @@ def classify_and_price_oracle(pairs, prices):
         rate = Fraction(profit, pair.front.token_in_amount)
         enriched.append(replace(pair, profit_token=profit, profit_rate=rate, profit_usd=usd))
     return enriched, missing
+
+
+# Reference writers: the dict form of each JSONL row kind, written out
+# field by field. ingest derives its <kind>_to_dict and its writer texts
+# from one table per row kind; the tests compare both against these, so
+# a table is checked against a second spelling, not against itself.
+
+
+def _fraction_text(value: Fraction) -> str:
+    return f"{value.numerator}/{value.denominator}"
+
+
+def swap_log_dict_oracle(log) -> dict:
+    return {
+        "tx_hash": log.tx_hash,
+        "block_number": log.block_number,
+        "log_index": log.log_index,
+        "pool_address": log.pool_address,
+        "chain_id": log.chain_id,
+        "direction": log.direction.value,
+        "token_in_amount": log.token_in_amount,
+        "token_out_amount": log.token_out_amount,
+        "sender": log.sender,
+        "recipient": log.recipient,
+        "gas_price": log.gas_price,
+        "timestamp": log.timestamp,
+    }
+
+
+def record_dict_oracle(record) -> dict:
+    return {
+        "record_id": record.record_id,
+        "src_tx_hash": record.src_tx_hash,
+        "src_chain_id": record.src_chain_id,
+        "src_block_number": record.src_block_number,
+        "src_timestamp": record.src_timestamp,
+        "dst_tx_hash": record.dst_tx_hash,
+        "dst_chain_id": record.dst_chain_id,
+        "dst_block_number": record.dst_block_number,
+        "dst_timestamp": record.dst_timestamp,
+        "dst_gas_price": record.dst_gas_price,
+        "hops": [
+            {
+                "pool_address": hop.pool_address,
+                "token_in": hop.token_in,
+                "token_out": hop.token_out,
+                "direction": hop.direction.value,
+                "amount_in": hop.amount_in,
+                "amount_out": hop.amount_out,
+                "min_return": hop.min_return,
+            }
+            for hop in record.hops
+        ],
+    }
+
+
+def pool_dict_oracle(pool: Pool) -> dict:
+    return {
+        "token_x": pool.token_x,
+        "token_y": pool.token_y,
+        "reserve_x": str(pool.reserve_x),
+        "reserve_y": str(pool.reserve_y),
+        "fee": _fraction_text(pool.fee),
+        "address": pool.address,
+        "protocol": pool.protocol.value,
+    }
+
+
+def timeline_dict_oracle(timeline) -> dict:
+    return {
+        "pool": pool_dict_oracle(timeline.pool),
+        "noisy_swaps": [
+            [direction.value, str(amount)] for direction, amount in timeline.noisy_swaps
+        ],
+        "victim": {
+            "direction": timeline.victim.direction.value,
+            "amount_in": str(timeline.victim.amount_in),
+            "min_out": str(timeline.victim.min_out),
+            "sender": timeline.victim.sender,
+            "recipient": timeline.victim.recipient,
+        },
+        "victim_tolerance": _fraction_text(timeline.victim_tolerance),
+    }
+
+
+def pair_dict_oracle(pair) -> dict:
+    return {
+        "record_id": pair.record_id,
+        "pool_address": pair.pool_address,
+        "front": swap_log_dict_oracle(pair.front),
+        "victim": swap_log_dict_oracle(pair.victim),
+        "back": swap_log_dict_oracle(pair.back),
+        "classification": pair.classification.value,
+        "token_in": pair.token_in,
+        "front_window_start_block": pair.front_window_start_block,
+        "profit_token": None if pair.profit_token is None else str(pair.profit_token),
+        "profit_rate": None if pair.profit_rate is None else _fraction_text(pair.profit_rate),
+        "profit_usd": None if pair.profit_usd is None else str(pair.profit_usd),
+    }

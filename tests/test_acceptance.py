@@ -167,7 +167,7 @@ class TestCriteria3And4:
             floor = min_out_from_tolerance(quote, tolerance)
             closed = (
                 (pool.reserve_x + victim_in)
-                - (-(-pool.k // (pool.reserve_y - floor)))
+                - (-(-(pool.reserve_x * pool.reserve_y) // (pool.reserve_y - floor)))
                 - self.GAS
             )
             if abs(profit - closed) <= 2:

@@ -234,12 +234,13 @@ class TestExecute:
     def test_k_growth(self, x, y, fee, dx):
         pool = make_pool(x, y, fee)
         outcome = execute_swap(pool, SwapRequest(Direction.X_FOR_Y, dx))
-        k_after = outcome.pool_after.k
+        k_before = pool.reserve_x * pool.reserve_y
+        k_after = outcome.pool_after.reserve_x * outcome.pool_after.reserve_y
         if fee > 0:
-            assert k_after >= pool.k
+            assert k_after >= k_before
         else:
             # Zero fee: only floor slack, bounded by the new input reserve.
-            assert pool.k <= k_after < pool.k + outcome.pool_after.reserve_x
+            assert k_before <= k_after < k_before + outcome.pool_after.reserve_x
 
     @given(x=reserves, y=reserves, fee=fees, dx=st.integers(1, 10**15))
     @settings(max_examples=200)
@@ -475,7 +476,7 @@ class TestSandwich:
         frontrun_in, _, backrun_out = sandwich(pool, victim_in, tolerance)
         floor = make_timeline(pool, victim_in, tolerance).victim.min_out
         closed = (pool.reserve_x + victim_in) - (
-            -(-pool.k // (pool.reserve_y - floor))
+            -(-(pool.reserve_x * pool.reserve_y) // (pool.reserve_y - floor))
         )
         assert abs(backrun_out - frontrun_in - closed) <= 2
 

@@ -12,6 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _oracles import (
+    pair_dict_oracle,
+    pool_dict_oracle,
+    record_dict_oracle,
+    swap_log_dict_oracle,
+    timeline_dict_oracle,
+)
 from sandwichlab import ingest
 from sandwichlab.amm import MAX_AMOUNT, Direction, Overflow, Pool, PoolProtocol, SwapRequest
 from sandwichlab.attack import PoolTimeline
@@ -46,6 +53,12 @@ from sandwichlab.ingest import (
     write_lines,
     write_pairs_jsonl,
 )
+
+
+def _spelled_alike(derived: dict, reference: dict) -> bool:
+    """Whether two dict forms are equal with their keys in the same
+    order at every level, the order json.dumps writes unsorted."""
+    return json.dumps(derived) == json.dumps(reference)
 
 
 def small_sim_config(seed=5):
@@ -94,15 +107,14 @@ class TestCodecRoundTrips:
         trace, _ = run(small_sim_config())
         corpus = extract_corpus(trace)
         assert corpus.swap_logs and corpus.records and corpus.timelines
-        for log in corpus.swap_logs:
-            assert swap_log_from_dict(json.loads(json.dumps(swap_log_to_dict(log)))) == log
-        for record in corpus.records:
-            assert record_from_dict(json.loads(json.dumps(record_to_dict(record)))) == record
-        for timeline in corpus.timelines:
-            assert (
-                timeline_from_dict(json.loads(json.dumps(timeline_to_dict(timeline))))
-                == timeline
-            )
+        for encode, oracle, decode, rows in (
+            (swap_log_to_dict, swap_log_dict_oracle, swap_log_from_dict, corpus.swap_logs),
+            (record_to_dict, record_dict_oracle, record_from_dict, corpus.records),
+            (timeline_to_dict, timeline_dict_oracle, timeline_from_dict, corpus.timelines),
+        ):
+            for row in rows:
+                assert _spelled_alike(encode(row), oracle(row))
+                assert decode(json.loads(json.dumps(oracle(row)))) == row
 
     @pytest.mark.parametrize(
         "entry",
@@ -268,6 +280,7 @@ class TestCodecRoundTrips:
             fee=Fraction(25, 10_000),
             address="0x" + "77" * 20,
         )
+        assert _spelled_alike(pool_to_dict(pool), pool_dict_oracle(pool))
         restored = pool_from_dict(json.loads(json.dumps(pool_to_dict(pool))))
         assert restored == pool
         assert restored.fee == Fraction(1, 400)
@@ -307,6 +320,7 @@ class TestCodecRoundTrips:
             profit_rate=Fraction(-1, 10),
             profit_usd=Decimal("-3.5"),
         )
+        assert _spelled_alike(pair_to_dict(pair), pair_dict_oracle(pair))
         assert pair_from_dict(json.loads(json.dumps(pair_to_dict(pair)))) == pair
         bare = SandwichPair(
             record_id="r2",
@@ -318,6 +332,7 @@ class TestCodecRoundTrips:
             token_in="WETH",
             front_window_start_block=3,
         )
+        assert _spelled_alike(pair_to_dict(bare), pair_dict_oracle(bare))
         assert pair_from_dict(json.loads(json.dumps(pair_to_dict(bare)))) == bare
 
     def test_reader_shares_equal_logs(self, tmp_path):
@@ -470,10 +485,12 @@ class TestPairsWriter:
     @given(pairs=_pair_lists())
     def test_rows_are_json_dumps_of_pair_to_dict_and_decode_back(self, pairs):
         manifest = RunManifest(command="detect", config={"num_blocks": 100})
+        for pair in pairs:
+            assert _spelled_alike(pair_to_dict(pair), pair_dict_oracle(pair))
         with tempfile.TemporaryDirectory() as tmp:
             new, old = Path(tmp, "new.jsonl"), Path(tmp, "old.jsonl")
             write_pairs_jsonl(str(new), pairs, manifest)
-            write_jsonl(str(old), map(pair_to_dict, pairs), manifest)
+            write_jsonl(str(old), map(pair_dict_oracle, pairs), manifest)
             assert new.read_bytes() == old.read_bytes()
             shared = list(iter_pairs(str(new)))
             plain = [pair_from_dict(row) for row in read_jsonl(str(new))]
@@ -503,7 +520,7 @@ class TestPairsWriter:
         pairs = [pair, replace(pair, profit_usd=Decimal("1.0")), pair]
         new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
         write_pairs_jsonl(str(new), pairs)
-        write_jsonl(str(old), map(pair_to_dict, pairs))
+        write_jsonl(str(old), map(pair_dict_oracle, pairs))
         assert new.read_bytes() == old.read_bytes()
         assert '"profit_usd": "1.0"' in new.read_text().splitlines()[1]
 
@@ -975,7 +992,8 @@ class TestSwapLogText:
     @settings(max_examples=300, deadline=None)
     @given(log=_text_swap_logs)
     def test_is_json_dumps_of_swap_log_to_dict(self, log):
-        assert swap_log_text(log) == json.dumps(swap_log_to_dict(log), sort_keys=True)
+        assert _spelled_alike(swap_log_to_dict(log), swap_log_dict_oracle(log))
+        assert swap_log_text(log) == json.dumps(swap_log_dict_oracle(log), sort_keys=True)
 
 
 
@@ -1131,18 +1149,21 @@ _INT_TIME_RECORD = CrossChainTx(
 
 
 class TestRowTexts:
-    """Each simulate row encoder against json.dumps of its spec."""
+    """Each simulate row encoder, and each dict form, against json.dumps
+    of the reference dict form in _oracles."""
 
     @settings(max_examples=150, deadline=None)
     @given(record=_text_records())
     @example(record=_INT_TIME_RECORD)
     def test_record_text_is_json_dumps_of_record_to_dict(self, record):
-        assert record_text(record) == json.dumps(record_to_dict(record), sort_keys=True)
+        assert _spelled_alike(record_to_dict(record), record_dict_oracle(record))
+        assert record_text(record) == json.dumps(record_dict_oracle(record), sort_keys=True)
 
     @settings(max_examples=150, deadline=None)
     @given(timeline=_text_timelines)
     def test_timeline_text_is_json_dumps_of_timeline_to_dict(self, timeline):
-        assert timeline_text(timeline) == json.dumps(timeline_to_dict(timeline), sort_keys=True)
+        assert _spelled_alike(timeline_to_dict(timeline), timeline_dict_oracle(timeline))
+        assert timeline_text(timeline) == json.dumps(timeline_dict_oracle(timeline), sort_keys=True)
 
     @settings(max_examples=200, deadline=None)
     @given(label=_text_labels)
@@ -1153,8 +1174,9 @@ class TestRowTexts:
         corpus = extract_corpus(run(small_sim_config())[0])
         assert corpus.records and corpus.timelines and corpus.labels
         for encode, spec, rows in (
-            (record_text, record_to_dict, corpus.records),
-            (timeline_text, timeline_to_dict, corpus.timelines),
+            (swap_log_text, swap_log_dict_oracle, corpus.swap_logs),
+            (record_text, record_dict_oracle, corpus.records),
+            (timeline_text, timeline_dict_oracle, corpus.timelines),
             (label_text, dict, corpus.labels),
         ):
             for row in rows:
@@ -1162,7 +1184,54 @@ class TestRowTexts:
 
 
 
-def _through_file(rows, decode):
+# each row kind's table in ingest and the class it reads and writes
+_ROW_TABLES = {
+    "swap log": (ingest._SWAP_LOG, SwapLog),
+    "hop": (ingest._HOP, VictimHop),
+    "record": (ingest._RECORD, CrossChainTx),
+    "pool": (ingest._POOL, Pool),
+    "timeline victim": (ingest._VICTIM, SwapRequest),
+    "timeline": (ingest._TIMELINE, PoolTimeline),
+    "pair": (ingest._PAIR, SandwichPair),
+}
+
+
+def _names_its_fields(table: dict, cls: type) -> bool:
+    """Whether table names exactly the fields of cls, in their order:
+    a builder passes the fields by position."""
+    return list(table) == list(cls.__match_args__)
+
+
+class TestRowTables:
+    """The tables that ingest derives each row's dict form, writer text,
+    row pattern and builder from name exactly their rows' fields."""
+
+    @pytest.mark.parametrize("name", sorted(_ROW_TABLES))
+    def test_each_table_names_its_class_fields(self, name):
+        assert _names_its_fields(*_ROW_TABLES[name])
+
+    def test_pair_table_owns_the_decoders_own_fields(self):
+        # _OWN_KEYS comes from the table: check it against the class
+        own = set(SandwichPair.__match_args__) - {"front", "victim", "back"}
+        assert ingest._OWN_KEYS == own
+
+    def test_label_table_names_the_nine_label_keys(self):
+        corpus = extract_corpus(run(small_sim_config())[0])
+        assert corpus.labels
+        assert all(list(label) == list(ingest._LABEL) for label in corpus.labels)
+        assert len(ingest._LABEL) == 9
+
+    def test_a_field_added_to_a_class_but_not_its_table_fails(self):
+        fields = [(field.name, field.type) for field in dataclasses.fields(SwapLog)]
+        wider = dataclasses.make_dataclass("SwapLog", [*fields, ("added_field", int)], slots=True)
+        assert not _names_its_fields(ingest._SWAP_LOG, wider)
+
+
+def _through_file(objects, encode, oracle, decode):
+    """objects decoded from a file of their reference dict forms, which
+    encode, the derived dict form, must spell alike."""
+    rows = list(map(oracle, objects))
+    assert all(map(_spelled_alike, map(encode, objects), rows))
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp, "rows.jsonl"))
         write_jsonl(path, rows, RunManifest(command="simulate"))
@@ -1222,14 +1291,14 @@ class TestCodecProperties:
     @settings(max_examples=50, deadline=None)
     @given(logs=st.lists(_wide_swap_logs, max_size=4))
     def test_swap_logs_round_trip(self, logs):
-        decoded = _through_file(map(swap_log_to_dict, logs), swap_log_from_dict)
+        decoded = _through_file(logs, swap_log_to_dict, swap_log_dict_oracle, swap_log_from_dict)
         assert decoded == logs
         assert [type(log.timestamp) for log in decoded] == [type(log.timestamp) for log in logs]
 
     @settings(max_examples=50, deadline=None)
     @given(records=st.lists(_records(), max_size=4))
     def test_records_round_trip(self, records):
-        decoded = _through_file(map(record_to_dict, records), record_from_dict)
+        decoded = _through_file(records, record_to_dict, record_dict_oracle, record_from_dict)
         assert decoded == records
         assert [(type(r.src_timestamp), type(r.dst_timestamp)) for r in decoded] == [
             (type(r.src_timestamp), type(r.dst_timestamp)) for r in records
@@ -1238,7 +1307,9 @@ class TestCodecProperties:
     @settings(max_examples=50, deadline=None)
     @given(timelines=st.lists(_timelines, max_size=4))
     def test_timelines_round_trip(self, timelines):
-        decoded = _through_file(map(timeline_to_dict, timelines), timeline_from_dict)
+        decoded = _through_file(
+            timelines, timeline_to_dict, timeline_dict_oracle, timeline_from_dict
+        )
         assert decoded == timelines
 
 
