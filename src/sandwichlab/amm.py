@@ -37,14 +37,6 @@ class Direction(enum.Enum):
         return Direction.Y_FOR_X if self is Direction.X_FOR_Y else Direction.X_FOR_Y
 
 
-class PoolProtocol(enum.Enum):
-    UNISWAP_V2 = "uniswap_v2"
-    UNISWAP_V3 = "uniswap_v3"
-    PANCAKE_V2 = "pancake_v2"
-    PANCAKE_V3 = "pancake_v3"
-    OTHER = "other"
-
-
 def _check_amount(name: str, value: int, minimum: int = 0) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
@@ -78,7 +70,6 @@ class Pool:
     reserve_y: int
     fee: Fraction = Fraction(0)
     address: str = "0x" + "00" * 20
-    protocol: PoolProtocol = PoolProtocol.OTHER
 
     def __post_init__(self) -> None:
         _check_amount("reserve_x", self.reserve_x, minimum=1)
@@ -111,7 +102,6 @@ class Pool:
         set_field(pool, "reserve_y", reserve_y)
         set_field(pool, "fee", self.fee)
         set_field(pool, "address", self.address)
-        set_field(pool, "protocol", self.protocol)
         return pool
 
     def after_swap(self, direction: Direction, amount_in: int, amount_out: int) -> "Pool":

@@ -92,7 +92,6 @@ class PoolTimeline:
     pool: Pool
     noisy_swaps: tuple[tuple[Direction, int], ...]
     victim: SwapRequest
-    victim_tolerance: Fraction
 
     def __post_init__(self) -> None:
         # replay_timeline applies noise unchecked, so each entry must be

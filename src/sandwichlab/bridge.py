@@ -100,13 +100,11 @@ class AttackerConfig:
     enabled: bool = True
     theta: Fraction = Fraction(1)
     capital_limit: Optional[int] = None
-    uses_private_submission: bool = False
     backrun_on_mempool: bool = False
     gas_price: int = GWEI
 
     def __post_init__(self) -> None:
         _check_bool("attacker.enabled", self.enabled)
-        _check_bool("uses_private_submission", self.uses_private_submission)
         _check_bool("backrun_on_mempool", self.backrun_on_mempool)
         if not 0 < self.theta <= 1:
             raise InvalidConfig("theta must be in (0, 1]")
@@ -274,7 +272,6 @@ class VictimRecord:
     src_block: int = 0
     emit_time: float = 0.0
     min_return: int = 0
-    quote_at_commit: int = 0
     pool_snapshot: Optional[Pool] = None
     dst_tx_hash: str = ""
     exec_block: Optional[int] = None
@@ -483,7 +480,6 @@ class Simulation:
         s = victim.tolerance
         min_return = -(-quote * (s.denominator - s.numerator) // s.denominator)
         victim.min_return = min_return
-        victim.quote_at_commit = quote
         victim.pool_snapshot = live.pool()
         victim.src_block = src_block
         victim.emit_time = now
@@ -545,8 +541,7 @@ class Simulation:
         victim = self.trace.victims[commit.victim_id]
         victim.attacker = sandwich = Sandwich(amount)
         sandwich.front_hash = self._queue_agent_tx(
-            TxLabel.TA1, victim, sandwich,
-            0 if cfg.uses_private_submission else cfg.gas_price, backrun=False,
+            TxLabel.TA1, victim, sandwich, cfg.gas_price, backrun=False
         )
 
     def _attacker_backrun(self, victim: VictimRecord, gas_price: int) -> None:
@@ -565,7 +560,6 @@ class Simulation:
             pool=self.pools[victim.pool_address].pool(),
             noisy_swaps=(),
             victim=SwapRequest(victim.direction, victim.amount_in, victim.min_return),
-            victim_tolerance=victim.tolerance,
         )
         amount = optimal_frontrun_for_timeline(bracket)
         if amount <= 0:
@@ -820,7 +814,6 @@ def corpus_streams(trace: SimTrace) -> Corpus:
                 sender=victim.sender,
                 recipient=victim.recipient,
             ),
-            victim_tolerance=victim.tolerance,
         )
 
     def record(victim: VictimRecord) -> CrossChainTx:

@@ -193,7 +193,11 @@ def _load_yaml(path: str) -> dict:
     return data
 
 
-def _manifest(command: str, config: dict, inputs: dict, seed=None) -> ingest.RunManifest:
+def _manifest(
+    command: str, config: dict, inputs: dict, outputs: list, seed=None
+) -> ingest.RunManifest:
+    """The run's manifest, whole when made: a JSONL header digests it
+    before manifest.json is written."""
     digests = {}
     for name, path in inputs.items():
         if path and os.path.exists(path):
@@ -203,6 +207,7 @@ def _manifest(command: str, config: dict, inputs: dict, seed=None) -> ingest.Run
         config=config,
         input_digests=digests,
         seed=seed,
+        output_paths=outputs,
     )
 
 
@@ -230,16 +235,11 @@ def cmd_simulate(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = _manifest("simulate", raw, {"config": args.config}, seed=config.seed)
-    # Set before the JSONL files are written: their header carries the
-    # digest of this manifest, which must equal that of manifest.json.
-    manifest.output_paths = [
-        "labels.jsonl",
-        "metrics.json",
-        "records.jsonl",
-        "swap_logs.jsonl",
-        "timelines.jsonl",
-    ]
+    manifest = _manifest(
+        "simulate", raw, {"config": args.config},
+        ["labels.jsonl", "metrics.json", "records.jsonl", "swap_logs.jsonl", "timelines.jsonl"],
+        seed=config.seed,
+    )
     # each row through the one text encoder of its kind, which ingest
     # makes from the kind's field table (tests/_oracles.py holds the
     # reference dict forms); rows are built as they are written
@@ -280,10 +280,20 @@ def cmd_detect(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # the whole effective config, under its YAML keys: the band as "n/d"
+    # strings, and the stablecoins sorted, as a frozenset's order is not
+    # the same from one run to the next
     manifest = _manifest(
         "detect",
-        {"num_blocks": cfg.num_blocks, "max_interval": cfg.max_interval},
+        {
+            "num_blocks": cfg.num_blocks,
+            "band_low": f"{cfg.band_low.numerator}/{cfg.band_low.denominator}",
+            "band_high": f"{cfg.band_high.numerator}/{cfg.band_high.denominator}",
+            "max_interval": cfg.max_interval,
+            "stablecoins": sorted(cfg.stablecoin_set),
+        },
         {"records": args.records, "logs": args.logs, "config": args.config},
+        ["pairs.jsonl"],
     )
     # Each record's pairs are written as they are found, so no stage
     # holds the pair list; pairs.jsonl appears only once it is complete.
@@ -418,9 +428,9 @@ def cmd_analyze(args) -> int:
         for key, bucket in report.chain_pairs.items():
             writer.writerow([key, bucket["pairs"], bucket["profit_usd"]])
     manifest = _manifest(
-        "analyze", {}, {"pairs": args.pairs, "prices": args.prices}
+        "analyze", {}, {"pairs": args.pairs, "prices": args.prices},
+        ["report.json", "pool_counts.csv", "chain_pairs.csv"],
     )
-    manifest.output_paths = ["report.json", "pool_counts.csv", "chain_pairs.csv"]
     _write_json(out / "manifest.json", asdict(manifest))
     print(
         f"{report.total_pairs} pairs "

@@ -8,7 +8,6 @@ that ties each CLI run's outputs to its inputs.
 from __future__ import annotations
 
 import contextlib
-import enum
 import hashlib
 import json
 import math
@@ -27,10 +26,8 @@ from .amm import (
     AmmError,
     Direction,
     Pool,
-    PoolProtocol,
     SwapRequest,
     _check_amount,
-    _check_rate,
 )
 from .attack import PoolTimeline
 from .detector import (
@@ -102,22 +99,15 @@ def _uint256(data: dict, key: str, least: int = 0) -> int:
     return value
 
 
-def _member_lookup(cls: type[enum.Enum]) -> Callable[[object], enum.Enum]:
-    """cls(value), its ValueError included, as a dict lookup on the
-    member values: an enum call costs twenty times one, so the call runs
-    only on a miss, to raise its error."""
-    members = {member.value: member for member in cls}
-
-    def member(value):
-        found = members.get(value) if type(value) is str else None
-        return cls(value) if found is None else found
-
-    return member
-
-
 _DIRECTIONS = {direction.value: direction for direction in Direction}
-_direction = _member_lookup(Direction)
-_protocol = _member_lookup(PoolProtocol)
+
+
+def _direction(value) -> Direction:
+    """Direction(value), its ValueError included, as a lookup in
+    _DIRECTIONS: an enum call costs twenty times one, so the call runs
+    only on a miss, to raise its error."""
+    found = _DIRECTIONS.get(value) if type(value) is str else None
+    return Direction(value) if found is None else found
 
 
 def _unknown_key(data: dict, cls: type, fields: Collection[str] = ()) -> TypeError:
@@ -223,19 +213,15 @@ _POOL_KEYS = frozenset(Pool.__match_args__)
 
 
 def pool_from_dict(data: dict) -> Pool:
-    """A timeline's pool, or a pool of a simulate config; protocol may
-    be left out, and any key that is not a Pool field is an error."""
+    """A timeline's pool, or a pool of a simulate config. A key that is
+    not a Pool field is an error, checked first: a misspelt key is named
+    even where it stands for a missing field."""
     _require(data, ("token_x", "token_y", "address"), str)
     if not _POOL_KEYS.issuperset(data):
         raise _unknown_key(data, Pool)
     return Pool(
-        token_x=data["token_x"],
-        token_y=data["token_y"],
-        reserve_x=_amount("reserve_x", data["reserve_x"]),
-        reserve_y=_amount("reserve_y", data["reserve_y"]),
-        fee=_fraction_from_str(data["fee"]),
-        address=data["address"],
-        protocol=_protocol(data.get("protocol", "other")),
+        data["token_x"], data["token_y"], _amount("reserve_x", data["reserve_x"]),
+        _amount("reserve_y", data["reserve_y"]), _fraction_from_str(data["fee"]), data["address"],
     )
 
 
@@ -263,12 +249,10 @@ def timeline_from_dict(data: dict) -> PoolTimeline:
     )
     pool = pool_from_dict(data["pool"])
     noisy_swaps = tuple(map(_noisy_swap, data["noisy_swaps"]))
-    tolerance = _fraction_from_str(data["victim_tolerance"])
-    _check_rate("victim_tolerance", tolerance)
     if len(data) > len(PoolTimeline.__match_args__):
         raise _unknown_key(data, PoolTimeline)
     try:
-        return PoolTimeline(pool, noisy_swaps, request, tolerance)
+        return PoolTimeline(pool, noisy_swaps, request)
     except (TypeError, ValueError, AmmError) as exc:
         # PoolTimeline itself checks only the range of each noise amount
         raise MalformedData(f"bad noisy_swaps: {exc}") from exc
@@ -444,7 +428,6 @@ _POSITIVE_DECIMAL = _DECIMAL._replace(pattern=r'"([1-9][0-9]{0,76})"')
 _FRACTION = _Shape('"{_fraction_to_str($)}"', "_fraction_to_str($)", r'"([0-9]+/[0-9]+)"')
 _FEE = _FRACTION._replace(build="_fraction_from_str($)")
 _ENUM = _Shape("{_json_str($.value)}", "$.value", _TEXT.pattern)
-_PROTOCOL = _ENUM._replace(build="_protocol($)")
 _DIRECTION_NAMES = "|".join(_DIRECTIONS)
 _DIRECTION = _ENUM._replace(pattern=f'"({_DIRECTION_NAMES})"', build="_DIRECTIONS[$]")
 _OPTIONAL_TEXT = _optional("_json_str($)")
@@ -511,15 +494,6 @@ def _noisy_text(swaps: tuple) -> str:
     return ", ".join([f'{_NOISY_HEAD[direction]}{amount}"]' for direction, amount in swaps])
 
 
-def _tolerance(memo: dict, text: str) -> Fraction:
-    """A victim tolerance, checked, and kept in the memo of the timeline
-    builder's read, so that each distinct text is checked once."""
-    rate = _fraction_from_str(text)
-    _check_rate("tolerance", rate)
-    memo[text] = rate
-    return rate
-
-
 _SWAP_LOG = {
     "tx_hash": _TEXT, "block_number": _INT, "log_index": _INT, "pool_address": _SHARED,
     "chain_id": _INT, "direction": _DIRECTION, "token_in_amount": _POSITIVE,
@@ -541,14 +515,14 @@ _RECORD = {
 _RECORD_SHAPE = _nested(CrossChainTx, _RECORD)
 _POOL = {
     "token_x": _TEXT, "token_y": _TEXT, "reserve_x": _POSITIVE_DECIMAL,
-    "reserve_y": _POSITIVE_DECIMAL, "fee": _FEE, "address": _TEXT, "protocol": _PROTOCOL,
+    "reserve_y": _POSITIVE_DECIMAL, "fee": _FEE, "address": _TEXT,
 }
 _POOL_SHAPE = _nested(Pool, _POOL)
 # The timeline builder's memo, of one read, holds the first Pool of each
-# distinct address, fee and protocol, checked by Pool, and each later pool
-# is a copy of it with the row's tokens and reserves, which the pattern
-# has checked. It also holds the rate of each distinct tolerance text.
-_POOL_KEY = "($_address, $_fee, $_protocol)"
+# distinct address and fee, checked by Pool, and each later pool is a
+# copy of it with the row's tokens and reserves, which the pattern has
+# checked.
+_POOL_KEY = "($_address, $_fee)"
 _POOL_SHAPE = _POOL_SHAPE._replace(
     build=f"(memo.get({_POOL_KEY}) or memo.setdefault({_POOL_KEY}, {_POOL_SHAPE.build}))"
     "._derived($_token_x, $_token_y, int($_reserve_x), int($_reserve_y))"
@@ -565,10 +539,8 @@ _NOISY_SWAPS = _Shape(
     rf"\[((?:{_NOISY_SWAP}(?:, {_NOISY_SWAP})*)?)\]",
     "tuple([(_DIRECTIONS[name], int(amount)) for name, amount in noisy_fields($)])",
 )
-_TOLERANCE = _FRACTION._replace(build="memo[$] if $ in memo else _tolerance(memo, $)")
 _TIMELINE = {
     "pool": _POOL_SHAPE, "noisy_swaps": _NOISY_SWAPS, "victim": _nested(SwapRequest, _VICTIM),
-    "victim_tolerance": _TOLERANCE,
 }
 _TIMELINE_SHAPE = _nested(PoolTimeline, _TIMELINE)
 # a labels.jsonl row: a dict, as bridge.corpus_streams builds it
@@ -815,8 +787,8 @@ def iter_records(path: str) -> Iterator[CrossChainTx]:
 
 def iter_timelines(path: str) -> Iterator[PoolTimeline]:
     """iter_decoded(path, timeline_from_dict), each row in timeline_text's
-    layout read by pattern, each distinct pool and tolerance checked once
-    per read (the memo of _POOL_SHAPE and _tolerance)."""
+    layout read by pattern, each distinct pool checked once per read (the
+    memo of _POOL_SHAPE)."""
     built = partial(_timeline_of, {}, re.compile(_NOISY_FIELDS).findall)
     return (timeline for _, timeline in _read_rows(path, _TIMELINE_ROW, built, timeline_from_dict))
 

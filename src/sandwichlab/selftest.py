@@ -27,7 +27,7 @@ def make_timeline(
     tolerance, behind the given noise swaps."""
     min_out = amm.min_out_from_tolerance(amm.quote_output(pool, direction, victim_in), tolerance)
     victim = amm.SwapRequest(direction, victim_in, min_out)
-    return attack.PoolTimeline(pool, tuple(noise), victim, tolerance)
+    return attack.PoolTimeline(pool, tuple(noise), victim)
 
 
 @dataclass(frozen=True, slots=True)

@@ -203,7 +203,6 @@ def pool_dict_oracle(pool: Pool) -> dict:
         "reserve_y": str(pool.reserve_y),
         "fee": _fraction_text(pool.fee),
         "address": pool.address,
-        "protocol": pool.protocol.value,
     }
 
 
@@ -220,7 +219,6 @@ def timeline_dict_oracle(timeline) -> dict:
             "sender": timeline.victim.sender,
             "recipient": timeline.victim.recipient,
         },
-        "victim_tolerance": _fraction_text(timeline.victim_tolerance),
     }
 
 

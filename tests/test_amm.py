@@ -18,7 +18,6 @@ from sandwichlab.amm import (
     Direction,
     Overflow,
     Pool,
-    PoolProtocol,
     SwapRequest,
     ZeroInput,
     _analytic_frontrun_root,
@@ -164,7 +163,6 @@ def listed_pool(x, y, fee):
         reserve_y=y,
         fee=fee,
         address="0x" + "ab" * 20,
-        protocol=PoolProtocol.PANCAKE_V3,
     )
 
 

@@ -242,7 +242,6 @@ class TestReplayTimeline:
                 10**9,
                 min_out=min_out_from_tolerance(quote, Fraction(1, 100)),
             ),
-            victim_tolerance=Fraction(1, 100),
         )
         frontrun_in = optimal_frontrun_for_timeline(timeline)
         assert frontrun_in > 0
@@ -277,7 +276,6 @@ class TestReplayTimeline:
             pool=pool,
             noisy_swaps=tuple(noise),
             victim=SwapRequest(victim_direction, victim_in, min_out=quote * keep // 10_000),
-            victim_tolerance=Fraction(1, 100),
         )
         frontrun_in = {
             "none": 0,
@@ -311,7 +309,6 @@ class TestOptimalFrontrunForTimeline:
             pool=timeline.pool,
             noisy_swaps=(),
             victim=timeline.victim,
-            victim_tolerance=timeline.victim_tolerance,
         )
         executed_plus, _ = replay_timeline(bumped, frontrun_in + 1)
         assert not executed_plus

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 import yaml
 
-from sandwichlab.amm import AmmError, Direction, Pool
+from sandwichlab.amm import AmmError, Direction, Pool, quote_output
 from sandwichlab.attack import TxLabel, frontrun_size, optimal_frontrun_for_timeline
 from sandwichlab.bridge import (
     AttackerConfig,
@@ -105,7 +105,6 @@ class TestConfigValidation:
         "make, name",
         [
             (lambda v: AttackerConfig(enabled=v), "attacker.enabled"),
-            (lambda v: AttackerConfig(uses_private_submission=v), "uses_private_submission"),
             (lambda v: AttackerConfig(backrun_on_mempool=v), "backrun_on_mempool"),
             (lambda v: BotConfig(enabled=v), "bot.enabled"),
         ],
@@ -298,6 +297,11 @@ class TestAttackerDecision:
         assert any(v.exec_block is None and attacker_in(v) for v in checked)
 
 
+def quote_at_commit(victim):
+    """The victim's quote on the pool as its commit saw it."""
+    return quote_output(victim.pool_snapshot, victim.direction, victim.amount_in)
+
+
 class TestVictimOutcomes:
     def test_quiet_window_gets_frozen_quote(self):
         # With the attacker off and no noise traffic, any victim whose
@@ -315,7 +319,7 @@ class TestVictimOutcomes:
             if timeline is None or timeline.noisy_swaps:
                 continue
             quiet += 1
-            assert victim.amount_out == victim.quote_at_commit
+            assert victim.amount_out == quote_at_commit(victim)
         assert quiet > 0
 
     def test_attacker_drives_victim_toward_floor(self):
@@ -331,7 +335,7 @@ class TestVictimOutcomes:
         assert quiet_ids
         for victim_id in quiet_ids:
             victim = trace.victims[victim_id]
-            assert victim.min_return <= victim.amount_out < victim.quote_at_commit
+            assert victim.min_return <= victim.amount_out < quote_at_commit(victim)
 
 
 class TestExtractCorpus:

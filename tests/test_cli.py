@@ -160,6 +160,11 @@ class TestSimulate:
             (None, "relayer_count", 3),  # removed key
             ("attacker", "thetaa", 1),  # misspelt nested key, a TypeError before
             ("pools", "fees", "25/10000"),  # misspelt pool key, silently ignored before
+            # removed knobs that changed no number, their defaults included
+            ("pools", "protocol", "uniswap_v3"),
+            ("pools", "protocol", "other"),
+            ("attacker", "uses_private_submission", True),
+            ("attacker", "uses_private_submission", False),
         ],
     )
     def test_unknown_key_is_validation_error(self, tmp_path, capsys, section, key, value):
@@ -169,7 +174,11 @@ class TestSimulate:
         config = tmp_path / "config.yaml"
         config.write_text(yaml.safe_dump(data))
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
-        assert key in capsys.readouterr().err
+        assert re.fullmatch(
+            rf"error: bad simulation config: \w+(\.__init__\(\) got an unexpected keyword"
+            rf" argument| has no field) '{key}'\n",
+            capsys.readouterr().err,
+        )
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -180,7 +189,6 @@ class TestSimulate:
             (None, "seed", "11"),  # ran another random stream than 11
             (None, "seed", [1]),  # a raw TypeError traceback
             ("attacker", "enabled", "false"),  # ran the attacker
-            ("attacker", "uses_private_submission", "no"),
             ("attacker", "backrun_on_mempool", 1),
             ("bot", "enabled", "true"),
             ("bot", "min_profit", "300"),  # a raw TypeError mid-run
@@ -202,6 +210,15 @@ class TestSimulate:
         assert err.startswith(f"error: bad simulation config: {name} must be ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    # a misspelt pool key is named, not the field it stands for
+    def test_misspelt_pool_key_is_named(self, tmp_path, capsys):
+        data = yaml.safe_load(CONFIG_YAML)
+        data["pools"][0]["fees"] = data["pools"][0].pop("fee")
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(data))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == "error: bad simulation config: Pool has no field 'fees'\n"
 
     # the config builds, and bridge.run rejects it
     def test_duplicate_pool_addresses_is_validation_error(self, tmp_path, capsys):
@@ -496,8 +513,20 @@ class TestDetect:
         )
         rc, det = self.detect_with_config(sim_outputs, tmp_path, text)
         assert rc == 0
-        config = json.loads((det / "manifest.json").read_text())["config"]
-        assert config == {"num_blocks": 150, "max_interval": 50.0}
+        manifest = json.loads((det / "manifest.json").read_text())
+        # the whole effective config, which reads back as the same config;
+        # the band was left out before, and output_paths was []
+        assert manifest["config"] == {
+            "num_blocks": 150,
+            "band_low": "4/5",
+            "band_high": "6/5",
+            "max_interval": 50.0,
+            "stablecoins": ["USDC", "USDT"],
+        }
+        assert detection_config_from_dict(manifest["config"]) == detection_config_from_dict(
+            yaml.safe_load(text)
+        )
+        assert manifest["output_paths"] == ["pairs.jsonl"]
 
     @pytest.mark.parametrize(
         "key, value",
@@ -602,17 +631,19 @@ class TestParams:
     def test_missing_arguments_is_validation_error(self):
         assert main(["params"]) == 1
 
-    # "-5", "0" and "1" were read as tolerances
-    @pytest.mark.parametrize("tolerance", ["-5", "0", "1", "3/2", " 1/100"])
-    def test_bad_victim_tolerance_names_file_and_line(self, sim_outputs, tmp_path, capsys, tolerance):
+    # a row no longer carries the victim's tolerance, which never reaches
+    # the chain: a row that does, as every row did before, is rejected
+    def test_victim_tolerance_is_an_unknown_key(self, sim_outputs, tmp_path, capsys):
         _, sim = sim_outputs
         header, first, *rest = (sim / "timelines.jsonl").read_text().splitlines()
         row = json.loads(first)
-        row["victim_tolerance"] = tolerance
+        row["victim_tolerance"] = "1/100"
         bad = tmp_path / "timelines.jsonl"
         bad.write_text("\n".join([header, json.dumps(row), *rest]) + "\n")
         assert main(["params", "--timelines", str(bad)]) == 1
-        assert re.match(rf"error: {re.escape(str(bad))}:2: ValueError: ", capsys.readouterr().err)
+        assert capsys.readouterr().err == (
+            f"error: {bad}:2: TypeError: PoolTimeline has no field 'victim_tolerance'\n"
+        )
 
     # each extra key was ignored, and params exited 0
     @pytest.mark.parametrize(
@@ -785,7 +816,6 @@ class TestParams:
             pool=pool,
             noisy_swaps=((Direction.Y_FOR_X, 2**255),),
             victim=SwapRequest(Direction.X_FOR_Y, 5, min_out=1),
-            victim_tolerance=Fraction(1, 100),
         )
         path = tmp_path / "timelines.jsonl"
         write_jsonl(str(path), [timeline_to_dict(timeline)])
@@ -1268,7 +1298,7 @@ class TestParamsStreams:
 
         def timeline(min_out: int) -> PoolTimeline:
             victim = SwapRequest(Direction.X_FOR_Y, amount, min_out, "0x" + "aa" * 20, "0x" + "aa" * 20)
-            return PoolTimeline(pool, noise, victim, Fraction(1, 100))
+            return PoolTimeline(pool, noise, victim)
 
         attackable = timeline(min_out_from_tolerance(quote, Fraction(1, 100)))
         no_room = timeline(quote)  # no buffer above min_out: no front-run

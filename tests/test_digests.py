@@ -59,7 +59,8 @@ pools:
     address: "0x2222222222222222222222222222222222222222"
 """
 
-# mempool-triggered back-run and private submission, plus the bot
+# mempool-triggered back-run and a front-run bid at gas price 0, plus
+# the bot
 MEMPOOL_YAML = """\
 seed: 4
 horizon: 240
@@ -82,7 +83,7 @@ noise_size:
   value: 1.0e16
 attacker:
   enabled: true
-  uses_private_submission: true
+  gas_price: 0
   backrun_on_mempool: true
 bot:
   enabled: true
@@ -151,15 +152,15 @@ DIGESTS = {
         "metrics.json": "bbdbeb86e6d1bae6e2ae73e44d7e5ea85a58abfddfb25a40b630c6c11fe352f3",
         "records.jsonl": "8c5ff511751ef80846d69d5b91a0b9bbfd44e3fe5c0c9be3a82b9b0438a9481e",
         "swap_logs.jsonl": "edc2b9e77667646927bd826c0822109ac4dc16564beb4b0fc0ac755b81ac4442",
-        "timelines.jsonl": "1c3d569d897d1647e40e369c4a8fd7eadae7d61d4939237f195efc5013f47464",
+        "timelines.jsonl": "ab72209dd86ab5b72141e9b18bd7f6a4d718d783ca4c86545fadf9462fe940db",
     }),
     "mempool": (MEMPOOL_YAML, {
-        "labels.jsonl": "6844c375faba7cadbfd76b5b7644d0e2e25ec3bb148f29185bded9c7a5fc0f4e",
-        "manifest.json": "197549681252bc719cd6b5b0d4e032796c90f7b904a94b4c14874b97cb37b520",
+        "labels.jsonl": "fd371f9743108c6c6b81e44ebf2006ff7fe1c74a36b908224acb102310b7a6f0",
+        "manifest.json": "bbad2eb0bc5913d7282159d550b2f99afe3c7ddd57ec7881d31230af3f24e970",
         "metrics.json": "88cda1cfb26d7874e2065bc3bbcefb4d7a704cdd049490e727da827d0dbc2031",
-        "records.jsonl": "8ca3aa36af569c389e37cfb7d5e3e94a8c300cf2a6974a60986d116cc719ca4c",
-        "swap_logs.jsonl": "e279539622d597dd6876c92904a19c2a73483b823dff9787c37263c63b6ccdf5",
-        "timelines.jsonl": "ba0752c5ec6e0ec5e7fbb54494dae03fd1c85013bd9ba992e4141f143f389f1c",
+        "records.jsonl": "d27a6cff474b3579e09421c6016f9ea4d4d544dd22de799e5dbf93c902c14e35",
+        "swap_logs.jsonl": "fb588325a9cb5c8e4e1067e0e3ba34333e3119cb95d629328b47f173563defd1",
+        "timelines.jsonl": "047b097cf944a56f4c5f880e2e5c58df9f22324e422821977b2fb8820b312f4f",
     }),
     "fees": (FEES_YAML, {
         "labels.jsonl": "121cc14359969ef4e6e0cd956fa03eb0276903f9488ca21acdf5430438a1ca7a",
@@ -167,7 +168,7 @@ DIGESTS = {
         "metrics.json": "81710982b6ec8d5887f21b7c84b688ffc11ad2d7962afaa5e6b200cca05cab7f",
         "records.jsonl": "d8db981cd196c41ad361ddbf49cffa695803440f7773bfdd49f0d19f4dd66d4b",
         "swap_logs.jsonl": "cd969e8f8fab0ed7221cdce6fee0e57d1547f3fa85a3f5c09cfc4727a719c1cf",
-        "timelines.jsonl": "553f43b0f922fe8d40c856fa4532235da46c180c7167440f421ef3a8b67b055e",
+        "timelines.jsonl": "db8ecbe042a0156b294baa4165520bd316fc1a70a0890fb656356d1676f70135",
     }),
 }
 
@@ -176,15 +177,15 @@ DIGESTS = {
 # config) on each config's simulate output
 DETECT_DIGESTS = {
     "capped": {
-        "pairs.jsonl": "d48654d13e49b34d4feebd8d10eb04a09ca6476d4db08cd956c1af0b54066fd6",
+        "pairs.jsonl": "c216abe50c04890496a4d8c35f43f30ffaf258edc7e920c6a56ce104db86398d",
         "report.json": "c4ab9f21ac59e9a8d525a760fac34d79290d3e5c0577dc6eacfff6f5ed9c875f",
     },
     "mempool": {
-        "pairs.jsonl": "b53ff59818171d0976cde45ab4c5ef4d96acb8dd8d14f92cf857eab1e77577a4",
+        "pairs.jsonl": "cf6981ef861b811b55cc63d3ad1e1e3afe5423b9b79f09786ce1fc812206a668",
         "report.json": "a3447e5cbc0546d63ede2cffb326a3bd2ed7484298ffac1cdf4e26c8e35791e0",
     },
     "fees": {
-        "pairs.jsonl": "2c1a4d00d35f9401e45054c5f39135e46d283e982e02964eda6b8e5028f9ecfe",
+        "pairs.jsonl": "a32bafc9cf85a214b6d01b2da37e39b41fc2e0c29ac0e89db92cfc5c88eb385c",
         "report.json": "dc2b69ef634a9ac66df1718f7415a8e06ab1fc4b927e792cdeabbf76f4137806",
     },
 }

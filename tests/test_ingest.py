@@ -20,7 +20,7 @@ from _oracles import (
     timeline_dict_oracle,
 )
 from sandwichlab import ingest
-from sandwichlab.amm import MAX_AMOUNT, Direction, Overflow, Pool, PoolProtocol, SwapRequest
+from sandwichlab.amm import MAX_AMOUNT, Direction, Overflow, Pool, SwapRequest
 from sandwichlab.attack import PoolTimeline
 from sandwichlab.bridge import AttackerConfig, BotConfig, DistSpec, SimConfig, extract_corpus, run
 from sandwichlab.detector import Classification, CrossChainTx, SandwichPair, SwapLog, VictimHop
@@ -136,7 +136,6 @@ class TestCodecRoundTrips:
             pool=pool,
             noisy_swaps=((Direction.Y_FOR_X, 7),),
             victim=SwapRequest(Direction.X_FOR_Y, 100, min_out=90),
-            victim_tolerance=Fraction(1, 100),
         )
         row = json.loads(json.dumps(timeline_to_dict(timeline)))
         assert timeline_from_dict(row) == timeline
@@ -172,7 +171,6 @@ class TestCodecRoundTrips:
             pool=Pool(token_x="X", token_y="Y", reserve_x=10**6, reserve_y=10**6),
             noisy_swaps=((Direction.Y_FOR_X, 7),),
             victim=SwapRequest(Direction.X_FOR_Y, 100, min_out=90),
-            victim_tolerance=Fraction(1, 100),
         )
         row = json.loads(json.dumps(timeline_to_dict(timeline)))
         row[where][key] = value
@@ -199,7 +197,6 @@ class TestCodecRoundTrips:
                 pool=Pool(token_x="X", token_y="Y", reserve_x=10**6, reserve_y=10**6),
                 noisy_swaps=((Direction.Y_FOR_X, 7), entry),
                 victim=SwapRequest(Direction.X_FOR_Y, 100, min_out=90),
-                victim_tolerance=Fraction(1, 100),
             )
 
     @pytest.mark.parametrize(
@@ -1039,7 +1036,6 @@ _timelines = st.builds(
         reserve_y=_positive_amounts,
         fee=_fees,
         address=_texts,
-        protocol=st.sampled_from(PoolProtocol),
     ),
     noisy_swaps=st.lists(
         st.tuples(st.sampled_from(Direction), _positive_amounts), max_size=4
@@ -1052,8 +1048,6 @@ _timelines = st.builds(
         sender=_texts,
         recipient=_texts,
     ),
-    # the decoder takes a tolerance in (0, 1) only
-    victim_tolerance=st.fractions(0, 1, max_denominator=10**6).filter(lambda s: 0 < s < 1),
 )
 
 
@@ -1102,7 +1096,6 @@ _text_timelines = st.builds(
         reserve_y=_positive_amounts,
         fee=_fees,
         address=_any_texts,
-        protocol=st.sampled_from(PoolProtocol),
     ),
     noisy_swaps=st.lists(
         st.tuples(st.sampled_from(Direction), _positive_amounts), max_size=6
@@ -1115,7 +1108,6 @@ _text_timelines = st.builds(
         sender=_any_texts,
         recipient=_any_texts,
     ),
-    victim_tolerance=st.fractions(),
 )
 _optional_blocks = st.none() | st.integers(0, 2**64)
 _optional_hashes = st.none() | _any_texts
@@ -1594,12 +1586,15 @@ def _read_as_decoder(path: str, lines: list[str], read, decode) -> None:
 
 
 _TIMELINE = PoolTimeline(
-    pool=Pool("X", "Y", 10**6, 2 * 10**6, Fraction(3, 1000), "0x11", PoolProtocol.UNISWAP_V2),
+    pool=Pool("X", "Y", 10**6, 2 * 10**6, Fraction(3, 1000), "0x11"),
     noisy_swaps=((Direction.Y_FOR_X, 7), (Direction.X_FOR_Y, 8)),
     victim=SwapRequest(Direction.X_FOR_Y, 100, min_out=90, sender="0xbb", recipient="0xcc"),
-    victim_tolerance=Fraction(1, 100),
 )
 _TIMELINE_LINE = timeline_text(_TIMELINE)
+# the row as it was written while timelines carried the pool's protocol
+# and the victim's tolerance: each is now an unknown key
+_PROTOCOL_LINE = _TIMELINE_LINE.replace('"reserve_x"', '"protocol": "uniswap_v2", "reserve_x"')
+_TOLERANCE_LINE = _TIMELINE_LINE[:-1] + ', "victim_tolerance": "1/100"}'
 _ONE_HOP_RECORD = replace(_INT_TIME_RECORD, hops=_INT_TIME_RECORD.hops[:1])
 _LOG_LINE = swap_log_text(SWAP_LOG)
 # name -> (kind, line): rows outside their writer's layout, which the
@@ -1608,6 +1603,8 @@ _OTHER_LAYOUT_LINES = {
     "reserve_x 7": ("timelines", _TIMELINE_LINE.replace('"reserve_x": "1000000"', '"reserve_x": 7')),
     "amount_in 007": ("timelines", _TIMELINE_LINE.replace('"amount_in": "100"', '"amount_in": "007"')),
     "noise amount 007": ("timelines", _TIMELINE_LINE.replace('"7"]', '"007"]')),
+    "pool protocol": ("timelines", _PROTOCOL_LINE),
+    "victim_tolerance": ("timelines", _TOLERANCE_LINE),
     "two hops": ("records", record_text(_INT_TIME_RECORD)),
     "escaped quote": ("swap_logs", swap_log_text(replace(SWAP_LOG, sender='0x"bb'))),
     "escaped non-ASCII": ("records", record_text(replace(_ONE_HOP_RECORD, record_id="réc"))),
@@ -1636,9 +1633,8 @@ _REJECTED_FIELD_LINES = {
         "records",
         record_text(_ONE_HOP_RECORD).replace('"dst_timestamp": 72', '"dst_timestamp": 59'),
     ),
-    "tolerance 1/1": ("timelines", _TIMELINE_LINE.replace('"1/100"', '"1/1"')),
+    "fee 1/1": ("timelines", _TIMELINE_LINE.replace('"3/1000"', '"1/1"')),
     "fee 1/0": ("timelines", _TIMELINE_LINE.replace('"3/1000"', '"1/0"')),
-    "unknown protocol": ("timelines", _TIMELINE_LINE.replace('"uniswap_v2"', '"uniswap_v9"')),
 }
 
 
@@ -1702,19 +1698,36 @@ class TestPatternReaders:
         # once by the reader, once by iter_decoded
         assert decoded == [line, line]
 
-    def test_enum_lookups_raise_the_enum_error(self, tmp_path):
+    def test_direction_lookup_raises_the_enum_error(self, tmp_path):
         row = timeline_to_dict(_TIMELINE)
         row["victim"]["direction"] = "sideways"
         with pytest.raises(ValueError, match=r"^'sideways' is not a valid Direction$"):
             timeline_from_dict(row)
-        pool = {**pool_to_dict(_TIMELINE.pool), "protocol": "uniswap_v9"}
-        with pytest.raises(ValueError, match=r"^'uniswap_v9' is not a valid PoolProtocol$"):
-            pool_from_dict(pool)
         path = tmp_path / "timelines.jsonl"
-        write_lines(str(path), [_TIMELINE_LINE.replace('"uniswap_v2"', '"uniswap_v9"')])
+        sideways = _TIMELINE_LINE.replace('"direction": "x_for_y"', '"direction": "sideways"')
+        write_lines(str(path), [sideways])
         with pytest.raises(MalformedData) as raised:
             list(iter_timelines(str(path)))
-        assert str(raised.value) == f"{path}:1: ValueError: 'uniswap_v9' is not a valid PoolProtocol"
+        assert str(raised.value) == f"{path}:1: ValueError: 'sideways' is not a valid Direction"
+
+    # both readers: the pattern reader, whose row pattern misses these
+    # rows, and the plain decoder
+    @pytest.mark.parametrize(
+        "read", [iter_timelines, lambda path: iter_decoded(path, timeline_from_dict)]
+    )
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            (_PROTOCOL_LINE, "TypeError: Pool has no field 'protocol'"),
+            (_TOLERANCE_LINE, "TypeError: PoolTimeline has no field 'victim_tolerance'"),
+        ],
+    )
+    def test_removed_timeline_key_names_file_and_line(self, tmp_path, read, line, error):
+        path = tmp_path / "timelines.jsonl"
+        write_lines(str(path), [_TIMELINE_LINE, line], RunManifest(command="simulate"))
+        with pytest.raises(MalformedData) as raised:
+            list(read(str(path)))
+        assert str(raised.value) == f"{path}:3: {error}"
 
 
 class TestManifest:

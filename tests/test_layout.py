@@ -1,13 +1,15 @@
 """The memory layout of sandwichlab's records: every dataclass has fixed
 slots, so no per-row or per-event instance carries a __dict__. And the
 layout of the package as the benchmark sees it: every sandwichlab name
-that perfbench/ uses exists."""
+that perfbench/ uses exists. And the layout of the config docs: each
+config mapping in docs/formats.md names exactly its class's fields."""
 
 import ast
 import dataclasses
 import importlib
 import json
 import pkgutil
+import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -345,3 +347,40 @@ class TestBenchmarkImports:
             resolve("sandwichlab.detector.PriceTable.no_such_name")
         with pytest.raises(AttributeError):
             resolve("sandwichlab.nowhere")
+
+
+FORMATS = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
+
+
+def documented_keys(text: str, lead: str) -> set[str]:
+    """The keys text names for one config mapping: each `name` in the
+    first sentence after lead, which ends at '. ', at a table cell's
+    ' |' or at a blank line."""
+    start = text.index(lead) + len(lead)
+    ends = [text.find(stop, start) for stop in (". ", " |", "\n\n")]
+    end = min(end for end in ends if end != -1)
+    return set(re.findall(r"`([a-z][a-z0-9_]*)`", text[start:end]))
+
+
+class TestFormatsDoc:
+    """docs/formats.md names exactly the fields of each config mapping:
+    a deleted knob cannot stay in the docs, and a new one cannot go
+    undocumented."""
+
+    @pytest.mark.parametrize(
+        "lead, cls",
+        [
+            ("| `attacker` | mapping | ", AttackerConfig),
+            ("| `bot` | mapping | ", BotConfig),
+            ("A pool object: ", Pool),
+        ],
+    )
+    def test_config_keys_are_the_class_fields(self, lead, cls):
+        fields = {field.name for field in dataclasses.fields(cls)}
+        assert documented_keys(FORMATS.read_text(), lead) == fields
+
+    def test_a_stale_or_missing_key_is_seen(self):
+        text = "| `bot` | mapping | `enabled` (bool), `old_knob` (int) |\n"
+        assert documented_keys(text, "| `bot` | mapping | ") == {"enabled", "old_knob"}
+        text = "A pool object: `token_x`, `fee` (such as `\"1/2\"`). Then `address`.\n"
+        assert documented_keys(text, "A pool object: ") == {"token_x", "fee"}
