@@ -47,13 +47,11 @@ def _check_amount(name: str, value: int, minimum: int = 0) -> None:
 
 
 def _check_rate(name: str, value: Fraction, lo_open: bool = True) -> None:
-    lo_ok = value > 0 if lo_open else value >= 0
-    if not (lo_ok and value < 1):
+    # on the integer terms n/d, d > 0: a Fraction comparison costs about
+    # four times as much, and every simulated commit checks its tolerance
+    n, d = value.numerator, value.denominator
+    if not ((n > 0 if lo_open else n >= 0) and n < d):
         raise ValueError(f"{name} out of range: {value}")
-
-
-def _ceil_div(n: int, d: int) -> int:
-    return -(-n // d)
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,11 +190,12 @@ def execute_swap(pool: Pool, req: SwapRequest) -> SwapOutcome:
 
 
 def min_out_from_tolerance(quote: int, tolerance: Fraction) -> int:
-    """ceil((1 - s) * quote), so integer revert matches out' >= (1-s)*out."""
+    """ceil((1 - s) * quote) on the integer terms of s = n/d, so integer
+    revert matches out' >= (1-s)*out."""
     _check_amount("quote", quote)
     _check_rate("tolerance", tolerance)
-    keep = 1 - tolerance
-    return _ceil_div(quote * keep.numerator, keep.denominator)
+    n, d = tolerance.numerator, tolerance.denominator
+    return -(-quote * (d - n) // d)
 
 
 def victim_output_after_frontrun(

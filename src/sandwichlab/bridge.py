@@ -22,6 +22,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 from .amm import MAX_AMOUNT, AmmError, Direction, Pool, SwapRequest, fee_terms, swap_output
+from .amm import min_out_from_tolerance
 from .attack import (
     OrderingScenario,
     PoolTimeline,
@@ -53,46 +54,67 @@ def _check_bool(name: str, value: object) -> None:
         raise InvalidConfig(f"{name} must be a bool, not {value!r}")
 
 
+# Each family: its parameters, in the order its draw takes them; its
+# draw, of a random.Random and those parameters as floats; and the least
+# value that draw can give, of the same. A lognormal may take p95, its
+# 95th percentile, in place of mu.
+_FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., float], Callable[..., float]]] = {
+    "fixed": (("value",), lambda rng, value: value, lambda value: value),
+    "uniform": (("low", "high"), random.Random.uniform, min),
+    "exponential": (("rate",), random.Random.expovariate, lambda rate: 0.0),
+    "lognormal": (("mu", "sigma"), random.Random.lognormvariate, lambda mu, sigma: 0.0),
+}
+
+
 @dataclass(frozen=True, slots=True)
 class DistSpec:
-    """A sampleable distribution: family plus parameters.
-
-    Families: fixed {value}; uniform {low, high}; exponential {rate};
-    lognormal {sigma, p95} or {mu, sigma}. Optional min/max clamp the
-    sample.
-    """
+    """A sampleable distribution: a family of _FAMILIES and exactly its
+    parameters, each a finite int or float, with optional min/max that
+    clamp the sample. An error names the distribution by its family."""
 
     family: str
     params: dict
+    # the draw, its float arguments and the clamps, bound once
+    _bound: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        family, params = self.family, self.params
+        if type(family) is not str or family not in _FAMILIES:
+            raise InvalidConfig(f"unknown distribution family {family!r}")
+        names, draw, _ = _FAMILIES[family]
+        if family == "lognormal" and "p95" in params:
+            if "mu" in params:
+                raise InvalidConfig(f"{family} takes mu or p95, not both")
+            names = ("p95", "sigma")
+        for key, value in params.items():
+            if key not in names and key not in ("min", "max"):
+                raise InvalidConfig(f"{family} has no parameter {key!r}")
+            # an int compares exactly with infinity, however large
+            if type(value) not in (int, float) or not -math.inf < value < math.inf:
+                raise InvalidConfig(f"{family}.{key} must be a finite number, not {value!r}")
+            if key in ("rate", "p95") and value <= 0 or key == "sigma" and value < 0:
+                bound = ">= 0" if key == "sigma" else "> 0"
+                raise InvalidConfig(f"{family}.{key} must be {bound}, not {value!r}")
+        if missing := [name for name in names if name not in params]:
+            raise InvalidConfig(f"{family} is missing parameter {missing[0]!r}")
+        low, high = params.get("min", -math.inf), params.get("max", math.inf)
+        if low > high:
+            raise InvalidConfig(f"{family}.min must be <= max, not {low!r} > {high!r}")
+        args = [float(params[name]) for name in names]
+        if names[0] == "p95":
+            args[0] = math.log(args[0]) - 1.6448536269514722 * args[1]
+        object.__setattr__(self, "_bound", (draw, tuple(args), float(low), float(high)))
 
     def sample(self, rng: random.Random) -> float:
-        p = self.params
-        if self.family == "fixed":
-            value = float(p["value"])
-        elif self.family == "uniform":
-            value = rng.uniform(float(p["low"]), float(p["high"]))
-        elif self.family == "exponential":
-            value = rng.expovariate(float(p["rate"]))
-        elif self.family == "lognormal":
-            sigma = float(p["sigma"])
-            if "p95" in p:
-                mu = math.log(float(p["p95"])) - 1.6448536269514722 * sigma
-            else:
-                mu = float(p["mu"])
-            value = rng.lognormvariate(mu, sigma)
-        else:
-            raise InvalidConfig(f"unknown distribution family {self.family!r}")
-        if "min" in p:
-            value = max(value, float(p["min"]))
-        if "max" in p:
-            value = min(value, float(p["max"]))
-        return value
+        draw, args, low, high = self._bound
+        # min(max(draw, low), high) in compares: the two calls would cost
+        # more than a fixed draw
+        return low if (value := draw(rng, *args)) < low else high if value > high else value
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "DistSpec":
-        data = dict(data)
-        family = data.pop("family")
-        return cls(family=family, params=data)
+    def least(self) -> float:
+        """The least value that sample can return."""
+        _, args, low, high = self._bound
+        return min(max(_FAMILIES[self.family][2](*args), low), high)
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,28 +155,15 @@ class SimConfig:
     dst_block_interval: float = 3.0
     src_chain_id: int = 1
     dst_chain_id: int = 56
-    relay_delay: DistSpec = field(
-        default_factory=lambda: DistSpec(
-            "lognormal", {"sigma": 0.6, "p95": 100.0, "min": 5.0}
-        )
-    )
+    # a DistSpec is not changed once built, so configs share these
+    relay_delay: DistSpec = DistSpec("lognormal", {"sigma": 0.6, "p95": 100.0, "min": 5.0})
     noise_arrival_rate: float = 0.01  # per pool, per second
-    noise_size: DistSpec = field(
-        default_factory=lambda: DistSpec("lognormal", {"mu": 32.0, "sigma": 1.0})
-    )
-    noise_gas: DistSpec = field(
-        default_factory=lambda: DistSpec("uniform", {"low": 1.0, "high": 8.0})
-    )
+    noise_size: DistSpec = DistSpec("lognormal", {"mu": 32.0, "sigma": 1.0})
+    noise_gas: DistSpec = DistSpec("uniform", {"low": 1.0, "high": 8.0})
     victim_arrival_rate: float = 0.5  # per second, across all pools
-    victim_size: DistSpec = field(
-        default_factory=lambda: DistSpec("lognormal", {"mu": 33.0, "sigma": 1.0})
-    )
-    victim_tolerance: DistSpec = field(
-        default_factory=lambda: DistSpec("uniform", {"low": 0.005, "high": 0.03})
-    )
-    victim_gas: DistSpec = field(
-        default_factory=lambda: DistSpec("uniform", {"low": 2.0, "high": 10.0})
-    )
+    victim_size: DistSpec = DistSpec("lognormal", {"mu": 33.0, "sigma": 1.0})
+    victim_tolerance: DistSpec = DistSpec("uniform", {"low": 0.005, "high": 0.03})
+    victim_gas: DistSpec = DistSpec("uniform", {"low": 2.0, "high": 10.0})
     attacker: AttackerConfig = field(default_factory=AttackerConfig)
     bot: BotConfig = field(default_factory=BotConfig)
     pools: tuple[Pool, ...] = ()
@@ -174,6 +183,11 @@ class SimConfig:
                 raise InvalidConfig(f"{name} must be a finite number > 0, not {span!r}")
         if not self.pools:
             raise InvalidConfig("at least one pool is required")
+        if len({pool.address for pool in self.pools}) != len(self.pools):
+            raise InvalidConfig("duplicate pool addresses")
+        # a delivery before its commit would run the event clock backwards
+        if (least := self.relay_delay.least()) < 0:
+            raise InvalidConfig(f"relay_delay can draw {least!r}; it must not draw below 0")
         for name in ("victim_arrival_rate", "noise_arrival_rate"):
             rate = getattr(self, name)
             if type(rate) not in (int, float) or not 0 <= rate < math.inf:
@@ -420,8 +434,6 @@ class Simulation:
         self.rng = random.Random(config.seed)
         self.trace = SimTrace(config=config)
         self.pools: dict[str, _LivePool] = {p.address: _LivePool.of(p) for p in config.pools}
-        if len(self.pools) != len(config.pools):
-            raise InvalidConfig("duplicate pool addresses")
         # (time, seq, handler, args): handler(time, *args) runs at time;
         # seq breaks ties in push order
         self.queue: list[tuple[float, int, Callable[..., None], tuple]] = []
@@ -474,11 +486,9 @@ class Simulation:
         trace and return it. The event leaks the destination swap: its
         amount_out is the frozen min_return."""
         live = self.pools[victim.pool_address]
-        quote = live.quote(victim.direction, victim.amount_in)
-        # amm.min_out_from_tolerance's ceil((1 - s) * quote) on the integer
-        # terms of s = n/d, unchecked: _tolerance keeps s in (0, 1)
-        s = victim.tolerance
-        min_return = -(-quote * (s.denominator - s.numerator) // s.denominator)
+        min_return = min_out_from_tolerance(
+            live.quote(victim.direction, victim.amount_in), victim.tolerance
+        )
         victim.min_return = min_return
         victim.pool_snapshot = live.pool()
         victim.src_block = src_block

@@ -22,12 +22,12 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-# bridge, random and yaml are imported in the functions that use them
+# bridge and yaml are imported in the functions that use them
 from . import __version__, amm, attack, detector, ingest
 
 
@@ -65,7 +65,6 @@ def _fraction(value) -> Fraction:
         raise ValidationFailure(f"bad fraction {value!r}: {reason}") from None
 
 
-_DIST_PARAMS = frozenset({"value", "low", "high", "rate", "mu", "sigma", "p95", "min", "max"})
 # A number with an exponent. PyYAML reads YAML 1.1, whose floats need a
 # dot and a signed exponent, so it leaves 1.0e15 and 1e5 as strings,
 # which YAML 1.2 reads as numbers.
@@ -74,50 +73,40 @@ _EXPONENT_NUMBER = re.compile(r"[-+]?([0-9]+(\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+
 
 def _dist(name: str, data) -> bridge.DistSpec:
     """The distribution at key name of a simulate config: a mapping with
-    a family and its parameters, or a number for a fixed value. Each
-    parameter must be a finite number: DistSpec.sample passes it through
-    float(), which takes "5" and true, and a NaN delay drops every
-    victim."""
-    import random
-
+    a family and its parameters, or a number for a fixed value. DistSpec
+    checks it, and names it by its family where the config names it by
+    name."""
     from . import bridge
 
     if not isinstance(data, dict):
         data = {"family": "fixed", "value": data}
-    spec = bridge.DistSpec.from_dict(data)
-    for key, value in spec.params.items():
-        if key not in _DIST_PARAMS:
-            raise ValueError(f"{name} has no parameter {key!r}")
-        if type(value) is str and _EXPONENT_NUMBER.fullmatch(value):
-            value = float(value)
-        # an int compares exactly with infinity, however large
-        if type(value) not in (int, float) or not -math.inf < value < math.inf:
-            raise ValueError(f"{name}.{key} must be a finite number, not {value!r}")
-    # a bad family or parameter fails here, not in the middle of the run
-    spec.sample(random.Random(0))
-    return spec
-
-
-_DIST_KEYS = (
-    "relay_delay",
-    "noise_size",
-    "noise_gas",
-    "victim_size",
-    "victim_tolerance",
-    "victim_gas",
-)
+    family = data["family"]
+    params = {
+        key: float(value) if type(value) is str and _EXPONENT_NUMBER.fullmatch(value) else value
+        for key, value in data.items()
+        if key != "family"
+    }
+    try:
+        return bridge.DistSpec(family, params)
+    except bridge.InvalidConfig as exc:
+        if type(family) is not str or family not in bridge._FAMILIES:
+            raise
+        raise bridge.InvalidConfig(name + str(exc).removeprefix(family)) from None
 
 
 def sim_config_from_dict(data: dict) -> bridge.SimConfig:
     """Build a SimConfig from a parsed YAML document. A key that is not
     a SimConfig field (or an AttackerConfig/BotConfig/Pool field inside
-    ``attacker``/``bot``/a ``pools`` entry) is a validation error."""
+    ``attacker``/``bot``/a ``pools`` entry) is a validation error, and
+    so is a missing key that a pool or a distribution needs."""
     from . import bridge
 
+    # the fields whose default is a DistSpec are the distributions
+    dists = {f.name for f in fields(bridge.SimConfig) if isinstance(f.default, bridge.DistSpec)}
     kwargs: dict = {}
     try:
         for key, value in data.items():
-            if key in _DIST_KEYS:
+            if key in dists:
                 kwargs[key] = _dist(key, value)
             elif key == "attacker":
                 attacker = dict(value)
@@ -132,7 +121,9 @@ def sim_config_from_dict(data: dict) -> bridge.SimConfig:
                 kwargs[key] = value
         return bridge.SimConfig(**kwargs)
     except (TypeError, KeyError, ValueError, ArithmeticError, amm.AmmError) as exc:
-        raise ValidationFailure(f"bad simulation config: {exc}") from exc
+        # the text of a KeyError is the bare key
+        problem = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValidationFailure(f"bad simulation config: {problem}") from exc
 
 
 def _token_set(tokens) -> frozenset:
@@ -223,15 +214,15 @@ def cmd_simulate(args) -> int:
 
     raw = _load_yaml(args.config)
     config = sim_config_from_dict(raw)
+    # SimConfig checks every parameter, not every draw: a lognormal of mu
+    # 709 can draw past the float range, and a swap size of mu 190 past
+    # the 256 bits of a reserve
     try:
         trace, metrics = bridge.run(config)
-    except bridge.InvalidConfig as exc:
-        # a config that builds but cannot run: two pools at one address
-        raise ValidationFailure(str(exc)) from None
     except amm.Overflow as exc:
-        # a sampled swap amount past 256 bits: the config's distributions
-        # are checked only by sampling them once
         raise ValidationFailure(f"{args.config}: a simulated swap overflows: {exc}") from None
+    except OverflowError as exc:
+        raise ValidationFailure(f"{args.config}: a sampled value overflows: {exc}") from None
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

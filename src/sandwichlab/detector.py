@@ -201,7 +201,6 @@ _PRICE_COLUMNS = ("token_id", "usd_price", "decimals", "snapshot_date")
 class PriceTable:
     prices: Mapping[str, Decimal]
     decimals: Mapping[str, int]
-    snapshot_date: str = ""
     # 10**decimals of each priced token, computed once: analyze prices
     # every pair
     scales: Mapping[str, Decimal] = field(init=False, repr=False, compare=False)
@@ -223,10 +222,10 @@ class PriceTable:
         usd_price, an empty token_id, a usd_price that is not a finite
         decimal (finite_decimal), a decimals that is not ASCII digits in
         [0, 255] or a token_id that an earlier row priced raises
-        MalformedData naming the file and line. Blank lines are skipped."""
+        MalformedData naming the file and line. Blank lines are skipped,
+        and so is snapshot_date, which no output reads."""
         prices: dict[str, Decimal] = {}
         decimals: dict[str, int] = {}
-        snapshot = ""
         with open(path, newline="") as handle:
             reader = csv.reader(handle)
             # a misspelt decimals column would price every token at 18
@@ -259,8 +258,7 @@ class PriceTable:
                     raise MalformedData(
                         f"{path}:{reader.line_num}: {type(exc).__name__}: {exc}"
                     ) from exc
-                snapshot = row.get("snapshot_date", "") or snapshot
-        return cls(prices=prices, decimals=decimals, snapshot_date=snapshot)
+        return cls(prices=prices, decimals=decimals)
 
 
 def _is_stable_hop(hop: VictimHop, stable: frozenset[str]) -> bool:

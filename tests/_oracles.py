@@ -125,6 +125,33 @@ def replay_timeline_oracle(timeline, frontrun_in: int) -> tuple[bool, int]:
     return executed, recovered
 
 
+def dist_sample_oracle(family: str, params: dict, rng) -> float:
+    """One draw of a distribution, as DistSpec.sample drew it before the
+    family table: the family looked up by name and every parameter read
+    through float() on each draw."""
+    p = params
+    if family == "fixed":
+        value = float(p["value"])
+    elif family == "uniform":
+        value = rng.uniform(float(p["low"]), float(p["high"]))
+    elif family == "exponential":
+        value = rng.expovariate(float(p["rate"]))
+    elif family == "lognormal":
+        sigma = float(p["sigma"])
+        if "p95" in p:
+            mu = math.log(float(p["p95"])) - 1.6448536269514722 * sigma
+        else:
+            mu = float(p["mu"])
+        value = rng.lognormvariate(mu, sigma)
+    else:
+        raise ValueError(f"unknown distribution family {family!r}")
+    if "min" in p:
+        value = max(value, float(p["min"]))
+    if "max" in p:
+        value = min(value, float(p["max"]))
+    return value
+
+
 def classify_and_price_oracle(pairs, prices):
     """classify_and_price through dataclasses.replace: every field of a
     pair is carried over and only the three profit fields are set."""

@@ -1,9 +1,13 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import dist_sample_oracle
 from sandwichlab.amm import AmmError, Direction, Pool, quote_output
 from sandwichlab.attack import TxLabel, frontrun_size, optimal_frontrun_for_timeline
 from sandwichlab.bridge import (
@@ -124,9 +128,54 @@ class TestConfigValidation:
             base_config(**{key: value})
 
     def test_unknown_distribution_family(self):
-        rng_config = base_config(relay_delay=DistSpec("cauchy", {"x0": 1}))
-        with pytest.raises(InvalidConfig):
-            run(rng_config)
+        with pytest.raises(InvalidConfig, match="unknown distribution family 'cauchy'"):
+            DistSpec("cauchy", {"x0": 1})
+
+
+def numbers(low, high):
+    """Ints and floats in [low, high]: DistSpec takes both."""
+    return st.one_of(st.integers(math.ceil(low), math.floor(high)), st.floats(low, high))
+
+
+_DIST_FORMS = {
+    "fixed": {"value": numbers(-1e6, 1e6)},
+    "uniform": {"low": numbers(-1e6, 1e6), "high": numbers(-1e6, 1e6)},
+    "exponential": {"rate": numbers(1e-3, 1e3)},
+    "lognormal": {"mu": numbers(-20, 20), "sigma": numbers(0, 3)},
+    "lognormal p95": {"p95": numbers(1e-3, 1e6), "sigma": numbers(0, 3)},
+}
+
+
+@st.composite
+def dist_specs(draw):
+    """(family, params) of every family and both lognormal forms, with
+    no clamp, with min, with max or with both."""
+    form = draw(st.sampled_from(sorted(_DIST_FORMS)))
+    params = draw(st.fixed_dictionaries(_DIST_FORMS[form]))
+    low, high = sorted(draw(st.tuples(numbers(-1e6, 1e6), numbers(-1e6, 1e6))))
+    clamps = draw(st.sampled_from([(), ("min",), ("max",), ("min", "max")]))
+    params.update({key: {"min": low, "max": high}[key] for key in clamps})
+    return form.split()[0], params
+
+
+class TestDistSpec:
+    # the family table draws as the if/elif chain did, float for float,
+    # and leaves the stream where it left it
+    @settings(max_examples=300, deadline=None)
+    @given(spec=dist_specs(), seed=st.integers(0, 2**32))
+    def test_sample_draws_as_the_oracle(self, spec, seed):
+        family, params = spec
+        dist = DistSpec(family, params)
+        rng = random.Random(seed)
+        for _ in range(10):
+            state = rng.getstate()
+            value = dist.sample(rng)
+            after = rng.getstate()
+            rng.setstate(state)
+            expected = dist_sample_oracle(family, params, rng)
+            assert type(value) is float and value.hex() == expected.hex()
+            assert rng.getstate() == after
+            assert value >= dist.least()
 
 
 class TestDeterminism:

@@ -220,7 +220,6 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err == "error: bad simulation config: Pool has no field 'fees'\n"
 
-    # the config builds, and bridge.run rejects it
     def test_duplicate_pool_addresses_is_validation_error(self, tmp_path, capsys):
         data = yaml.safe_load(CONFIG_YAML)
         data["pools"].append({**data["pools"][0], "token_y": "USDC"})
@@ -228,7 +227,26 @@ class TestSimulate:
         config.write_text(yaml.safe_dump(data))
         out = tmp_path / "x"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: duplicate pool addresses\n"
+        assert capsys.readouterr().err == "error: bad simulation config: duplicate pool addresses\n"
+        assert not out.exists()
+
+    # a missing pool key was named by the bare KeyError text: "'fee'"
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda data: data["pools"][0].pop("fee"), "fee"),
+            (lambda data: data["pools"][0].pop("address"), "address"),
+        ],
+    )
+    def test_missing_pool_key_is_named(self, tmp_path, capsys, edit, key):
+        data = yaml.safe_load(CONFIG_YAML)
+        edit(data)
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(data))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: bad simulation config: missing key {key!r}\n"
         assert not out.exists()
 
     def test_zero_denominator_theta_is_validation_error(self, tmp_path, capsys):
@@ -283,9 +301,14 @@ class TestSimulate:
             ("victim_size", {"family": "fixed", "value": math.nan}, "victim_size.value"),
             ("noise_size", {"family": "fixed", "value": 1, "min": math.inf}, "noise_size.min"),
             ("victim_size", {"family": "uniform", "low": 1, "high": -math.inf}, "victim_size.high"),
-            # a raw OverflowError from float() and from math.exp
+            # a raw OverflowError from float()
             ("victim_size", {"family": "fixed", "value": 10**400}, ""),
-            ("victim_size", {"family": "lognormal", "mu": 1000, "sigma": 1}, ""),
+            # a parameter of another family was ignored
+            (
+                "victim_size",
+                {"family": "uniform", "low": 1, "high": 2, "mu": 5},
+                "victim_size has no parameter 'mu'\n",
+            ),
             # ran as 5.0 and as 1.0
             ("victim_size", {"family": "fixed", "value": "5"}, "victim_size.value"),
             ("victim_tolerance", {"family": "fixed", "value": True}, "victim_tolerance.value"),
@@ -293,6 +316,60 @@ class TestSimulate:
             ("victim_size", {"family": "cauchy", "value": 1}, "unknown distribution family"),
             # a misspelt clamp was ignored
             ("victim_size", {"family": "fixed", "value": 5, "mx": 1}, "victim_size has no parameter"),
+            # a parameter of another family was ignored, and so was mu
+            # beside p95
+            (
+                "noise_gas",
+                {"family": "fixed", "value": 5, "p95": 9},
+                "noise_gas has no parameter 'p95'\n",
+            ),
+            (
+                "victim_size",
+                {"family": "lognormal", "mu": 30, "sigma": 1, "p95": 1e15},
+                "victim_size takes mu or p95, not both\n",
+            ),
+            # the bare texts 'mu' and 'family'
+            (
+                "victim_size",
+                {"family": "lognormal", "sigma": 1},
+                "victim_size is missing parameter 'mu'\n",
+            ),
+            ("victim_size", {"value": 5}, "missing key 'family'\n"),
+            # exited 0: a negative rate drew negative values, a negative
+            # sigma mirrored the lognormal and max overrode min; p95 0
+            # failed with the bare text "math domain error"
+            (
+                "victim_size",
+                {"family": "exponential", "rate": -1},
+                "victim_size.rate must be > 0, not -1\n",
+            ),
+            (
+                "victim_size",
+                {"family": "lognormal", "mu": 30, "sigma": -1},
+                "victim_size.sigma must be >= 0, not -1\n",
+            ),
+            (
+                "victim_size",
+                {"family": "lognormal", "sigma": 1, "p95": 0},
+                "victim_size.p95 must be > 0, not 0\n",
+            ),
+            (
+                "victim_gas",
+                {"family": "uniform", "low": 1, "high": 5, "min": 3, "max": 1},
+                "victim_gas.min must be <= max, not 3 > 1\n",
+            ),
+            # a delivery before its commit ran the event clock backwards
+            ("relay_delay", -5, "relay_delay can draw -5.0; it must not draw below 0\n"),
+            (
+                "relay_delay",
+                {"family": "uniform", "low": -1, "high": 5},
+                "relay_delay can draw -1.0; it must not draw below 0\n",
+            ),
+            (
+                "relay_delay",
+                {"family": "fixed", "value": 5, "max": -1},
+                "relay_delay can draw -1.0; it must not draw below 0\n",
+            ),
         ],
     )
     def test_bad_distribution_is_validation_error(self, tmp_path, capsys, key, spec, message):
@@ -306,6 +383,29 @@ class TestSimulate:
         assert err.startswith(f"error: bad simulation config: {message}"), err
         assert err.count("\n") == 1
         assert not out.exists()
+
+    # a draw past the float range: mu 1000 failed the one-sample check,
+    # and mu 709 passed it and ended the run in a raw OverflowError
+    @pytest.mark.parametrize("key, mu", [("victim_size", 1000), ("relay_delay", 709)])
+    def test_draw_past_float_range_is_validation_error(self, tmp_path, capsys, key, mu):
+        data = yaml.safe_load(CONFIG_YAML)
+        data[key] = {"family": "lognormal", "mu": mu, "sigma": 1}
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(data))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {config}: a sampled value overflows: math range error\n"
+        assert not out.exists()
+
+    # clamped at 0, a delay that can draw below 0 draws none
+    def test_relay_delay_clamped_at_zero_runs(self, tmp_path, capsys):
+        data = yaml.safe_load(CONFIG_YAML)
+        data["relay_delay"] = {"family": "uniform", "low": -5, "high": 5, "min": 0}
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(data))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("key", ["victim_arrival_rate", "noise_arrival_rate"])
     @pytest.mark.parametrize(

@@ -2,7 +2,9 @@
 slots, so no per-row or per-event instance carries a __dict__. And the
 layout of the package as the benchmark sees it: every sandwichlab name
 that perfbench/ uses exists. And the layout of the config docs: each
-config mapping in docs/formats.md names exactly its class's fields."""
+config mapping in docs/formats.md names exactly its class's fields, and
+its distribution table exactly the families and parameters of
+bridge._FAMILIES."""
 
 import ast
 import dataclasses
@@ -25,6 +27,7 @@ from sandwichlab.bridge import (
     DistSpec,
     PendingTx,
     SimConfig,
+    _FAMILIES,
     extract_corpus,
     run,
 )
@@ -362,6 +365,19 @@ def documented_keys(text: str, lead: str) -> set[str]:
     return set(re.findall(r"`([a-z][a-z0-9_]*)`", text[start:end]))
 
 
+def documented_families(text: str) -> dict[str, set[str]]:
+    """family -> parameters, as the distribution table of text names
+    them: the family in a row's first cell, its parameters in the
+    second."""
+    start = text.index("| family | parameters |")
+    rows = text[start : text.index("\n\n", start)].splitlines()[2:]
+    families = {}
+    for row in rows:
+        family, params = row.split(" | ")[:2]
+        families[family.strip("| `")] = set(re.findall(r"`([a-z][a-z0-9_]*)`", params))
+    return families
+
+
 class TestFormatsDoc:
     """docs/formats.md names exactly the fields of each config mapping:
     a deleted knob cannot stay in the docs, and a new one cannot go
@@ -378,6 +394,20 @@ class TestFormatsDoc:
     def test_config_keys_are_the_class_fields(self, lead, cls):
         fields = {field.name for field in dataclasses.fields(cls)}
         assert documented_keys(FORMATS.read_text(), lead) == fields
+
+    def test_distribution_families_are_the_family_table(self):
+        text = FORMATS.read_text()
+        expected = {family: set(entry[0]) for family, entry in _FAMILIES.items()}
+        expected["lognormal"].add("p95")
+        assert documented_families(text) == expected
+        assert documented_keys(text, "Every family also takes the clamps ") == {"min", "max"}
+
+    def test_a_stale_or_missing_parameter_is_seen(self):
+        text = (
+            "| family | parameters | draw |\n| --- | --- | --- |\n"
+            "| `fixed` | `value`, `old` | the value |\n| `uniform` | `low` | a draw |\n\n"
+        )
+        assert documented_families(text) == {"fixed": {"value", "old"}, "uniform": {"low"}}
 
     def test_a_stale_or_missing_key_is_seen(self):
         text = "| `bot` | mapping | `enabled` (bool), `old_knob` (int) |\n"
