@@ -462,8 +462,15 @@ class Simulation:
         ).hexdigest()
         return "0x" + digest
 
-    def _gwei(self, spec: DistSpec) -> int:
-        return max(0, int(round(spec.sample(self.rng) * GWEI)))
+    def _gwei(self, name: str) -> int:
+        """A gas price in wei from a draw, in gwei, of the config's
+        distribution name. A price past 2**256 - 1, which no swap log or
+        record can hold, raises OverflowError naming the distribution."""
+        draw = getattr(self.config, name).sample(self.rng)
+        wei = max(0, int(round(draw * GWEI)))
+        if wei > MAX_AMOUNT:
+            raise OverflowError(f"{name} draws {draw!r} gwei, past 2**256 - 1 wei")
+        return wei
 
     def _draw_swap(self, size: DistSpec) -> tuple[Direction, int]:
         """A swap's direction, each with probability 1/2, then its input
@@ -598,7 +605,7 @@ class Simulation:
             direction=direction,
             amount_in=size,
             tolerance=self._tolerance(),
-            gas_price=self._gwei(self.config.victim_gas),
+            gas_price=self._gwei("victim_gas"),
             sender=account,
             recipient=account,
         )
@@ -615,7 +622,7 @@ class Simulation:
             PendingTx(
                 tx_hash=self._hash("noise", pool_address, now, self.seq),
                 label=TxLabel.NOISE,
-                gas_price=self._gwei(self.config.noise_gas),
+                gas_price=self._gwei("noise_gas"),
                 pool_address=pool_address,
                 direction=direction,
                 amount_in=size,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .amm import Direction
 
@@ -554,6 +554,96 @@ class Report:
     )
 
 
+class Rollup:
+    """aggregate in two steps: terms, the step of each pair, and fold,
+    which adds the terms into the report in the order it is given them.
+    Terms of different pairs may be made in different processes, but
+    every Decimal sum of the report is a fold's: a sum of 28 significant
+    digits rounds, so its digits depend on the order of its terms."""
+
+    def __init__(self, records: Iterable[CrossChainTx], num_blocks: int = 100) -> None:
+        # only each record's id and its chain pair are kept
+        self.chain_keys = {
+            record.record_id: f"{record.src_chain_id}->{record.dst_chain_id}"
+            for record in records
+        }
+        self.num_blocks = num_blocks
+        self._report = Report()
+        self._gas_lt_1 = 0
+
+    def terms(
+        self, pairs: Iterable[SandwichPair], usd: Callable[[SandwichPair], Optional[Decimal]]
+    ) -> Iterator[tuple]:
+        """For each pair, in order, what fold adds of it: whether it is
+        single-chain, its USD profit (None when unknown), its chain pair
+        (None when no record has its id), its pool, its front's position
+        bin (None for an empty window), its back's position bin, whether
+        its front pays less gas than its victim, whether its front pays
+        none, and its back's gas-delta bucket."""
+        chain_keys, num_blocks = self.chain_keys, self.num_blocks
+        for pair in pairs:
+            front, victim, back = pair.front, pair.victim, pair.back
+            start = pair.front_window_start_block
+            span = victim.block_number - start
+            delta = victim.gas_price - back.gas_price
+            yield (
+                pair.classification is Classification.SINGLE_CHAIN,
+                usd(pair),
+                chain_keys.get(pair.record_id),
+                pair.pool_address,
+                _bin((front.block_number - start) / span, _BINS) if span > 0 else None,
+                _bin((back.block_number - victim.block_number) / num_blocks, _BINS),
+                front.gas_price < victim.gas_price,
+                front.gas_price == 0,
+                _GAS_DELTA_BUCKETS[bisect_right(_GAS_DELTA_EDGES, delta)],
+            )
+
+    def fold(self, terms: Iterable[tuple]) -> None:
+        report = self._report
+        for single, profit, key, pool, front_bin, back_bin, gas_lt_1, zero_gas, bucket in terms:
+            report.total_pairs += 1
+            if single:
+                report.single_chain_pairs += 1
+            else:
+                report.cross_chain_pairs += 1
+            profitable = False
+            if profit is not None:
+                profitable = profit > 0
+                report.total_profit_usd += profit
+                if single:
+                    report.single_chain_profit_usd += profit
+                else:
+                    report.cross_chain_profit_usd += profit
+                if profit > report.max_single_profit_usd:
+                    report.max_single_profit_usd = profit
+                if key is not None:
+                    chain = report.chain_pairs.setdefault(
+                        key, {"pairs": 0, "profit_usd": Decimal(0)}
+                    )
+                    chain["pairs"] += 1
+                    chain["profit_usd"] += profit
+            report.pool_counts[pool] = report.pool_counts.get(pool, 0) + 1
+            if front_bin is not None:
+                report.front_position_hist[front_bin] += 1
+                if profitable:
+                    report.front_position_hist_profitable[front_bin] += 1
+            report.back_position_hist[back_bin] += 1
+            if profitable:
+                report.back_position_hist_profitable[back_bin] += 1
+            self._gas_lt_1 += gas_lt_1
+            report.zero_gas_front_runs += zero_gas
+            report.back_gas_delta_buckets[bucket] += 1
+
+    def report(self) -> Report:
+        """The report of every term folded so far."""
+        report = self._report
+        report.front_gas_ratio_lt_1 = (
+            self._gas_lt_1 / report.total_pairs if report.total_pairs else 0.0
+        )
+        report.pool_counts = dict(sorted(report.pool_counts.items(), key=lambda kv: -kv[1]))
+        return report
+
+
 def aggregate(
     pairs: Iterable[SandwichPair],
     records: Iterable[CrossChainTx],
@@ -568,65 +658,6 @@ def aggregate(
     either may be an iterator: only each record's id and its chain pair
     are kept. usd gives a pair's USD profit (None when unknown); by
     default its profit_usd, as classify_and_price sets it."""
-    report = Report()
-    chain_keys = {
-        record.record_id: f"{record.src_chain_id}->{record.dst_chain_id}"
-        for record in records
-    }
-    gas_lt_1 = 0
-
-    for pair in pairs:
-        report.total_pairs += 1
-        single = pair.classification is Classification.SINGLE_CHAIN
-        if single:
-            report.single_chain_pairs += 1
-        else:
-            report.cross_chain_pairs += 1
-        profit = usd(pair)
-        profitable = False
-        if profit is not None:
-            profitable = profit > 0
-            report.total_profit_usd += profit
-            if single:
-                report.single_chain_profit_usd += profit
-            else:
-                report.cross_chain_profit_usd += profit
-            if profit > report.max_single_profit_usd:
-                report.max_single_profit_usd = profit
-            key = chain_keys.get(pair.record_id)
-            if key is not None:
-                bucket = report.chain_pairs.setdefault(
-                    key, {"pairs": 0, "profit_usd": Decimal(0)}
-                )
-                bucket["pairs"] += 1
-                bucket["profit_usd"] += profit
-
-        report.pool_counts[pair.pool_address] = (
-            report.pool_counts.get(pair.pool_address, 0) + 1
-        )
-
-        span = pair.victim.block_number - pair.front_window_start_block
-        if span > 0:
-            index = _bin((pair.front.block_number - pair.front_window_start_block) / span, _BINS)
-            report.front_position_hist[index] += 1
-            if profitable:
-                report.front_position_hist_profitable[index] += 1
-        index = _bin((pair.back.block_number - pair.victim.block_number) / num_blocks, _BINS)
-        report.back_position_hist[index] += 1
-        if profitable:
-            report.back_position_hist_profitable[index] += 1
-
-        if pair.front.gas_price < pair.victim.gas_price:
-            gas_lt_1 += 1
-        if pair.front.gas_price == 0:
-            report.zero_gas_front_runs += 1
-        delta = pair.victim.gas_price - pair.back.gas_price
-        report.back_gas_delta_buckets[
-            _GAS_DELTA_BUCKETS[bisect_right(_GAS_DELTA_EDGES, delta)]
-        ] += 1
-
-    report.front_gas_ratio_lt_1 = gas_lt_1 / report.total_pairs if report.total_pairs else 0.0
-    report.pool_counts = dict(
-        sorted(report.pool_counts.items(), key=lambda kv: -kv[1])
-    )
-    return report
+    rollup = Rollup(records, num_blocks)
+    rollup.fold(rollup.terms(pairs, usd))
+    return rollup.report()

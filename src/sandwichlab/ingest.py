@@ -18,7 +18,7 @@ from fractions import Fraction
 from bisect import bisect_left, insort
 from functools import partial
 from itertools import groupby
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional
+from typing import IO, Callable, Collection, Iterable, Iterator, NamedTuple, Optional, TextIO
 
 from . import __version__
 from .amm import (
@@ -216,9 +216,9 @@ def pool_from_dict(data: dict) -> Pool:
     """A timeline's pool, or a pool of a simulate config. A key that is
     not a Pool field is an error, checked first: a misspelt key is named
     even where it stands for a missing field."""
-    _require(data, ("token_x", "token_y", "address"), str)
     if not _POOL_KEYS.issuperset(data):
         raise _unknown_key(data, Pool)
+    _require(data, ("token_x", "token_y", "address"), str)
     return Pool(
         data["token_x"], data["token_y"], _amount("reserve_x", data["reserve_x"]),
         _amount("reserve_y", data["reserve_y"]), _fraction_from_str(data["fee"]), data["address"],
@@ -336,21 +336,29 @@ def file_digest(path: str) -> str:
     return digest.hexdigest()
 
 
-def write_lines(path: str, lines: Iterable[str], manifest: Optional[RunManifest] = None) -> int:
-    """One line per text, after the manifest-digest header if there is a
-    manifest; returns the number of texts. The lines go to a temporary
-    file beside path, which replaces path only after the last one: if
-    lines or a write raises, the temporary file is deleted and path is
-    left as it was, so a reader never sees a partial file."""
-    partial = f"{path}.{os.getpid()}.partial"
+def write_rows(
+    handle: IO[str], lines: Iterable[str], manifest: Optional[RunManifest] = None
+) -> int:
+    """One line per text to an open file, after the manifest-digest
+    header if there is a manifest; returns the number of texts."""
+    if manifest is not None:
+        handle.write(f"# manifest-digest {manifest.digest()}\n")
     count = 0
+    for line in lines:
+        handle.write(line + "\n")
+        count += 1
+    return count
+
+
+def write_lines(path: str, lines: Iterable[str], manifest: Optional[RunManifest] = None) -> int:
+    """write_rows to path. The lines go to a temporary file beside path,
+    which replaces path only after the last one: if lines or a write
+    raises, the temporary file is deleted and path is left as it was, so
+    a reader never sees a partial file."""
+    partial = f"{path}.{os.getpid()}.partial"
     try:
         with open(partial, "w") as handle:
-            if manifest is not None:
-                handle.write(f"# manifest-digest {manifest.digest()}\n")
-            for line in lines:
-                handle.write(line + "\n")
-                count += 1
+            count = write_rows(handle, lines, manifest)
         os.replace(partial, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -634,17 +642,14 @@ class _WindowMemo:
             del below[:cut]
 
 
-def write_pairs_jsonl(
-    path: str, pairs: Iterable[SandwichPair], manifest: Optional[RunManifest] = None
-) -> int:
-    """write_jsonl(path, map(pair_to_dict, pairs), manifest), byte for
-    byte: each row is _pair_text, the layout the _PAIR table gives (the
-    tests hold it to the reference dict form in tests/_oracles.py), with
-    each distinct swap log encoded once while its pool's front window
-    holds it (_WindowMemo): a victim sits in many pairs, and a front or
-    back in several, all of records whose windows hold it. pairs is read
-    once, in order, so it may be a generator; returns the number of
-    pairs."""
+def pair_rows(pairs: Iterable[SandwichPair]) -> Iterator[str]:
+    """map(json.dumps(pair_to_dict(pair), sort_keys=True), pairs), byte
+    for byte: each row is _pair_text, the layout the _PAIR table gives
+    (the tests hold it to the reference dict form in tests/_oracles.py),
+    with each distinct swap log encoded once while its pool's front
+    window holds it (_WindowMemo): a victim sits in many pairs, and a
+    front or back in several, all of records whose windows hold it.
+    pairs is read once, in order, so it may be a generator."""
     memo = _WindowMemo()
     # id(log) -> (log, its text); holding the log keeps its id unique
     texts: dict[int, tuple[SwapLog, str]] = memo.entries
@@ -656,21 +661,93 @@ def write_pairs_jsonl(
             memo.add(id(log), log, entry)
         return entry[1]
 
-    def line(pair: SandwichPair) -> str:
+    for pair in pairs:
         memo.follow(pair)
-        return _pair_text(pair, log_text)
-
-    return write_lines(path, map(line, pairs), manifest)
+        yield _pair_text(pair, log_text)
 
 
-def _numbered_lines(path: str) -> Iterator[tuple[int, str]]:
+def write_pairs_jsonl(
+    path: str, pairs: Iterable[SandwichPair], manifest: Optional[RunManifest] = None
+) -> int:
+    """write_jsonl(path, map(pair_to_dict, pairs), manifest), byte for
+    byte, through pair_rows; returns the number of pairs."""
+    return write_lines(path, pair_rows(pairs), manifest)
+
+
+def _numbered_lines(
+    path: str, start: int = 0, end: Optional[int] = None
+) -> Iterator[tuple[int, str]]:
     """(line number, stripped text) for each line that is not blank or
-    a # comment."""
-    with open(path) as handle:
-        for number, line in enumerate(handle, 1):
+    a # comment: of the whole file, or of its bytes from start up to end
+    (the end of the file if None), each the start of a line. The line at
+    start is line 1."""
+    if start == 0 and end is None:
+        handle = open(path)
+        lines: Iterable[str] = handle
+    else:
+        # "\n" alone ends a line, and no line end is translated, so each
+        # line's length is its length in bytes
+        handle = open(path, newline="\n")
+        lines = _lines_between(handle, start, end)
+    with handle:
+        for number, line in enumerate(lines, 1):
             line = line.strip()
             if line and not line.startswith("#"):
                 yield number, line
+
+
+def _lines_between(handle: TextIO, start: int, end: Optional[int]) -> Iterator[str]:
+    """The lines of handle, opened with newline="\n", from byte start up
+    to byte end, each split as a read with universal newlines splits it:
+    bytes.splitlines splits at "\n", "\r\n" and a lone "\r"."""
+    handle.seek(start)
+    for line in handle:
+        if end is not None and start >= end:
+            return
+        if line.isascii():
+            start += len(line)
+        else:
+            start += len(line.encode(handle.encoding))
+        if "\r" in line:
+            pieces = line.encode(handle.encoding).splitlines()
+            yield from (piece.decode(handle.encoding) for piece in pieces)
+        else:
+            yield line
+
+
+def _lines_before(path: str, offset: int) -> int:
+    """The number of lines in the first offset bytes of path, offset the
+    start of a line, split as a text read splits them: at "\n", "\r\n"
+    and a lone "\r"."""
+    lines, last = 0, b""
+    with open(path, "rb") as handle:
+        while offset > 0 and (block := handle.read(min(offset, 1 << 20))):
+            offset -= len(block)
+            # a "\r\n" cut between two blocks is one line end
+            lines += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+            lines -= last + block[:1] == b"\r\n"
+            last = block[-1:]
+    return lines
+
+
+def line_ranges(path: str, count: int) -> list[tuple[int, Optional[int]]]:
+    """The byte ranges (start, end) of iter_pairs that cut path into at
+    most count runs of whole lines of about equal size, in order; the
+    last one's end is None, the end of the file. A path that is not a
+    regular file, such as a pipe, is one range: it cannot be read twice."""
+    cuts = [0]
+    if count > 1 and os.path.isfile(path):
+        size = os.path.getsize(path)
+        with open(path, "rb") as handle:
+            for index in range(1, count):
+                # to the start of the first line that begins at or past
+                # the index-th count-th of the file, after the last cut
+                handle.seek(max(size * index // count, cuts[-1] + 1) - 1)
+                handle.readline()
+                if handle.tell() >= size:
+                    break
+                cuts.append(handle.tell())
+    return list(zip(cuts, [*cuts[1:], None]))
 
 
 def _row(path: str, number: int, line: str):
@@ -793,7 +870,9 @@ def iter_timelines(path: str) -> Iterator[PoolTimeline]:
     return (timeline for _, timeline in _read_rows(path, _TIMELINE_ROW, built, timeline_from_dict))
 
 
-def iter_pairs(path: str) -> Iterator[SandwichPair]:
+def iter_pairs(
+    path: str, start: int = 0, end: Optional[int] = None
+) -> Iterator[SandwichPair]:
     """iter_decoded(path, pair_from_dict), the same pairs and the same
     MalformedData errors, with each distinct swap-log text decoded once
     while its pool's front window holds it (_WindowMemo), and the own
@@ -812,7 +891,11 @@ def iter_pairs(path: str) -> Iterator[SandwichPair]:
     order, 15 for 15.0, duplicate keys, a bad value) goes through
     json.loads and pair_from_dict. Equal texts within a window give one
     shared SwapLog, so memory follows the logs of each pool's current
-    window, not the number of pairs or of logs."""
+    window, not the number of pairs or of logs.
+
+    Given a byte range of line_ranges, the pairs of its lines only, each
+    read as above, with the same errors: a line's number in an error is
+    its number in the whole file."""
     memo = _WindowMemo()
     logs: dict[str, SwapLog] = memo.entries
     # the runs of the last row that rebuilt, and its own fields
@@ -864,9 +947,17 @@ def iter_pairs(path: str) -> Iterator[SandwichPair]:
         runs, own = line_runs, fields
         return pair
 
-    for number, line in _numbered_lines(path):
+    for number, line in _numbered_lines(path, start, end):
         pair = written_pair(line)
         if pair is None:
-            pair = _decoded(path, number, line, pair_from_dict)
+            try:
+                pair = _decoded(path, number, line, pair_from_dict)
+            except MalformedData:
+                if not start:
+                    raise
+                # the error names the line's number in the whole file:
+                # the lines before start are counted only here
+                number += _lines_before(path, start)
+                pair = _decoded(path, number, line, pair_from_dict)
         memo.follow(pair)
         yield pair

@@ -220,6 +220,16 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err == "error: bad simulation config: Pool has no field 'fees'\n"
 
+    # the unknown key is checked before the string fields: "adress" was
+    # reported as a missing key 'address'
+    def test_misspelt_pool_address_is_named(self, tmp_path, capsys):
+        data = yaml.safe_load(CONFIG_YAML)
+        data["pools"][0]["adress"] = data["pools"][0].pop("address")
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(data))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == "error: bad simulation config: Pool has no field 'adress'\n"
+
     def test_duplicate_pool_addresses_is_validation_error(self, tmp_path, capsys):
         data = yaml.safe_load(CONFIG_YAML)
         data["pools"].append({**data["pools"][0], "token_y": "USDC"})
@@ -396,6 +406,22 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {config}: a sampled value overflows: math range error\n"
+        assert not out.exists()
+
+    # a gas price past 2**256 - 1 wei was written to the logs and records,
+    # and simulate exited 0; detect then rejected the records
+    @pytest.mark.parametrize("key", ["victim_gas", "noise_gas"])
+    def test_gas_draw_past_256_bits_is_validation_error(self, tmp_path, capsys, key):
+        data = yaml.safe_load(CONFIG_YAML)
+        data[key] = {"family": "fixed", "value": 1.0e70}
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(data))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: a sampled value overflows: "
+            f"{key} draws 1e+70 gwei, past 2**256 - 1 wei\n"
+        )
         assert not out.exists()
 
     # clamped at 0, a delay that can draw below 0 draws none
@@ -1141,7 +1167,7 @@ class TestDetectStreams:
         assert found[0]  # the first record's pairs went to the writer
         assert list(det.iterdir()) == []
 
-    def test_peak_heap_does_not_grow_with_pairs(self, tmp_path):
+    def test_peak_heap_does_not_grow_with_pairs(self, tmp_path, monkeypatch):
         """R and 4R records that share one victim and its window of 20
         fronts and 20 backs, so each record has 20 pairs and the logs
         stay the same. The traced peak of an in-process detect may grow
@@ -1151,6 +1177,10 @@ class TestDetectStreams:
         alone grow the peak by 1.08 MB; a detect that held every pair
         grew it by 3.00 MB, a streaming one by 1.08 MB."""
         import tracemalloc
+
+        # tracemalloc sees this process only: the stage runs here, at one CPU
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
 
         from sandwichlab.detector import CrossChainTx, VictimHop
 
@@ -1310,13 +1340,17 @@ class TestAnalyzeStreams:
         assert capsys.readouterr().err.startswith(f"error: {prices}:3: ValueError: usd_price")
         assert not (tmp_path / "rep").exists()
 
-    def test_peak_heap_does_not_grow_with_pairs(self, tmp_path):
+    def test_peak_heap_does_not_grow_with_pairs(self, tmp_path, monkeypatch):
         """N and 4N rows that embed the same six swap logs: the traced
         peak of an in-process analyze may grow by at most a quarter from
         N to 4N. About 2 MB of the peak is fixed (file_digest reads 1 MB
         chunks); an analyze that held every pair grew it by about 75%
         from 1,000 to 4,000 rows, and a streaming one by under 1%."""
         import tracemalloc
+
+        # tracemalloc sees this process only: the stage runs here, at one CPU
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
 
         from sandwichlab.amm import Direction
         from sandwichlab.detector import Classification, SandwichPair

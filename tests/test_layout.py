@@ -10,6 +10,7 @@ import ast
 import dataclasses
 import importlib
 import json
+import os
 import pkgutil
 import re
 import tracemalloc
@@ -226,7 +227,10 @@ class TestMemory:
     # shared within each read, 1,236-1,256 B.
     DETECT_BYTES_PER_LOG = 1_400
 
-    def test_dense_window_detect_peak_per_log(self, tmp_path):
+    def test_dense_window_detect_peak_per_log(self, tmp_path, monkeypatch):
+        # tracemalloc sees this process only: detect runs here, at one CPU
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         config, sim = tmp_path / "config.yaml", tmp_path / "sim"
         config.write_text(json.dumps(busy_like_config()))
         assert main(["simulate", "--config", str(config), "--out", str(sim)]) == 0
